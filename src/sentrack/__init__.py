@@ -4,62 +4,26 @@ Per-sensor particle LMB filters, adaptive complementary fusion of LMB
 densities, information-driven coordinate-descent sensor control, a
 flooding network simulator, and a reproducible scenario harness with
 OSPA-based evaluation.
+
+The package exports the entry points: the harness, the scenarios and
+their config types.  The layers are imported from their own modules.
 """
 
-from .control import (
-    DescentState,
-    ObjectiveParams,
-    dcd_runs_required,
-    detect_cycle,
-    drop_penalty,
-    kld_existence,
-    objective,
-    run_flooded_descent,
-    select_final_command,
-    sensor_sensor_constraint,
-    sensor_target_constraint,
-    void_probability,
-)
-from .filtering import FilterConfig, generate_pims, predict, pseudo_update, update
-from .fusion import (
-    FusionConfig,
-    associate_labels,
-    compute_active_set,
-    fuse_existence,
-    fuse_lmb,
-    fuse_spatial,
-)
-from .harness import MonteCarloResult, RunResult, export_results, monte_carlo, run_single
-from .lmb import (
-    BernoulliComponent,
-    Label,
-    LmbDensity,
-    eap_cardinality,
-    eap_states,
-    empty_density,
-    joint_existence_weight,
-    prune,
-    resample_component,
-)
-from .metrics import ospa, ospa2
-from .network import FloodMessage, Topology, build_topology, flood_broadcast, message_cost
+from .control import ObjectiveParams
+from .filtering import FilterConfig
+from .fusion import FusionConfig
+from .harness import METHODS, MonteCarloResult, RunResult, export_results, monte_carlo, run_single
 from .scenarios import (
+    MetricConfig,
+    MonteCarloConfig,
     ScenarioConfig,
+    SensorSpec,
+    TargetSpec,
     build_scenario_1,
     build_scenario_2,
     load_scenario,
     save_scenario,
 )
-from .sensors import (
-    FovModel,
-    MotionModel,
-    SensorAction,
-    SensorState,
-    apply_action,
-    detection_probability,
-    measurement_likelihood,
-    propagate_target,
-    relative_range_bearing,
-)
+from .sensors import FovModel, MotionModel, SensorAction
 
 __version__ = "0.1.0"

@@ -25,15 +25,9 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .filtering import FilterConfig, generate_pims, pseudo_update
-from .fusion import fuse_existence
+from .fusion import compute_active_set, fuse_existence
 from .lmb import EXISTENCE_CEIL, LmbDensity, prune
-from .sensors import (
-    FovModel,
-    SensorState,
-    apply_action,
-    detection_probability,
-    relative_range_bearing,
-)
+from .sensors import FovModel, SensorState, apply_action
 
 _CLAMP = 1e-12
 NEG_INF = float("-inf")
@@ -76,7 +70,14 @@ def bernoulli_kld(r1: float, r2: float) -> float:
     return r1 * math.log(r1 / r2) + (1.0 - r1) * math.log((1.0 - r1) / (1.0 - r2))
 
 
-def _kld_existence_dicts(r1: Mapping, r2: Mapping, epsilon: float) -> float:
+def kld_existence(r1: Mapping, r2: Mapping, epsilon: float) -> float:
+    """Existence-only KL divergence between two LMB densities.
+
+    r1 and r2 map label -> existence probability.  Shared labels contribute
+    the Bernoulli divergence; labels only in r2 contribute -log(r2); labels
+    only in r1 use epsilon in place of the missing r2 so new-target
+    information stays finite.
+    """
     total = 0.0
     for label in set(r1) | set(r2):
         if label in r1 and label in r2:
@@ -90,38 +91,24 @@ def _kld_existence_dicts(r1: Mapping, r2: Mapping, epsilon: float) -> float:
     return total
 
 
-def kld_existence(pi1: LmbDensity, pi2: LmbDensity, epsilon: float) -> float:
-    """Existence-only KL divergence between two LMB densities.
-
-    Shared labels contribute the Bernoulli divergence; labels only in pi2
-    contribute -log(r2); labels only in pi1 use epsilon in place of the
-    missing r2 so new-target information stays finite.
-    """
-    return _kld_existence_dicts(pi1.existences(), pi2.existences(), epsilon)
-
-
-def _drop_penalty_dicts(r1: Mapping, r2: Mapping, lam: float) -> float:
+def drop_penalty(r1: Mapping, r2: Mapping, lam: float) -> float:
+    """Penalty for labels present in r2 but dropped from r1 (nonnegative)."""
+    if lam < 1:
+        raise ValueError("penalty scale must be >= 1")
     return -lam * sum(
         math.log(_clamp01(r2[label])) for label in set(r2) - set(r1)
     )
 
 
-def drop_penalty(pi1: LmbDensity, pi2: LmbDensity, lam: float) -> float:
-    """Penalty for labels present in pi2 but dropped from pi1 (nonnegative)."""
-    if lam < 1:
-        raise ValueError("penalty scale must be >= 1")
-    return _drop_penalty_dicts(pi1.existences(), pi2.existences(), lam)
+def objective(r1: Mapping, r2: Mapping, params: ObjectiveParams) -> float:
+    """Control objective: existence KLD minus the dropped-target penalty.
 
-
-def _objective_dicts(r1: Mapping, r2: Mapping, params: ObjectiveParams) -> float:
-    return _kld_existence_dicts(r1, r2, params.epsilon) - _drop_penalty_dicts(
+    r1 and r2 map label -> existence: the candidate (pseudo-)posterior and
+    the local predicted density.
+    """
+    return kld_existence(r1, r2, params.epsilon) - drop_penalty(
         r1, r2, params.penalty_lambda
     )
-
-
-def objective(pi1: LmbDensity, pi2: LmbDensity, params: ObjectiveParams) -> float:
-    """Control objective: existence KLD minus the dropped-target penalty."""
-    return _objective_dicts(pi1.existences(), pi2.existences(), params)
 
 
 def void_probability(density: LmbDensity, sensor_after_action: SensorState, rho_eps: float) -> float:
@@ -139,19 +126,6 @@ def void_probability(density: LmbDensity, sensor_after_action: SensorState, rho_
         inside = (d[:, 0] ** 2 + d[:, 1] ** 2) <= rho_eps**2
         result *= 1.0 - c.existence * float(c.weights[inside].sum())
     return result
-
-
-def sensor_target_constraint(densities_after, sensors_after: Mapping[int, SensorState], params: ObjectiveParams) -> float:
-    """Max over sensors of the void probability of its exclusion disk.
-
-    densities_after is either one density (evaluated for every sensor, the
-    fused pseudo-posterior case) or a per-sensor mapping.
-    """
-    psi = 0.0
-    for s, state in sensors_after.items():
-        density = densities_after[s] if isinstance(densities_after, Mapping) else densities_after
-        psi = max(psi, void_probability(density, state, params.exclusion_radius))
-    return psi
 
 
 def sensor_sensor_constraint(sensors_after) -> float:
@@ -259,12 +233,11 @@ def _best_own_action(
     latest: list,
     n_actions: int,
     evaluate: CommandEvaluator,
-    zero_action: int,
 ) -> tuple:
     """Exhaustive search over one sensor's actions with the others fixed.
 
     Ties break to the lowest action index; if every candidate is
-    infeasible the zero action is used.
+    infeasible the stay action (index 0) is used.
     """
     best_action, best_score = None, NEG_INF
     for a in range(n_actions):
@@ -275,8 +248,8 @@ def _best_own_action(
             best_action, best_score = a, score
     if best_action is None or best_score == NEG_INF:
         fallback = latest.copy()
-        fallback[position] = zero_action
-        return zero_action, evaluate(node, tuple(fallback))
+        fallback[position] = 0
+        return 0, evaluate(node, tuple(fallback))
     return best_action, best_score
 
 
@@ -285,7 +258,6 @@ def run_flooded_descent(
     n_actions: Mapping[int, int],
     evaluate: CommandEvaluator,
     initial_actions: Mapping[int, int],
-    zero_action: int = 0,
     max_iterations: int | None = None,
     on_turn: Callable[[int, int], None] | None = None,
 ) -> DescentOutcome:
@@ -318,9 +290,7 @@ def run_flooded_descent(
 
     for t in range(1, max_iterations + 1):
         for s in ids:
-            action, score = _best_own_action(
-                s, pos[s], latest, n_actions[s], evaluate, zero_action
-            )
+            action, score = _best_own_action(s, pos[s], latest, n_actions[s], evaluate)
             latest[pos[s]] = action
             if on_turn is not None:
                 on_turn(s, action)
@@ -352,8 +322,9 @@ class PseudoCache:
 
     Holds, per (sensor, action): the post-action sensor state, the
     pseudo-posterior of the sensor's control-view predicted density, the
-    per-label pseudo existences and mean positions, and lazily computed
-    in-disk particle weights for the void constraint.
+    per-label pseudo existences and mean positions, the labels the sensor
+    is active for (the active set depends only on the holder's own action),
+    and lazily computed in-disk particle weights for the void constraint.
     """
 
     def __init__(
@@ -387,6 +358,7 @@ class PseudoCache:
         self._pseudo = {}
         self._pseudo_exist = {}
         self._pseudo_means = {}
+        self._active = {}
         self._indisk = {}
 
     def sensors(self):
@@ -423,6 +395,18 @@ class PseudoCache:
     def pseudo_means(self, s: int, a: int) -> dict:
         self.pseudo(s, a)
         return self._pseudo_means[(s, a)]
+
+    def active_labels(self, s: int, a: int) -> set:
+        """Labels sensor s is active for after action a, by compute_active_set."""
+        key = (s, a)
+        if key not in self._active:
+            self._active[key] = compute_active_set(
+                self.state_after(s, a),
+                self.fovs[s],
+                self.pseudo_means(s, a),
+                self.predicted_means[s],
+            )
+        return self._active[key]
 
     def indisk_weight(self, owner: int, action: int, label, center: np.ndarray) -> float:
         """In-disk particle weight of one pseudo component around a point."""
@@ -466,35 +450,17 @@ class ControlContext:
     def n_actions(self) -> dict:
         return {s: self.cache.n_actions(s) for s in self.participants}
 
-    def _active_set(self, label, holders, command_of) -> list:
-        cache = self.cache
-        active = []
-        for s in holders:
-            a = command_of[s]
-            state = cache.state_after(s, a)
-            fov = cache.fovs[s]
-            for est in (
-                cache.pseudo_means(s, a).get(label),
-                cache.predicted_means[s].get(label),
-            ):
-                if est is None:
-                    continue
-                rho, theta = relative_range_bearing(state, est)
-                if detection_probability(fov, rho, theta) > fov.p_d_threshold:
-                    active.append(s)
-                    break
-        return active
-
     def fused(self, command: tuple) -> FusedEvaluation:
         if command in self._fused:
             return self._fused[command]
         cache, params = self.cache, self.params
         command_of = dict(zip(self.participants, command))
 
+        active_of = {s: cache.active_labels(s, a) for s, a in command_of.items()}
         existences = {}
         contributors = {}
         for label in sorted(self._holders):
-            active = self._active_set(label, self._holders[label], command_of)
+            active = [s for s in self._holders[label] if label in active_of[s]]
             if not active:
                 continue  # pseudo-mode fusion omits labels with an empty active set
             rs = [cache.pseudo_existences(s, command_of[s])[label] for s in active]
@@ -529,9 +495,7 @@ class ControlContext:
         if not fe.feasible:
             score = NEG_INF
         else:
-            score = _objective_dicts(
-                fe.existences, self.cache.predicted_existences[node], self.params
-            )
+            score = objective(fe.existences, self.cache.predicted_existences[node], self.params)
         self._scores[key] = score
         return score
 
@@ -540,14 +504,14 @@ def isc_select(
     node: int,
     cache: PseudoCache,
     other_positions=(),
-    zero_action: int = 0,
 ) -> tuple:
     """Independent single-sensor selection on the local pseudo-posterior.
 
     Exhaustive over the node's actions, scoring the local pseudo-posterior
     against the local prediction; feasibility uses the node's own
     exclusion disk and, when given, the current positions of the other
-    sensors.  Returns (action index, score).
+    sensors.  Returns (action index, score); the stay action (index 0)
+    with score -inf when no action is feasible.
     """
     params = cache.params
     predicted_exist = cache.predicted_existences[node]
@@ -563,11 +527,11 @@ def isc_select(
             feasible = distance_feasible(eta, params)
         if not feasible:
             continue
-        score = _objective_dicts(cache.pseudo_existences(node, a), predicted_exist, params)
+        score = objective(cache.pseudo_existences(node, a), predicted_exist, params)
         if score > best_score:
             best_action, best_score = a, score
     if best_action is None:
-        return zero_action, NEG_INF
+        return 0, NEG_INF
     return best_action, best_score
 
 
@@ -577,7 +541,6 @@ def dcd_sc_select(
     cache: PseudoCache,
     runs: int,
     rng: np.random.Generator,
-    zero_action: int = 0,
 ) -> int:
     """Neighborhood coordinate descent with random restarts.
 
@@ -593,9 +556,7 @@ def dcd_sc_select(
     best_cmd, best_score = None, NEG_INF
     for _ in range(runs):
         init = {s: int(rng.integers(n_actions[s])) for s in participants}
-        outcome = run_flooded_descent(
-            participants, n_actions, ctx.evaluate, init, zero_action=zero_action
-        )
+        outcome = run_flooded_descent(participants, n_actions, ctx.evaluate, init)
         if outcome.score > best_score or best_cmd is None:
             best_cmd, best_score = outcome.command, outcome.score
     return best_cmd[participants.index(node)]

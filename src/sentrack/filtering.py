@@ -35,10 +35,8 @@ from .sensors import (
     MotionModel,
     SensorState,
     detection_probabilities,
-    detection_probability,
     displacement_log_likelihoods,
     propagate_states,
-    relative_range_bearing,
 )
 
 _BIG_COST = 1e12
@@ -80,6 +78,11 @@ class FilterConfig:
                 raise ValueError(f"{name} must be positive")
         if self.clutter_intensity < 0:
             raise ValueError("clutter_intensity must be nonnegative")
+        if not 0.0 <= self.existence_floor < 1.0:
+            raise ValueError("existence_floor must be in [0, 1)")
+        for name in ("max_components", "exact_enum_limit", "assoc_max_hypotheses"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 def predict(
@@ -120,13 +123,13 @@ def generate_pims(
     relative displacement is emitted; otherwise the object is treated as
     missed and omitted.
     """
-    pims = []
-    for _label, state in eap_states(predicted):
-        pos = state[:2]
-        rho, theta = relative_range_bearing(sensor_after_action, pos)
-        if detection_probability(fov, rho, theta) > fov.p_d_threshold:
-            pims.append(pos - sensor_after_action.position)
-    return pims
+    positions = [state[:2] for _label, state in eap_states(predicted)]
+    pd = detection_probabilities(fov, sensor_after_action, positions)
+    return [
+        pos - sensor_after_action.position
+        for pos, p in zip(positions, pd)
+        if p > fov.p_d_threshold
+    ]
 
 
 # ---------------------------------------------------------------------------

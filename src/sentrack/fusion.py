@@ -1,9 +1,13 @@
 """Adaptive complementary fusion of LMB densities across sensors.
 
 Fusion is complementary (union-style) per label, restricted to the active
-sensors for that label: the sensors whose field of view contains the
-label's updated or predicted state estimate.  Existence probabilities fuse
-in odds space; spatial clouds fuse as an odds-weighted mixture.
+sensors for that label.  compute_active_set states the rule once, per
+sensor: a sensor is active for a label it holds when the detection
+probability at its own updated or predicted estimate of the label exceeds
+its FoV's p_d_threshold.  The harness applies it to each member sensor's
+posterior, and control to each sensor's pseudo-posterior under the
+sensor's own hypothesized action.  Existence probabilities fuse in odds
+space; spatial clouds fuse as an odds-weighted mixture.
 
 A label's handling depends on its active set A:
   |A| > 1  fuse over A,
@@ -13,7 +17,6 @@ A label's handling depends on its active set A:
            contributes equally, so tracks are retained while unobserved.
 """
 
-import math
 from dataclasses import dataclass, replace
 from typing import Mapping
 
@@ -26,7 +29,7 @@ from .lmb import (
     LmbDensity,
     systematic_resample_indices,
 )
-from .sensors import FovModel, SensorState, detection_probability, relative_range_bearing
+from .sensors import FovModel, SensorState, detection_probabilities
 
 FUSION_MODES = ("pseudo", "update")
 
@@ -49,28 +52,20 @@ def _odds(r: float) -> float:
 
 
 def compute_active_set(
-    label: Label,
-    sensors: Mapping[int, tuple],
-    updated_estimates: Mapping[int, np.ndarray],
-    predicted_estimates: Mapping[int, np.ndarray],
+    state: SensorState,
+    fov: FovModel,
+    updated: Mapping[Label, np.ndarray],
+    predicted: Mapping[Label, np.ndarray],
 ) -> set:
-    """Sensors whose FoV contains the label's updated or predicted estimate.
+    """Labels one sensor is active for: the active-set rule.
 
-    sensors maps sensor id -> (SensorState, FovModel); the estimate maps
-    cover every sensor holding the label (a sensor missing from both maps
-    does not hold the label and cannot be active).
+    A sensor is active for a label when the detection probability at the
+    label's updated or predicted position estimate, as held by that sensor,
+    exceeds fov.p_d_threshold.  updated and predicted map label -> (x, y).
     """
-    active = set()
-    for s, (state, fov) in sensors.items():
-        for estimates in (updated_estimates, predicted_estimates):
-            est = estimates.get(s)
-            if est is None:
-                continue
-            rho, theta = relative_range_bearing(state, np.asarray(est)[:2])
-            if detection_probability(fov, rho, theta) > fov.p_d_threshold:
-                active.add(s)
-                break
-    return active
+    labels = [*updated, *predicted]
+    pd = detection_probabilities(fov, state, [*updated.values(), *predicted.values()])
+    return {label for label, p in zip(labels, pd) if p > fov.p_d_threshold}
 
 
 def fuse_existence(existences) -> float:

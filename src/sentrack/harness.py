@@ -16,7 +16,7 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +34,7 @@ from .lmb import LmbDensity, eap_states, empty_density, prune, resample_componen
 from .metrics import ospa, ospa2
 from .network import CommLog, build_topology
 from .scenarios import ScenarioConfig
-from .sensors import apply_action, detection_probability, relative_range_bearing
+from .sensors import apply_action, detection_probabilities
 
 METHODS = ("fixed", "isc", "dcd", "fdcd")
 
@@ -102,24 +102,17 @@ class MonteCarloResult:
         return float(np.mean(errs)) if errs else 0.0
 
 
-def _zero_action_index(actions) -> int:
-    for i, a in enumerate(actions):
-        if a.is_zero:
-            return i
-    return 0
-
-
 def _simulate_measurements(scenario, sensor_states, truth, rng):
     """Detections (sigmoid-gated, Gaussian displacement noise) plus clutter."""
+    positions = [truth[idx] for idx in sorted(truth)]
     per_sensor = []
     for s, state in enumerate(sensor_states):
         fov = scenario.sensors[s].fov
         sigma = scenario.filter.meas_noise_std
+        pd = detection_probabilities(fov, state, positions)
         measurements = []
-        for idx in sorted(truth):
-            pos = truth[idx]
-            rho, theta = relative_range_bearing(state, pos)
-            if rng.random() < detection_probability(fov, rho, theta):
+        for pos, p in zip(positions, pd):
+            if rng.random() < p:
                 z = np.array(pos) - state.position + rng.normal(0.0, sigma, 2)
                 measurements.append(z)
         for _ in range(rng.poisson(scenario.clutter_mean)):
@@ -133,41 +126,39 @@ def _simulate_measurements(scenario, sensor_states, truth, rng):
 def _select_commands(method, scenario, cache, topology, step, seed, dcd_runs, comm_log):
     """Dispatch one control step; returns (commands, descent iterations)."""
     n = len(scenario.sensors)
-    zero = [_zero_action_index(scenario.sensors[s].actions) for s in range(n)]
     if method == "fixed":
-        return list(zero), 0
+        return [0] * n, 0
 
     if method == "isc":
-        commands = list(zero)
         positions = [cache.sensor_states[s].position for s in range(n)]
+        commands = []
         for s in range(n):
             others = [positions[t] for t in range(n) if t != s]
-            commands[s], _ = isc_select(s, cache, other_positions=others, zero_action=zero[s])
+            commands.append(isc_select(s, cache, other_positions=others)[0])
         return commands, 0
 
     if method == "dcd":
-        commands = list(zero)
-        for s in range(n):
-            rng_s = np.random.default_rng([seed, step, s])
-            commands[s] = dcd_sc_select(
+        commands = [
+            dcd_sc_select(
                 s,
                 topology.neighbors(s),
                 cache,
                 runs=dcd_runs,
-                rng=rng_s,
-                zero_action=zero[s],
+                rng=np.random.default_rng([seed, step, s]),
             )
+            for s in range(n)
+        ]
         return commands, 0
 
     if method == "fdcd":
-        commands = list(zero)
+        commands = [0] * n
         iterations = 0
         for component in topology.connected_components():
             participants = tuple(sorted(component))
             ctx = ControlContext(cache, participants)
             initial = {}
             for s in participants:
-                initial[s], _ = isc_select(s, cache, zero_action=zero[s])
+                initial[s], _ = isc_select(s, cache)
                 comm_log.record(
                     topology, step, s, len(cache.pseudo(s, initial[s]).components)
                 )
@@ -176,12 +167,7 @@ def _select_commands(method, scenario, cache, topology, step, seed, dcd_runs, co
                 comm_log.record(topology, step, s, len(cache.pseudo(s, a).components))
 
             outcome = run_flooded_descent(
-                participants,
-                ctx.n_actions(),
-                ctx.evaluate,
-                initial,
-                zero_action=0,
-                on_turn=on_turn,
+                participants, ctx.n_actions(), ctx.evaluate, initial, on_turn=on_turn
             )
             # final command flood-out from the sensor that met the stopping rule
             comm_log.record(topology, step, outcome.stopped_at_sensor, 0)
@@ -200,20 +186,17 @@ def _fuse_and_estimate(scenario, posteriors, predicted, sensor_states):
 
     def fuse_component(members):
         locals_ = {s: posteriors[s] for s in members}
-        labels = sorted({l for s in members for l in by_label_post[s]})
         active = {}
-        for label in labels:
-            holders = [s for s in members if label in by_label_post[s]]
-            sensors = {
-                s: (sensor_states[s], scenario.sensors[s].fov) for s in holders
-            }
-            upd = {s: by_label_post[s][label].mean_position() for s in holders}
+        for s in members:
+            upd = {label: c.mean_position() for label, c in by_label_post[s].items()}
             pred = {
-                s: by_label_pred[s][label].mean_position()
-                for s in holders
+                label: by_label_pred[s][label].mean_position()
+                for label in upd
                 if label in by_label_pred[s]
             }
-            active[label] = compute_active_set(label, sensors, upd, pred)
+            fov = scenario.sensors[s].fov
+            for label in compute_active_set(sensor_states[s], fov, upd, pred):
+                active.setdefault(label, set()).add(s)
         fused = fuse_lmb(locals_, active, "update", scenario.filter.particle_count)
         reporting = prune(fused, scenario.fusion.estimate_floor, len(fused.components) or 1)
         return [(label, state) for label, state in eap_states(reporting)]

@@ -7,10 +7,9 @@ immutable snapshots: every operation returns new values and never mutates
 its inputs.
 """
 
-import io
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -102,9 +101,6 @@ class LmbDensity:
     def existences(self) -> dict:
         return {c.label: c.existence for c in self.components}
 
-    def with_role(self, role: str) -> "LmbDensity":
-        return replace(self, role=role)
-
     def validate(self) -> None:
         for c in self.components:
             c.validate()
@@ -136,23 +132,6 @@ def eap_states(density: LmbDensity) -> list:
         return []
     ranked = sorted(density.components, key=lambda c: (-c.existence, c.label))
     return [(c.label, c.mean_state()) for c in ranked[:n]]
-
-
-def joint_existence_weight(density: LmbDensity, label_subset: Iterable[Label]) -> float:
-    """Probability that exactly the labels in label_subset exist.
-
-    The product of r over the subset times (1 - r) over the complement.
-    Raises KeyError for labels not in the density.
-    """
-    subset = set(label_subset)
-    known = density.labels()
-    unknown = subset - known
-    if unknown:
-        raise KeyError(f"labels not in density: {sorted(unknown)}")
-    w = 1.0
-    for c in density.components:
-        w *= c.existence if c.label in subset else (1.0 - c.existence)
-    return w
 
 
 def systematic_resample_indices(weights: np.ndarray, count: int, offset: float) -> np.ndarray:
@@ -205,59 +184,3 @@ def prune(density: LmbDensity, existence_floor: float, max_components: int) -> L
         keep = {c.label for c in ranked[:max_components]}
         survivors = [c for c in survivors if c.label in keep]
     return replace(density, components=tuple(survivors))
-
-
-# ---------------------------------------------------------------------------
-# Flat record serialization
-#
-# A density serializes to a line-oriented flat record stream used for
-# message payloads and debugging dumps:
-#
-#   density <timestamp> <role> <component_count>
-#   component <birth_time> <index> <origin_sensor> <existence> <particle_count>
-#   <weight> <x> <y> <vx> <vy>          (one row per particle)
-#   ...
-# ---------------------------------------------------------------------------
-
-
-def write_density(density: LmbDensity, fh) -> None:
-    fh.write(f"density {density.timestamp} {density.role} {len(density.components)}\n")
-    for c in density.components:
-        fh.write(
-            f"component {c.label.birth_time} {c.label.index} "
-            f"{c.label.origin_sensor} {float(c.existence)!r} {c.particle_count}\n"
-        )
-        for w, row in zip(c.weights, c.states):
-            cells = " ".join(repr(float(v)) for v in (w, row[0], row[1], row[2], row[3]))
-            fh.write(cells + "\n")
-
-
-def read_density(fh) -> LmbDensity:
-    header = fh.readline().split()
-    if not header or header[0] != "density":
-        raise ValueError("malformed density header")
-    timestamp, role, n_comp = int(header[1]), header[2], int(header[3])
-    components = []
-    for _ in range(n_comp):
-        parts = fh.readline().split()
-        if not parts or parts[0] != "component":
-            raise ValueError("malformed component header")
-        label = Label(int(parts[1]), int(parts[2]), int(parts[3]))
-        existence, count = float(parts[4]), int(parts[5])
-        rows = np.array([[float(v) for v in fh.readline().split()] for _ in range(count)])
-        if count:
-            weights, states = rows[:, 0], rows[:, 1:]
-        else:
-            weights, states = np.zeros(0), np.zeros((0, STATE_DIM))
-        components.append(BernoulliComponent(label, existence, states, weights))
-    return LmbDensity(tuple(components), timestamp, role)
-
-
-def density_to_text(density: LmbDensity) -> str:
-    buf = io.StringIO()
-    write_density(density, buf)
-    return buf.getvalue()
-
-
-def density_from_text(text: str) -> LmbDensity:
-    return read_density(io.StringIO(text))

@@ -45,9 +45,6 @@ class Topology:
             remaining -= comp
         return sorted(out, key=min)
 
-    def edge_count(self) -> int:
-        return sum(len(n) for n in self.adjacency.values()) // 2
-
 
 def build_topology(positions: Mapping[int, tuple], comm_range: float) -> Topology:
     """Edges connect every sensor pair within comm_range (inclusive)."""

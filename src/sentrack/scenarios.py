@@ -1,13 +1,41 @@
 """Scenario construction and human-editable configuration files.
 
 Ground-truth trajectories are generated procedurally from constants
-committed here, so results are stable across machines.  Configuration
-files are YAML with angles in degrees (converted to radians on load); the
-full schema is documented in the README.
+committed here, so results are stable across machines.
+
+Configuration files are YAML.  Angles are in degrees in the file and in
+radians in code; they are converted on load.  Bearings and rotations are
+measured clockwise from +y.  Distances are in meters.  A key not listed
+below is rejected with a ValueError that names its section.
+
+  name                 scenario name (default "custom")
+  duration             number of steps
+  period               seconds per step
+  arena                {x: [min, max], y: [min, max]}
+  comm_range           communication range
+  clutter_mean         mean clutter count per sensor per step
+  sensors              list, at least one, of:
+    position           [x, y]
+    bearing_deg        initial bearing
+    fov                {rho_max, theta_max_deg (half-angle), p_d_max,
+                        k_rho, k_theta, p_d_threshold (default 0.5)}
+    actions            list of {move: [dx, dy], rotate_deg}, both
+                       optional; the first must be the stay action (no
+                       move, no rotation), which is also the fallback when
+                       no action is feasible
+  targets              list of {position: [x, y], velocity: [vx, vy],
+                        birth (default 1), death (default none)}
+  motion, filter, objective, fusion, metric, monte_carlo
+                       optional mappings of the fields of MotionModel,
+                       FilterConfig, ObjectiveParams, FusionConfig,
+                       MetricConfig and MonteCarloConfig; omitted fields
+                       keep their defaults.  filter takes no
+                       clutter_intensity: each sensor derives it from
+                       clutter_mean and its FoV area.
 """
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import yaml
 
@@ -35,6 +63,10 @@ class SensorSpec:
     bearing: float
     fov: FovModel
     actions: tuple
+
+    def __post_init__(self):
+        if not self.actions or not self.actions[0].is_zero:
+            raise ValueError("a sensor's action set must start with the stay action")
 
     def initial_state(self) -> SensorState:
         return SensorState(self.position[0], self.position[1], self.bearing)
@@ -71,6 +103,8 @@ class ScenarioConfig:
     monte_carlo: MonteCarloConfig = MonteCarloConfig()
 
     def __post_init__(self):
+        if not self.sensors:
+            raise ValueError("a scenario needs at least one sensor")
         for t in self.targets:
             if t.death is not None and t.death <= t.birth:
                 raise ValueError("target death step must exceed its birth step")
@@ -283,6 +317,27 @@ def build_scenario_2() -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 
 
+_TOP_LEVEL_KEYS = (
+    "name", "duration", "period", "arena", "comm_range", "clutter_mean", "motion",
+    "filter", "objective", "fusion", "metric", "monte_carlo", "sensors", "targets",
+)
+
+
+def _checked(d: dict, section: str, allowed) -> dict:
+    """d itself, once every key in it is one of allowed."""
+    unknown = sorted(set(d) - set(allowed))
+    if unknown:
+        keys = ", ".join(repr(k) for k in unknown)
+        raise ValueError(f"unknown key {keys} in scenario section {section!r}")
+    return d
+
+
+def _config(cls, d: dict, section: str, **fixed):
+    """A config dataclass from its section; the fixed fields cannot be set there."""
+    allowed = [f.name for f in fields(cls) if f.name not in fixed]
+    return cls(**fixed, **_checked(d, section, allowed))
+
+
 def _fov_to_dict(fov: FovModel) -> dict:
     return {
         "rho_max": fov.rho_max,
@@ -294,7 +349,10 @@ def _fov_to_dict(fov: FovModel) -> dict:
     }
 
 
-def _fov_from_dict(d: dict) -> FovModel:
+def _fov_from_dict(d: dict, section: str) -> FovModel:
+    _checked(
+        d, section, ("rho_max", "theta_max_deg", "p_d_max", "k_rho", "k_theta", "p_d_threshold")
+    )
     return FovModel(
         rho_max=float(d["rho_max"]),
         theta_max=float(d["theta_max_deg"]) * DEG,
@@ -309,8 +367,8 @@ def _action_to_dict(a: SensorAction) -> dict:
     return {"move": [a.dx, a.dy], "rotate_deg": a.rotation / DEG}
 
 
-def _action_from_dict(d: dict) -> SensorAction:
-    move = d.get("move", [0.0, 0.0])
+def _action_from_dict(d: dict, section: str) -> SensorAction:
+    move = _checked(d, section, ("move", "rotate_deg")).get("move", [0.0, 0.0])
     return SensorAction(
         dx=float(move[0]), dy=float(move[1]), rotation=float(d.get("rotate_deg", 0.0)) * DEG
     )
@@ -352,18 +410,26 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict:
 
 
 def scenario_from_dict(d: dict) -> ScenarioConfig:
+    _checked(d, "top level", _TOP_LEVEL_KEYS)
+    _checked(d["arena"], "arena", ("x", "y"))
     sensors = []
-    for s in d["sensors"]:
+    for i, s in enumerate(d["sensors"]):
+        section = f"sensors[{i}]"
+        _checked(s, section, ("position", "bearing_deg", "fov", "actions"))
         sensors.append(
             SensorSpec(
                 position=tuple(float(v) for v in s["position"]),
                 bearing=float(s["bearing_deg"]) * DEG,
-                fov=_fov_from_dict(s["fov"]),
-                actions=tuple(_action_from_dict(a) for a in s["actions"]),
+                fov=_fov_from_dict(s["fov"], f"{section}.fov"),
+                actions=tuple(
+                    _action_from_dict(a, f"{section}.actions[{j}]")
+                    for j, a in enumerate(s["actions"])
+                ),
             )
         )
     targets = []
-    for t in d["targets"]:
+    for i, t in enumerate(d["targets"]):
+        _checked(t, f"targets[{i}]", ("position", "velocity", "birth", "death"))
         targets.append(
             TargetSpec(
                 position=tuple(float(v) for v in t["position"]),
@@ -384,12 +450,12 @@ def scenario_from_dict(d: dict) -> ScenarioConfig:
         clutter_mean=float(d["clutter_mean"]),
         sensors=tuple(sensors),
         targets=tuple(targets),
-        motion=MotionModel(**d.get("motion", {})),
-        filter=FilterConfig(clutter_intensity=0.0, **d.get("filter", {})),
-        objective=ObjectiveParams(**d.get("objective", {})),
-        fusion=FusionConfig(**d.get("fusion", {})),
-        metric=MetricConfig(**d.get("metric", {})),
-        monte_carlo=MonteCarloConfig(**d.get("monte_carlo", {})),
+        motion=_config(MotionModel, d.get("motion", {}), "motion"),
+        filter=_config(FilterConfig, d.get("filter", {}), "filter", clutter_intensity=0.0),
+        objective=_config(ObjectiveParams, d.get("objective", {}), "objective"),
+        fusion=_config(FusionConfig, d.get("fusion", {}), "fusion"),
+        metric=_config(MetricConfig, d.get("metric", {}), "metric"),
+        monte_carlo=_config(MonteCarloConfig, d.get("monte_carlo", {}), "monte_carlo"),
     )
 
 

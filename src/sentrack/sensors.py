@@ -85,9 +85,6 @@ class SensorAction:
         return self.dx == 0.0 and self.dy == 0.0 and self.rotation == 0.0
 
 
-ZERO_ACTION = SensorAction()
-
-
 @dataclass(frozen=True)
 class MotionModel:
     """Constant-velocity motion with white-noise acceleration.
@@ -108,35 +105,6 @@ class MotionModel:
             raise ValueError("survival_probability must be in (0, 1]")
 
 
-def relative_range_bearing(sensor: SensorState, target_position) -> tuple:
-    """Range and relative bearing of a point from a sensor.
-
-    Bearing is atan2(dx, dy) - sensor bearing (measured from +y),
-    normalized to (-pi, pi].  A target coincident with the sensor returns
-    (0, 0) by convention.
-    """
-    dx = float(target_position[0]) - sensor.x
-    dy = float(target_position[1]) - sensor.y
-    rho = math.hypot(dx, dy)
-    if rho == 0.0:
-        return 0.0, 0.0
-    theta = wrap_angle(math.atan2(dx, dy) - sensor.bearing)
-    return rho, theta
-
-
-def detection_probability(fov: FovModel, rho: float, theta: float) -> float:
-    """Sigmoid detection probability at a given range and relative bearing."""
-    if rho > fov.rho_max or rho < 0:
-        return 0.0
-    p_rho = fov.p_d_max / (1.0 + math.exp(fov.k_rho * (rho - fov.rho_max)))
-    if fov.omnidirectional:
-        return p_rho * fov.p_d_max
-    if abs(theta) > fov.theta_max:
-        return 0.0
-    p_theta = fov.p_d_max / (1.0 + math.exp(fov.k_theta * (abs(theta) - fov.theta_max)))
-    return p_rho * p_theta
-
-
 def wrap_angles(angles: np.ndarray) -> np.ndarray:
     """Vectorized wrap_angle."""
     return -((-np.asarray(angles) + math.pi) % TWO_PI - math.pi)
@@ -145,8 +113,13 @@ def wrap_angles(angles: np.ndarray) -> np.ndarray:
 def detection_probabilities(
     fov: FovModel, sensor: SensorState, positions: np.ndarray
 ) -> np.ndarray:
-    """Vectorized detection probability for an (N, 2) array of positions."""
-    d = np.asarray(positions, dtype=float) - sensor.position
+    """Sigmoid detection probability at each of N positions, given as (N, 2).
+
+    This is the one detection model: the filter update, the ideal
+    measurement sets, the active-set rule and the simulated detections all
+    evaluate it.  Bearings are atan2(dx, dy) relative to the sensor bearing.
+    """
+    d = np.asarray(positions, dtype=float).reshape(-1, 2) - sensor.position
     rho = np.hypot(d[:, 0], d[:, 1])
     inside = rho <= fov.rho_max
     p_rho = fov.p_d_max / (1.0 + np.exp(np.minimum(fov.k_rho * (rho - fov.rho_max), 500.0)))
@@ -160,23 +133,6 @@ def detection_probabilities(
         )
         p = p_rho * p_theta
     return np.where(inside, p, 0.0)
-
-
-def measurement_likelihood(
-    sensor: SensorState, target_state, measurement, noise_std: float
-) -> float:
-    """Isotropic Gaussian density of a displacement measurement.
-
-    The measurement model is the relative displacement (target - sensor
-    position) plus zero-mean Gaussian noise of std noise_std per axis.
-    """
-    if noise_std <= 0:
-        raise ValueError("noise_std must be positive")
-    ts = np.asarray(target_state, dtype=float)
-    true_disp = ts[:2] - sensor.position
-    err = np.asarray(measurement, dtype=float) - true_disp
-    var = noise_std**2
-    return float(math.exp(-0.5 * float(err @ err) / var) / (TWO_PI * var))
 
 
 def displacement_log_likelihoods(
@@ -195,14 +151,6 @@ def apply_action(sensor: SensorState, action: SensorAction) -> SensorState:
         y=sensor.y + action.dy,
         bearing=wrap_angle(sensor.bearing + action.rotation),
     )
-
-
-def propagate_target(motion: MotionModel, state, rng: np.random.Generator | None) -> np.ndarray:
-    """One constant-velocity step with white-noise acceleration.
-
-    rng=None propagates noiselessly.
-    """
-    return propagate_states(motion, np.asarray(state, dtype=float)[None, :], rng)[0]
 
 
 def propagate_states(

@@ -21,12 +21,11 @@ from sentrack.control import (
     run_flooded_descent,
     select_final_command,
     sensor_sensor_constraint,
-    sensor_target_constraint,
     void_probability,
 )
 from sentrack.filtering import FilterConfig
 from sentrack.lmb import BernoulliComponent, Label, LmbDensity, empty_density
-from sentrack.sensors import FovModel, SensorState
+from sentrack.sensors import FovModel, SensorAction, SensorState
 
 PARAMS = ObjectiveParams(psi_feasible_below=False)
 
@@ -52,17 +51,17 @@ def exist_density(existences, role="predicted"):
 
 class TestKldExistence:
     def test_identical_is_zero(self):
-        d = exist_density([0.3, 0.9])
+        d = exist_density([0.3, 0.9]).existences()
         assert kld_existence(d, d, 1e-6) == pytest.approx(0.0, abs=1e-12)
 
     def test_dropped_label_reduction(self):
-        d2 = exist_density([0.5])
-        d1 = empty_density(1, "predicted")
+        d2 = exist_density([0.5]).existences()
+        d1 = empty_density(1, "predicted").existences()
         assert kld_existence(d1, d2, 1e-6) == pytest.approx(-math.log(0.5), abs=1e-9)
 
     def test_new_label_epsilon_substitution(self):
-        d1 = exist_density([0.9])
-        d2 = empty_density(1, "predicted")
+        d1 = exist_density([0.9]).existences()
+        d2 = empty_density(1, "predicted").existences()
         expected = 0.9 * math.log(0.9 / 1e-6) + 0.1 * math.log(0.1 / (1 - 1e-6))
         assert kld_existence(d1, d2, 1e-6) == pytest.approx(expected, abs=1e-6)
         assert kld_existence(d1, d2, 1e-6) == pytest.approx(12.109, abs=1e-3)
@@ -70,8 +69,8 @@ class TestKldExistence:
     @given(st.lists(st.tuples(unit_prob, unit_prob), min_size=1, max_size=6))
     @settings(max_examples=200, deadline=None)
     def test_nonnegative_on_shared_labels(self, pairs):
-        d1 = exist_density([a for a, _ in pairs])
-        d2 = exist_density([b for _, b in pairs])
+        d1 = exist_density([a for a, _ in pairs]).existences()
+        d2 = exist_density([b for _, b in pairs]).existences()
         assert kld_existence(d1, d2, 1e-6) >= -1e-12
 
     @given(unit_prob, unit_prob)
@@ -84,40 +83,40 @@ class TestKldExistence:
 
 class TestDropPenalty:
     def test_no_drop(self):
-        d = exist_density([0.5])
+        d = exist_density([0.5]).existences()
         assert drop_penalty(d, d, 100.0) == 0.0
 
     def test_single_drop(self):
-        d2 = exist_density([0.5])
-        d1 = empty_density(1, "predicted")
+        d2 = exist_density([0.5]).existences()
+        d1 = empty_density(1, "predicted").existences()
         assert drop_penalty(d1, d2, 100.0) == pytest.approx(69.31, abs=0.01)
 
     def test_net_contribution_negative(self):
-        d2 = exist_density([0.5])
-        d1 = empty_density(1, "predicted")
+        d2 = exist_density([0.5]).existences()
+        d1 = empty_density(1, "predicted").existences()
         net = kld_existence(d1, d2, 1e-6) - drop_penalty(d1, d2, 100.0)
         assert net == pytest.approx(0.6931 - 69.31, abs=0.01)
         assert net < 0
 
     def test_lambda_below_one_rejected(self):
-        d = exist_density([0.5])
+        d = exist_density([0.5]).existences()
         with pytest.raises(ValueError):
             drop_penalty(d, d, 0.5)
 
 
 class TestObjective:
     def test_identical_zero(self):
-        d = exist_density([0.4, 0.8])
+        d = exist_density([0.4, 0.8]).existences()
         assert objective(d, d, PARAMS) == pytest.approx(0.0, abs=1e-12)
 
     def test_new_label_gain(self):
-        d1 = exist_density([0.9])
-        d2 = empty_density(1, "predicted")
+        d1 = exist_density([0.9]).existences()
+        d2 = empty_density(1, "predicted").existences()
         assert objective(d1, d2, PARAMS) == pytest.approx(12.109, abs=1e-3)
 
     def test_dropped_label_cost(self):
-        d2 = exist_density([0.5])
-        d1 = empty_density(1, "predicted")
+        d2 = exist_density([0.5]).existences()
+        d1 = empty_density(1, "predicted").existences()
         assert objective(d1, d2, PARAMS) == pytest.approx(-68.62, abs=0.01)
 
 
@@ -162,25 +161,36 @@ class TestVoidProbability:
         assert void_probability(d, sensor, rho) == pytest.approx(expected, abs=1e-12)
 
 
+def stay_only_cache(predicted, states):
+    """A PseudoCache whose sensors can only stay, all with the narrow FoV."""
+    fovs = {s: NARROW_FOV for s in states}
+    actions = {s: [SensorAction()] for s in states}
+    return PseudoCache(predicted, states, fovs, actions, FCFG, PARAMS)
+
+
 class TestConstraints:
+    # psi, the fused void probability: the max over sensors of the void
+    # probability of each sensor's exclusion disk
     def test_psi_far_from_everything(self):
-        d = density([cloud((5000, 5000), 0.9)], role="pseudo-posterior")
-        sensors = {0: SensorState(0, 0, 0), 1: SensorState(100, 0, 0)}
-        psi = sensor_target_constraint(d, sensors, PARAMS)
+        d = density([cloud((5000, 5000), 0.9)])
+        states = {0: SensorState(0, 0, 0), 1: SensorState(100, 0, 0)}
+        cache = stay_only_cache({0: d, 1: d}, states)
+        psi = ControlContext(cache, (0, 1)).fused((0, 0)).psi
         assert psi == 1.0
         # under the stated direction psi < threshold this is infeasible
         assert not (psi < PARAMS.psi_threshold)
 
     def test_sensor_on_cloud_contributes(self):
-        d = density([cloud((0, 0), 0.9, spread=0.5)], role="pseudo-posterior")
-        sensors = {0: SensorState(0, 0, 0)}
-        # per-sensor mapping form
-        psi = sensor_target_constraint({0: d}, sensors, PARAMS)
-        assert psi == pytest.approx(0.1, abs=1e-6)
+        d = density([cloud((0, 5), 0.9, LABEL_A, spread=0.5)])
+        cache = stay_only_cache({0: d}, {0: SensorState(0, 0, 0)})
+        fe = ControlContext(cache, (0,)).fused((0,))
+        # every particle lies in the exclusion disk
+        assert fe.psi == pytest.approx(1.0 - fe.existences[LABEL_A], abs=1e-12)
+        assert fe.psi < 0.1
 
     def test_empty_density_psi_one(self):
-        sensors = {0: SensorState(0, 0, 0)}
-        assert sensor_target_constraint(empty_density(1, "fused"), sensors, PARAMS) == 1.0
+        cache = stay_only_cache({0: empty_density(1, "predicted")}, {0: SensorState(0, 0, 0)})
+        assert ControlContext(cache, (0,)).fused((0,)).psi == 1.0
 
     def test_eta_three_four_five(self):
         sensors = {0: SensorState(0, 0, 0), 1: SensorState(30, 40, 0)}
@@ -315,8 +325,6 @@ TOWARD_B = math.atan2(200.0, 300.0)  # bearing from s0 at (0,0) to B at (200,300
 def two_sensor_cache(r_a=0.9, r_b=0.9):
     """Two sensors, two shared targets; action 0 watches own target,
     action 1 rotates to the other."""
-    from sentrack.sensors import SensorAction
-
     predicted = {
         0: density(
             [cloud((0, 300), r_a, LABEL_A, spread=3.0, seed=1),
@@ -338,8 +346,6 @@ def two_sensor_cache(r_a=0.9, r_b=0.9):
 
 class TestIscSelect:
     def test_rotation_toward_target_wins(self):
-        from sentrack.sensors import SensorAction
-
         predicted = {0: density([cloud((0, 300), 0.5, LABEL_A, spread=3.0)])}
         states = {0: SensorState(0, 0, math.pi / 2)}  # facing east, target north
         actions = {0: [SensorAction(), SensorAction(rotation=-math.pi / 2)]}
@@ -349,8 +355,6 @@ class TestIscSelect:
         assert score > 0
 
     def test_identical_outcomes_tie_break_to_zero(self):
-        from sentrack.sensors import SensorAction
-
         predicted = {0: density([cloud((0, 300), 0.5, LABEL_A, spread=3.0)])}
         states = {0: SensorState(0, 0, 0)}
         actions = {0: [SensorAction(), SensorAction()]}  # two identical actions
@@ -382,8 +386,6 @@ class TestFdcdPipeline:
         assert split > dup
 
     def test_single_sensor_degenerates_to_greedy_choice(self):
-        from sentrack.sensors import SensorAction
-
         predicted = {0: density([cloud((0, 300), 0.5, LABEL_A, spread=3.0)])}
         states = {0: SensorState(0, 0, math.pi / 2)}
         actions = {0: [SensorAction(), SensorAction(rotation=-math.pi / 2)]}
@@ -402,12 +404,11 @@ class TestFdcdPipeline:
         fe = ctx.fused(cmd)
         locals_ = {s: cache.pseudo(s, cmd[s]) for s in (0, 1)}
         active = {}
-        for label in {LABEL_A, LABEL_B}:
-            holders = [s for s in (0, 1) if label in locals_[s].labels()]
-            sensors = {s: (cache.state_after(s, cmd[s]), NARROW_FOV) for s in holders}
-            upd = {s: locals_[s].by_label()[label].mean_position() for s in holders}
-            pred = {s: cache.predicted_means[s][label] for s in holders}
-            active[label] = compute_active_set(label, sensors, upd, pred)
+        for s in (0, 1):
+            upd = {c.label: c.mean_position() for c in locals_[s].components}
+            pred = cache.predicted_means[s]
+            for label in compute_active_set(cache.state_after(s, cmd[s]), NARROW_FOV, upd, pred):
+                active.setdefault(label, set()).add(s)
         fused = fuse_lmb(locals_, active, "pseudo")
         assert set(fe.existences) == fused.labels()
         for label, r in fe.existences.items():

@@ -47,6 +47,31 @@ def predicted_density(components, timestamp=1):
     return LmbDensity(tuple(components), timestamp, "predicted")
 
 
+class TestFilterConfig:
+    @pytest.mark.parametrize(
+        "name,value",
+        [
+            ("existence_floor", -0.1),
+            ("existence_floor", 1.0),
+            ("max_components", 0),
+            ("exact_enum_limit", 0),
+            ("assoc_max_hypotheses", 0),
+        ],
+    )
+    def test_out_of_range_rejected(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            FilterConfig(clutter_intensity=0.0, **{name: value})
+
+    def test_smallest_valid_values_accepted(self):
+        FilterConfig(
+            clutter_intensity=0.0,
+            existence_floor=0.0,
+            max_components=1,
+            exact_enum_limit=1,
+            assoc_max_hypotheses=1,
+        )
+
+
 class TestPredict:
     def test_birth_into_empty_prior(self):
         birth = cloud((0, 300), 0.1)

@@ -110,25 +110,30 @@ class TestComputeActiveSet:
     LABEL = Label(0, 0, 0)
 
     def test_updated_estimate_inside_one_fov(self):
-        sensors = {
-            1: (SensorState(0, 0, 0), FOV),
-            2: (SensorState(0, 0, math.pi), FOV),
-        }
-        est = np.array([0.0, 300.0])
-        active = compute_active_set(self.LABEL, sensors, {1: est, 2: est}, {})
-        assert active == {1}
+        est = {self.LABEL: np.array([0.0, 300.0])}
+        assert compute_active_set(SensorState(0, 0, 0), FOV, est, {}) == {self.LABEL}
+        assert compute_active_set(SensorState(0, 0, math.pi), FOV, est, {}) == set()
 
     def test_predicted_estimate_rescues_sensor(self):
-        sensors = {2: (SensorState(0, 0, 0), FOV)}
-        outside = np.array([0.0, -300.0])
-        inside = np.array([0.0, 300.0])
-        active = compute_active_set(self.LABEL, sensors, {2: outside}, {2: inside})
-        assert active == {2}
+        outside = {self.LABEL: np.array([0.0, -300.0])}
+        inside = {self.LABEL: np.array([0.0, 300.0])}
+        sensor = SensorState(0, 0, 0)
+        assert compute_active_set(sensor, FOV, outside, inside) == {self.LABEL}
 
     def test_both_outside_everywhere(self):
-        sensors = {1: (SensorState(0, 0, 0), FOV)}
-        outside = np.array([0.0, -300.0])
-        assert compute_active_set(self.LABEL, sensors, {1: outside}, {1: outside}) == set()
+        outside = {self.LABEL: np.array([0.0, -300.0])}
+        assert compute_active_set(SensorState(0, 0, 0), FOV, outside, outside) == set()
+
+    def test_labels_judged_one_by_one(self):
+        other = Label(0, 1, 0)
+        updated = {self.LABEL: np.array([0.0, 300.0]), other: np.array([0.0, -300.0])}
+        assert compute_active_set(SensorState(0, 0, 0), FOV, updated, {}) == {self.LABEL}
+        assert compute_active_set(SensorState(0, 0, 0), FOV, {}, {}) == set()
+
+    def test_range_edge_is_inactive(self):
+        # at the range edge the detection probability is 0.49, below 0.5
+        edge = {self.LABEL: np.array([0.0, 500.0])}
+        assert compute_active_set(SensorState(0, 0, 0), FOV, edge, {}) == set()
 
 
 class TestFuseLmb:

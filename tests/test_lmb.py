@@ -1,6 +1,3 @@
-import io
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,12 +7,9 @@ from sentrack.lmb import (
     BernoulliComponent,
     Label,
     LmbDensity,
-    density_from_text,
-    density_to_text,
     eap_cardinality,
     eap_states,
     empty_density,
-    joint_existence_weight,
     prune,
     resample_component,
 )
@@ -86,36 +80,6 @@ class TestEapStates:
         picked = eap_states(d)
         assert len(picked) == 2  # round(1.6) = 2
         assert picked[0][0] == Label(0, 0, 0)
-
-
-class TestJointExistence:
-    def test_both(self):
-        d = density([0.5, 0.5])
-        assert joint_existence_weight(d, set(d.labels())) == pytest.approx(0.25)
-
-    def test_empty_subset(self):
-        d = density([0.5, 0.5])
-        assert joint_existence_weight(d, set()) == pytest.approx(0.25)
-
-    def test_single(self):
-        d = density([0.9, 0.8])
-        assert joint_existence_weight(d, {Label(0, 0, 0)}) == pytest.approx(0.18)
-
-    def test_unknown_label(self):
-        with pytest.raises(KeyError):
-            joint_existence_weight(density([0.5]), {Label(9, 9, 9)})
-
-    @pytest.mark.parametrize("n", [1, 3, 6, 10])
-    def test_sums_to_one_over_all_subsets(self, n):
-        rng = np.random.default_rng(n)
-        d = density(rng.random(n))
-        labels = sorted(d.labels())
-        total = sum(
-            joint_existence_weight(d, set(sub))
-            for k in range(n + 1)
-            for sub in itertools.combinations(labels, k)
-        )
-        assert total == pytest.approx(1.0, abs=1e-9)
 
 
 class TestResample:
@@ -191,33 +155,3 @@ class TestDensityInvariants:
         d = density(existences)
         card = eap_cardinality(d)
         assert 0.0 <= card <= len(existences)
-
-
-class TestSerialization:
-    def test_round_trip(self):
-        rng = np.random.default_rng(11)
-        comps = tuple(
-            BernoulliComponent(
-                Label(1, i, 2),
-                float(rng.random()),
-                rng.normal(size=(4, 4)),
-                np.full(4, 0.25),
-            )
-            for i in range(3)
-        )
-        d = LmbDensity(comps, 7, "pseudo-posterior")
-        out = density_from_text(density_to_text(d))
-        assert out.timestamp == 7 and out.role == "pseudo-posterior"
-        assert out.labels() == d.labels()
-        for a, b in zip(d.components, out.components):
-            assert a.existence == b.existence
-            assert np.array_equal(a.states, b.states)
-            assert np.array_equal(a.weights, b.weights)
-
-    def test_empty_density(self):
-        d = empty_density(3, "fused")
-        assert density_from_text(density_to_text(d)).components == ()
-
-    def test_malformed_rejected(self):
-        with pytest.raises(ValueError):
-            density_from_text("garbage 1 2 3\n")

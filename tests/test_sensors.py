@@ -10,116 +10,153 @@ from sentrack.sensors import (
     SensorState,
     apply_action,
     detection_probabilities,
-    detection_probability,
-    measurement_likelihood,
+    displacement_log_likelihoods,
     propagate_states,
-    propagate_target,
-    relative_range_bearing,
     wrap_angle,
 )
 
 SCEN1_FOV = FovModel(rho_max=500.0, theta_max=math.pi / 4, p_d_max=0.99, k_rho=0.5, k_theta=20.0)
+OMNI_FOV = FovModel(rho_max=100.0, theta_max=math.pi, p_d_max=0.99, k_rho=0.5, k_theta=20.0)
+NORTH = SensorState(0.0, 0.0, 0.0)
+
+
+def oracle_pd(fov: FovModel, sensor: SensorState, point) -> float:
+    """Reference scalar sigmoid detection model, one point at a time."""
+    dx, dy = float(point[0]) - sensor.x, float(point[1]) - sensor.y
+    rho = math.hypot(dx, dy)
+    theta = wrap_angle(math.atan2(dx, dy) - sensor.bearing)
+    if rho > fov.rho_max:
+        return 0.0
+    p_rho = fov.p_d_max / (1.0 + math.exp(fov.k_rho * (rho - fov.rho_max)))
+    if fov.omnidirectional:
+        return p_rho * fov.p_d_max
+    if abs(theta) > fov.theta_max:
+        return 0.0
+    p_theta = fov.p_d_max / (1.0 + math.exp(fov.k_theta * (abs(theta) - fov.theta_max)))
+    return p_rho * p_theta
+
+
+def pd_rows(fov: FovModel, sensor: SensorState, points) -> np.ndarray:
+    """detection_probabilities on the many-row array, checked against one-row calls."""
+    points = np.asarray(points, dtype=float).reshape(-1, 2)
+    many = detection_probabilities(fov, sensor, points)
+    one = np.array([detection_probabilities(fov, sensor, p[None, :])[0] for p in points])
+    assert many.shape == (len(points),)
+    assert np.array_equal(one, many)
+    return many
+
+
+def pd_polar(fov: FovModel, rho, theta) -> np.ndarray:
+    """Detection probability at ranges and relative bearings from NORTH."""
+    rho, theta = np.broadcast_arrays(np.atleast_1d(rho), np.atleast_1d(theta))
+    return pd_rows(fov, NORTH, np.column_stack([rho * np.sin(theta), rho * np.cos(theta)]))
 
 
 class TestRangeBearing:
     def test_due_north(self):
-        rho, theta = relative_range_bearing(SensorState(0, 0, 0), (0, 300))
-        assert rho == pytest.approx(300.0)
-        assert theta == pytest.approx(0.0)
+        # bearing 0 from +y: deep in the plateau of a north-facing sensor
+        assert pd_rows(SCEN1_FOV, NORTH, [(0, 300)])[0] == pytest.approx(0.9801, abs=1e-4)
 
     def test_due_east(self):
-        rho, theta = relative_range_bearing(SensorState(0, 0, 0), (100, 0))
-        assert rho == pytest.approx(100.0)
-        assert theta == pytest.approx(math.pi / 2)
+        # +x lies at bearing +pi/2: outside a 45 degree sector facing north
+        assert pd_rows(SCEN1_FOV, NORTH, [(100, 0)])[0] == 0.0
+        east = SensorState(0, 0, math.pi / 2)
+        assert pd_rows(SCEN1_FOV, east, [(100, 0)])[0] > 0.9
 
     def test_sensor_heading_subtracts(self):
-        rho, theta = relative_range_bearing(SensorState(0, 0, math.pi / 2), (100, 0))
-        assert rho == pytest.approx(100.0)
-        assert theta == pytest.approx(0.0)
+        east = SensorState(0, 0, math.pi / 2)
+        assert pd_rows(SCEN1_FOV, east, [(100, 0)])[0] == pytest.approx(
+            pd_rows(SCEN1_FOV, NORTH, [(0, 100)])[0], abs=1e-12
+        )
 
     def test_coincident(self):
-        assert relative_range_bearing(SensorState(5, 5, 1.0), (5, 5)) == (0.0, 0.0)
+        # range 0: the range factor is at its plateau
+        p = pd_rows(OMNI_FOV, SensorState(5, 5, 1.0), [(5, 5)])[0]
+        assert p == pytest.approx(oracle_pd(OMNI_FOV, SensorState(5, 5, 1.0), (5, 5)), abs=1e-15)
+        assert p == pytest.approx(0.99**2, abs=1e-6)
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             sx, sy, b = rng.normal(0, 100, 3)
-            tx, ty = rng.normal(0, 100, 2)
+            targets = rng.normal(0, 300, (5, 2))
             dx, dy = rng.normal(0, 500, 2)
-            r1 = relative_range_bearing(SensorState(sx, sy, b), (tx, ty))
-            r2 = relative_range_bearing(SensorState(sx + dx, sy + dy, b), (tx + dx, ty + dy))
-            assert r1[0] == pytest.approx(r2[0])
-            assert r1[1] == pytest.approx(r2[1])
+            p1 = pd_rows(SCEN1_FOV, SensorState(sx, sy, b), targets)
+            p2 = pd_rows(SCEN1_FOV, SensorState(sx + dx, sy + dy, b), targets + (dx, dy))
+            assert np.allclose(p1, p2, rtol=0.0, atol=1e-9)
 
     def test_rotation_equivariance(self):
+        # turning the sensor and the target about it by the same angle
         rng = np.random.default_rng(1)
         for _ in range(50):
             b, delta = rng.uniform(-math.pi, math.pi, 2)
-            target = rng.normal(0, 100, 2)
-            _, t1 = relative_range_bearing(SensorState(0, 0, b), target)
-            _, t2 = relative_range_bearing(SensorState(0, 0, b + delta), target)
-            assert wrap_angle(t1 - delta - t2) == pytest.approx(0.0, abs=1e-12)
+            rho = rng.uniform(0, 600, 5)
+            phi = rng.uniform(-math.pi, math.pi, 5)
+            before = np.column_stack([rho * np.sin(phi), rho * np.cos(phi)])
+            after = np.column_stack([rho * np.sin(phi + delta), rho * np.cos(phi + delta)])
+            p1 = pd_rows(SCEN1_FOV, SensorState(0, 0, b), before)
+            p2 = pd_rows(SCEN1_FOV, SensorState(0, 0, b + delta), after)
+            assert np.allclose(p1, p2, rtol=0.0, atol=1e-9)
 
 
 class TestDetectionProbability:
     def test_deep_inside_plateau(self):
-        assert detection_probability(SCEN1_FOV, 300.0, 0.0) == pytest.approx(0.9801, abs=1e-4)
+        assert pd_polar(SCEN1_FOV, 300.0, 0.0)[0] == pytest.approx(0.9801, abs=1e-4)
 
     def test_range_edge_half(self):
-        assert detection_probability(SCEN1_FOV, 500.0, 0.0) == pytest.approx(0.4900, abs=1e-3)
+        assert pd_polar(SCEN1_FOV, 500.0, 0.0)[0] == pytest.approx(0.4900, abs=1e-3)
 
     def test_outside_angular_support(self):
-        assert detection_probability(SCEN1_FOV, 100.0, SCEN1_FOV.theta_max + 0.01) == 0.0
+        assert pd_polar(SCEN1_FOV, 100.0, SCEN1_FOV.theta_max + 0.01)[0] == 0.0
 
     def test_outside_range_support(self):
-        assert detection_probability(SCEN1_FOV, 500.1, 0.0) == 0.0
+        assert pd_polar(SCEN1_FOV, 500.1, 0.0)[0] == 0.0
 
     def test_monotone_in_range_and_bearing(self):
-        ranges = np.linspace(0, 500, 60)
-        ps = [detection_probability(SCEN1_FOV, r, 0.0) for r in ranges]
-        assert all(a >= b - 1e-12 for a, b in zip(ps, ps[1:]))
-        bearings = np.linspace(0, SCEN1_FOV.theta_max, 60)
-        ps = [detection_probability(SCEN1_FOV, 200.0, b) for b in bearings]
-        assert all(a >= b - 1e-12 for a, b in zip(ps, ps[1:]))
+        ps = pd_polar(SCEN1_FOV, np.linspace(0, 500, 60), 0.0)
+        assert np.all(ps[:-1] >= ps[1:] - 1e-12)
+        ps = pd_polar(SCEN1_FOV, 200.0, np.linspace(0, SCEN1_FOV.theta_max, 60))
+        assert np.all(ps[:-1] >= ps[1:] - 1e-12)
 
     def test_continuous_inside_support(self):
         # no jump bigger than the local sigmoid slope allows on a fine grid
-        r = np.linspace(400, 500, 2000)
-        ps = np.array([detection_probability(SCEN1_FOV, x, 0.0) for x in r])
+        ps = pd_polar(SCEN1_FOV, np.linspace(400, 500, 2000), 0.0)
         assert np.max(np.abs(np.diff(ps))) < 0.02
 
     def test_omnidirectional_uses_plateau(self):
-        fov = FovModel(rho_max=100.0, theta_max=math.pi, p_d_max=0.99, k_rho=0.5, k_theta=20.0)
-        for theta in (-3.1, -1.0, 0.0, 2.0, 3.1):
-            assert detection_probability(fov, 10.0, theta) == pytest.approx(0.99**2, abs=1e-6)
+        ps = pd_polar(OMNI_FOV, 10.0, np.array([-3.1, -1.0, 0.0, 2.0, 3.1]))
+        assert np.allclose(ps, 0.99**2, rtol=0.0, atol=1e-6)
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(2)
-        sensor = SensorState(10.0, -20.0, 0.7)
-        pts = rng.normal(0, 300, (200, 2))
-        vec = detection_probabilities(SCEN1_FOV, sensor, pts)
-        for p, pt in zip(vec, pts):
-            rho, theta = relative_range_bearing(sensor, pt)
-            assert p == pytest.approx(detection_probability(SCEN1_FOV, rho, theta), abs=1e-12)
+        for fov in (SCEN1_FOV, OMNI_FOV):
+            sensor = SensorState(10.0, -20.0, 0.7)
+            pts = rng.normal(0, 300, (200, 2))
+            vec = pd_rows(fov, sensor, pts)
+            for p, pt in zip(vec, pts):
+                assert p == pytest.approx(oracle_pd(fov, sensor, pt), abs=1e-12)
+
+    def test_empty_input(self):
+        assert detection_probabilities(SCEN1_FOV, NORTH, []).shape == (0,)
 
 
 class TestMeasurementLikelihood:
     def test_mode_value(self):
-        s = SensorState(0, 0, 0)
-        val = measurement_likelihood(s, (3.0, 4.0, 0, 0), (3.0, 4.0), 1.0)
-        assert val == pytest.approx(1.0 / (2 * math.pi))
+        val = displacement_log_likelihoods(np.array([[3.0, 4.0]]), NORTH, (3.0, 4.0), 1.0)
+        assert np.exp(val[0]) == pytest.approx(1.0 / (2 * math.pi))
 
     def test_one_sigma_offset(self):
-        s = SensorState(0, 0, 0)
-        mode = measurement_likelihood(s, (0, 0, 0, 0), (0.0, 0.0), 1.0)
-        off = measurement_likelihood(s, (0, 0, 0, 0), (1.0, 0.0), 1.0)
-        assert off == pytest.approx(mode * math.exp(-0.5))
+        sensor = SensorState(10.0, -5.0, 0.3)
+        positions = np.array([[10.0, -5.0], [11.0, -5.0], [10.0, -4.0]])
+        val = displacement_log_likelihoods(positions, sensor, (0.0, 0.0), 1.0)
+        assert val[1] == pytest.approx(val[0] - 0.5)
+        assert val[2] == pytest.approx(val[0] - 0.5)
 
     def test_sigma_scaling(self):
-        s = SensorState(0, 0, 0)
-        assert measurement_likelihood(s, (0, 0, 0, 0), (0, 0), 2.0) == pytest.approx(
-            measurement_likelihood(s, (0, 0, 0, 0), (0, 0), 1.0) / 4.0
-        )
+        pos = np.array([[0.0, 0.0]])
+        wide = displacement_log_likelihoods(pos, NORTH, (0, 0), 2.0)[0]
+        narrow = displacement_log_likelihoods(pos, NORTH, (0, 0), 1.0)[0]
+        assert math.exp(wide) == pytest.approx(math.exp(narrow) / 4.0)
 
 
 class TestApplyAction:
@@ -140,11 +177,11 @@ class TestPropagate:
     MOTION = MotionModel(period=1.0, process_noise_std=0.5, survival_probability=0.99)
 
     def test_noiseless_shift(self):
-        out = propagate_target(MotionModel(1.0, 0.5, 0.99), (0, 0, 1, 2), None)
-        assert np.allclose(out, [1, 2, 1, 2])
+        out = propagate_states(MotionModel(1.0, 0.5, 0.99), np.array([[0.0, 0, 1, 2]]), None)
+        assert np.allclose(out, [[1, 2, 1, 2]])
 
     def test_zero_velocity_fixed_point(self):
-        out = propagate_target(self.MOTION, (5, 6, 0, 0), None)
+        out = propagate_states(self.MOTION, np.array([[5.0, 6, 0, 0]]), None)[0]
         assert out[0] == 5 and out[1] == 6
 
     def test_monte_carlo_mean(self):
