@@ -199,9 +199,9 @@ def associate_labels(
 
     positions = _label_positions(densities)
     labels = sorted(positions)
-
-    def is_fresh(label):
-        return label.birth_time >= current_step - fresh_window
+    xy = np.array([positions[l] for l in labels]).reshape(-1, 2)
+    fresh = np.array([l.birth_time >= current_step - fresh_window for l in labels], dtype=bool)
+    origin = np.array([l.origin_sensor for l in labels])
 
     parent = {l: l for l in labels}
 
@@ -211,19 +211,14 @@ def associate_labels(
             l = parent[l]
         return l
 
-    for lf in filter(is_fresh, labels):
-        best = None
-        pf = positions[lf]
-        for other in labels:
-            if other is lf:
-                continue
-            if is_fresh(other) and other.origin_sensor == lf.origin_sensor:
-                continue
-            d = float(np.hypot(*(positions[other] - pf)))
-            if d <= merge_distance and (best is None or (d, other) < best):
-                best = (d, other)
-        if best is not None:
-            a, b = find(lf), find(best[1])
+    for i in np.flatnonzero(fresh):
+        d = np.hypot(xy[:, 0] - xy[i, 0], xy[:, 1] - xy[i, 1])
+        candidate = (d <= merge_distance) & ~(fresh & (origin == origin[i]))
+        candidate[i] = False
+        near = np.flatnonzero(candidate)
+        if near.size:
+            # first minimum in sorted label order: ties go to the lower label
+            a, b = find(labels[i]), find(labels[near[np.argmin(d[near])]])
             if a != b:
                 # canonical is the smaller label
                 root, child = (a, b) if a < b else (b, a)

@@ -9,63 +9,79 @@ def _as_matrix(states) -> np.ndarray:
     return np.array(rows) if rows else np.zeros((0, 2))
 
 
+def _check_parameters(c: float, p: float) -> None:
+    if c <= 0:
+        raise ValueError("cutoff c must be positive")
+    if p < 1:
+        raise ValueError("order p must be >= 1")
+
+
+def _assignment_distance(base: np.ndarray, c: float, p: float) -> float:
+    """OSPA from an n x m matrix of base distances between two sets.
+
+    Localization error is the optimal assignment on base distances cut off
+    at c, cardinality error costs c per unassigned element; both sets
+    empty gives 0 by convention.
+    """
+    if base.shape[0] > base.shape[1]:
+        base = base.T
+    n, m = base.shape
+    if m == 0:
+        return 0.0
+    if n == 0:
+        return float(c)
+    d = np.minimum(base, c) ** p
+    rows, cols = linear_sum_assignment(d)
+    cost = float(d[rows, cols].sum())
+    return float(((cost + c**p * (m - n)) / m) ** (1.0 / p))
+
+
 def ospa(truth, estimate, c: float, p: float) -> float:
     """Optimal subpattern assignment distance between two point sets.
 
     Combines localization error (optimal assignment on distances cut off
     at c) and cardinality error; both sets empty gives 0 by convention.
     """
-    if c <= 0:
-        raise ValueError("cutoff c must be positive")
-    if p < 1:
-        raise ValueError("order p must be >= 1")
+    _check_parameters(c, p)
     x = _as_matrix(truth)
     y = _as_matrix(estimate)
-    n, m = len(x), len(y)
-    if n == 0 and m == 0:
-        return 0.0
-    if n == 0 or m == 0:
-        return float(c)
-    if n > m:
-        x, y, n, m = y, x, m, n
-    d = np.linalg.norm(x[:, None, :] - y[None, :, :], axis=2)
-    d = np.minimum(d, c) ** p
-    rows, cols = linear_sum_assignment(d)
-    cost = float(d[rows, cols].sum())
-    return float(((cost + c**p * (m - n)) / m) ** (1.0 / p))
+    return _assignment_distance(np.linalg.norm(x[:, None, :] - y[None, :, :], axis=2), c, p)
 
 
-def _window_distance(track_a: dict, track_b: dict, steps, c: float) -> float:
-    """Time-averaged cutoff distance between two tracks over given steps.
+_ABSENT = (np.nan, np.nan)
 
-    A step where exactly one track exists costs c; a step where neither
-    exists costs 0.
+
+def _window_tracks(tracks: dict, steps) -> np.ndarray:
+    """Dense (len(steps), tracks, 2) positions of the tracks present in the window.
+
+    A step where a track is absent holds NaN; tracks absent at every step
+    are left out.
     """
-    total = 0.0
-    for t in steps:
-        a, b = track_a.get(t), track_b.get(t)
-        if a is None and b is None:
-            continue
-        if a is None or b is None:
-            total += c
-        else:
-            diff = np.asarray(a, dtype=float)[:2] - np.asarray(b, dtype=float)[:2]
-            total += min(c, float(np.hypot(diff[0], diff[1])))
-    return total / len(steps)
+    dense = [
+        np.array([track.get(t, _ABSENT)[:2] for t in steps], dtype=float)
+        for track in tracks.values()
+        if any(t in track for t in steps)
+    ]
+    return np.stack(dense, axis=1) if dense else np.zeros((len(steps), 0, 2))
 
 
 def ospa2(truth_tracks: dict, estimated_tracks: dict, c: float, p: float, window, step: int | None = None) -> float:
     """OSPA over track segments in a trailing window.
 
-    Tracks map a track key to {step: state}.  The base distance between a
-    truth track and an estimated track is the time-averaged cutoff
-    distance over the window (steps where exactly one of them exists cost
-    c), and those base distances feed a standard OSPA assignment across
-    tracks.  Tracks with no presence in the window are excluded.
+    Tracks map a track key to {step: state}; the first two entries of a
+    state are its position.  Each track present at some step of the window
+    becomes a (W, 2) array of its positions over the W window steps, NaN
+    where it is absent; tracks absent from the whole window are excluded.
+    The base distance between a truth track and an estimated track is the
+    mean over the window of min(c, |x - y|) at steps where both exist, c
+    where exactly one exists and 0 where neither does.  All n x m x W of
+    these per-step terms are computed in one broadcast, and the base
+    distances feed a standard OSPA assignment across tracks.
 
     `window` is either an iterable of steps or an integer length w, in
     which case the window is the w steps trailing `step` (inclusive).
     """
+    _check_parameters(c, p)
     if isinstance(window, int):
         if window < 1:
             raise ValueError("window length must be >= 1")
@@ -77,18 +93,16 @@ def ospa2(truth_tracks: dict, estimated_tracks: dict, c: float, p: float, window
         if not steps:
             raise ValueError("empty window")
 
-    in_window = lambda track: any(t in track for t in steps)
-    xs = [track for track in truth_tracks.values() if in_window(track)]
-    ys = [track for track in estimated_tracks.values() if in_window(track)]
-    n, m = len(xs), len(ys)
-    if n == 0 and m == 0:
-        return 0.0
-    if n == 0 or m == 0:
-        return float(c)
-    if n > m:
-        xs, ys, n, m = ys, xs, m, n
-    base = np.array([[_window_distance(a, b, steps, c) for b in ys] for a in xs])
-    d = np.minimum(base, c) ** p
-    rows, cols = linear_sum_assignment(d)
-    cost = float(d[rows, cols].sum())
-    return float(((cost + c**p * (m - n)) / m) ** (1.0 / p))
+    x = _window_tracks(truth_tracks, steps)[:, :, None, :]
+    y = _window_tracks(estimated_tracks, steps)[:, None, :, :]
+    x_present = ~np.isnan(x[..., 0])
+    y_present = ~np.isnan(y[..., 0])
+    diff = x - y
+    per_step = np.where(
+        x_present & y_present,
+        np.minimum(c, np.hypot(diff[..., 0], diff[..., 1])),
+        np.where(x_present | y_present, float(c), 0.0),
+    )
+    # the builtin sum adds the window steps one after another, in step
+    # order, so the base distances equal a per-pair running sum bit for bit
+    return _assignment_distance(sum(per_step) / len(steps), c, p)

@@ -78,11 +78,23 @@ class MetricConfig:
     ospa_order: float = 1.0
     ospa2_window: int = 10
 
+    def __post_init__(self):
+        if not self.ospa_cutoff > 0:
+            raise ValueError("ospa_cutoff must be positive")
+        if not self.ospa_order >= 1:
+            raise ValueError("ospa_order must be >= 1")
+        if self.ospa2_window < 1:
+            raise ValueError("ospa2_window must be >= 1")
+
 
 @dataclass(frozen=True)
 class MonteCarloConfig:
     runs: int = 30
     base_seed: int = 20260810
+
+    def __post_init__(self):
+        if self.runs < 1:
+            raise ValueError("runs must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -262,3 +263,151 @@ class TestAssociateLabels:
         out = associate_labels(locals_, 10.0, current_step=5)
         assert out[1].labels() == {a}
         assert out[1].components[0].existence == pytest.approx(0.6)
+
+
+def associate_labels_reference(locals_, merge_distance, current_step=None, fresh_window=1):
+    """Per-pair scan reference for associate_labels."""
+    densities = dict(locals_)
+    if not densities:
+        return {}
+    if current_step is None:
+        current_step = max(d.timestamp for d in densities.values())
+    best_holder = {}
+    for s in sorted(densities):
+        for c in densities[s].components:
+            cur = best_holder.get(c.label)
+            if cur is None or c.existence > cur[0]:
+                best_holder[c.label] = (c.existence, c.mean_position())
+    positions = {label: pos for label, (_r, pos) in best_holder.items()}
+    labels = sorted(positions)
+
+    def is_fresh(label):
+        return label.birth_time >= current_step - fresh_window
+
+    parent = {l: l for l in labels}
+
+    def find(l):
+        while parent[l] != l:
+            parent[l] = parent[parent[l]]
+            l = parent[l]
+        return l
+
+    for lf in filter(is_fresh, labels):
+        best = None
+        pf = positions[lf]
+        for other in labels:
+            if other is lf:
+                continue
+            if is_fresh(other) and other.origin_sensor == lf.origin_sensor:
+                continue
+            d = float(np.hypot(*(positions[other] - pf)))
+            if d <= merge_distance and (best is None or (d, other) < best):
+                best = (d, other)
+        if best is not None:
+            a, b = find(lf), find(best[1])
+            if a != b:
+                root, child = (a, b) if a < b else (b, a)
+                parent[child] = root
+
+    mapping = {l: find(l) for l in labels}
+    if all(k == v for k, v in mapping.items()):
+        return densities
+    out = {}
+    for s, density in densities.items():
+        merged = {}
+        for c in density.components:
+            canon = mapping[c.label]
+            prev = merged.get(canon)
+            if prev is None or (-c.existence, c.label) < (-prev[1].existence, prev[0]):
+                merged[canon] = (c.label, dataclasses.replace(c, label=canon) if c.label != canon else c)
+        out[s] = LmbDensity(
+            tuple(merged[k][1] for k in sorted(merged)), density.timestamp, density.role
+        )
+    return out
+
+
+def point(label, xy, existence):
+    """One-particle component: its mean position is exactly xy."""
+    return BernoulliComponent(label, existence, np.array([[*xy, 0.0, 0.0]]), np.ones(1))
+
+
+@st.composite
+def label_sets(draw):
+    """Per-sensor densities on an integer grid, so distance ties and
+    distances exactly at the merge gate (3-4-5 triangles) occur often."""
+    n_sensors = draw(st.integers(1, 4))
+    label = st.builds(Label, st.integers(2, 6), st.integers(0, 2), st.integers(0, n_sensors - 1))
+    locals_ = {}
+    for s in range(n_sensors):
+        comps = draw(st.dictionaries(label, st.tuples(st.integers(0, 12), st.integers(0, 12)), max_size=6))
+        existence = st.sampled_from([0.3, 0.6, 0.9])
+        locals_[s] = density(
+            [point(l, xy, draw(existence)) for l, xy in sorted(comps.items())], timestamp=6
+        )
+    return locals_
+
+
+def assert_same_densities(got, expected):
+    """Equal labels, existences and particles per sensor, which also pins
+    the label mapping: each output label is the canonical one of its input."""
+    assert got.keys() == expected.keys()
+    for s in expected:
+        assert got[s].timestamp == expected[s].timestamp and got[s].role == expected[s].role
+        assert [c.label for c in got[s].components] == [c.label for c in expected[s].components]
+        for a, b in zip(got[s].components, expected[s].components):
+            assert a.existence == b.existence
+            np.testing.assert_array_equal(a.states, b.states)
+            np.testing.assert_array_equal(a.weights, b.weights)
+
+
+class TestAssociateLabelsOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(locals_=label_sets(), merge_distance=st.sampled_from([0.0, 3.0, 5.0, 10.0]), step=st.integers(5, 8))
+    def test_matches_pair_scan(self, locals_, merge_distance, step):
+        assert_same_densities(
+            associate_labels(locals_, merge_distance, current_step=step),
+            associate_labels_reference(locals_, merge_distance, current_step=step),
+        )
+
+    def test_equal_distance_tie_goes_to_lower_label(self):
+        fresh = Label(5, 0, 2)
+        low, high = Label(1, 0, 0), Label(1, 0, 1)
+        locals_ = {
+            0: density([point(high, (8, 0), 0.9), point(low, (-8, 0), 0.9)], timestamp=5),
+            2: density([point(fresh, (0, 0), 0.5)], timestamp=5),
+        }
+        out = associate_labels(locals_, 10.0, current_step=5)
+        assert out[2].labels() == {low}
+        assert_same_densities(out, associate_labels_reference(locals_, 10.0, current_step=5))
+
+    def test_fresh_labels_of_one_sensor_skip_each_other(self):
+        # a's nearest label is its same-sensor sibling b; it merges onto c
+        a, b, c = Label(5, 0, 0), Label(5, 1, 0), Label(5, 0, 1)
+        locals_ = {
+            0: density([point(a, (0, 0), 0.9), point(b, (4, 0), 0.9)], timestamp=5),
+            1: density([point(c, (-7, 0), 0.9)], timestamp=5),
+        }
+        out = associate_labels(locals_, 10.0, current_step=5)
+        assert out[1].labels() == {a}
+        assert out[0].labels() == {a, b}
+        assert_same_densities(out, associate_labels_reference(locals_, 10.0, current_step=5))
+
+    @pytest.mark.parametrize("gate,merged", [(5.0, True), (4.999, False)])
+    def test_gate_is_inclusive(self, gate, merged):
+        a, b = Label(5, 0, 0), Label(5, 0, 1)
+        locals_ = {
+            0: density([point(a, (0, 0), 0.9)], timestamp=5),
+            1: density([point(b, (3, 4), 0.9)], timestamp=5),
+        }
+        out = associate_labels(locals_, gate, current_step=5)
+        assert out[1].labels() == ({a} if merged else {b})
+        assert_same_densities(out, associate_labels_reference(locals_, gate, current_step=5))
+
+    def test_no_fresh_labels_returns_input(self):
+        locals_ = {
+            0: density([point(Label(1, 0, 0), (0, 0), 0.9)], timestamp=30),
+            1: density([point(Label(2, 0, 1), (0, 0), 0.9)], timestamp=30),
+        }
+        out = associate_labels(locals_, 10.0, current_step=30)
+        assert out == locals_
+        assert all(out[s] is locals_[s] for s in locals_)

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from sentrack.metrics import ospa, ospa2
+
+# Allowed gap between the array OSPA(2) and the loop reference below: float
+# rounding only, the same 1e-9 as the golden gate.
+ORACLE_TOL = 1e-9
 
 
 def pts(*rows):
@@ -85,6 +92,15 @@ class TestOspa2:
         est = tracks({1: (0, 0)})
         assert ospa2(truth, est, 100.0, 1.0, 2, step=2) == 0.0
 
+    def test_invalid_parameters(self):
+        t = tracks({1: (0, 0)})
+        with pytest.raises(ValueError, match="cutoff"):
+            ospa2(t, t, 0.0, 1.0, 1, step=1)
+        with pytest.raises(ValueError, match="cutoff"):
+            ospa2(t, t, -1.0, 1.0, 1, step=1)
+        with pytest.raises(ValueError, match="order"):
+            ospa2(t, t, 100.0, 0.5, 1, step=1)
+
     def test_bad_window(self):
         with pytest.raises(ValueError):
             ospa2({}, {}, 100.0, 1.0, 0, step=3)
@@ -109,3 +125,76 @@ class TestOspa2:
             1.0,
         )
         assert o2 == pytest.approx(o1, abs=1e-12)
+
+
+def _window_distance(track_a: dict, track_b: dict, steps, c: float) -> float:
+    """Loop reference: time-averaged cutoff distance between two tracks."""
+    total = 0.0
+    for t in steps:
+        a, b = track_a.get(t), track_b.get(t)
+        if a is None and b is None:
+            continue
+        if a is None or b is None:
+            total += c
+        else:
+            diff = np.asarray(a, dtype=float)[:2] - np.asarray(b, dtype=float)[:2]
+            total += min(c, float(np.hypot(diff[0], diff[1])))
+    return total / len(steps)
+
+
+def ospa2_reference(truth_tracks, estimated_tracks, c, p, window, step=None):
+    """Loop reference for ospa2: one _window_distance per track pair."""
+    steps = list(range(step - window + 1, step + 1)) if isinstance(window, int) else sorted(window)
+    in_window = lambda track: any(t in track for t in steps)
+    xs = [track for track in truth_tracks.values() if in_window(track)]
+    ys = [track for track in estimated_tracks.values() if in_window(track)]
+    n, m = len(xs), len(ys)
+    if n == 0 and m == 0:
+        return 0.0
+    if n == 0 or m == 0:
+        return float(c)
+    if n > m:
+        xs, ys, n, m = ys, xs, m, n
+    base = np.array([[_window_distance(a, b, steps, c) for b in ys] for a in xs])
+    d = np.minimum(base, c) ** p
+    rows, cols = linear_sum_assignment(d)
+    cost = float(d[rows, cols].sum())
+    return float(((cost + c**p * (m - n)) / m) ** (1.0 / p))
+
+
+@st.composite
+def track_sets(draw, step):
+    """Tracks with gaps over steps around the window; states of 2 to 4 entries."""
+    coord = st.floats(min_value=0.0, max_value=300.0, allow_nan=False)
+    out = {}
+    for key in range(draw(st.integers(0, 6))):
+        present = draw(st.sets(st.integers(step - 15, step + 2), max_size=18))
+        dim = draw(st.integers(2, 4))
+        out[key] = {
+            t: np.array(draw(st.lists(coord, min_size=dim, max_size=dim))) for t in present
+        }
+    return out
+
+
+class TestOspa2Oracle:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        window=st.integers(1, 12),
+        p=st.sampled_from([1.0, 2.0]),
+        c=st.sampled_from([20.0, 100.0]),
+    )
+    def test_matches_loop_reference(self, data, window, p, c):
+        step = 20
+        truth = data.draw(track_sets(step))
+        est = data.draw(track_sets(step))
+        expected = ospa2_reference(truth, est, c, p, window, step)
+        assert ospa2(truth, est, c, p, window, step) == pytest.approx(expected, abs=ORACLE_TOL)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), steps=st.sets(st.integers(5, 22), min_size=1, max_size=12))
+    def test_explicit_window_matches_loop_reference(self, data, steps):
+        truth = data.draw(track_sets(20))
+        est = data.draw(track_sets(20))
+        expected = ospa2_reference(truth, est, 100.0, 1.0, steps)
+        assert ospa2(truth, est, 100.0, 1.0, steps) == pytest.approx(expected, abs=ORACLE_TOL)

@@ -72,3 +72,26 @@ class TestRejectedAtLoad:
         d["filter"]["clutter_intensity"] = 1e-3
         with pytest.raises(ValueError, match="clutter_intensity"):
             scenario_from_dict(d)
+
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            ("metric", "ospa_cutoff", 0.0),
+            ("metric", "ospa_cutoff", -5.0),
+            ("metric", "ospa_order", 0.5),
+            ("metric", "ospa2_window", 0),
+            ("monte_carlo", "runs", 0),
+        ],
+    )
+    def test_out_of_range_metric_settings(self, section, key, value):
+        d = scenario_to_dict(build_scenario_1())
+        d[section][key] = value
+        with pytest.raises(ValueError, match=key):
+            scenario_from_dict(d)
+
+    def test_smallest_valid_metric_settings_accepted(self):
+        d = scenario_to_dict(build_scenario_1())
+        d["metric"].update(ospa_cutoff=1e-6, ospa_order=1.0, ospa2_window=1)
+        d["monte_carlo"]["runs"] = 1
+        cfg = scenario_from_dict(d)
+        assert cfg.metric.ospa2_window == 1 and cfg.monte_carlo.runs == 1
