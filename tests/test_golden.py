@@ -1,9 +1,10 @@
 """Golden runs: short seeded runs of every scenario and method.
 
 Each fixture in tests/golden holds, per step, the commands, cardinalities,
-communication bytes, descent iterations, OSPA and OSPA(2) of one
-run_single call.  A fresh run must match it exactly, except for floats,
-which must agree within FLOAT_TOLERANCE.  Refactors that keep behaviour
+communication bytes, flood rounds of each message (in send order),
+descent iterations, OSPA and OSPA(2) of one run_single call.  A fresh run
+must match it exactly, except for floats, which must agree within
+FLOAT_TOLERANCE.  Refactors that keep behaviour
 keep these fixtures unchanged.
 
 Record the fixtures again, only for a change meant to alter results, with
@@ -35,6 +36,9 @@ def fixture_path(scenario: int, method: str) -> Path:
 
 def golden_run(scenario: int, method: str) -> dict:
     result = run_single(SCENARIOS[scenario](), method, SEED, duration=STEPS)
+    rounds = {}
+    for entry in result.comm_entries:
+        rounds.setdefault(entry.step, []).append(entry.rounds)
     return {
         "scenario": scenario,
         "method": method,
@@ -47,6 +51,7 @@ def golden_run(scenario: int, method: str) -> dict:
                 "card_est": rec.card_est,
                 "per_sensor_card": list(rec.per_sensor_card),
                 "bytes": rec.bytes,
+                "rounds": rounds.get(rec.step, []),
                 "control_iterations": rec.control_iterations,
                 "ospa": rec.ospa,
                 "ospa2": rec.ospa2,
