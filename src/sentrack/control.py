@@ -5,7 +5,8 @@ existence-probability divergence from a fused pseudo-posterior to the
 local predicted density, minus a penalty for every predicted label that
 the command would drop, subject to two feasibility constraints: a void
 probability over a per-sensor exclusion disk and a minimum inter-sensor
-distance.
+distance.  One rule, empty_disk_probability, computes the void
+probability for both the single-sensor and the fused evaluation.
 
 Three selectors are provided:
   * independent selection: each sensor greedily optimizes its local
@@ -25,8 +26,8 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .filtering import FilterConfig, generate_pims, pseudo_update
-from .fusion import compute_active_set, fuse_existence
-from .lmb import EXISTENCE_CEIL, LmbDensity, prune
+from .fusion import compute_active_set, existence_odds, fuse_existence
+from .lmb import LmbDensity, prune
 from .sensors import FovModel, SensorState, apply_action
 
 _CLAMP = 1e-12
@@ -37,10 +38,14 @@ NEG_INF = float("-inf")
 class ObjectiveParams:
     """Objective and constraint parameters.
 
-    psi_feasible_below keeps the stated void-constraint direction
-    (feasible iff psi < psi_threshold).  That direction rejects commands
-    whose exclusion zones are certainly empty, so scenario configs flip it;
-    see the scenario builders.
+    epsilon stands in for the missing existence of a new label in the
+    divergence, and penalty_lambda scales the dropped-label penalty.
+    psi is the probability that no target lies within exclusion_radius of
+    a sensor after its action (the largest over a command's sensors); a
+    command is feasible when psi > psi_threshold, so its exclusion disks
+    are likely empty, and when every pair of sensors is more than
+    eta_threshold apart.  Control sees each sensor's predicted density
+    without the components whose existence is below min_existence.
     """
 
     epsilon: float = 1e-6
@@ -48,7 +53,6 @@ class ObjectiveParams:
     psi_threshold: float = 0.8
     eta_threshold: float = 50.0
     exclusion_radius: float = 20.0
-    psi_feasible_below: bool = True
     min_existence: float = 0.0
 
     def __post_init__(self):
@@ -111,26 +115,12 @@ def objective(r1: Mapping, r2: Mapping, params: ObjectiveParams) -> float:
     )
 
 
-def void_probability(density: LmbDensity, sensor_after_action: SensorState, rho_eps: float) -> float:
-    """Probability that no target lies within rho_eps of the sensor.
-
-    The product over labels of (1 - r * in-disk particle weight); 1 for an
-    empty density.
-    """
-    if rho_eps <= 0:
-        raise ValueError("rho_eps must be positive")
-    center = sensor_after_action.position
-    result = 1.0
-    for c in density.components:
-        d = c.states[:, :2] - center
-        inside = (d[:, 0] ** 2 + d[:, 1] ** 2) <= rho_eps**2
-        result *= 1.0 - c.existence * float(c.weights[inside].sum())
-    return result
-
-
 def sensor_sensor_constraint(sensors_after) -> float:
-    """Minimum pairwise distance between sensors; +inf for a single sensor."""
-    states = list(sensors_after.values()) if isinstance(sensors_after, Mapping) else list(sensors_after)
+    """Minimum pairwise distance between sensors; +inf for a single sensor.
+
+    sensors_after maps sensor id -> post-action SensorState.
+    """
+    states = list(sensors_after.values())
     if len(states) < 2:
         return math.inf
     eta = math.inf
@@ -141,25 +131,11 @@ def sensor_sensor_constraint(sensors_after) -> float:
 
 
 def void_feasible(psi: float, params: ObjectiveParams) -> bool:
-    if params.psi_feasible_below:
-        return psi < params.psi_threshold
     return psi > params.psi_threshold
 
 
 def distance_feasible(eta: float, params: ObjectiveParams) -> bool:
     return eta > params.eta_threshold
-
-
-def dcd_runs_required(num_local_optima: int, p_success: float) -> int:
-    """Restarts needed to hit the global optimum with probability p_success.
-
-    ceil(log(1 - P) / log(1 - 1/M)) for M local optima.
-    """
-    if num_local_optima < 2:
-        raise ValueError("num_local_optima must be >= 2")
-    if not 0 < p_success < 1:
-        raise ValueError("p_success must be in (0, 1)")
-    return math.ceil(math.log(1.0 - p_success) / math.log(1.0 - 1.0 / num_local_optima))
 
 
 # ---------------------------------------------------------------------------
@@ -188,14 +164,12 @@ class DescentState:
         return len(self.history)
 
 
-def detect_cycle(state) -> tuple | None:
+def detect_cycle(history: list) -> tuple | None:
     """First repeated command in a descent history.
 
-    Accepts a DescentState or a plain history list; returns 1-based
-    positions (t_start, t_end) of the first pair of equal commands, or
-    None when all commands are distinct.
+    Returns 1-based positions (t_start, t_end) of the first pair of equal
+    commands, or None when all commands are distinct.
     """
-    history = state.history if isinstance(state, DescentState) else list(state)
     seen = {}
     for t, cmd in enumerate(history):
         if cmd in seen:
@@ -258,7 +232,6 @@ def run_flooded_descent(
     n_actions: Mapping[int, int],
     evaluate: CommandEvaluator,
     initial_actions: Mapping[int, int],
-    max_iterations: int | None = None,
     on_turn: Callable[[int, int], None] | None = None,
 ) -> DescentOutcome:
     """Sequential coordinate descent over the given sensors until a cycle.
@@ -282,13 +255,11 @@ def run_flooded_descent(
         states[s].history.append(cmd0)
         states[s].scores.append(evaluate(s, cmd0))
 
-    if max_iterations is None:
-        bound = 1
-        for s in ids:
-            bound *= max(n_actions[s], 1)
-        max_iterations = bound + 1
+    bound = 1
+    for s in ids:
+        bound *= max(n_actions[s], 1)
 
-    for t in range(1, max_iterations + 1):
+    for t in range(1, bound + 2):
         for s in ids:
             action, score = _best_own_action(s, pos[s], latest, n_actions[s], evaluate)
             latest[pos[s]] = action
@@ -297,7 +268,7 @@ def run_flooded_descent(
             cmd = tuple(latest)
             states[s].history.append(cmd)
             states[s].scores.append(score)
-            cycle = detect_cycle(states[s])
+            cycle = detect_cycle(states[s].history)
             if cycle is not None:
                 final = select_final_command(states[s], *cycle)
                 final_score = states[s].scores[states[s].history.index(final)]
@@ -333,12 +304,10 @@ class PseudoCache:
         sensor_states: Mapping[int, SensorState],
         fovs: Mapping[int, FovModel],
         action_sets: Mapping[int, list],
-        filter_cfgs: Mapping[int, FilterConfig] | FilterConfig,
+        filter_cfgs: Mapping[int, FilterConfig],
         params: ObjectiveParams,
     ):
         self.params = params
-        if isinstance(filter_cfgs, FilterConfig):
-            filter_cfgs = {s: filter_cfgs for s in predicted}
         self.filter_cfgs = dict(filter_cfgs)
         self.sensor_states = dict(sensor_states)
         self.fovs = dict(fovs)
@@ -408,15 +377,42 @@ class PseudoCache:
             )
         return self._active[key]
 
-    def indisk_weight(self, owner: int, action: int, label, center: np.ndarray) -> float:
-        """In-disk particle weight of one pseudo component around a point."""
-        key = (owner, action, label, round(float(center[0]), 6), round(float(center[1]), 6))
-        if key not in self._indisk:
+    def indisk_weight(self, owner: int, action: int, label, center: tuple) -> float:
+        """Particle weight of one pseudo component within the exclusion
+        radius of center, an exact post-action position (x, y)."""
+        key = (owner, action, label, center)
+        weight = self._indisk.get(key)
+        if weight is None:
             comp = self.pseudo(owner, action).by_label()[label]
             d = comp.states[:, :2] - center
             inside = (d[:, 0] ** 2 + d[:, 1] ** 2) <= self.params.exclusion_radius**2
-            self._indisk[key] = float(comp.weights[inside].sum())
-        return self._indisk[key]
+            weight = self._indisk[key] = float(comp.weights[inside].sum())
+        return weight
+
+
+def empty_disk_probability(
+    cache: PseudoCache,
+    center: tuple,
+    existences: Mapping,
+    contributors: Mapping,
+    command_of: Mapping[int, int],
+) -> float:
+    """Void probability of the exclusion disk around center: the psi rule.
+
+    The product over labels of (1 - r * sum(share * w)), with r the label's
+    existence in existences and the sum over the label's contributors, a
+    list of (owner, share): w is the in-disk weight of the owner's pseudo
+    component under its action command_of[owner].  1 when no label
+    contributes.
+    """
+    weight = cache.indisk_weight
+    psi = 1.0
+    for label, share in contributors.items():
+        inside = 0.0
+        for owner, frac in share:
+            inside += frac * weight(owner, command_of[owner], label, center)
+        psi *= 1.0 - existences[label] * inside
+    return psi
 
 
 @dataclass
@@ -465,22 +461,20 @@ class ControlContext:
                 continue  # pseudo-mode fusion omits labels with an empty active set
             rs = [cache.pseudo_existences(s, command_of[s])[label] for s in active]
             existences[label] = fuse_existence(rs)
-            odds = [min(r, EXISTENCE_CEIL) / (1.0 - min(r, EXISTENCE_CEIL)) for r in rs]
+            odds = [existence_odds(r) for r in rs]
             total = sum(odds) or 1.0
             contributors[label] = [(s, o / total) for s, o in zip(active, odds)]
 
         states_after = {s: cache.state_after(s, command_of[s]) for s in self.participants}
         eta = sensor_sensor_constraint(states_after)
         psi = 0.0
-        for s, state in states_after.items():
-            v = 1.0
-            for label, share in contributors.items():
-                inside = sum(
-                    frac * cache.indisk_weight(owner, command_of[owner], label, state.position)
-                    for owner, frac in share
-                )
-                v *= 1.0 - existences[label] * inside
-            psi = max(psi, v)
+        for state in states_after.values():
+            psi = max(
+                psi,
+                empty_disk_probability(
+                    cache, (state.x, state.y), existences, contributors, command_of
+                ),
+            )
         feasible = distance_feasible(eta, params) and void_feasible(psi, params)
 
         out = FusedEvaluation(existences, contributors, psi, eta, feasible)
@@ -510,15 +504,19 @@ def isc_select(
     Exhaustive over the node's actions, scoring the local pseudo-posterior
     against the local prediction; feasibility uses the node's own
     exclusion disk and, when given, the current positions of the other
-    sensors.  Returns (action index, score); the stay action (index 0)
-    with score -inf when no action is feasible.
+    sensors.  The void probability runs over every label of the node's
+    pseudo-posterior, with the node as the label's only contributor.
+    Returns (action index, score); the stay action (index 0) with score
+    -inf when no action is feasible.
     """
     params = cache.params
     predicted_exist = cache.predicted_existences[node]
     best_action, best_score = None, NEG_INF
     for a in range(cache.n_actions(node)):
         state = cache.state_after(node, a)
-        psi = void_probability(cache.pseudo(node, a), state, params.exclusion_radius)
+        pseudo_exist = cache.pseudo_existences(node, a)
+        own = {label: ((node, 1.0),) for label in pseudo_exist}
+        psi = empty_disk_probability(cache, (state.x, state.y), pseudo_exist, own, {node: a})
         feasible = void_feasible(psi, params)
         if feasible and other_positions:
             eta = min(
@@ -527,7 +525,7 @@ def isc_select(
             feasible = distance_feasible(eta, params)
         if not feasible:
             continue
-        score = objective(cache.pseudo_existences(node, a), predicted_exist, params)
+        score = objective(pseudo_exist, predicted_exist, params)
         if score > best_score:
             best_action, best_score = a, score
     if best_action is None:
@@ -546,7 +544,9 @@ def dcd_sc_select(
 
     Runs `runs` independent descents over the node's neighborhood, each
     from uniformly random initial actions, and returns the node's own
-    component of the best-scoring final command.
+    component of the best-scoring final command.  Reaching the global
+    optimum with probability P among M equally likely local optima takes
+    ceil(log(1 - P) / log(1 - 1/M)) restarts.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")

@@ -46,7 +46,8 @@ class FusionConfig:
             raise ValueError("merge_distance must be nonnegative")
 
 
-def _odds(r: float) -> float:
+def existence_odds(r: float) -> float:
+    """Odds r / (1 - r) of an existence clamped to [0, EXISTENCE_CEIL]."""
     r = min(max(r, 0.0), EXISTENCE_CEIL)
     return r / (1.0 - r)
 
@@ -94,7 +95,7 @@ def fuse_spatial(components, particle_count: int | None = None):
     components = list(components)
     if not components:
         raise ValueError("fuse_spatial requires at least one component")
-    odds = np.array([_odds(c.existence) for c in components])
+    odds = np.array([existence_odds(c.existence) for c in components])
     total = float(odds.sum())
     if total <= 0.0:
         raise ValueError("total existence odds is zero; nothing to fuse")
@@ -182,11 +183,10 @@ def associate_labels(
     locals_: Mapping[int, LmbDensity],
     merge_distance: float,
     current_step: int | None = None,
-    fresh_window: int = 1,
 ) -> dict:
     """Assign one canonical label to same-target components across sensors.
 
-    A label is "fresh" if born within fresh_window steps of current_step
+    A label is "fresh" if born at current_step or the step before
     (default: the densities' timestamp).  Every fresh label is merged onto
     the nearest label of a different origin sensor within merge_distance
     (lowest label wins); established labels are left alone.  Deterministic.
@@ -200,7 +200,7 @@ def associate_labels(
     positions = _label_positions(densities)
     labels = sorted(positions)
     xy = np.array([positions[l] for l in labels]).reshape(-1, 2)
-    fresh = np.array([l.birth_time >= current_step - fresh_window for l in labels], dtype=bool)
+    fresh = np.array([l.birth_time >= current_step - 1 for l in labels], dtype=bool)
     origin = np.array([l.origin_sensor for l in labels])
 
     parent = {l: l for l in labels}

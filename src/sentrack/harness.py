@@ -92,15 +92,6 @@ class MonteCarloResult:
             out.append((rec.step, rec.card_truth, est))
         return out
 
-    def mean_cardinality_error(self, after_step: int = 0) -> float:
-        errs = [
-            abs(rec.card_est - rec.card_truth)
-            for r in self.runs
-            for rec in r.steps
-            if rec.step > after_step
-        ]
-        return float(np.mean(errs)) if errs else 0.0
-
 
 def _simulate_measurements(scenario, sensor_states, truth, rng):
     """Detections (sigmoid-gated, Gaussian displacement noise) plus clutter."""
@@ -153,7 +144,7 @@ def _select_commands(method, scenario, cache, topology, step, seed, dcd_runs, co
     if method == "fdcd":
         commands = [0] * n
         iterations = 0
-        for component in topology.connected_components():
+        for component in topology.components:
             participants = tuple(sorted(component))
             ctx = ControlContext(cache, participants)
             initial = {}
@@ -212,10 +203,16 @@ def run_single(
     dcd_runs: int = 1,
     duration: int | None = None,
 ) -> RunResult:
-    """One seeded run of the full pipeline under a control method."""
+    """One seeded run of the full pipeline under a control method.
+
+    duration (default: the scenario's) is the number of steps, at least 1.
+    """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
-    duration = duration or scenario.duration
+    if duration is None:
+        duration = scenario.duration
+    if duration < 1:
+        raise ValueError("duration must be >= 1")
     rng = np.random.default_rng(seed)
     n = len(scenario.sensors)
     sensor_states = [spec.initial_state() for spec in scenario.sensors]
@@ -300,7 +297,7 @@ def run_single(
         card_sum = 0.0
         per_sensor_card = [0] * n
         first_estimates = None
-        for component in topology.connected_components():
+        for component in topology.components:
             estimates = fuse_component(sorted(component))
             est_positions = [state[:2] for _label, state in estimates]
             step_ospa = ospa(

@@ -153,18 +153,15 @@ def systematic_resample_indices(weights: np.ndarray, count: int, offset: float) 
 def resample_component(
     component: BernoulliComponent,
     target_count: int,
-    rng: np.random.Generator | None,
+    rng: np.random.Generator,
 ) -> BernoulliComponent:
     """Systematic resampling of one component to target_count equal weights.
 
-    Deterministic given the rng state; passing rng=None uses the fixed
-    mid-cell offset 0.5, which is fully deterministic (used where every
-    node must produce bit-identical output without a shared stream).
+    Deterministic given the rng state, which supplies the offset.
     """
     if target_count < 1:
         raise ValueError("target_count must be >= 1")
-    offset = 0.5 if rng is None else float(rng.random())
-    idx = systematic_resample_indices(component.weights, target_count, offset)
+    idx = systematic_resample_indices(component.weights, target_count, float(rng.random()))
     states = component.states[idx].copy()
     weights = np.full(target_count, 1.0 / target_count)
     return replace(component, states=states, weights=weights)

@@ -10,8 +10,6 @@ below is rejected with a ValueError that names its section.
 
   name                 scenario name (default "custom")
   duration             number of steps
-  period               seconds per step
-  arena                {x: [min, max], y: [min, max]}
   comm_range           communication range
   clutter_mean         mean clutter count per sensor per step
   sensors              list, at least one, of:
@@ -29,7 +27,9 @@ below is rejected with a ValueError that names its section.
                        optional mappings of the fields of MotionModel,
                        FilterConfig, ObjectiveParams, FusionConfig,
                        MetricConfig and MonteCarloConfig; omitted fields
-                       keep their defaults.  filter takes no
+                       keep their defaults.  The step period, in
+                       seconds, is motion.period: targets move by it and
+                       the filters predict with it.  filter takes no
                        clutter_intensity: each sensor derives it from
                        clutter_mean and its FoV area.
 """
@@ -101,8 +101,6 @@ class MonteCarloConfig:
 class ScenarioConfig:
     name: str
     duration: int
-    period: float
-    arena: tuple  # ((xmin, xmax), (ymin, ymax))
     comm_range: float
     clutter_mean: float
     sensors: tuple
@@ -120,8 +118,8 @@ class ScenarioConfig:
         for t in self.targets:
             if t.death is not None and t.death <= t.birth:
                 raise ValueError("target death step must exceed its birth step")
-        if self.duration < 1 or self.period <= 0 or self.comm_range <= 0:
-            raise ValueError("duration, period and comm_range must be positive")
+        if self.duration < 1 or self.comm_range <= 0:
+            raise ValueError("duration and comm_range must be positive")
 
     def filter_for(self, sensor_index: int) -> FilterConfig:
         """Per-sensor filter config with clutter density over that FoV."""
@@ -134,7 +132,7 @@ class ScenarioConfig:
 
     def truth_position(self, target_index: int, step: int):
         t = self.targets[target_index]
-        dt = (step - t.birth) * self.period
+        dt = (step - t.birth) * self.motion.period
         return (t.position[0] + t.velocity[0] * dt, t.position[1] + t.velocity[1] * dt)
 
     def truth_states(self, step: int) -> dict:
@@ -146,7 +144,12 @@ class ScenarioConfig:
         }
 
     def truth_tracks(self, duration: int | None = None) -> dict:
-        duration = duration or self.duration
+        """Target index -> {step: (x, y)} over steps 1..duration (default:
+        the scenario's), for targets alive in any of them."""
+        if duration is None:
+            duration = self.duration
+        if duration < 1:
+            raise ValueError("duration must be >= 1")
         tracks = {}
         for i in range(len(self.targets)):
             track = {
@@ -186,11 +189,11 @@ def compass_actions(step_m: float) -> tuple:
 
 
 def build_scenario_1() -> ScenarioConfig:
-    """Six rotating sensors around a 1000 m x 2000 m arena, 11 targets.
+    """Six rotating sensors around a 1000 m x 2000 m region, 11 targets.
 
-    Perimeter sensors face the arena center; targets radiate outward from
-    the central band on linear trajectories, two dying prematurely.
-    Sensors can only rotate (stay / 22.5 degrees clockwise /
+    Perimeter sensors face the center of the region; targets radiate
+    outward from the central band on linear trajectories, two dying
+    prematurely.  Sensors can only rotate (stay / 22.5 degrees clockwise /
     anticlockwise).
     """
     fov = FovModel(
@@ -232,8 +235,6 @@ def build_scenario_1() -> ScenarioConfig:
     return ScenarioConfig(
         name="scenario-1",
         duration=50,
-        period=1.0,
-        arena=((-500.0, 500.0), (0.0, 2000.0)),
         comm_range=800.0,
         clutter_mean=5.0,
         sensors=sensors,
@@ -250,17 +251,17 @@ def build_scenario_1() -> ScenarioConfig:
             existence_floor=1e-4,
             max_components=80,
         ),
-        objective=ObjectiveParams(psi_feasible_below=False, min_existence=0.7),
+        objective=ObjectiveParams(min_existence=0.7),
         fusion=FusionConfig(merge_distance=25.0, estimate_floor=0.25),
     )
 
 
 def build_scenario_2() -> ScenarioConfig:
-    """Eight translating sensors in an 800 m x 800 m arena, 20 targets.
+    """Eight translating sensors in an 800 m x 800 m region, 20 targets.
 
     Two circular groups of ten targets each translate linearly, cross near
-    the arena center around step 43, and separate again.  Omnidirectional
-    short-range sensors (100 m) move in 15 m compass steps.
+    the center of the region around step 43, and separate again.
+    Omnidirectional short-range sensors (100 m) move in 15 m compass steps.
     """
     fov = FovModel(
         rho_max=100.0, theta_max=math.pi, p_d_max=0.99, k_rho=0.5, k_theta=20.0,
@@ -301,8 +302,6 @@ def build_scenario_2() -> ScenarioConfig:
     return ScenarioConfig(
         name="scenario-2",
         duration=100,
-        period=1.0,
-        arena=((0.0, 800.0), (0.0, 800.0)),
         comm_range=300.0,
         clutter_mean=5.0,
         sensors=sensors,
@@ -319,7 +318,7 @@ def build_scenario_2() -> ScenarioConfig:
             existence_floor=0.01,
             max_components=120,
         ),
-        objective=ObjectiveParams(psi_feasible_below=False, min_existence=0.7),
+        objective=ObjectiveParams(min_existence=0.7),
         fusion=FusionConfig(merge_distance=25.0, estimate_floor=0.25),
     )
 
@@ -330,7 +329,7 @@ def build_scenario_2() -> ScenarioConfig:
 
 
 _TOP_LEVEL_KEYS = (
-    "name", "duration", "period", "arena", "comm_range", "clutter_mean", "motion",
+    "name", "duration", "comm_range", "clutter_mean", "motion",
     "filter", "objective", "fusion", "metric", "monte_carlo", "sensors", "targets",
 )
 
@@ -390,8 +389,6 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict:
     return {
         "name": cfg.name,
         "duration": cfg.duration,
-        "period": cfg.period,
-        "arena": {"x": list(cfg.arena[0]), "y": list(cfg.arena[1])},
         "comm_range": cfg.comm_range,
         "clutter_mean": cfg.clutter_mean,
         "motion": asdict(cfg.motion),
@@ -423,7 +420,6 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict:
 
 def scenario_from_dict(d: dict) -> ScenarioConfig:
     _checked(d, "top level", _TOP_LEVEL_KEYS)
-    _checked(d["arena"], "arena", ("x", "y"))
     sensors = []
     for i, s in enumerate(d["sensors"]):
         section = f"sensors[{i}]"
@@ -453,11 +449,6 @@ def scenario_from_dict(d: dict) -> ScenarioConfig:
     return ScenarioConfig(
         name=str(d.get("name", "custom")),
         duration=int(d["duration"]),
-        period=float(d["period"]),
-        arena=(
-            tuple(float(v) for v in d["arena"]["x"]),
-            tuple(float(v) for v in d["arena"]["y"]),
-        ),
         comm_range=float(d["comm_range"]),
         clutter_mean=float(d["clutter_mean"]),
         sensors=tuple(sensors),

@@ -1,3 +1,5 @@
+import pytest
+
 from sentrack.cli import main
 
 CSV_FILES = ("runs.csv", "timesteps.csv", "cardinality_trace.csv", "comm_log.csv")
@@ -14,3 +16,12 @@ def test_repeat_invocations_write_identical_csvs(tmp_path, capsys):
     # header plus one row per step
     assert len(written[0]["timesteps.csv"].splitlines()) == 4
     assert "scenario-1 fdcd" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("steps", [0, -1])
+def test_steps_below_one_rejected_before_writing(tmp_path, steps):
+    out = tmp_path / "out"
+    argv = ["simulate", "--scenario", "1", "--method", "isc", "--runs", "1"]
+    with pytest.raises(ValueError, match="duration"):
+        main(argv + ["--steps", str(steps), "--out", str(out)])
+    assert not out.exists()

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,23 +12,23 @@ from sentrack.control import (
     ObjectiveParams,
     PseudoCache,
     bernoulli_kld,
-    dcd_runs_required,
     dcd_sc_select,
     detect_cycle,
     drop_penalty,
+    empty_disk_probability,
     isc_select,
     kld_existence,
     objective,
     run_flooded_descent,
     select_final_command,
     sensor_sensor_constraint,
-    void_probability,
+    void_feasible,
 )
 from sentrack.filtering import FilterConfig
 from sentrack.lmb import BernoulliComponent, Label, LmbDensity, empty_density
 from sentrack.sensors import FovModel, SensorAction, SensorState
 
-PARAMS = ObjectiveParams(psi_feasible_below=False)
+PARAMS = ObjectiveParams()
 
 unit_prob = st.floats(min_value=1e-6, max_value=1.0 - 1e-6, allow_nan=False)
 
@@ -120,25 +121,52 @@ class TestObjective:
         assert objective(d1, d2, PARAMS) == pytest.approx(-68.62, abs=0.01)
 
 
+def enumerated_psi(density, sensor, rho):
+    """Oracle for the psi rule: one pure-Python pass over every particle."""
+    expected = 1.0
+    for c in density.components:
+        inside_w = 0.0
+        for w, s in zip(c.weights, c.states):
+            if math.hypot(s[0] - sensor.x, s[1] - sensor.y) <= rho:
+                inside_w += w
+        expected *= 1.0 - c.existence * inside_w
+    return expected
+
+
+def stay_psi(predicted, sensor, rho):
+    """psi of one staying sensor over its own pseudo-posterior, as isc_select
+    computes it, and that pseudo-posterior."""
+    cache = stay_only_cache({0: predicted}, {0: sensor}, replace(PARAMS, exclusion_radius=rho))
+    existences = cache.pseudo_existences(0, 0)
+    own = {label: ((0, 1.0),) for label in existences}
+    psi = empty_disk_probability(cache, (sensor.x, sensor.y), existences, own, {0: 0})
+    return psi, cache.pseudo(0, 0)
+
+
 class TestVoidProbability:
     def test_all_outside(self):
-        d = density([cloud((500, 500), 0.9)], role="pseudo-posterior")
-        assert void_probability(d, SensorState(0, 0, 0), 20.0) == 1.0
+        psi, _ = stay_psi(density([cloud((500, 500), 0.9)]), SensorState(0, 0, 0), 20.0)
+        assert psi == 1.0
 
     def test_all_inside(self):
-        d = density([cloud((0, 0), 0.8, spread=1.0)], role="pseudo-posterior")
-        assert void_probability(d, SensorState(0, 0, 0), 20.0) == pytest.approx(0.2)
+        d = density([cloud((0, 0), 0.8, spread=1.0)])
+        psi, pseudo = stay_psi(d, SensorState(0, 0, 0), 20.0)
+        assert psi == pytest.approx(1.0 - pseudo.components[0].existence, abs=1e-12)
 
     def test_half_inside(self):
         c = cloud((0, 0), 0.5, n=10, spread=1.0)
         states = c.states.copy()
         states[5:, :2] += 1000.0
-        d = density([BernoulliComponent(c.label, 0.5, states, c.weights)],
-                    role="pseudo-posterior")
-        assert void_probability(d, SensorState(0, 0, 0), 20.0) == pytest.approx(0.75)
+        d = density([BernoulliComponent(c.label, 0.5, states, c.weights)])
+        psi, pseudo = stay_psi(d, SensorState(0, 0, 0), 20.0)
+        comp = pseudo.components[0]
+        assert np.array_equal(comp.states, states)
+        expected = 1.0 - comp.existence * comp.weights[:5].sum()
+        assert psi == pytest.approx(expected, abs=1e-12)
 
     def test_empty_density_is_one(self):
-        assert void_probability(empty_density(1, "fused"), SensorState(0, 0, 0), 20.0) == 1.0
+        psi, _ = stay_psi(empty_density(1, "predicted"), SensorState(0, 0, 0), 20.0)
+        assert psi == 1.0
 
     @pytest.mark.parametrize("trial", range(25))
     def test_matches_pure_python_enumeration(self, trial):
@@ -148,24 +176,18 @@ class TestVoidProbability:
                   Label(0, i, 0), n=40, spread=15.0, seed=trial * 10 + i)
             for i in range(rng.integers(1, 5))
         ]
-        d = density(comps, role="pseudo-posterior")
         sensor = SensorState(*rng.uniform(-20, 20, 2), 0.0)
         rho = float(rng.uniform(5, 40))
-        expected = 1.0
-        for c in d.components:
-            inside_w = 0.0
-            for w, s in zip(c.weights, c.states):
-                if math.hypot(s[0] - sensor.x, s[1] - sensor.y) <= rho:
-                    inside_w += w
-            expected *= 1.0 - c.existence * inside_w
-        assert void_probability(d, sensor, rho) == pytest.approx(expected, abs=1e-12)
+        psi, pseudo = stay_psi(density(comps), sensor, rho)
+        assert len(pseudo.components) == len(comps)
+        assert psi == pytest.approx(enumerated_psi(pseudo, sensor, rho), abs=1e-12)
 
 
-def stay_only_cache(predicted, states):
+def stay_only_cache(predicted, states, params=PARAMS):
     """A PseudoCache whose sensors can only stay, all with the narrow FoV."""
     fovs = {s: NARROW_FOV for s in states}
     actions = {s: [SensorAction()] for s in states}
-    return PseudoCache(predicted, states, fovs, actions, FCFG, PARAMS)
+    return pseudo_cache(predicted, states, fovs, actions, params)
 
 
 class TestConstraints:
@@ -177,8 +199,8 @@ class TestConstraints:
         cache = stay_only_cache({0: d, 1: d}, states)
         psi = ControlContext(cache, (0, 1)).fused((0, 0)).psi
         assert psi == 1.0
-        # under the stated direction psi < threshold this is infeasible
-        assert not (psi < PARAMS.psi_threshold)
+        # exclusion disks certainly empty: feasible
+        assert void_feasible(psi, PARAMS)
 
     def test_sensor_on_cloud_contributes(self):
         d = density([cloud((0, 5), 0.9, LABEL_A, spread=0.5)])
@@ -212,23 +234,6 @@ class TestConstraints:
 
     def test_eta_single_sensor_vacuous(self):
         assert sensor_sensor_constraint({0: SensorState(0, 0, 0)}) == math.inf
-
-
-class TestDcdRunsRequired:
-    def test_paper_values(self):
-        assert dcd_runs_required(12, 0.95) == 35
-        assert dcd_runs_required(16, 0.95) == 47
-
-    def test_two_optima_even_odds(self):
-        assert dcd_runs_required(2, 0.5) == 1
-
-    def test_domain_errors(self):
-        with pytest.raises(ValueError):
-            dcd_runs_required(1, 0.95)
-        with pytest.raises(ValueError):
-            dcd_runs_required(4, 1.0)
-        with pytest.raises(ValueError):
-            dcd_runs_required(4, 0.0)
 
 
 class TestDetectCycle:
@@ -317,6 +322,12 @@ NARROW_FOV = FovModel(
 )
 FCFG = FilterConfig(clutter_intensity=2.5e-5, particle_count=100, association_gate=50.0)
 
+
+def pseudo_cache(predicted, states, fovs, actions, params=PARAMS):
+    """A PseudoCache with the test filter config for every sensor."""
+    return PseudoCache(predicted, states, fovs, actions, {s: FCFG for s in predicted}, params)
+
+
 LABEL_A = Label(0, 0, 0)
 LABEL_B = Label(0, 1, 0)
 TOWARD_B = math.atan2(200.0, 300.0)  # bearing from s0 at (0,0) to B at (200,300)
@@ -341,7 +352,7 @@ def two_sensor_cache(r_a=0.9, r_b=0.9):
         1: [SensorAction(), SensorAction(rotation=-TOWARD_B)],
     }
     fovs = {0: NARROW_FOV, 1: NARROW_FOV}
-    return PseudoCache(predicted, states, fovs, actions, FCFG, PARAMS)
+    return pseudo_cache(predicted, states, fovs, actions)
 
 
 class TestIscSelect:
@@ -349,7 +360,7 @@ class TestIscSelect:
         predicted = {0: density([cloud((0, 300), 0.5, LABEL_A, spread=3.0)])}
         states = {0: SensorState(0, 0, math.pi / 2)}  # facing east, target north
         actions = {0: [SensorAction(), SensorAction(rotation=-math.pi / 2)]}
-        cache = PseudoCache(predicted, states, {0: NARROW_FOV}, actions, FCFG, PARAMS)
+        cache = pseudo_cache(predicted, states, {0: NARROW_FOV}, actions)
         action, score = isc_select(0, cache)
         assert action == 1  # rotate back toward the target
         assert score > 0
@@ -358,7 +369,7 @@ class TestIscSelect:
         predicted = {0: density([cloud((0, 300), 0.5, LABEL_A, spread=3.0)])}
         states = {0: SensorState(0, 0, 0)}
         actions = {0: [SensorAction(), SensorAction()]}  # two identical actions
-        cache = PseudoCache(predicted, states, {0: NARROW_FOV}, actions, FCFG, PARAMS)
+        cache = pseudo_cache(predicted, states, {0: NARROW_FOV}, actions)
         action, _ = isc_select(0, cache)
         assert action == 0
 
@@ -389,7 +400,7 @@ class TestFdcdPipeline:
         predicted = {0: density([cloud((0, 300), 0.5, LABEL_A, spread=3.0)])}
         states = {0: SensorState(0, 0, math.pi / 2)}
         actions = {0: [SensorAction(), SensorAction(rotation=-math.pi / 2)]}
-        cache = PseudoCache(predicted, states, {0: NARROW_FOV}, actions, FCFG, PARAMS)
+        cache = pseudo_cache(predicted, states, {0: NARROW_FOV}, actions)
         ctx = ControlContext(cache, (0,))
         isc_action, _ = isc_select(0, cache)
         out = run_flooded_descent((0,), ctx.n_actions(), ctx.evaluate, {0: isc_action})

@@ -265,7 +265,7 @@ class TestAssociateLabels:
         assert out[1].components[0].existence == pytest.approx(0.6)
 
 
-def associate_labels_reference(locals_, merge_distance, current_step=None, fresh_window=1):
+def associate_labels_reference(locals_, merge_distance, current_step=None):
     """Per-pair scan reference for associate_labels."""
     densities = dict(locals_)
     if not densities:
@@ -282,7 +282,7 @@ def associate_labels_reference(locals_, merge_distance, current_step=None, fresh
     labels = sorted(positions)
 
     def is_fresh(label):
-        return label.birth_time >= current_step - fresh_window
+        return label.birth_time >= current_step - 1
 
     parent = {l: l for l in labels}
 

@@ -2,13 +2,7 @@ import networkx as nx
 import numpy as np
 import pytest
 
-from sentrack.network import (
-    CommLog,
-    FloodMessage,
-    build_topology,
-    flood_broadcast,
-    message_cost,
-)
+from sentrack.network import CommLog, build_topology, message_cost
 
 
 def random_positions(rng, n, scale=1000.0):
@@ -51,31 +45,34 @@ class TestBuildTopology:
 
 
 class TestFloodBroadcast:
+    # a flooded message reaches its origin's whole component in as many
+    # rounds as the origin's eccentricity there, and no node outside it
+
     def test_path_graph_rounds(self):
         topo = build_topology({1: (0, 0), 2: (100, 0), 3: (200, 0)}, 150.0)
-        report = flood_broadcast(topo, FloodMessage(1, 0), max_rounds=10)
-        assert report.receipt_round == {1: 0, 2: 1, 3: 2}
+        assert topo.rounds == {1: 2, 2: 1, 3: 2}
+        assert topo.components == (frozenset({1, 2, 3}),)
 
     def test_complete_graph_one_round(self):
         topo = build_topology({0: (0, 0), 1: (10, 0), 2: (0, 10)}, 100.0)
-        report = flood_broadcast(topo, FloodMessage(2, 0), max_rounds=10)
-        assert report.rounds_to_full_delivery() == 1
+        assert topo.rounds == {0: 1, 1: 1, 2: 1}
+
+    def test_single_node_zero_rounds(self):
+        topo = build_topology({4: (5, 5)}, 100.0)
+        assert topo.rounds == {4: 0}
+        assert topo.components == (frozenset({4}),)
 
     def test_disconnected_node_unreachable(self):
         topo = build_topology({0: (0, 0), 1: (50, 0), 2: (5000, 0)}, 100.0)
-        report = flood_broadcast(topo, FloodMessage(0, 0), max_rounds=10)
-        assert report.unreachable == frozenset({2})
-        assert 2 not in report.receipt_round
+        assert topo.components == (frozenset({0, 1}), frozenset({2}))
+        assert topo.rounds == {0: 1, 1: 1, 2: 0}
 
     def test_unknown_origin_rejected(self):
         topo = build_topology({0: (0, 0)}, 100.0)
+        log = CommLog()
         with pytest.raises(KeyError):
-            flood_broadcast(topo, FloodMessage(9, 0), max_rounds=5)
-
-    def test_insufficient_rounds_raises(self):
-        topo = build_topology({0: (0, 0), 1: (100, 0), 2: (200, 0)}, 150.0)
-        with pytest.raises(RuntimeError):
-            flood_broadcast(topo, FloodMessage(0, 0), max_rounds=1)
+            log.record(topo, step=1, origin=9, label_count=0)
+        assert log.entries == []
 
     @pytest.mark.parametrize("seed", range(10))
     def test_rounds_equal_bfs_distance(self, seed):
@@ -83,18 +80,12 @@ class TestFloodBroadcast:
         n = int(rng.integers(4, 15))
         topo = build_topology(random_positions(rng, n, 600.0), 320.0)
         g = to_networkx(topo)
-        origin = int(rng.integers(n))
-        report = flood_broadcast(topo, FloodMessage(origin, 0), max_rounds=n)
-        dist = nx.single_source_shortest_path_length(g, origin)
-        assert report.receipt_round == dist
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_relay_count_bounded(self, seed):
-        rng = np.random.default_rng(100 + seed)
-        topo = build_topology(random_positions(rng, 10, 500.0), 300.0)
-        report = flood_broadcast(topo, FloodMessage(0, 0), max_rounds=12)
-        edges = sum(len(n) for n in topo.adjacency.values()) // 2
-        assert report.relays <= 2 * edges
+        components = sorted((frozenset(c) for c in nx.connected_components(g)), key=min)
+        assert topo.components == tuple(components)
+        for component in components:
+            assert {s: topo.rounds[s] for s in component} == nx.eccentricity(
+                g.subgraph(component)
+            )
 
 
 class TestMessageCost:

@@ -43,7 +43,7 @@ class TestRejectedAtLoad:
         "path,section",
         [
             ((), "top level"),
-            (("arena",), "arena"),
+            (("sensors", 0, "actions", 0), "sensors[0].actions[0]"),
             (("sensors", 1), "sensors[1]"),
             (("sensors", 1, "fov"), "sensors[1].fov"),
             (("sensors", 1, "actions", 2), "sensors[1].actions[2]"),
@@ -66,6 +66,16 @@ class TestRejectedAtLoad:
             scenario_from_dict(d)
         assert "'bogus'" in str(err.value)
         assert repr(section) in str(err.value)
+
+    @pytest.mark.parametrize("key,value", [("period", 2.0), ("arena", {"x": [0, 1]})])
+    def test_removed_top_level_keys_rejected(self, key, value):
+        # the step period is motion.period; the arena was never read
+        d = scenario_to_dict(build_scenario_1())
+        del d["motion"]
+        d[key] = value
+        with pytest.raises(ValueError) as err:
+            scenario_from_dict(d)
+        assert repr(key) in str(err.value) and "'top level'" in str(err.value)
 
     def test_derived_clutter_intensity_not_settable(self):
         d = scenario_to_dict(build_scenario_1())
@@ -95,3 +105,26 @@ class TestRejectedAtLoad:
         d["monte_carlo"]["runs"] = 1
         cfg = scenario_from_dict(d)
         assert cfg.metric.ospa2_window == 1 and cfg.monte_carlo.runs == 1
+
+
+class TestStepPeriod:
+    def test_truth_moves_by_motion_period(self):
+        d = scenario_to_dict(build_scenario_1())
+        d["motion"]["period"] = 2.0
+        cfg = scenario_from_dict(d)
+        t = cfg.targets[0]
+        # two steps after birth at 2 s per step
+        x, y = cfg.truth_position(0, t.birth + 2)
+        assert x == pytest.approx(t.position[0] + 4.0 * t.velocity[0])
+        assert y == pytest.approx(t.position[1] + 4.0 * t.velocity[1])
+
+    @pytest.mark.parametrize("duration", [0, -1])
+    def test_truth_tracks_reject_duration_below_one(self, duration):
+        with pytest.raises(ValueError, match="duration"):
+            build_scenario_1().truth_tracks(duration)
+
+    def test_truth_tracks_default_to_scenario_duration(self):
+        cfg = build_scenario_1()
+        tracks = cfg.truth_tracks()
+        assert max(max(track) for track in tracks.values()) == cfg.duration
+        assert tracks == cfg.truth_tracks(cfg.duration)
