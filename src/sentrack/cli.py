@@ -51,18 +51,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    scenario = _resolve_scenario(args.scenario)
-    runs = args.runs if args.runs is not None else scenario.monte_carlo.runs
-    seed = args.seed if args.seed is not None else scenario.monte_carlo.base_seed
+    try:
+        scenario = _resolve_scenario(args.scenario)
+        runs = args.runs if args.runs is not None else scenario.monte_carlo.runs
+        seed = args.seed if args.seed is not None else scenario.monte_carlo.base_seed
 
-    results = []
-    for method in args.methods:
-        mc = monte_carlo(
-            scenario, method, runs, seed, dcd_runs=args.dcd_runs, duration=args.steps
-        )
-        results.append(mc)
+        results = [
+            monte_carlo(scenario, method, runs, seed, dcd_runs=args.dcd_runs, duration=args.steps)
+            for method in args.methods
+        ]
+    except ValueError as exc:
+        # a bad value in the arguments or the scenario file, not a crash
+        raise SystemExit(f"sentrack: error: {exc}") from None
+    for mc in results:
         print(
-            f"{scenario.name} {method}: runs={runs} seed={seed} "
+            f"{scenario.name} {mc.method}: runs={runs} seed={seed} "
             f"mean OSPA={mc.mean_ospa:.2f} m, mean OSPA2={mc.mean_ospa2:.2f} m, "
             f"control {mc.mean_control_seconds * 1e3:.1f} ms/sensor/step"
         )

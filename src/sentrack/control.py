@@ -5,8 +5,9 @@ existence-probability divergence from a fused pseudo-posterior to the
 local predicted density, minus a penalty for every predicted label that
 the command would drop, subject to two feasibility constraints: a void
 probability over a per-sensor exclusion disk and a minimum inter-sensor
-distance.  One rule, empty_disk_probability, computes the void
-probability for both the single-sensor and the fused evaluation.
+distance.  One rule, void_probability, computes the void probability for
+both the single-sensor and the fused evaluation from vectors over one
+per-step label index (see PseudoCache).
 
 Three selectors are provided:
   * independent selection: each sensor greedily optimizes its local
@@ -26,7 +27,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .filtering import FilterConfig, generate_pims, pseudo_update
-from .fusion import compute_active_set, existence_odds, fuse_existence
+from .fusion import compute_active_set, existence_odds
 from .lmb import LmbDensity, prune
 from .sensors import FovModel, SensorState, apply_action
 
@@ -159,10 +160,6 @@ class DescentState:
     history: list = field(default_factory=list)
     scores: list = field(default_factory=list)
 
-    @property
-    def iteration(self) -> int:
-        return len(self.history)
-
 
 def detect_cycle(history: list) -> tuple | None:
     """First repeated command in a descent history.
@@ -291,11 +288,14 @@ def run_flooded_descent(
 class PseudoCache:
     """Per-step cache of everything control evaluation reuses.
 
-    Holds, per (sensor, action): the post-action sensor state, the
-    pseudo-posterior of the sensor's control-view predicted density, the
-    per-label pseudo existences and mean positions, the labels the sensor
-    is active for (the active set depends only on the holder's own action),
-    and lazily computed in-disk particle weights for the void constraint.
+    labels is the step's sorted label index; rows[s] maps sensor s's
+    components onto it.  Per (sensor, action): the post-action state, the
+    pseudo-posterior, its existences per component and, on first use, the
+    mask of components the sensor is active for.  Per (owner, action,
+    center), on first use: the in-disk weight of each of the owner's pseudo
+    components.  pseudo_update never moves a particle, so which particles
+    lie in a disk is found once per (sensor, center) from the predicted
+    particles, and only components with a particle inside are summed.
     """
 
     def __init__(
@@ -323,15 +323,25 @@ class PseudoCache:
             s: {c.label: c.mean_position() for c in d.components}
             for s, d in self.predicted.items()
         }
+        self.labels = sorted({label for d in self.predicted.values() for label in d.labels()})
+        index = {label: i for i, label in enumerate(self.labels)}
+        self.rows = {
+            s: np.array([index[c.label] for c in d.components], dtype=np.intp)
+            for s, d in self.predicted.items()
+        }
+        self._particles = {  # stacked (x, y) and each component's first row
+            s: (
+                np.concatenate([c.states[:, :2] for c in d.components] or [np.empty((0, 2))]),
+                np.cumsum([0] + [c.particle_count for c in d.components]),
+            )
+            for s, d in self.predicted.items()
+        }
         self._state_after = {}
         self._pseudo = {}
-        self._pseudo_exist = {}
-        self._pseudo_means = {}
+        self._existences = {}
         self._active = {}
+        self._disk = {}
         self._indisk = {}
-
-    def sensors(self):
-        return sorted(self.predicted)
 
     def n_actions(self, s: int) -> int:
         return len(self.action_sets[s])
@@ -351,74 +361,64 @@ class PseudoCache:
                 self.predicted[s], pims, state, self.fovs[s], self.filter_cfgs[s]
             )
             self._pseudo[key] = density
-            self._pseudo_exist[key] = density.existences()
-            self._pseudo_means[key] = {
-                c.label: c.mean_position() for c in density.components
-            }
+            self._existences[key] = np.array([c.existence for c in density.components])
         return self._pseudo[key]
 
-    def pseudo_existences(self, s: int, a: int) -> dict:
+    def existences(self, s: int, a: int) -> np.ndarray:
+        """Pseudo existence of each of sensor s's components after action a."""
         self.pseudo(s, a)
-        return self._pseudo_exist[(s, a)]
+        return self._existences[(s, a)]
 
-    def pseudo_means(self, s: int, a: int) -> dict:
-        self.pseudo(s, a)
-        return self._pseudo_means[(s, a)]
-
-    def active_labels(self, s: int, a: int) -> set:
-        """Labels sensor s is active for after action a, by compute_active_set."""
+    def active(self, s: int, a: int) -> np.ndarray:
+        """Mask of sensor s's components it is active for after action a,
+        by compute_active_set."""
         key = (s, a)
         if key not in self._active:
-            self._active[key] = compute_active_set(
+            components = self.pseudo(s, a).components
+            labels = compute_active_set(
                 self.state_after(s, a),
                 self.fovs[s],
-                self.pseudo_means(s, a),
+                {c.label: c.mean_position() for c in components},
                 self.predicted_means[s],
             )
+            self._active[key] = np.array([c.label in labels for c in components], dtype=bool)
         return self._active[key]
 
-    def indisk_weight(self, owner: int, action: int, label, center: tuple) -> float:
-        """Particle weight of one pseudo component within the exclusion
-        radius of center, an exact post-action position (x, y)."""
-        key = (owner, action, label, center)
-        weight = self._indisk.get(key)
-        if weight is None:
-            comp = self.pseudo(owner, action).by_label()[label]
-            d = comp.states[:, :2] - center
-            inside = (d[:, 0] ** 2 + d[:, 1] ** 2) <= self.params.exclusion_radius**2
-            weight = self._indisk[key] = float(comp.weights[inside].sum())
-        return weight
+    def indisk_weight(self, owner: int, action: int, center: tuple) -> np.ndarray | None:
+        """Particle weight of each of the owner's pseudo components within
+        the exclusion radius of center, an exact post-action position (x, y);
+        None when none of the owner's particles lies in that disk."""
+        key = (owner, action, center)
+        if key not in self._indisk:
+            hits = self._disk.get((owner, center))
+            if hits is None:  # (component, particle mask) with a particle inside
+                xy, first = self._particles[owner]
+                d = xy - center
+                inside = (d[:, 0] ** 2 + d[:, 1] ** 2) <= self.params.exclusion_radius**2
+                ks = np.unique(np.searchsorted(first, np.flatnonzero(inside), side="right")) - 1
+                hits = self._disk[(owner, center)] = [
+                    (k, inside[first[k] : first[k + 1]]) for k in ks.tolist()
+                ]
+            weight = None
+            if hits:
+                components = self.pseudo(owner, action).components
+                weight = np.zeros(len(components))
+                for k, inside in hits:
+                    weight[k] = components[k].weights[inside].sum()
+            self._indisk[key] = weight
+        return self._indisk[key]
 
 
-def empty_disk_probability(
-    cache: PseudoCache,
-    center: tuple,
-    existences: Mapping,
-    contributors: Mapping,
-    command_of: Mapping[int, int],
-) -> float:
-    """Void probability of the exclusion disk around center: the psi rule.
-
-    The product over labels of (1 - r * sum(share * w)), with r the label's
-    existence in existences and the sum over the label's contributors, a
-    list of (owner, share): w is the in-disk weight of the owner's pseudo
-    component under its action command_of[owner].  1 when no label
-    contributes.
-    """
-    weight = cache.indisk_weight
-    psi = 1.0
-    for label, share in contributors.items():
-        inside = 0.0
-        for owner, frac in share:
-            inside += frac * weight(owner, command_of[owner], label, center)
-        psi *= 1.0 - existences[label] * inside
-    return psi
+def void_probability(existences: np.ndarray, inside: np.ndarray) -> float:
+    """Void probability of an exclusion disk, the psi rule: the product, in
+    the given order, of (1 - r * w) over components, with r a component's
+    existence and w its particle weight inside the disk."""
+    return math.prod((1.0 - existences * inside).tolist(), start=1.0)
 
 
 @dataclass
 class FusedEvaluation:
-    existences: dict  # label -> fused existence
-    contributors: dict  # label -> list of (sensor, odds share)
+    existences: dict  # label -> fused existence, in label order
     psi: float
     eta: float
     feasible: bool
@@ -436,10 +436,6 @@ class ControlContext:
         self.cache = cache
         self.participants = tuple(sorted(participants))
         self.params = cache.params
-        self._holders = {}
-        for s in self.participants:
-            for label in cache.predicted_existences[s]:
-                self._holders.setdefault(label, []).append(s)
         self._fused = {}
         self._scores = {}
 
@@ -447,37 +443,44 @@ class ControlContext:
         return {s: self.cache.n_actions(s) for s in self.participants}
 
     def fused(self, command: tuple) -> FusedEvaluation:
+        """Pseudo-mode fusion under command, and its feasibility.
+
+        A label fuses over the participants active for it: existence odds
+        add, and each one's pseudo component enters psi with its share of
+        the odds; a label no participant is active for is omitted.
+        """
         if command in self._fused:
             return self._fused[command]
         cache, params = self.cache, self.params
-        command_of = dict(zip(self.participants, command))
+        n_labels = len(cache.labels)
+        odds_sum, held, terms = np.zeros(n_labels), np.zeros(n_labels, dtype=bool), []
+        for s, a in zip(self.participants, command):
+            active, rows = cache.active(s, a), cache.rows[s]
+            # the update caps existences at EXISTENCE_CEIL, so no odds are clamped
+            odds = np.where(active, existence_odds(cache.existences(s, a)), 0.0)
+            odds_sum[rows] += odds  # in participant order, as a sequential sum
+            held[rows] |= active
+            terms.append((s, a, rows, odds))
+        used = np.flatnonzero(held)
+        existences = odds_sum[used] / (1.0 + odds_sum[used])
+        total = np.where(odds_sum > 0.0, odds_sum, 1.0)
+        shares = [(s, a, rows, odds / total[rows]) for s, a, rows, odds in terms]
 
-        active_of = {s: cache.active_labels(s, a) for s, a in command_of.items()}
-        existences = {}
-        contributors = {}
-        for label in sorted(self._holders):
-            active = [s for s in self._holders[label] if label in active_of[s]]
-            if not active:
-                continue  # pseudo-mode fusion omits labels with an empty active set
-            rs = [cache.pseudo_existences(s, command_of[s])[label] for s in active]
-            existences[label] = fuse_existence(rs)
-            odds = [existence_odds(r) for r in rs]
-            total = sum(odds) or 1.0
-            contributors[label] = [(s, o / total) for s, o in zip(active, odds)]
-
-        states_after = {s: cache.state_after(s, command_of[s]) for s in self.participants}
-        eta = sensor_sensor_constraint(states_after)
+        states_after = [cache.state_after(s, a) for s, a in zip(self.participants, command)]
+        eta = sensor_sensor_constraint(dict(zip(self.participants, states_after)))
         psi = 0.0
-        for state in states_after.values():
-            psi = max(
-                psi,
-                empty_disk_probability(
-                    cache, (state.x, state.y), existences, contributors, command_of
-                ),
-            )
+        for state in states_after:
+            center = (state.x, state.y)
+            inside = np.zeros(n_labels)
+            for s, a, rows, share in shares:
+                weight = cache.indisk_weight(s, a, center)
+                if weight is not None:
+                    inside[rows] += share * weight
+            psi = max(psi, void_probability(existences, inside[used]))
         feasible = distance_feasible(eta, params) and void_feasible(psi, params)
 
-        out = FusedEvaluation(existences, contributors, psi, eta, feasible)
+        labels = [cache.labels[i] for i in used.tolist()]
+        out = FusedEvaluation(dict(zip(labels, existences.tolist())), psi, eta, feasible)
         self._fused[command] = out
         return out
 
@@ -504,28 +507,24 @@ def isc_select(
     Exhaustive over the node's actions, scoring the local pseudo-posterior
     against the local prediction; feasibility uses the node's own
     exclusion disk and, when given, the current positions of the other
-    sensors.  The void probability runs over every label of the node's
-    pseudo-posterior, with the node as the label's only contributor.
-    Returns (action index, score); the stay action (index 0) with score
-    -inf when no action is feasible.
+    sensors.  The void probability runs over every component of the node's
+    pseudo-posterior, in component order.  Returns (action index, score);
+    the stay action (index 0) with score -inf when no action is feasible.
     """
     params = cache.params
     predicted_exist = cache.predicted_existences[node]
     best_action, best_score = None, NEG_INF
     for a in range(cache.n_actions(node)):
         state = cache.state_after(node, a)
-        pseudo_exist = cache.pseudo_existences(node, a)
-        own = {label: ((node, 1.0),) for label in pseudo_exist}
-        psi = empty_disk_probability(cache, (state.x, state.y), pseudo_exist, own, {node: a})
+        inside = cache.indisk_weight(node, a, (state.x, state.y))
+        psi = 1.0 if inside is None else void_probability(cache.existences(node, a), inside)
         feasible = void_feasible(psi, params)
         if feasible and other_positions:
-            eta = min(
-                math.hypot(state.x - p[0], state.y - p[1]) for p in other_positions
-            )
+            eta = min(math.hypot(state.x - p[0], state.y - p[1]) for p in other_positions)
             feasible = distance_feasible(eta, params)
         if not feasible:
             continue
-        score = objective(pseudo_exist, predicted_exist, params)
+        score = objective(cache.pseudo(node, a).existences(), predicted_exist, params)
         if score > best_score:
             best_action, best_score = a, score
     if best_action is None:

@@ -88,18 +88,13 @@ class FilterConfig:
 def predict(
     prior: LmbDensity,
     motion: MotionModel,
-    births: list,
     rng: np.random.Generator | None,
 ) -> LmbDensity:
     """Predict one step ahead: survival-scaled existence, propagated particles.
 
-    Birth components are appended unchanged; a label collision between the
-    prior and the births is an error.
+    Births are not predicted: update spawns them from unassociated
+    measurements.
     """
-    birth_labels = {b.label for b in births}
-    collision = birth_labels & prior.labels()
-    if collision:
-        raise ValueError(f"birth labels collide with prior labels: {sorted(collision)}")
     predicted = []
     for c in prior.components:
         predicted.append(
@@ -109,7 +104,6 @@ def predict(
                 states=propagate_states(motion, c.states, rng),
             )
         )
-    predicted.extend(births)
     return LmbDensity(tuple(predicted), prior.timestamp + 1, "predicted")
 
 

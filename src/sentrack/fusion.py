@@ -9,12 +9,14 @@ posterior, and control to each sensor's pseudo-posterior under the
 sensor's own hypothesized action.  Existence probabilities fuse in odds
 space; spatial clouds fuse as an odds-weighted mixture.
 
-A label's handling depends on its active set A:
+fuse_lmb handles a label by its active set A:
   |A| > 1  fuse over A,
   |A| = 1  copy that sensor's component unchanged,
-  A empty  mode "pseudo": the label is omitted (it carries no information
-           for control); mode "update": every sensor holding the label
-           contributes equally, so tracks are retained while unobserved.
+  A empty  every sensor holding the label contributes equally, so tracks
+           are retained while unobserved.
+Control fuses pseudo-posteriors by the same odds rule but omits a label
+with an empty active set, since it carries no information for control;
+that pseudo-mode fusion lives only in control.ControlContext.fused.
 """
 
 from dataclasses import dataclass, replace
@@ -31,8 +33,6 @@ from .lmb import (
 )
 from .sensors import FovModel, SensorState, detection_probabilities
 
-FUSION_MODES = ("pseudo", "update")
-
 
 @dataclass(frozen=True)
 class FusionConfig:
@@ -46,9 +46,9 @@ class FusionConfig:
             raise ValueError("merge_distance must be nonnegative")
 
 
-def existence_odds(r: float) -> float:
-    """Odds r / (1 - r) of an existence clamped to [0, EXISTENCE_CEIL]."""
-    r = min(max(r, 0.0), EXISTENCE_CEIL)
+def existence_odds(r):
+    """Odds r / (1 - r) of existences clamped to [0, EXISTENCE_CEIL]."""
+    r = np.minimum(np.maximum(r, 0.0), EXISTENCE_CEIL)
     return r / (1.0 - r)
 
 
@@ -95,7 +95,7 @@ def fuse_spatial(components, particle_count: int | None = None):
     components = list(components)
     if not components:
         raise ValueError("fuse_spatial requires at least one component")
-    odds = np.array([existence_odds(c.existence) for c in components])
+    odds = existence_odds(np.array([c.existence for c in components]))
     total = float(odds.sum())
     if total <= 0.0:
         raise ValueError("total existence odds is zero; nothing to fuse")
@@ -113,12 +113,9 @@ def fuse_spatial(components, particle_count: int | None = None):
 def fuse_lmb(
     locals_: Mapping[int, LmbDensity],
     active: Mapping[Label, set],
-    mode: str,
     particle_count: int | None = None,
 ) -> LmbDensity:
-    """Fuse per-sensor LMB densities into one density under the given mode."""
-    if mode not in FUSION_MODES:
-        raise ValueError(f"unknown fusion mode {mode!r}")
+    """Fuse per-sensor LMB densities into one density by the active sets."""
     densities = dict(locals_)
     if not densities:
         raise ValueError("nothing to fuse")
@@ -137,11 +134,7 @@ def fuse_lmb(
     fused = []
     for label in sorted(holders_of):
         holders = holders_of[label]
-        contributors = sorted(set(active.get(label, set())) & set(holders))
-        if not contributors:
-            if mode == "pseudo":
-                continue
-            contributors = holders
+        contributors = sorted(set(active.get(label, set())) & set(holders)) or holders
         comps = [densities[s].by_label()[label] for s in contributors]
         if len(comps) == 1:
             fused.append(comps[0])

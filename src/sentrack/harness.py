@@ -49,8 +49,6 @@ class StepRecord:
     bytes: int
     control_iterations: int
     commands: tuple
-    truth: dict  # target index -> (x, y)
-    fused_estimates: list  # (label, position) from the lowest-id node
     per_sensor_card: list
 
 
@@ -188,7 +186,7 @@ def _fuse_and_estimate(scenario, posteriors, predicted, sensor_states):
             fov = scenario.sensors[s].fov
             for label in compute_active_set(sensor_states[s], fov, upd, pred):
                 active.setdefault(label, set()).add(s)
-        fused = fuse_lmb(locals_, active, "update", scenario.filter.particle_count)
+        fused = fuse_lmb(locals_, active, scenario.filter.particle_count)
         reporting = prune(fused, scenario.fusion.estimate_floor, len(fused.components) or 1)
         return [(label, state) for label, state in eap_states(reporting)]
 
@@ -230,7 +228,7 @@ def run_single(
         truth = scenario.truth_states(step)
 
         predicted = {
-            s: predict(posteriors[s], scenario.motion, [], rng) for s in range(n)
+            s: predict(posteriors[s], scenario.motion, rng) for s in range(n)
         }
 
         positions = {s: (sensor_states[s].x, sensor_states[s].y) for s in range(n)}
@@ -296,7 +294,6 @@ def run_single(
         ospa2_sum = 0.0
         card_sum = 0.0
         per_sensor_card = [0] * n
-        first_estimates = None
         for component in topology.components:
             estimates = fuse_component(sorted(component))
             est_positions = [state[:2] for _label, state in estimates]
@@ -321,8 +318,6 @@ def run_single(
                 ospa2_sum += step_ospa2
                 card_sum += len(estimates)
                 per_sensor_card[s] = len(posteriors[s].components)
-            if first_estimates is None or min(component) == 0:
-                first_estimates = estimates
 
         records.append(
             StepRecord(
@@ -334,8 +329,6 @@ def run_single(
                 bytes=comm_log.bytes_in_step(step),
                 control_iterations=iterations,
                 commands=tuple(commands),
-                truth=truth,
-                fused_estimates=first_estimates or [],
                 per_sensor_card=per_sensor_card,
             )
         )

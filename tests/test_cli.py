@@ -1,6 +1,8 @@
 import pytest
+import yaml
 
 from sentrack.cli import main
+from sentrack.scenarios import build_scenario_1, scenario_to_dict
 
 CSV_FILES = ("runs.csv", "timesteps.csv", "cardinality_trace.csv", "comm_log.csv")
 
@@ -22,6 +24,22 @@ def test_repeat_invocations_write_identical_csvs(tmp_path, capsys):
 def test_steps_below_one_rejected_before_writing(tmp_path, steps):
     out = tmp_path / "out"
     argv = ["simulate", "--scenario", "1", "--method", "isc", "--runs", "1"]
-    with pytest.raises(ValueError, match="duration"):
+    with pytest.raises(SystemExit) as exc:
         main(argv + ["--steps", str(steps), "--out", str(out)])
+    assert exc.value.code not in (0, None)
+    assert "duration" in str(exc.value.code) and "\n" not in str(exc.value.code)
+    assert not out.exists()
+
+
+def test_unknown_scenario_key_rejected_before_writing(tmp_path):
+    d = scenario_to_dict(build_scenario_1())
+    d["sensors"][0]["fov"]["colour"] = "red"
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(d))
+    out = tmp_path / "out"
+    argv = ["simulate", "--scenario", str(path), "--method", "isc", "--runs", "1"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--steps", "1", "--out", str(out)])
+    assert exc.value.code not in (0, None)
+    assert "colour" in str(exc.value.code) and "\n" not in str(exc.value.code)
     assert not out.exists()

@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -15,7 +16,6 @@ from sentrack.control import (
     dcd_sc_select,
     detect_cycle,
     drop_penalty,
-    empty_disk_probability,
     isc_select,
     kld_existence,
     objective,
@@ -23,8 +23,10 @@ from sentrack.control import (
     select_final_command,
     sensor_sensor_constraint,
     void_feasible,
+    void_probability,
 )
 from sentrack.filtering import FilterConfig
+from sentrack.fusion import compute_active_set, fuse_existence, fuse_lmb, fuse_spatial
 from sentrack.lmb import BernoulliComponent, Label, LmbDensity, empty_density
 from sentrack.sensors import FovModel, SensorAction, SensorState
 
@@ -137,9 +139,8 @@ def stay_psi(predicted, sensor, rho):
     """psi of one staying sensor over its own pseudo-posterior, as isc_select
     computes it, and that pseudo-posterior."""
     cache = stay_only_cache({0: predicted}, {0: sensor}, replace(PARAMS, exclusion_radius=rho))
-    existences = cache.pseudo_existences(0, 0)
-    own = {label: ((0, 1.0),) for label in existences}
-    psi = empty_disk_probability(cache, (sensor.x, sensor.y), existences, own, {0: 0})
+    inside = cache.indisk_weight(0, 0, (sensor.x, sensor.y))
+    psi = 1.0 if inside is None else void_probability(cache.existences(0, 0), inside)
     return psi, cache.pseudo(0, 0)
 
 
@@ -197,10 +198,10 @@ class TestConstraints:
         d = density([cloud((5000, 5000), 0.9)])
         states = {0: SensorState(0, 0, 0), 1: SensorState(100, 0, 0)}
         cache = stay_only_cache({0: d, 1: d}, states)
-        psi = ControlContext(cache, (0, 1)).fused((0, 0)).psi
-        assert psi == 1.0
+        fe = ControlContext(cache, (0, 1)).fused((0, 0))
+        assert fe.psi == 1.0
         # exclusion disks certainly empty: feasible
-        assert void_feasible(psi, PARAMS)
+        assert void_feasible(fe.psi, PARAMS) and fe.feasible
 
     def test_sensor_on_cloud_contributes(self):
         d = density([cloud((0, 5), 0.9, LABEL_A, spread=0.5)])
@@ -209,6 +210,14 @@ class TestConstraints:
         # every particle lies in the exclusion disk
         assert fe.psi == pytest.approx(1.0 - fe.existences[LABEL_A], abs=1e-12)
         assert fe.psi < 0.1
+        assert not fe.feasible
+
+    def test_close_sensors_infeasible_with_empty_disks(self):
+        d = density([cloud((5000, 5000), 0.9)])
+        states = {0: SensorState(0, 0, 0), 1: SensorState(30, 40, 0)}
+        fe = ControlContext(stay_only_cache({0: d, 1: d}, states), (0, 1)).fused((0, 0))
+        assert fe.psi == 1.0 and fe.eta == pytest.approx(50.0)
+        assert not fe.feasible
 
     def test_empty_density_psi_one(self):
         cache = stay_only_cache({0: empty_density(1, "predicted")}, {0: SensorState(0, 0, 0)})
@@ -407,23 +416,130 @@ class TestFdcdPipeline:
         assert out.command == (isc_action,)
 
     def test_fused_existences_match_fuse_lmb(self):
-        from sentrack.fusion import compute_active_set, fuse_lmb
-
         cache = two_sensor_cache(r_a=0.7, r_b=0.8)
         ctx = ControlContext(cache, (0, 1))
         cmd = (0, 0)
         fe = ctx.fused(cmd)
         locals_ = {s: cache.pseudo(s, cmd[s]) for s in (0, 1)}
-        active = {}
-        for s in (0, 1):
-            upd = {c.label: c.mean_position() for c in locals_[s].components}
-            pred = cache.predicted_means[s]
-            for label in compute_active_set(cache.state_after(s, cmd[s]), NARROW_FOV, upd, pred):
-                active.setdefault(label, set()).add(s)
-        fused = fuse_lmb(locals_, active, "pseudo")
-        assert set(fe.existences) == fused.labels()
+        active = active_sets(cache, (0, 1), cmd)
+        # fuse_lmb over the labels some participant is active for
+        fused = fuse_lmb(locals_, active)
+        assert set(fe.existences) == set(active) == fused.labels()
         for label, r in fe.existences.items():
             assert r == pytest.approx(fused.by_label()[label].existence, abs=1e-12)
+
+
+def active_sets(cache, participants, command):
+    """label -> participants active for it, by compute_active_set on each
+    participant's pseudo-posterior and predicted density."""
+    active = {}
+    for s, a in zip(participants, command):
+        pseudo = cache.pseudo(s, a)
+        updated = {c.label: c.mean_position() for c in pseudo.components}
+        predicted = {c.label: c.mean_position() for c in cache.predicted[s].components}
+        for label in compute_active_set(cache.state_after(s, a), cache.fovs[s], updated, predicted):
+            active.setdefault(label, set()).add(s)
+    return active
+
+
+WIDE_FOV = FovModel(rho_max=120.0, theta_max=math.pi, p_d_max=0.99, k_rho=0.5, k_theta=20.0)
+
+
+def seeded_cache(seed):
+    """2-3 sensors amid 3-5 targets; each sensor holds its own particles for
+    a random subset of the targets, some beyond its range; every sensor can
+    stay, step or rotate."""
+    rng = np.random.default_rng(seed)
+    n_sensors = int(rng.integers(2, 4))
+    n_targets = int(rng.integers(3, 6))
+    labels = [Label(0, i, 0) for i in range(n_targets)]
+    centers = rng.uniform(-100, 100, (n_targets, 2))
+    predicted, states, actions = {}, {}, {}
+    for s in range(n_sensors):
+        held = [i for i in range(n_targets) if rng.random() < 0.8] or [0]
+        predicted[s] = density(
+            [cloud(centers[i] + rng.normal(0, 3, 2), float(rng.uniform(0.2, 0.9)), labels[i],
+                   n=50, spread=float(rng.uniform(5, 25)), seed=seed * 100 + s * 10 + i)
+             for i in held]
+        )
+        states[s] = SensorState(*rng.uniform(-60, 60, 2), float(rng.uniform(-math.pi, math.pi)))
+        step = rng.uniform(-30, 30, 2)
+        actions[s] = [SensorAction(), SensorAction(dx=step[0], dy=step[1]),
+                      SensorAction(rotation=float(rng.uniform(-1, 1)))]
+    params = replace(PARAMS, exclusion_radius=float(rng.uniform(30, 80)))
+    fovs = {s: WIDE_FOV for s in states}
+    return pseudo_cache(predicted, states, fovs, actions, params)
+
+
+def all_commands(cache):
+    n = [cache.n_actions(s) for s in sorted(cache.predicted)]
+    return list(itertools.product(*(range(k) for k in n)))
+
+
+class TestFusedEvaluation:
+    def test_pseudo_components_keep_predicted_particles(self):
+        # the in-disk mask is found once per (sensor, center) from the
+        # predicted particles: pseudo_update must reweight, never move them
+        reweighted = 0
+        for seed in range(6):
+            cache = seeded_cache(seed)
+            for s in cache.predicted:
+                for a in range(cache.n_actions(s)):
+                    pseudo = cache.pseudo(s, a).components
+                    predicted = cache.predicted[s].components
+                    assert [c.label for c in pseudo] == [c.label for c in predicted]
+                    for p, c in zip(pseudo, predicted):
+                        assert np.array_equal(p.states, c.states)
+                        reweighted += not np.array_equal(p.weights, c.weights)
+        assert reweighted > 0
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_psi_matches_enumeration_over_fused_union(self, seed):
+        cache = seeded_cache(seed)
+        participants = tuple(sorted(cache.predicted))
+        ctx = ControlContext(cache, participants)
+        rho = cache.params.exclusion_radius
+        for cmd in all_commands(cache):
+            fe = ctx.fused(cmd)
+            active = active_sets(cache, participants, cmd)
+            union = []
+            for label in sorted(active):
+                comps = [cache.pseudo(s, cmd[s]).by_label()[label] for s in sorted(active[label])]
+                r = fuse_existence([c.existence for c in comps])
+                assert fe.existences[label] == pytest.approx(r, abs=1e-12)
+                union.append(BernoulliComponent(label, r, *fuse_spatial(comps)))
+            assert list(fe.existences) == sorted(active)
+            expected = max(
+                enumerated_psi(density(union), cache.state_after(s, a), rho)
+                for s, a in zip(participants, cmd)
+            )
+            assert fe.psi == pytest.approx(expected, abs=1e-12)
+            assert 0.0 <= fe.psi <= 1.0
+
+    def test_seeded_caches_exercise_shared_labels_and_occupied_disks(self):
+        shared = occupied = 0
+        for seed in range(12):
+            cache = seeded_cache(seed)
+            participants = tuple(sorted(cache.predicted))
+            ctx = ControlContext(cache, participants)
+            for cmd in all_commands(cache):
+                shared += any(len(v) > 1 for v in active_sets(cache, participants, cmd).values())
+                occupied += ctx.fused(cmd).psi < 1.0
+        assert shared > 20 and occupied > 20
+
+    def test_label_no_participant_is_active_for_is_omitted(self):
+        # B sits in sensor 0's exclusion disk but behind both sensors
+        predicted = density(
+            [cloud((0, 300), 0.9, LABEL_A, spread=3.0, seed=1),
+             cloud((0, -5), 0.9, LABEL_B, spread=1.0, seed=2)]
+        )
+        states = {0: SensorState(0, 0, 0), 1: SensorState(200, 0, 0)}
+        cache = stay_only_cache({0: predicted, 1: predicted}, states)
+        fe = ControlContext(cache, (0, 1)).fused((0, 0))
+        assert list(fe.existences) == [LABEL_A]
+        assert fe.psi == 1.0
+        # isc_select's void probability runs over every pseudo component
+        assert stay_psi(predicted, states[0], PARAMS.exclusion_radius)[0] < 0.2
 
 
 class TestDcdSelect:

@@ -14,7 +14,7 @@ from sentrack.filtering import (
     pseudo_update,
     update,
 )
-from sentrack.lmb import BernoulliComponent, Label, LmbDensity, empty_density
+from sentrack.lmb import BernoulliComponent, Label, LmbDensity
 from sentrack.sensors import (
     FovModel,
     MotionModel,
@@ -73,17 +73,11 @@ class TestFilterConfig:
 
 
 class TestPredict:
-    def test_birth_into_empty_prior(self):
-        birth = cloud((0, 300), 0.1)
-        out = predict(empty_density(0, "posterior"), MOTION, [birth], np.random.default_rng(0))
-        assert len(out.components) == 1
-        assert out.components[0].existence == pytest.approx(0.1)
-        assert out.role == "predicted" and out.timestamp == 1
-
     def test_survival_scaling(self):
         prior = LmbDensity((cloud((0, 300), 0.5),), 0, "posterior")
-        out = predict(prior, MOTION, [], np.random.default_rng(0))
+        out = predict(prior, MOTION, np.random.default_rng(0))
         assert out.components[0].existence == pytest.approx(0.5 * 0.99)
+        assert out.role == "predicted" and out.timestamp == 1
 
     def test_noiseless_shift_by_velocity(self):
         c = cloud((0, 300), 0.5)
@@ -93,14 +87,9 @@ class TestPredict:
             (BernoulliComponent(c.label, 0.5, states, c.weights),), 0, "posterior"
         )
         quiet = MotionModel(period=1.0, process_noise_std=1e-12, survival_probability=0.99)
-        out = predict(prior, quiet, [], None)
+        out = predict(prior, quiet, None)
         assert np.allclose(out.components[0].states[:, 0], states[:, 0] + 3.0)
         assert np.allclose(out.components[0].states[:, 1], states[:, 1] - 2.0)
-
-    def test_label_collision_rejected(self):
-        prior = LmbDensity((cloud((0, 300), 0.5),), 0, "posterior")
-        with pytest.raises(ValueError):
-            predict(prior, MOTION, [cloud((5, 5), 0.1)], np.random.default_rng(0))
 
 
 class TestUpdate:

@@ -149,29 +149,24 @@ class TestFuseLmb:
 
     def test_two_active_sensors_fuse(self):
         locals_ = self.make_locals([0.5, 0.5])
-        fused = fuse_lmb(locals_, {self.LABEL: {1, 2}}, "pseudo")
+        fused = fuse_lmb(locals_, {self.LABEL: {1, 2}})
         assert fused.components[0].existence == pytest.approx(2.0 / 3.0)
         assert fused.role == "fused"
 
     def test_single_active_sensor_copies(self):
         locals_ = self.make_locals([0.5, 0.9])
-        fused = fuse_lmb(locals_, {self.LABEL: {2}}, "pseudo")
+        fused = fuse_lmb(locals_, {self.LABEL: {2}})
         assert fused.components[0] is locals_[2].components[0]
-
-    def test_empty_active_pseudo_omits(self):
-        locals_ = self.make_locals([0.5, 0.5])
-        fused = fuse_lmb(locals_, {}, "pseudo")
-        assert fused.components == ()
 
     def test_empty_active_update_uses_all_holders(self):
         locals_ = self.make_locals([0.5, 0.5])
-        fused = fuse_lmb(locals_, {}, "update")
+        fused = fuse_lmb(locals_, {})
         assert fused.components[0].existence == pytest.approx(2.0 / 3.0)
 
     def test_death_observed_by_only_active_sensor(self):
         # the sole active sensor saw the death; its low existence wins
         locals_ = self.make_locals([0.05, 0.95, 0.9])
-        fused = fuse_lmb(locals_, {self.LABEL: {1}}, "update")
+        fused = fuse_lmb(locals_, {self.LABEL: {1}})
         assert fused.components[0].existence == pytest.approx(0.05)
 
     def test_inconsistent_timestamps_rejected(self):
@@ -180,7 +175,7 @@ class TestFuseLmb:
             2: density([cloud((0, 0), 0.5)], timestamp=2),
         }
         with pytest.raises(ValueError):
-            fuse_lmb(locals_, {}, "update")
+            fuse_lmb(locals_, {})
 
     def test_output_labels_distinct_and_valid(self):
         labels = [Label(0, i, 0) for i in range(3)]
@@ -189,7 +184,7 @@ class TestFuseLmb:
             2: density([cloud((i * 30, 300), 0.7, labels[i], seed=5 + i) for i in range(3)]),
         }
         active = {l: {1, 2} for l in labels}
-        fused = fuse_lmb(locals_, active, "update", particle_count=64)
+        fused = fuse_lmb(locals_, active, particle_count=64)
         fused.validate()
         assert fused.labels() == set(labels)
 
