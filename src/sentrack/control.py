@@ -21,7 +21,7 @@ may replace with synthetic score tables.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
@@ -63,6 +63,11 @@ class ObjectiveParams:
             raise ValueError("penalty_lambda must be >= 1")
         if self.exclusion_radius <= 0:
             raise ValueError("exclusion_radius must be positive")
+
+
+def existence_map(density: LmbDensity) -> dict:
+    """label -> existence, the form the objective takes."""
+    return dict(zip(density.labels, density.existences.tolist()))
 
 
 def _clamp01(r: float) -> float:
@@ -147,20 +152,6 @@ def distance_feasible(eta: float, params: ObjectiveParams) -> bool:
 CommandEvaluator = Callable[[int, tuple], float]
 
 
-@dataclass
-class DescentState:
-    """One sensor's descent bookkeeping: command history and scores.
-
-    history[i] is the sensor's multi-sensor command after its turn at
-    iteration i (entry 0 is the initialization round); scores[i] is the
-    associated objective value.
-    """
-
-    sensors: tuple
-    history: list = field(default_factory=list)
-    scores: list = field(default_factory=list)
-
-
 def detect_cycle(history: list) -> tuple | None:
     """First repeated command in a descent history.
 
@@ -175,17 +166,19 @@ def detect_cycle(history: list) -> tuple | None:
     return None
 
 
-def select_final_command(state: DescentState, t_start: int, t_end: int) -> tuple:
+def select_final_command(history: list, scores: list, t_start: int, t_end: int) -> tuple:
     """Command in the cycle [t_start, t_end] with the highest stored score.
 
-    Positions are 1-based as returned by detect_cycle; ties go to the
-    earliest iteration.
+    history[i] is one sensor's multi-sensor command after its turn at
+    iteration i (entry 0 is the initialization round) and scores[i] its
+    objective value.  Positions are 1-based as returned by detect_cycle;
+    ties go to the earliest iteration.
     """
     best_t = t_start
     for t in range(t_start, t_end + 1):
-        if state.scores[t - 1] > state.scores[best_t - 1]:
+        if scores[t - 1] > scores[best_t - 1]:
             best_t = t
-    return state.history[best_t - 1]
+    return history[best_t - 1]
 
 
 @dataclass
@@ -194,8 +187,6 @@ class DescentOutcome:
     score: float
     iterations: int
     stopped_at_sensor: int
-    cycle: tuple
-    states: dict
 
 
 def _best_own_action(
@@ -245,12 +236,9 @@ def run_flooded_descent(
     ids = tuple(sorted(sensor_ids))
     pos = {s: i for i, s in enumerate(ids)}
     latest = [initial_actions[s] for s in ids]
-    states = {s: DescentState(ids) for s in ids}
-
     cmd0 = tuple(latest)
-    for s in ids:
-        states[s].history.append(cmd0)
-        states[s].scores.append(evaluate(s, cmd0))
+    history = {s: [cmd0] for s in ids}
+    scores = {s: [evaluate(s, cmd0)] for s in ids}
 
     bound = 1
     for s in ids:
@@ -262,20 +250,16 @@ def run_flooded_descent(
             latest[pos[s]] = action
             if on_turn is not None:
                 on_turn(s, action)
-            cmd = tuple(latest)
-            states[s].history.append(cmd)
-            states[s].scores.append(score)
-            cycle = detect_cycle(states[s].history)
+            history[s].append(tuple(latest))
+            scores[s].append(score)
+            cycle = detect_cycle(history[s])
             if cycle is not None:
-                final = select_final_command(states[s], *cycle)
-                final_score = states[s].scores[states[s].history.index(final)]
+                final = select_final_command(history[s], scores[s], *cycle)
                 return DescentOutcome(
                     command=final,
-                    score=final_score,
+                    score=scores[s][history[s].index(final)],
                     iterations=t,
                     stopped_at_sensor=s,
-                    cycle=cycle,
-                    states=states,
                 )
     raise RuntimeError("coordinate descent failed to cycle within its pigeonhole bound")
 
@@ -290,12 +274,13 @@ class PseudoCache:
 
     labels is the step's sorted label index; rows[s] maps sensor s's
     components onto it.  Per (sensor, action): the post-action state, the
-    pseudo-posterior, its existences per component and, on first use, the
-    mask of components the sensor is active for.  Per (owner, action,
-    center), on first use: the in-disk weight of each of the owner's pseudo
-    components.  pseudo_update never moves a particle, so which particles
-    lie in a disk is found once per (sensor, center) from the predicted
-    particles, and only components with a particle inside are summed.
+    pseudo-posterior and, on first use, the mask of components the sensor
+    is active for.  Per (owner, action, center), on first use: the in-disk
+    weight of each of the owner's pseudo components.  A pseudo-posterior
+    shares its predicted density's states array, since pseudo_update never
+    moves a particle, so which particles lie in a disk is found once per
+    (sensor, center) from predicted.states, and only components with a
+    particle inside are summed.
     """
 
     def __init__(
@@ -313,32 +298,23 @@ class PseudoCache:
         self.fovs = dict(fovs)
         self.action_sets = {s: list(a) for s, a in action_sets.items()}
         self.predicted = {
-            s: prune(d, params.min_existence, len(d.components) or 1)
+            s: prune(d, params.min_existence, len(d.labels) or 1)
             if params.min_existence > 0
             else d
             for s, d in predicted.items()
         }
-        self.predicted_existences = {s: d.existences() for s, d in self.predicted.items()}
+        self.predicted_existences = {s: existence_map(d) for s, d in self.predicted.items()}
         self.predicted_means = {
-            s: {c.label: c.mean_position() for c in d.components}
-            for s, d in self.predicted.items()
+            s: dict(zip(d.labels, d.mean_positions())) for s, d in self.predicted.items()
         }
-        self.labels = sorted({label for d in self.predicted.values() for label in d.labels()})
+        self.labels = sorted({label for d in self.predicted.values() for label in d.labels})
         index = {label: i for i, label in enumerate(self.labels)}
         self.rows = {
-            s: np.array([index[c.label] for c in d.components], dtype=np.intp)
-            for s, d in self.predicted.items()
-        }
-        self._particles = {  # stacked (x, y) and each component's first row
-            s: (
-                np.concatenate([c.states[:, :2] for c in d.components] or [np.empty((0, 2))]),
-                np.cumsum([0] + [c.particle_count for c in d.components]),
-            )
+            s: np.array([index[label] for label in d.labels], dtype=np.intp)
             for s, d in self.predicted.items()
         }
         self._state_after = {}
         self._pseudo = {}
-        self._existences = {}
         self._active = {}
         self._disk = {}
         self._indisk = {}
@@ -361,27 +337,25 @@ class PseudoCache:
                 self.predicted[s], pims, state, self.fovs[s], self.filter_cfgs[s]
             )
             self._pseudo[key] = density
-            self._existences[key] = np.array([c.existence for c in density.components])
         return self._pseudo[key]
 
     def existences(self, s: int, a: int) -> np.ndarray:
         """Pseudo existence of each of sensor s's components after action a."""
-        self.pseudo(s, a)
-        return self._existences[(s, a)]
+        return self.pseudo(s, a).existences
 
     def active(self, s: int, a: int) -> np.ndarray:
         """Mask of sensor s's components it is active for after action a,
         by compute_active_set."""
         key = (s, a)
         if key not in self._active:
-            components = self.pseudo(s, a).components
+            pseudo = self.pseudo(s, a)
             labels = compute_active_set(
                 self.state_after(s, a),
                 self.fovs[s],
-                {c.label: c.mean_position() for c in components},
+                dict(zip(pseudo.labels, pseudo.mean_positions())),
                 self.predicted_means[s],
             )
-            self._active[key] = np.array([c.label in labels for c in components], dtype=bool)
+            self._active[key] = np.array([label in labels for label in pseudo.labels], dtype=bool)
         return self._active[key]
 
     def indisk_weight(self, owner: int, action: int, center: tuple) -> np.ndarray | None:
@@ -392,19 +366,16 @@ class PseudoCache:
         if key not in self._indisk:
             hits = self._disk.get((owner, center))
             if hits is None:  # (component, particle mask) with a particle inside
-                xy, first = self._particles[owner]
-                d = xy - center
-                inside = (d[:, 0] ** 2 + d[:, 1] ** 2) <= self.params.exclusion_radius**2
-                ks = np.unique(np.searchsorted(first, np.flatnonzero(inside), side="right")) - 1
-                hits = self._disk[(owner, center)] = [
-                    (k, inside[first[k] : first[k + 1]]) for k in ks.tolist()
-                ]
+                d = self.predicted[owner].states[:, :, :2] - center
+                inside = (d[..., 0] ** 2 + d[..., 1] ** 2) <= self.params.exclusion_radius**2
+                ks = np.flatnonzero(inside.any(axis=1)).tolist()
+                hits = self._disk[(owner, center)] = [(k, inside[k]) for k in ks]
             weight = None
             if hits:
-                components = self.pseudo(owner, action).components
-                weight = np.zeros(len(components))
+                weights = self.pseudo(owner, action).weights
+                weight = np.zeros(len(weights))
                 for k, inside in hits:
-                    weight[k] = components[k].weights[inside].sum()
+                    weight[k] = weights[k][inside].sum()
             self._indisk[key] = weight
         return self._indisk[key]
 
@@ -524,7 +495,7 @@ def isc_select(
             feasible = distance_feasible(eta, params)
         if not feasible:
             continue
-        score = objective(cache.pseudo(node, a).existences(), predicted_exist, params)
+        score = objective(existence_map(cache.pseudo(node, a)), predicted_exist, params)
         if score > best_score:
             best_action, best_score = a, score
     if best_action is None:

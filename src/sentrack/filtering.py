@@ -12,24 +12,25 @@ enumerating all partial matchings; large clusters fall back to the best-k
 ranked assignments.  The update itself never resamples: resampling and
 pruning are separate steps so that a no-information update is exactly the
 identity on the density.
+
+Pass-through rule: a component whose maximum detection probability over
+its particles is at most 1e-12 has no gated measurement, so it forms a
+cluster of its own, and the update passes it through unchanged.  The
+posterior marks those rows in passed_through; they are the rows the
+harness does not resample.  Whole densities go through the update: one
+detection-probability call per density and sensor state.
 """
 
 import heapq
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .lmb import (
-    EXISTENCE_CEIL,
-    STATE_DIM,
-    BernoulliComponent,
-    Label,
-    LmbDensity,
-    eap_states,
-)
+from .lmb import EXISTENCE_CEIL, STATE_DIM, Label, LmbDensity, eap_states, row_means
 from .sensors import (
     FovModel,
     MotionModel,
@@ -95,16 +96,15 @@ def predict(
     Births are not predicted: update spawns them from unassociated
     measurements.
     """
-    predicted = []
-    for c in prior.components:
-        predicted.append(
-            replace(
-                c,
-                existence=c.existence * motion.survival_probability,
-                states=propagate_states(motion, c.states, rng),
-            )
-        )
-    return LmbDensity(tuple(predicted), prior.timestamp + 1, "predicted")
+    states = propagate_states(motion, prior.states.reshape(-1, STATE_DIM), rng)
+    return LmbDensity(
+        prior.labels,
+        prior.existences * motion.survival_probability,
+        states.reshape(prior.states.shape),
+        prior.weights,
+        prior.timestamp + 1,
+        "predicted",
+    )
 
 
 def generate_pims(
@@ -131,42 +131,30 @@ def generate_pims(
 # ---------------------------------------------------------------------------
 
 
-class _CompTerms:
-    """Per-component update quantities for one measurement scan."""
+class _RowTerms(NamedTuple):
+    """Association weights of one updated row for one measurement scan."""
 
-    __slots__ = ("comp", "pd", "miss_lik", "no_det_weight", "det_weights", "det_particle_w")
-
-    def __init__(self, comp, pd, miss_lik, no_det_weight, det_weights, det_particle_w):
-        self.comp = comp
-        self.pd = pd
-        self.miss_lik = miss_lik
-        self.no_det_weight = no_det_weight
-        self.det_weights = det_weights  # {meas_idx: r * G_z / clutter}
-        self.det_particle_w = det_particle_w  # {meas_idx: normalized particle weights}
+    row: int
+    no_det_weight: float
+    det_weights: dict  # {meas_idx: r * G_z / clutter}
+    det_particle_w: dict  # {meas_idx: normalized particle weights}
 
 
-def _component_terms(comp, sensor, fov, measurements, cfg) -> _CompTerms:
-    positions = comp.states[:, :2]
-    pd = detection_probabilities(fov, sensor, positions)
-    miss_lik = float(comp.weights @ (1.0 - pd))
-    r = min(comp.existence, EXISTENCE_CEIL)
-    no_det = (1.0 - r) + r * miss_lik
-    det_weights = {}
-    det_particle_w = {}
-    if len(measurements) and pd.max() > 1e-12:
-        mean_disp = comp.mean_position() - sensor.position
-        kappa = max(cfg.clutter_intensity, _MIN_CLUTTER)
-        for j, z in enumerate(measurements):
-            if np.hypot(*(np.asarray(z) - mean_disp)) > cfg.association_gate:
-                continue
-            logg = displacement_log_likelihoods(positions, sensor, z, cfg.meas_noise_std)
-            raw = comp.weights * pd * np.exp(logg)
-            g_sum = float(raw.sum())
-            if g_sum <= 0.0:
-                continue
-            det_weights[j] = r * g_sum / kappa
-            det_particle_w[j] = raw / g_sum
-    return _CompTerms(comp, pd, miss_lik, no_det, det_weights, det_particle_w)
+def _row_terms(k, predicted, pd, no_det, mean_disp, sensor, measurements, cfg) -> _RowTerms:
+    terms = _RowTerms(k, no_det, {}, {})
+    r = min(float(predicted.existences[k]), EXISTENCE_CEIL)
+    kappa = max(cfg.clutter_intensity, _MIN_CLUTTER)
+    for j, z in enumerate(measurements):
+        if np.hypot(*(z - mean_disp)) > cfg.association_gate:
+            continue
+        positions = predicted.states[k, :, :2]
+        logg = displacement_log_likelihoods(positions, sensor, z, cfg.meas_noise_std)
+        raw = predicted.weights[k] * pd * np.exp(logg)
+        g_sum = float(raw.sum())
+        if g_sum > 0.0:
+            terms.det_weights[j] = r * g_sum / kappa
+            terms.det_particle_w[j] = raw / g_sum
+    return terms
 
 
 def _cluster_components(terms: list) -> list:
@@ -310,49 +298,25 @@ def _ranked_marginals(cluster_terms: list, k: int) -> list:
     return [{e: v / total for e, v in s.items()} for s in sums]
 
 
-def _posterior_component(t: _CompTerms, marginals: dict) -> BernoulliComponent:
-    comp = t.comp
-    r = min(comp.existence, EXISTENCE_CEIL)
+def _posterior_row(existence, weights, pd, miss_lik, t: _RowTerms, marginals: dict):
+    """Posterior existence and particle weights of one updated row."""
+    r = min(existence, EXISTENCE_CEIL)
     beta_miss = marginals.get(None, 0.0)
-    exist_miss = beta_miss * (r * t.miss_lik / t.no_det_weight) if t.no_det_weight > 0 else 0.0
+    exist_miss = beta_miss * (r * miss_lik / t.no_det_weight) if t.no_det_weight > 0 else 0.0
     new_r = exist_miss + sum(p for ev, p in marginals.items() if ev is not None)
     new_r = min(new_r, EXISTENCE_CEIL)
     if new_r <= 0.0:
-        return replace(comp, existence=0.0)
-    w = np.zeros(comp.particle_count)
-    if exist_miss > 0.0 and t.miss_lik > 0.0:
-        w += exist_miss * comp.weights * (1.0 - t.pd) / t.miss_lik
+        return 0.0, weights
+    w = np.zeros(len(weights))
+    if exist_miss > 0.0 and miss_lik > 0.0:
+        w += exist_miss * weights * (1.0 - pd) / miss_lik
     for ev, p in marginals.items():
         if ev is not None and p > 0.0:
             w += p * t.det_particle_w[ev]
     total = float(w.sum())
     if total <= 0.0:
-        return replace(comp, existence=new_r)
-    return replace(comp, existence=new_r, weights=w / total)
-
-
-def _birth_components(
-    measurements, gated, sensor, timestep, origin, cfg, rng
-) -> list:
-    births = []
-    index = 0
-    for j, z in enumerate(measurements):
-        if j in gated:
-            continue
-        center = sensor.position + np.asarray(z, dtype=float)
-        states = np.empty((cfg.particle_count, STATE_DIM))
-        states[:, :2] = center + rng.normal(0.0, cfg.birth_particle_std, (cfg.particle_count, 2))
-        states[:, 2:] = rng.normal(0.0, cfg.birth_velocity_std, (cfg.particle_count, 2))
-        births.append(
-            BernoulliComponent(
-                label=Label(timestep, index, origin),
-                existence=cfg.birth_existence,
-                states=states,
-                weights=np.full(cfg.particle_count, 1.0 / cfg.particle_count),
-            )
-        )
-        index += 1
-    return births
+        return new_r, weights
+    return new_r, w / total
 
 
 def _bayes_update(
@@ -366,18 +330,23 @@ def _bayes_update(
     origin: int | None = None,
 ) -> LmbDensity:
     measurements = [np.asarray(z, dtype=float) for z in measurements]
-    terms = [_component_terms(c, sensor, fov, measurements, cfg) for c in predicted.components]
+    k, j = predicted.weights.shape
+    pd = detection_probabilities(fov, sensor, predicted.states[:, :, :2].reshape(-1, 2))
+    pd = pd.reshape(k, j)
+    passed = pd.max(axis=1, initial=0.0) <= 1e-12
+    r = np.minimum(predicted.existences, EXISTENCE_CEIL)
+    miss_lik = row_means(predicted.weights, (1.0 - pd)[:, :, None])[:, 0]
+    no_det = ((1.0 - r) + r * miss_lik).tolist()
+    mean_disp = predicted.mean_positions() - sensor.position
+    terms = [
+        _row_terms(i, predicted, pd[i], no_det[i], mean_disp[i], sensor, measurements, cfg)
+        for i in np.flatnonzero(~passed).tolist()
+    ]
 
-    updated = {}
+    existences = predicted.existences.copy()
+    weights = predicted.weights.copy()
     for cluster in _cluster_components(terms):
         cluster_terms = [terms[i] for i in cluster]
-        untouched = all(
-            not t.det_weights and t.pd.max(initial=0.0) <= 1e-12 for t in cluster_terms
-        )
-        if untouched:
-            for i in cluster:
-                updated[i] = terms[i].comp  # identity: same object, no resample needed
-            continue
         bound = 1
         for t in cluster_terms:
             bound *= 1 + len(t.det_weights)
@@ -387,16 +356,29 @@ def _bayes_update(
             marginals = _exact_marginals(cluster_terms)
         else:
             marginals = _ranked_marginals(cluster_terms, cfg.assoc_max_hypotheses)
-        for i, marg in zip(cluster, marginals):
-            updated[i] = _posterior_component(terms[i], marg)
+        for t, marg in zip(cluster_terms, marginals):
+            i = t.row
+            existences[i], weights[i] = _posterior_row(
+                existences[i], weights[i], pd[i], miss_lik[i], t, marg
+            )
 
-    components = [updated[i] for i in range(len(terms))]
+    labels, states = predicted.labels, predicted.states
     if rng is not None and origin is not None:
         gated = {j for t in terms for j in t.det_weights}
-        components.extend(
-            _birth_components(measurements, gated, sensor, predicted.timestamp, origin, cfg, rng)
-        )
-    return LmbDensity(tuple(components), predicted.timestamp, role)
+        centers = [sensor.position + z for i, z in enumerate(measurements) if i not in gated]
+        if centers:
+            n = cfg.particle_count
+            births = np.empty((len(centers), n, STATE_DIM))
+            for b, center in enumerate(centers):  # drawn birth by birth
+                births[b, :, :2] = center + rng.normal(0.0, cfg.birth_particle_std, (n, 2))
+                births[b, :, 2:] = rng.normal(0.0, cfg.birth_velocity_std, (n, 2))
+            labels += tuple(Label(predicted.timestamp, b, origin) for b in range(len(centers)))
+            existences = np.concatenate([existences, np.full(len(centers), cfg.birth_existence)])
+            # an empty density has no particle count of its own: reshape gives it n
+            states = np.concatenate([states.reshape(k, n, STATE_DIM), births])
+            weights = np.concatenate([weights.reshape(k, n), np.full((len(centers), n), 1.0 / n)])
+            passed = np.concatenate([passed, np.zeros(len(centers), dtype=bool)])
+    return LmbDensity(labels, existences, states, weights, predicted.timestamp, role, passed)
 
 
 def update(
@@ -410,9 +392,10 @@ def update(
 ) -> LmbDensity:
     """Measurement update with adaptive birth.
 
-    Components with no detection probability mass and no gated measurement
-    pass through unchanged (same object).  Measurements not gated to any
-    component spawn birth components labeled (timestep, i, origin).
+    Rows whose maximum detection probability is at most 1e-12 pass through
+    unchanged and are marked in the result's passed_through.  Measurements
+    not gated to any component spawn birth components labeled
+    (timestep, i, origin), appended after the predicted rows.
     """
     if predicted.role != "predicted":
         raise ValueError(f"update expects a predicted density, got role {predicted.role!r}")
@@ -431,7 +414,8 @@ def pseudo_update(
     """Update against an ideal measurement set; no birth, fully deterministic.
 
     Mechanics are identical to update (same code path), so feeding the same
-    measurements produces the same component updates.
+    measurements produces the same component updates.  pseudo_update never
+    moves a particle: the result shares predicted.states.
     """
     if predicted.role != "predicted":
         raise ValueError(f"pseudo_update expects a predicted density, got {predicted.role!r}")

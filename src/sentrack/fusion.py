@@ -24,13 +24,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .lmb import (
-    EXISTENCE_CEIL,
-    BernoulliComponent,
-    Label,
-    LmbDensity,
-    systematic_resample_indices,
-)
+from .lmb import EXISTENCE_CEIL, Label, LmbDensity, systematic_resample_indices
 from .sensors import FovModel, SensorState, detection_probabilities
 
 
@@ -104,18 +98,18 @@ def fuse_spatial(components, particle_count: int | None = None):
         [c.weights * (o / total) for c, o in zip(components, odds)]
     )
     if particle_count is not None:
-        idx = systematic_resample_indices(weights, particle_count, 0.5)
+        [idx] = systematic_resample_indices(weights, particle_count, 0.5)
         states = states[idx].copy()
         weights = np.full(particle_count, 1.0 / particle_count)
     return states, weights
 
 
-def fuse_lmb(
-    locals_: Mapping[int, LmbDensity],
-    active: Mapping[Label, set],
-    particle_count: int | None = None,
-) -> LmbDensity:
-    """Fuse per-sensor LMB densities into one density by the active sets."""
+def fuse_lmb(locals_: Mapping[int, LmbDensity], active: Mapping[Label, set]) -> LmbDensity:
+    """Fuse per-sensor LMB densities into one density by the active sets.
+
+    The densities must share one particle count J; a fused label's union
+    of clouds is resampled to J particles.
+    """
     densities = dict(locals_)
     if not densities:
         raise ValueError("nothing to fuse")
@@ -126,23 +120,24 @@ def fuse_lmb(
     if len(roles) != 1:
         raise ValueError(f"inconsistent roles: {sorted(roles)}")
 
+    rows = {s: d.components for s, d in densities.items()}
     holders_of = {}
     for s in sorted(densities):
-        for c in densities[s].components:
-            holders_of.setdefault(c.label, []).append(s)
+        for k, label in enumerate(densities[s].labels):
+            holders_of.setdefault(label, []).append((s, k))
 
     fused = []
     for label in sorted(holders_of):
         holders = holders_of[label]
-        contributors = sorted(set(active.get(label, set())) & set(holders)) or holders
-        comps = [densities[s].by_label()[label] for s in contributors]
+        chosen = active.get(label, set())
+        contributors = [(s, k) for s, k in holders if s in chosen] or holders
+        comps = [rows[s][k] for s, k in contributors]
         if len(comps) == 1:
             fused.append(comps[0])
             continue
         r = fuse_existence([c.existence for c in comps])
-        states, weights = fuse_spatial(comps, particle_count)
-        fused.append(BernoulliComponent(label, r, states, weights))
-    return LmbDensity(tuple(fused), timestamps.pop(), "fused")
+        fused.append((label, r, *fuse_spatial(comps, len(comps[0].weights))))
+    return LmbDensity.from_rows(fused, timestamps.pop(), "fused")
 
 
 # ---------------------------------------------------------------------------
@@ -165,10 +160,11 @@ def _label_positions(densities: Mapping[int, LmbDensity]) -> dict:
     """Representative EAP position per label, from its most confident holder."""
     best = {}
     for s in sorted(densities):
-        for c in densities[s].components:
-            cur = best.get(c.label)
-            if cur is None or c.existence > cur[0]:
-                best[c.label] = (c.existence, c.mean_position())
+        d = densities[s]
+        for label, r, pos in zip(d.labels, d.existences.tolist(), d.mean_positions()):
+            cur = best.get(label)
+            if cur is None or r > cur[0]:
+                best[label] = (r, pos)
     return {label: pos for label, (_r, pos) in best.items()}
 
 
@@ -223,15 +219,15 @@ def associate_labels(
 
     out = {}
     for s, density in densities.items():
-        merged = {}  # canonical label -> (original label, component)
-        for c in density.components:
-            canon = mapping[c.label]
+        existences = density.existences.tolist()
+        merged = {}  # canonical label -> row
+        for k, label in enumerate(density.labels):
+            canon = mapping[label]
             prev = merged.get(canon)
             # on a within-density collision keep the higher existence,
             # breaking ties by the smaller original label
-            if prev is None or (-c.existence, c.label) < (-prev[1].existence, prev[0]):
-                merged[canon] = (c.label, replace(c, label=canon) if c.label != canon else c)
-        out[s] = LmbDensity(
-            tuple(merged[k][1] for k in sorted(merged)), density.timestamp, density.role
-        )
+            if prev is None or (-existences[k], label) < (-existences[prev], density.labels[prev]):
+                merged[canon] = k
+        order = sorted(merged)
+        out[s] = replace(density.take([merged[c] for c in order]), labels=tuple(order))
     return out

@@ -29,8 +29,8 @@ from .control import (
     run_flooded_descent,
 )
 from .filtering import predict, update
-from .fusion import associate_labels, compute_active_set, fuse_lmb
-from .lmb import LmbDensity, eap_states, empty_density, prune, resample_component
+from .fusion import associate_labels, compute_active_set, fuse_existence, fuse_lmb
+from .lmb import eap_states, empty_density, prune, resample_component
 from .metrics import ospa, ospa2
 from .network import CommLog, build_topology
 from .scenarios import ScenarioConfig
@@ -148,12 +148,10 @@ def _select_commands(method, scenario, cache, topology, step, seed, dcd_runs, co
             initial = {}
             for s in participants:
                 initial[s], _ = isc_select(s, cache)
-                comm_log.record(
-                    topology, step, s, len(cache.pseudo(s, initial[s]).components)
-                )
+                comm_log.record(topology, step, s, len(cache.pseudo(s, initial[s]).labels))
 
             def on_turn(s, a):
-                comm_log.record(topology, step, s, len(cache.pseudo(s, a).components))
+                comm_log.record(topology, step, s, len(cache.pseudo(s, a).labels))
 
             outcome = run_flooded_descent(
                 participants, ctx.n_actions(), ctx.evaluate, initial, on_turn=on_turn
@@ -168,29 +166,34 @@ def _select_commands(method, scenario, cache, topology, step, seed, dcd_runs, co
     raise ValueError(f"unknown control method {method!r}")
 
 
-def _fuse_and_estimate(scenario, posteriors, predicted, sensor_states):
-    """Update-mode fusion and estimate extraction, once per network component."""
-    by_label_post = {s: d.by_label() for s, d in posteriors.items()}
-    by_label_pred = {s: d.by_label() for s, d in predicted.items()}
+def _fuse_and_estimate(scenario, members, posteriors, predicted, sensor_states):
+    """Update-mode fusion and estimate extraction for one network component.
 
-    def fuse_component(members):
-        locals_ = {s: posteriors[s] for s in members}
-        active = {}
-        for s in members:
-            upd = {label: c.mean_position() for label, c in by_label_post[s].items()}
-            pred = {
-                label: by_label_pred[s][label].mean_position()
-                for label in upd
-                if label in by_label_pred[s]
-            }
-            fov = scenario.sensors[s].fov
-            for label in compute_active_set(sensor_states[s], fov, upd, pred):
-                active.setdefault(label, set()).add(s)
-        fused = fuse_lmb(locals_, active, scenario.filter.particle_count)
-        reporting = prune(fused, scenario.fusion.estimate_floor, len(fused.components) or 1)
-        return [(label, state) for label, state in eap_states(reporting)]
-
-    return fuse_component
+    Only labels that can reach the reporting floor are fused: odds add, so
+    fusing some of a label's holders never gives a higher existence than
+    fusing all of them (the margin absorbs rounding).
+    """
+    floor = scenario.fusion.estimate_floor
+    held = {}
+    for s in members:
+        for label, r in zip(posteriors[s].labels, posteriors[s].existences.tolist()):
+            held.setdefault(label, []).append(r)
+    reach = {label for label, rs in held.items() if fuse_existence(rs) >= floor - 1e-12}
+    locals_ = {
+        s: posteriors[s].take([k for k, label in enumerate(posteriors[s].labels) if label in reach])
+        for s in members
+    }
+    active = {}
+    for s in members:
+        upd = dict(zip(locals_[s].labels, locals_[s].mean_positions()))
+        pred_means = dict(zip(predicted[s].labels, predicted[s].mean_positions()))
+        pred = {label: pred_means[label] for label in upd if label in pred_means}
+        fov = scenario.sensors[s].fov
+        for label in compute_active_set(sensor_states[s], fov, upd, pred):
+            active.setdefault(label, set()).add(s)
+    fused = fuse_lmb(locals_, active)
+    reporting = prune(fused, floor, len(fused.labels) or 1)
+    return [(label, state) for label, state in eap_states(reporting)]
 
 
 def run_single(
@@ -266,17 +269,8 @@ def run_single(
                 rng,
                 origin=s,
             )
-            pred_components = predicted[s].by_label()
-            resampled = []
-            for c in posterior.components:
-                # components passed through unchanged keep their particles
-                if pred_components.get(c.label) is c:
-                    resampled.append(c)
-                else:
-                    resampled.append(
-                        resample_component(c, filter_cfgs[s].particle_count, rng)
-                    )
-            posterior = LmbDensity(tuple(resampled), posterior.timestamp, posterior.role)
+            # rows the update passed through keep their particles
+            posterior = resample_component(posterior, filter_cfgs[s].particle_count, rng)
             posteriors[s] = prune(
                 posterior, filter_cfgs[s].existence_floor, filter_cfgs[s].max_components
             )
@@ -286,16 +280,16 @@ def run_single(
         )
 
         for s in range(n):
-            comm_log.record(topology, step, s, len(posteriors[s].components))
+            comm_log.record(topology, step, s, len(posteriors[s].labels))
 
-        fuse_component = _fuse_and_estimate(scenario, posteriors, predicted, sensor_states)
         truth_positions = [truth[i] for i in sorted(truth)]
         ospa_sum = 0.0
         ospa2_sum = 0.0
         card_sum = 0.0
         per_sensor_card = [0] * n
         for component in topology.components:
-            estimates = fuse_component(sorted(component))
+            members = sorted(component)
+            estimates = _fuse_and_estimate(scenario, members, posteriors, predicted, sensor_states)
             est_positions = [state[:2] for _label, state in estimates]
             step_ospa = ospa(
                 truth_positions,
@@ -317,7 +311,7 @@ def run_single(
                 ospa_sum += step_ospa
                 ospa2_sum += step_ospa2
                 card_sum += len(estimates)
-                per_sensor_card[s] = len(posteriors[s].components)
+                per_sensor_card[s] = len(posteriors[s].labels)
 
         records.append(
             StepRecord(

@@ -1,10 +1,18 @@
 """Labeled multi-Bernoulli (LMB) densities in particle form.
 
-An LMB density is a set of labeled Bernoulli components.  Each component
-carries an existence probability and a weighted particle cloud over the
-planar constant-velocity state [x, y, vx, vy].  Densities are treated as
-immutable snapshots: every operation returns new values and never mutates
-its inputs.
+An LMB density is a set of labeled Bernoulli components, each an existence
+probability and a weighted particle cloud over the planar constant-velocity
+state [x, y, vx, vy].  This module owns the layout: the K components are
+rows of dense arrays, labels (K unique labels), existences (K,), states
+(K, J, 4) and weights (K, J), so every component has the same particle
+count J.  Row order is build order: prediction and update keep it, births
+follow the predicted rows, and fusion and label association emit rows in
+label order.  Per-row reductions use np.matmul and row sums, which give
+the bits of the per-row forms; einsum and (a * b).sum(axis) do not.
+
+Densities are immutable snapshots: operations return new values and never
+mutate their inputs, though a result may share an input's arrays (a
+pseudo-posterior shares its predicted density's states).
 """
 
 import math
@@ -34,80 +42,101 @@ class Label(NamedTuple):
     origin_sensor: int
 
 
-@dataclass(frozen=True)
-class BernoulliComponent:
-    """One labeled Bernoulli component: existence plus a particle cloud.
-
-    states has shape (J, 4) with rows [x, y, vx, vy]; weights has shape
-    (J,) and sums to one whenever existence > 0.
-    """
+class Component(NamedTuple):
+    """One row of a density: label, existence, (J, 4) states, (J,) weights."""
 
     label: Label
     existence: float
     states: np.ndarray
     weights: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "states", np.asarray(self.states, dtype=float))
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
 
-    @property
-    def particle_count(self) -> int:
-        return self.states.shape[0]
-
-    def mean_state(self) -> np.ndarray:
-        """Weight-averaged particle state (the per-component EAP state)."""
-        return self.weights @ self.states
-
-    def mean_position(self) -> np.ndarray:
-        return self.weights @ self.states[:, :2]
-
-    def validate(self, tol: float = 1e-9) -> None:
-        if not 0.0 <= self.existence <= 1.0:
-            raise ValueError(f"existence {self.existence} outside [0, 1]")
-        if self.existence > 0 and self.particle_count == 0:
-            raise ValueError("component with positive existence has no particles")
-        if self.particle_count:
-            if self.states.shape != (self.particle_count, STATE_DIM):
-                raise ValueError(f"bad state shape {self.states.shape}")
-            if np.any(self.weights < 0):
-                raise ValueError("negative particle weight")
-            if abs(float(self.weights.sum()) - 1.0) > tol:
-                raise ValueError(f"weights sum to {self.weights.sum()}, not 1")
+def row_means(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Weight-average of each row: (K, J) weights over (K, J, D) values."""
+    return np.matmul(weights[:, None, :], values)[:, 0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LmbDensity:
-    """A labeled multi-Bernoulli density at one discrete time step."""
+    """A labeled multi-Bernoulli density at one discrete time step.
 
-    components: tuple
+    passed_through, set by the measurement update, marks the rows it left
+    exactly as predicted; None elsewhere.
+    """
+
+    labels: tuple
+    existences: np.ndarray
+    states: np.ndarray
+    weights: np.ndarray
     timestamp: int
     role: str
+    passed_through: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "components", tuple(self.components))
-        labels = [c.label for c in self.components]
-        if len(set(labels)) != len(labels):
+        object.__setattr__(self, "labels", tuple(self.labels))
+        for name in ("existences", "states", "weights"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+        k, j = len(self.labels), self.weights.shape[-1] if self.weights.ndim == 2 else -1
+        shapes = (self.existences.shape, self.states.shape, self.weights.shape)
+        if shapes != ((k,), (k, j, STATE_DIM), (k, j)) or (
+            self.passed_through is not None and self.passed_through.shape != (k,)
+        ):
+            raise ValueError(f"inconsistent density arrays: {k} labels, shapes {shapes}")
+        if len(set(self.labels)) != k:
             raise ValueError("duplicate labels in density")
         if self.role not in VALID_ROLES:
             raise ValueError(f"unknown role {self.role!r}")
 
-    def labels(self) -> set:
-        return {c.label for c in self.components}
+    @classmethod
+    def from_rows(cls, rows, timestamp: int, role: str) -> "LmbDensity":
+        """Stack (label, existence, states, weights) rows into one density.
 
-    def by_label(self) -> dict:
-        return {c.label: c for c in self.components}
+        Every row must hold the same number of particles.
+        """
+        rows = list(rows)
+        labels, existences, states, weights = zip(*rows) if rows else ((),) * 4
+        counts = sorted({len(w) for w in weights})
+        if len(counts) > 1:
+            raise ValueError(f"rows hold different particle counts {counts}")
+        k, j = len(labels), counts[0] if counts else 0
+        states = np.array(states, dtype=float).reshape(k, j, STATE_DIM)
+        return cls(labels, existences, states, np.array(weights).reshape(k, j), timestamp, role)
 
-    def existences(self) -> dict:
-        return {c.label: c.existence for c in self.components}
+    @property
+    def components(self) -> tuple:
+        """The rows as read-only Components, in row order."""
+        existences = self.existences.tolist()
+        return tuple(map(Component, self.labels, existences, self.states, self.weights))
 
-    def validate(self) -> None:
-        for c in self.components:
-            c.validate()
+    def take(self, rows) -> "LmbDensity":
+        """The density of the given rows, in the given order; it shares this
+        density's arrays when that is every row in row order."""
+        rows = np.asarray(rows, dtype=np.intp)
+        if np.array_equal(rows, np.arange(len(self.labels))):
+            return replace(self, passed_through=None)
+        labels = [self.labels[k] for k in rows.tolist()]
+        existences, states, weights = self.existences[rows], self.states[rows], self.weights[rows]
+        return LmbDensity(labels, existences, states, weights, self.timestamp, self.role)
+
+    def mean_positions(self) -> np.ndarray:
+        """(K, 2) weight-averaged particle position of each row."""
+        return row_means(self.weights, self.states[:, :, :2])
+
+    def validate(self, tol: float = 1e-9) -> None:
+        """Raise ValueError unless existences lie in [0, 1] and every row's
+        weights are nonnegative and sum to one.  Shapes, one particle count
+        and unique labels already hold by construction."""
+        if np.any((self.existences < 0.0) | (self.existences > 1.0)):
+            raise ValueError(f"existences {self.existences} outside [0, 1]")
+        if np.any(self.weights < 0.0):
+            raise ValueError("negative particle weight")
+        sums = self.weights.sum(axis=1)
+        if np.any(np.abs(sums - 1.0) > tol):
+            raise ValueError(f"row weights sum to {sums}, not 1")
 
 
 def empty_density(timestamp: int, role: str = "prior") -> LmbDensity:
-    return LmbDensity(components=(), timestamp=timestamp, role=role)
+    return LmbDensity.from_rows((), timestamp, role)
 
 
 def round_half_up(x: float) -> int:
@@ -117,7 +146,13 @@ def round_half_up(x: float) -> int:
 
 def eap_cardinality(density: LmbDensity) -> float:
     """Expected a-posteriori cardinality: the sum of all existence probabilities."""
-    return float(sum(c.existence for c in density.components))
+    return float(sum(density.existences.tolist()))
+
+
+def ranked_rows(density: LmbDensity) -> list:
+    """Rows by descending existence, ties broken by the smaller label."""
+    existences = density.existences.tolist()
+    return sorted(range(len(existences)), key=lambda k: (-existences[k], density.labels[k]))
 
 
 def eap_states(density: LmbDensity) -> list:
@@ -127,44 +162,63 @@ def eap_states(density: LmbDensity) -> list:
     existence (ties broken by smaller label) and returns each component's
     weight-averaged particle state.
     """
-    n = min(round_half_up(eap_cardinality(density)), len(density.components))
+    n = min(round_half_up(eap_cardinality(density)), len(density.labels))
     if n <= 0:
         return []
-    ranked = sorted(density.components, key=lambda c: (-c.existence, c.label))
-    return [(c.label, c.mean_state()) for c in ranked[:n]]
+    rows = ranked_rows(density)[:n]
+    means = row_means(density.weights[rows], density.states[rows])
+    return [(density.labels[k], mean) for k, mean in zip(rows, means)]
 
 
-def systematic_resample_indices(weights: np.ndarray, count: int, offset: float) -> np.ndarray:
+def systematic_resample_indices(weights: np.ndarray, count: int, offsets) -> np.ndarray:
     """Systematic resampling: indices drawn at evenly spaced quantiles.
 
-    offset is the single uniform draw in [0, 1); a weight w receives at
-    least floor(count * w) copies.
+    weights is one (J,) row or a (k, J) stack and offsets holds one uniform
+    draw in [0, 1) per row; returns (k, count) indices.  A weight w receives
+    at least floor(count * w) copies.
     """
-    weights = np.asarray(weights, dtype=float)
-    total = float(weights.sum())
-    if total <= 0.0:
+    weights = np.atleast_2d(np.asarray(weights, dtype=float))
+    total = weights.sum(axis=1, keepdims=True)
+    if np.any(total <= 0.0):
         raise ValueError("cannot resample from all-zero weights")
-    positions = (offset + np.arange(count)) / count
-    cumulative = np.cumsum(weights / total)
-    cumulative[-1] = 1.0
-    return np.searchsorted(cumulative, positions, side="left")
+    positions = (np.atleast_1d(offsets)[:, None] + np.arange(count)) / count
+    cumulative = np.cumsum(weights / total, axis=1)
+    cumulative[:, -1:] = 1.0
+    return np.array(
+        [np.searchsorted(c, p, side="left") for c, p in zip(cumulative, positions)],
+        dtype=np.intp,
+    ).reshape(len(weights), count)
 
 
 def resample_component(
-    component: BernoulliComponent,
+    density: LmbDensity,
     target_count: int,
     rng: np.random.Generator,
-) -> BernoulliComponent:
-    """Systematic resampling of one component to target_count equal weights.
+) -> LmbDensity:
+    """Systematic resampling of every row not passed through by the update
+    to target_count equal weights.
 
-    Deterministic given the rng state, which supplies the offset.
+    One offset per resampled row, drawn in row order from rng; rows passed
+    through keep their particles and draw nothing, so they must already
+    hold target_count particles.
     """
     if target_count < 1:
         raise ValueError("target_count must be >= 1")
-    idx = systematic_resample_indices(component.weights, target_count, float(rng.random()))
-    states = component.states[idx].copy()
-    weights = np.full(target_count, 1.0 / target_count)
-    return replace(component, states=states, weights=weights)
+    k, j = density.weights.shape
+    passed = density.passed_through
+    rows = np.arange(k) if passed is None else np.flatnonzero(~passed)
+    if rows.size < k and j != target_count:
+        raise ValueError("rows passed through hold a particle count other than target_count")
+    idx = systematic_resample_indices(density.weights[rows], target_count, rng.random(rows.size))
+    states = np.empty((k, target_count, STATE_DIM))
+    weights = np.empty((k, target_count))
+    if passed is not None:
+        states[passed], weights[passed] = density.states[passed], density.weights[passed]
+    flat = (rows[:, None] * j + idx).ravel()  # one gather over all rows' particles
+    particles = np.take(density.states.reshape(-1, STATE_DIM), flat, axis=0)
+    states[rows] = particles.reshape(rows.size, target_count, STATE_DIM)
+    weights[rows] = 1.0 / target_count
+    return replace(density, states=states, weights=weights, passed_through=None)
 
 
 def prune(density: LmbDensity, existence_floor: float, max_components: int) -> LmbDensity:
@@ -175,9 +229,9 @@ def prune(density: LmbDensity, existence_floor: float, max_components: int) -> L
     """
     if not 0.0 <= existence_floor < 1.0:
         raise ValueError("existence_floor must be in [0, 1)")
-    survivors = [c for c in density.components if c.existence >= existence_floor]
-    if len(survivors) > max_components:
-        ranked = sorted(survivors, key=lambda c: (-c.existence, c.label))
-        keep = {c.label for c in ranked[:max_components]}
-        survivors = [c for c in survivors if c.label in keep]
-    return replace(density, components=tuple(survivors))
+    keep = density.existences >= existence_floor
+    if np.count_nonzero(keep) > max_components:
+        ranked = [k for k in ranked_rows(density) if keep[k]]
+        keep[:] = False
+        keep[ranked[:max_components]] = True
+    return density.take(np.flatnonzero(keep))

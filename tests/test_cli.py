@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 import yaml
 
+import sentrack
 from sentrack.cli import main
 from sentrack.scenarios import build_scenario_1, scenario_to_dict
 
@@ -18,6 +24,22 @@ def test_repeat_invocations_write_identical_csvs(tmp_path, capsys):
     # header plus one row per step
     assert len(written[0]["timesteps.csv"].splitlines()) == 4
     assert "scenario-1 fdcd" in capsys.readouterr().out
+
+
+def test_csvs_identical_across_hash_seeds(tmp_path):
+    # set and dict iteration over labels must not leak into the results
+    src = str(Path(sentrack.__file__).resolve().parents[1])
+    written = []
+    for hash_seed in ("0", "4242"):
+        out = tmp_path / hash_seed
+        argv = ["simulate", "--scenario", "1", "--method", "fdcd", "--runs", "1", "--steps", "3"]
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+        subprocess.run(
+            [sys.executable, "-m", "sentrack", *argv, "--out", str(out)],
+            env=env, check=True, capture_output=True, timeout=300,
+        )
+        written.append({f: (out / f).read_bytes() for f in CSV_FILES})
+    assert written[0] == written[1]
 
 
 @pytest.mark.parametrize("steps", [0, -1])

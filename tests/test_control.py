@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 
 from sentrack.control import (
     ControlContext,
-    DescentState,
     ObjectiveParams,
     PseudoCache,
     bernoulli_kld,
     dcd_sc_select,
     detect_cycle,
     drop_penalty,
+    existence_map,
     isc_select,
     kld_existence,
     objective,
@@ -27,7 +27,7 @@ from sentrack.control import (
 )
 from sentrack.filtering import FilterConfig
 from sentrack.fusion import compute_active_set, fuse_existence, fuse_lmb, fuse_spatial
-from sentrack.lmb import BernoulliComponent, Label, LmbDensity, empty_density
+from sentrack.lmb import Component, Label, LmbDensity, empty_density
 from sentrack.sensors import FovModel, SensorAction, SensorState
 
 PARAMS = ObjectiveParams()
@@ -40,11 +40,15 @@ def cloud(center, existence, label=Label(0, 0, 0), n=60, spread=5.0, seed=0, vel
     states = np.zeros((n, 4))
     states[:, :2] = np.asarray(center, dtype=float) + rng.normal(0, spread, (n, 2))
     states[:, 2:] = velocity
-    return BernoulliComponent(label, existence, states, np.full(n, 1.0 / n))
+    return Component(label, existence, states, np.full(n, 1.0 / n))
 
 
 def density(comps, timestamp=1, role="predicted"):
-    return LmbDensity(tuple(comps), timestamp, role)
+    return LmbDensity.from_rows(comps, timestamp, role)
+
+
+def comp_of(density, label):
+    return density.components[density.labels.index(label)]
 
 
 def exist_density(existences, role="predicted"):
@@ -54,17 +58,17 @@ def exist_density(existences, role="predicted"):
 
 class TestKldExistence:
     def test_identical_is_zero(self):
-        d = exist_density([0.3, 0.9]).existences()
+        d = existence_map(exist_density([0.3, 0.9]))
         assert kld_existence(d, d, 1e-6) == pytest.approx(0.0, abs=1e-12)
 
     def test_dropped_label_reduction(self):
-        d2 = exist_density([0.5]).existences()
-        d1 = empty_density(1, "predicted").existences()
+        d2 = existence_map(exist_density([0.5]))
+        d1 = existence_map(empty_density(1, "predicted"))
         assert kld_existence(d1, d2, 1e-6) == pytest.approx(-math.log(0.5), abs=1e-9)
 
     def test_new_label_epsilon_substitution(self):
-        d1 = exist_density([0.9]).existences()
-        d2 = empty_density(1, "predicted").existences()
+        d1 = existence_map(exist_density([0.9]))
+        d2 = existence_map(empty_density(1, "predicted"))
         expected = 0.9 * math.log(0.9 / 1e-6) + 0.1 * math.log(0.1 / (1 - 1e-6))
         assert kld_existence(d1, d2, 1e-6) == pytest.approx(expected, abs=1e-6)
         assert kld_existence(d1, d2, 1e-6) == pytest.approx(12.109, abs=1e-3)
@@ -72,8 +76,8 @@ class TestKldExistence:
     @given(st.lists(st.tuples(unit_prob, unit_prob), min_size=1, max_size=6))
     @settings(max_examples=200, deadline=None)
     def test_nonnegative_on_shared_labels(self, pairs):
-        d1 = exist_density([a for a, _ in pairs]).existences()
-        d2 = exist_density([b for _, b in pairs]).existences()
+        d1 = existence_map(exist_density([a for a, _ in pairs]))
+        d2 = existence_map(exist_density([b for _, b in pairs]))
         assert kld_existence(d1, d2, 1e-6) >= -1e-12
 
     @given(unit_prob, unit_prob)
@@ -86,47 +90,47 @@ class TestKldExistence:
 
 class TestDropPenalty:
     def test_no_drop(self):
-        d = exist_density([0.5]).existences()
+        d = existence_map(exist_density([0.5]))
         assert drop_penalty(d, d, 100.0) == 0.0
 
     def test_single_drop(self):
-        d2 = exist_density([0.5]).existences()
-        d1 = empty_density(1, "predicted").existences()
+        d2 = existence_map(exist_density([0.5]))
+        d1 = existence_map(empty_density(1, "predicted"))
         assert drop_penalty(d1, d2, 100.0) == pytest.approx(69.31, abs=0.01)
 
     def test_net_contribution_negative(self):
-        d2 = exist_density([0.5]).existences()
-        d1 = empty_density(1, "predicted").existences()
+        d2 = existence_map(exist_density([0.5]))
+        d1 = existence_map(empty_density(1, "predicted"))
         net = kld_existence(d1, d2, 1e-6) - drop_penalty(d1, d2, 100.0)
         assert net == pytest.approx(0.6931 - 69.31, abs=0.01)
         assert net < 0
 
     def test_lambda_below_one_rejected(self):
-        d = exist_density([0.5]).existences()
+        d = existence_map(exist_density([0.5]))
         with pytest.raises(ValueError):
             drop_penalty(d, d, 0.5)
 
 
 class TestObjective:
     def test_identical_zero(self):
-        d = exist_density([0.4, 0.8]).existences()
+        d = existence_map(exist_density([0.4, 0.8]))
         assert objective(d, d, PARAMS) == pytest.approx(0.0, abs=1e-12)
 
     def test_new_label_gain(self):
-        d1 = exist_density([0.9]).existences()
-        d2 = empty_density(1, "predicted").existences()
+        d1 = existence_map(exist_density([0.9]))
+        d2 = existence_map(empty_density(1, "predicted"))
         assert objective(d1, d2, PARAMS) == pytest.approx(12.109, abs=1e-3)
 
     def test_dropped_label_cost(self):
-        d2 = exist_density([0.5]).existences()
-        d1 = empty_density(1, "predicted").existences()
+        d2 = existence_map(exist_density([0.5]))
+        d1 = existence_map(empty_density(1, "predicted"))
         assert objective(d1, d2, PARAMS) == pytest.approx(-68.62, abs=0.01)
 
 
-def enumerated_psi(density, sensor, rho):
+def enumerated_psi(components, sensor, rho):
     """Oracle for the psi rule: one pure-Python pass over every particle."""
     expected = 1.0
-    for c in density.components:
+    for c in components:
         inside_w = 0.0
         for w, s in zip(c.weights, c.states):
             if math.hypot(s[0] - sensor.x, s[1] - sensor.y) <= rho:
@@ -158,7 +162,7 @@ class TestVoidProbability:
         c = cloud((0, 0), 0.5, n=10, spread=1.0)
         states = c.states.copy()
         states[5:, :2] += 1000.0
-        d = density([BernoulliComponent(c.label, 0.5, states, c.weights)])
+        d = density([Component(c.label, 0.5, states, c.weights)])
         psi, pseudo = stay_psi(d, SensorState(0, 0, 0), 20.0)
         comp = pseudo.components[0]
         assert np.array_equal(comp.states, states)
@@ -181,7 +185,7 @@ class TestVoidProbability:
         rho = float(rng.uniform(5, 40))
         psi, pseudo = stay_psi(density(comps), sensor, rho)
         assert len(pseudo.components) == len(comps)
-        assert psi == pytest.approx(enumerated_psi(pseudo, sensor, rho), abs=1e-12)
+        assert psi == pytest.approx(enumerated_psi(pseudo.components, sensor, rho), abs=1e-12)
 
 
 def stay_only_cache(predicted, states, params=PARAMS):
@@ -260,23 +264,14 @@ class TestDetectCycle:
 
 
 class TestSelectFinalCommand:
-    def make_state(self, history, scores):
-        s = DescentState(sensors=(0,))
-        s.history = history
-        s.scores = scores
-        return s
-
     def test_argmax_inside_cycle(self):
-        s = self.make_state(["a", "b", "a"], [5.0, 7.0, 5.0])
-        assert select_final_command(s, 1, 3) == "b"
+        assert select_final_command(["a", "b", "a"], [5.0, 7.0, 5.0], 1, 3) == "b"
 
     def test_length_one_cycle(self):
-        s = self.make_state(["a", "a"], [3.0, 3.0])
-        assert select_final_command(s, 1, 2) == "a"
+        assert select_final_command(["a", "a"], [3.0, 3.0], 1, 2) == "a"
 
     def test_tie_takes_earliest(self):
-        s = self.make_state(["a", "b", "a"], [4.0, 4.0, 4.0])
-        assert select_final_command(s, 1, 3) == "a"
+        assert select_final_command(["a", "b", "a"], [4.0, 4.0, 4.0], 1, 3) == "a"
 
 
 class TestDescentCore:
@@ -424,9 +419,9 @@ class TestFdcdPipeline:
         active = active_sets(cache, (0, 1), cmd)
         # fuse_lmb over the labels some participant is active for
         fused = fuse_lmb(locals_, active)
-        assert set(fe.existences) == set(active) == fused.labels()
+        assert set(fe.existences) == set(active) == set(fused.labels)
         for label, r in fe.existences.items():
-            assert r == pytest.approx(fused.by_label()[label].existence, abs=1e-12)
+            assert r == pytest.approx(comp_of(fused, label).existence, abs=1e-12)
 
 
 def active_sets(cache, participants, command):
@@ -435,8 +430,8 @@ def active_sets(cache, participants, command):
     active = {}
     for s, a in zip(participants, command):
         pseudo = cache.pseudo(s, a)
-        updated = {c.label: c.mean_position() for c in pseudo.components}
-        predicted = {c.label: c.mean_position() for c in cache.predicted[s].components}
+        updated = {c.label: c.weights @ c.states[:, :2] for c in pseudo.components}
+        predicted = {c.label: c.weights @ c.states[:, :2] for c in cache.predicted[s].components}
         for label in compute_active_set(cache.state_after(s, a), cache.fovs[s], updated, predicted):
             active.setdefault(label, set()).add(s)
     return active
@@ -485,6 +480,7 @@ class TestFusedEvaluation:
             cache = seeded_cache(seed)
             for s in cache.predicted:
                 for a in range(cache.n_actions(s)):
+                    assert cache.pseudo(s, a).states is cache.predicted[s].states
                     pseudo = cache.pseudo(s, a).components
                     predicted = cache.predicted[s].components
                     assert [c.label for c in pseudo] == [c.label for c in predicted]
@@ -504,13 +500,13 @@ class TestFusedEvaluation:
             active = active_sets(cache, participants, cmd)
             union = []
             for label in sorted(active):
-                comps = [cache.pseudo(s, cmd[s]).by_label()[label] for s in sorted(active[label])]
+                comps = [comp_of(cache.pseudo(s, cmd[s]), label) for s in sorted(active[label])]
                 r = fuse_existence([c.existence for c in comps])
                 assert fe.existences[label] == pytest.approx(r, abs=1e-12)
-                union.append(BernoulliComponent(label, r, *fuse_spatial(comps)))
+                union.append(Component(label, r, *fuse_spatial(comps)))
             assert list(fe.existences) == sorted(active)
             expected = max(
-                enumerated_psi(density(union), cache.state_after(s, a), rho)
+                enumerated_psi(union, cache.state_after(s, a), rho)
                 for s, a in zip(participants, cmd)
             )
             assert fe.psi == pytest.approx(expected, abs=1e-12)

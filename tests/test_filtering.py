@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -14,12 +15,13 @@ from sentrack.filtering import (
     pseudo_update,
     update,
 )
-from sentrack.lmb import BernoulliComponent, Label, LmbDensity
+from sentrack.lmb import Component, Label, LmbDensity, resample_component
 from sentrack.sensors import (
     FovModel,
     MotionModel,
     SensorState,
     detection_probabilities,
+    propagate_states,
 )
 
 FOV = FovModel(rho_max=500.0, theta_max=math.pi / 4, p_d_max=0.99, k_rho=0.5, k_theta=20.0)
@@ -40,11 +42,19 @@ def cloud(center, existence, label=Label(0, 0, 0), n=200, spread=8.0, seed=0):
     rng = np.random.default_rng(seed)
     states = np.zeros((n, 4))
     states[:, :2] = np.asarray(center, dtype=float) + rng.normal(0, spread, (n, 2))
-    return BernoulliComponent(label, existence, states, np.full(n, 1.0 / n))
+    return Component(label, existence, states, np.full(n, 1.0 / n))
 
 
 def predicted_density(components, timestamp=1):
-    return LmbDensity(tuple(components), timestamp, "predicted")
+    return LmbDensity.from_rows(components, timestamp, "predicted")
+
+
+def comp_of(density, label):
+    return density.components[density.labels.index(label)]
+
+
+def mean_position(c):
+    return c.weights @ c.states[:, :2]
 
 
 class TestFilterConfig:
@@ -74,7 +84,7 @@ class TestFilterConfig:
 
 class TestPredict:
     def test_survival_scaling(self):
-        prior = LmbDensity((cloud((0, 300), 0.5),), 0, "posterior")
+        prior = LmbDensity.from_rows([cloud((0, 300), 0.5)], 0, "posterior")
         out = predict(prior, MOTION, np.random.default_rng(0))
         assert out.components[0].existence == pytest.approx(0.5 * 0.99)
         assert out.role == "predicted" and out.timestamp == 1
@@ -83,13 +93,21 @@ class TestPredict:
         c = cloud((0, 300), 0.5)
         states = c.states.copy()
         states[:, 2:] = [3.0, -2.0]
-        prior = LmbDensity(
-            (BernoulliComponent(c.label, 0.5, states, c.weights),), 0, "posterior"
-        )
+        prior = LmbDensity.from_rows([c._replace(states=states)], 0, "posterior")
         quiet = MotionModel(period=1.0, process_noise_std=1e-12, survival_probability=0.99)
         out = predict(prior, quiet, None)
         assert np.allclose(out.components[0].states[:, 0], states[:, 0] + 3.0)
         assert np.allclose(out.components[0].states[:, 1], states[:, 1] - 2.0)
+
+    def test_batched_noise_matches_per_row_propagation(self):
+        rows = [cloud((i * 50, 300), 0.5, Label(0, i, 0), n=200, seed=i) for i in range(4)]
+        prior = LmbDensity.from_rows(rows, 0, "posterior")
+        rng = np.random.default_rng(7)
+        out = predict(prior, MOTION, rng)
+        draws = np.random.default_rng(7)
+        for k, c in enumerate(rows):
+            np.testing.assert_array_equal(out.states[k], propagate_states(MOTION, c.states, draws))
+        assert rng.bit_generator.state == draws.bit_generator.state
 
 
 class TestUpdate:
@@ -98,8 +116,10 @@ class TestUpdate:
         pred = predicted_density([behind])
         out = update(pred, [np.array([0.0, 250.0])], SENSOR, FOV, CFG,
                      np.random.default_rng(0), origin=0)
-        same = out.by_label()[behind.label]
-        assert same is pred.components[0]
+        assert out.labels[0] == behind.label and out.passed_through.tolist() == [True, False]
+        np.testing.assert_array_equal(out.states[0], pred.states[0])
+        np.testing.assert_array_equal(out.weights[0], pred.weights[0])
+        assert out.existences[0] == pred.existences[0]
 
     def test_miss_update_matches_bernoulli_algebra(self):
         c = cloud((0, 300), 0.8)
@@ -110,14 +130,14 @@ class TestUpdate:
         pd = detection_probabilities(FOV, SENSOR, c.states[:, :2])
         pbar = float(c.weights @ pd)
         expected = 0.8 * (1 - pbar) / (1 - 0.8 * pbar)
-        assert out.by_label()[c.label].existence == pytest.approx(expected, rel=1e-12)
+        assert comp_of(out, c.label).existence == pytest.approx(expected, rel=1e-12)
 
     def test_detection_raises_existence(self):
         c = cloud((0, 300), 0.5)
         pred = predicted_density([c])
-        z = c.mean_position() - SENSOR.position
+        z = mean_position(c) - SENSOR.position
         out = update(pred, [z], SENSOR, FOV, CFG, np.random.default_rng(0), origin=0)
-        assert out.by_label()[c.label].existence > 0.9
+        assert comp_of(out, c.label).existence > 0.9
 
     def test_existences_stay_in_unit_interval(self):
         rng = np.random.default_rng(4)
@@ -140,15 +160,47 @@ class TestUpdate:
         assert len(births) == 1
         assert births[0].label == Label(1, 0, 3)
         assert births[0].existence == pytest.approx(CFG.birth_existence)
-        center = births[0].mean_position()
+        center = mean_position(births[0])
         assert np.linalg.norm(center - (SENSOR.position + far)) < 5.0
 
     def test_gated_measurement_spawns_no_birth(self):
         c = cloud((0, 300), 0.9)
         pred = predicted_density([c])
-        z = c.mean_position() - SENSOR.position + np.array([3.0, -2.0])
+        z = mean_position(c) - SENSOR.position + np.array([3.0, -2.0])
         out = update(pred, [z], SENSOR, FOV, CFG, np.random.default_rng(0), origin=0)
-        assert out.labels() == pred.labels()
+        assert out.labels == pred.labels
+
+
+class TestPassThrough:
+    # p_d_max squared bounds the detection probability, so a FoV this faint
+    # puts a row's maximum right at the 1e-12 pass-through threshold
+    FAINT = dataclasses.replace(FOV, p_d_max=1.001e-6)
+
+    def test_threshold_row_passes_and_draws_no_offset(self):
+        below = cloud((0, 497), 0.5, Label(0, 0, 0), spread=1e-6)
+        above = cloud((0, 100), 0.5, Label(0, 1, 0), spread=1e-6, seed=1)
+        pd_below = detection_probabilities(self.FAINT, SENSOR, below.states[:, :2]).max()
+        pd_above = detection_probabilities(self.FAINT, SENSOR, above.states[:, :2]).max()
+        assert 0.0 < pd_below <= 1e-12 < pd_above < 1.01e-12
+        pred = predicted_density([below, above])
+        post = update(pred, [], SENSOR, self.FAINT, CFG, np.random.default_rng(0), origin=0)
+        assert post.passed_through.tolist() == [True, False]
+        assert post.states is pred.states
+        assert post.existences[0] == pred.existences[0]
+        assert post.existences[1] < pred.existences[1]
+        np.testing.assert_array_equal(post.weights[0], pred.weights[0])
+
+        rng = np.random.default_rng(3)
+        out = resample_component(post, CFG.particle_count, rng)
+        draws = np.random.default_rng(3)
+        offset = draws.random()  # the only draw: one offset, for the updated row
+        assert rng.bit_generator.state == draws.bit_generator.state
+        np.testing.assert_array_equal(out.states[0], pred.states[0])
+        positions = (offset + np.arange(CFG.particle_count)) / CFG.particle_count
+        cumulative = np.cumsum(post.weights[1] / post.weights[1].sum())
+        cumulative[-1] = 1.0
+        idx = np.searchsorted(cumulative, positions, side="left")
+        np.testing.assert_array_equal(out.states[1], pred.states[1][idx])
 
 
 class TestPseudoUpdate:
@@ -158,8 +210,8 @@ class TestPseudoUpdate:
         meas = [np.array([0.0, 300.0]), np.array([100.0, 250.0])]
         via_update = update(pred, meas, SENSOR, FOV, CFG, np.random.default_rng(0), origin=0)
         via_pseudo = pseudo_update(pred, meas, SENSOR, FOV, CFG)
-        for label in pred.labels():
-            a, b = via_update.by_label()[label], via_pseudo.by_label()[label]
+        for label in pred.labels:
+            a, b = comp_of(via_update, label), comp_of(via_pseudo, label)
             assert a.existence == pytest.approx(b.existence, rel=1e-12)
             assert np.allclose(a.weights, b.weights)
 
@@ -178,8 +230,10 @@ class TestPseudoUpdate:
         behind = cloud((0, -300), 0.7)
         pred = predicted_density([behind])
         out = pseudo_update(pred, [np.array([50.0, 50.0])], SENSOR, FOV, CFG)
-        assert out.by_label()[behind.label] is pred.components[0]
-        assert out.labels() == pred.labels()
+        assert out.passed_through.tolist() == [True]
+        assert out.states is pred.states and out.existences[0] == pred.existences[0]
+        np.testing.assert_array_equal(out.weights, pred.weights)
+        assert out.labels == pred.labels
         assert out.role == "pseudo-posterior"
 
 

@@ -1,8 +1,11 @@
 import dataclasses
+from collections import Counter
 
+import numpy as np
 import pytest
 
-from sentrack.harness import ControlContext, run_single
+from sentrack import harness
+from sentrack.harness import METHODS, ControlContext, run_single
 from sentrack.scenarios import build_scenario_1, build_scenario_2
 
 
@@ -40,3 +43,85 @@ def test_fused_evaluations_stay_in_range(monkeypatch, scenario, method):
     build = build_scenario_1 if scenario == 1 else build_scenario_2
     run_single(build(), method, seed=20260810, duration=8)
     assert seen and any(seen)
+
+
+def _equal_rows(a, rows_a, b, rows_b):
+    if not a.existences[rows_a].size:  # an empty density has no particle count to compare
+        return
+    np.testing.assert_array_equal(a.existences[rows_a], b.existences[rows_b])
+    np.testing.assert_array_equal(a.states[rows_a], b.states[rows_b])
+    np.testing.assert_array_equal(a.weights[rows_a], b.weights[rows_b])
+
+
+@pytest.mark.parametrize("scenario,method", [(n, m) for n in (1, 2) for m in METHODS])
+def test_every_density_stays_valid(monkeypatch, scenario, method):
+    # wrap the density stages where the harness looks them up, as the
+    # benchmark tracer does, and check every result of a golden run
+    seen = Counter()
+
+    def wrap(name, check):
+        original = harness.__dict__[name]
+
+        def checked(*args, **kwargs):
+            result = check(original, *args, **kwargs)
+            for density in result.values() if isinstance(result, dict) else [result]:
+                density.validate()
+            seen[name] += 1
+            return result
+
+        monkeypatch.setattr(harness, name, checked)
+
+    def plain(original, *args, **kwargs):
+        return original(*args, **kwargs)
+
+    def update(original, predicted, *args, **kwargs):
+        post = original(predicted, *args, **kwargs)
+        k = len(predicted.labels)
+        passed = post.passed_through
+        assert post.labels[:k] == predicted.labels and not passed[k:].any()
+        _equal_rows(post, np.flatnonzero(passed), predicted, np.flatnonzero(passed[:k]))
+        seen["passed rows"] += int(passed.sum())
+        return post
+
+    def resample(original, density, count, rng):
+        replay = np.random.default_rng()
+        replay.bit_generator.state = rng.bit_generator.state
+        out = original(density, count, rng)
+        passed = density.passed_through
+        assert out.labels == density.labels and out.passed_through is None
+        _equal_rows(out, passed, density, passed)
+        assert np.all(out.weights[~passed] == 1.0 / count)
+        # one offset per resampled row, none for a row passed through
+        replay.random(int(np.count_nonzero(~passed)))
+        assert replay.bit_generator.state == rng.bit_generator.state
+        return out
+
+    for name in ("predict", "prune", "associate_labels", "fuse_lmb"):
+        wrap(name, plain)
+    wrap("update", update)
+    wrap("resample_component", resample)
+    build = build_scenario_1 if scenario == 1 else build_scenario_2
+    run_single(build(), method, seed=20260810, duration=8)
+    assert seen["update"] == seen["resample_component"] > 0 and seen["passed rows"] > 0
+    assert all(seen[name] for name in ("predict", "prune", "associate_labels", "fuse_lmb"))
+
+
+@pytest.mark.parametrize("scenario", [1, 2])
+def test_labels_below_reach_skip_fusion_without_changing_results(monkeypatch, scenario):
+    # fusing every label, as with no pre-filter, must give the same records
+    build = build_scenario_1 if scenario == 1 else build_scenario_2
+    fused_rows = Counter()
+    original = harness.__dict__["fuse_lmb"]
+
+    def counted(locals_, active, key):
+        fused = original(locals_, active)
+        fused_rows[key] += len(fused.labels)
+        return fused
+
+    monkeypatch.setattr(harness, "fuse_lmb", lambda *a: counted(*a, "filtered"))
+    filtered = run_single(build(), "fixed", seed=20260810, duration=8)
+    monkeypatch.setattr(harness, "fuse_lmb", lambda *a: counted(*a, "all"))
+    monkeypatch.setattr(harness, "fuse_existence", lambda existences: 1.0)
+    everything = run_single(build(), "fixed", seed=20260810, duration=8)
+    assert filtered.steps == everything.steps
+    assert fused_rows["filtered"] < fused_rows["all"]

@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sentrack.lmb import (
-    BernoulliComponent,
+    Component,
     Label,
     LmbDensity,
     eap_cardinality,
@@ -22,7 +24,7 @@ def comp(existence, positions, weights=None, label=None, velocity=(0.0, 0.0)):
     states = np.column_stack([positions, np.tile(velocity, (len(positions), 1))])
     if weights is None:
         weights = np.full(len(states), 1.0 / len(states))
-    return BernoulliComponent(
+    return Component(
         label=label or Label(0, 0, 0),
         existence=existence,
         states=states,
@@ -34,7 +36,27 @@ def density(existences, role="posterior", timestamp=0):
     comps = tuple(
         comp(r, [float(i)], label=Label(0, i, 0)) for i, r in enumerate(existences)
     )
-    return LmbDensity(comps, timestamp, role)
+    return LmbDensity.from_rows(comps, timestamp, role)
+
+
+def rows(*comps, passed=None):
+    d = LmbDensity.from_rows(comps, 0, "posterior")
+    return d if passed is None else replace(d, passed_through=np.array(passed))
+
+
+def random_density(rng, k, j, ties=False):
+    existences = rng.choice([0.3, 0.6, 0.9], k) if ties else rng.random(k)
+    weights = rng.random((k, j))
+    weights /= weights.sum(axis=1, keepdims=True)
+    labels = [Label(0, i, int(rng.integers(3))) for i in rng.permutation(k)]
+    return LmbDensity(labels, existences, rng.normal(0, 100, (k, j, 4)), weights, 0, "posterior")
+
+
+def systematic_row(weights, count, offset):
+    """Reference: one row's systematic resample with a scalar offset."""
+    cumulative = np.cumsum(weights / float(weights.sum()))
+    cumulative[-1] = 1.0
+    return np.searchsorted(cumulative, (offset + np.arange(count)) / count, side="left")
 
 
 class TestEapCardinality:
@@ -58,8 +80,7 @@ class TestEapCardinality:
 class TestEapStates:
     def test_symmetric_average(self):
         c = comp(1.0, [0.0, 10.0], weights=[0.5, 0.5])
-        d = LmbDensity((c,), 0, "posterior")
-        [(label, state)] = eap_states(d)
+        [(label, state)] = eap_states(rows(c))
         assert state[0] == pytest.approx(5.0)
 
     def test_highest_existence_wins(self):
@@ -76,49 +97,85 @@ class TestEapStates:
             comp(0.8, [2.0], label=Label(0, 1, 0)),
             comp(0.8, [1.0], label=Label(0, 0, 0)),
         )
-        d = LmbDensity(comps, 0, "posterior")
-        picked = eap_states(d)
+        picked = eap_states(rows(*comps))
         assert len(picked) == 2  # round(1.6) = 2
         assert picked[0][0] == Label(0, 0, 0)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_per_row_means(self, seed):
+        rng = np.random.default_rng(seed)
+        d = random_density(rng, int(rng.integers(1, 40)), int(rng.choice([1, 60, 500])), ties=True)
+        means = d.mean_positions()
+        for c, mean in zip(d.components, means):
+            np.testing.assert_array_equal(mean, c.weights @ c.states[:, :2])
+        ranked = sorted(d.components, key=lambda c: (-c.existence, c.label))
+        n = int(np.floor(sum(c.existence for c in d.components) + 0.5))
+        picked = eap_states(d)
+        assert [label for label, _ in picked] == [c.label for c in ranked[:n]]
+        for (_, state), c in zip(picked, ranked):
+            np.testing.assert_array_equal(state, c.weights @ c.states)
 
 
 class TestResample:
     def test_single_particle(self):
         c = comp(1.0, [7.0], weights=[1.0])
-        out = resample_component(c, 100, np.random.default_rng(0))
-        assert out.particle_count == 100
+        out = resample_component(rows(c), 100, np.random.default_rng(0))
+        assert out.states.shape == (1, 100, 4)
         assert np.allclose(out.weights, 0.01)
-        assert np.allclose(out.states[:, 0], 7.0)
+        assert np.allclose(out.states[0, :, 0], 7.0)
 
     def test_dominant_weight_guarantee(self):
         c = comp(1.0, [0.0, 1.0], weights=[0.999, 0.001])
-        out = resample_component(c, 1000, np.random.default_rng(1))
-        copies = int((out.states[:, 0] == 0.0).sum())
+        out = resample_component(rows(c), 1000, np.random.default_rng(1))
+        copies = int((out.states[0, :, 0] == 0.0).sum())
         assert copies >= 990
 
     def test_deterministic_under_seed(self):
         c = comp(1.0, np.arange(10.0), weights=np.full(10, 0.1))
-        a = resample_component(c, 50, np.random.default_rng(42))
-        b = resample_component(c, 50, np.random.default_rng(42))
+        a = resample_component(rows(c), 50, np.random.default_rng(42))
+        b = resample_component(rows(c), 50, np.random.default_rng(42))
         assert np.array_equal(a.states, b.states)
 
     def test_all_zero_weights_error(self):
         c = comp(0.5, [0.0, 1.0], weights=[0.5, 0.5])
-        bad = BernoulliComponent(c.label, c.existence, c.states, np.zeros(2))
+        bad = c._replace(weights=np.zeros(2))
         with pytest.raises(ValueError):
-            resample_component(bad, 10, np.random.default_rng(0))
+            resample_component(rows(bad), 10, np.random.default_rng(0))
 
     def test_weights_sum_and_mean_preserved(self):
         rng = np.random.default_rng(5)
         w = rng.random(200)
         w /= w.sum()
         c = comp(1.0, rng.normal(0, 30, 200), weights=w)
-        out = resample_component(c, 2000, rng)
+        out = resample_component(rows(c), 2000, rng)
         assert out.weights.sum() == pytest.approx(1.0, abs=1e-9)
-        before = c.mean_state()[0]
-        after = out.mean_state()[0]
+        before = (c.weights @ c.states)[0]
+        after = (out.weights[0] @ out.states[0])[0]
         spread = float(np.sqrt(np.sum(c.weights * (c.states[:, 0] - before) ** 2)))
         assert abs(after - before) <= max(0.05 * abs(before), 3 * spread / np.sqrt(2000))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_batched_rows_match_single_row_resamples(self, seed):
+        rng = np.random.default_rng(seed)
+        k, j = int(rng.integers(1, 30)), int(rng.choice([1, 60, 500]))
+        d = replace(random_density(rng, k, j), passed_through=rng.random(k) < 0.3)
+        out = resample_component(d, j, np.random.default_rng(seed))
+        draws = np.random.default_rng(seed)
+        for row in range(k):
+            if d.passed_through[row]:
+                np.testing.assert_array_equal(out.states[row], d.states[row])
+                np.testing.assert_array_equal(out.weights[row], d.weights[row])
+            else:
+                idx = systematic_row(d.weights[row], j, draws.random())
+                np.testing.assert_array_equal(out.states[row], d.states[row][idx])
+                np.testing.assert_array_equal(out.weights[row], np.full(j, 1.0 / j))
+        assert out.passed_through is None
+
+    def test_passed_rows_must_hold_target_count(self):
+        d = rows(comp(0.5, [0.0, 1.0]), comp(0.5, [2.0, 3.0], label=Label(0, 1, 0)),
+                 passed=[True, False])
+        with pytest.raises(ValueError, match="target_count"):
+            resample_component(d, 3, np.random.default_rng(0))
 
 
 class TestPrune:
@@ -143,7 +200,28 @@ class TestDensityInvariants:
     def test_duplicate_labels_rejected(self):
         c = comp(0.5, [0.0])
         with pytest.raises(ValueError):
-            LmbDensity((c, c), 0, "posterior")
+            rows(c, c)
+
+    def test_rows_of_different_lengths_rejected(self):
+        short = comp(0.5, [0.0, 1.0])
+        long = comp(0.5, [0.0, 1.0, 2.0], label=Label(0, 1, 0))
+        with pytest.raises(ValueError, match="different particle counts"):
+            rows(short, long)
+
+    @pytest.mark.parametrize("states,weights", [((1, 3, 4), (1, 2)), ((1, 4), (1,))])
+    def test_inconsistent_arrays_rejected(self, states, weights):
+        with pytest.raises(ValueError, match="inconsistent"):
+            LmbDensity([Label(0, 0, 0)], [0.5], np.zeros(states), np.ones(weights), 0, "prior")
+
+    @pytest.mark.parametrize(
+        "existence,weights",
+        [(1.5, [0.5, 0.5]), (-0.1, [0.5, 0.5]), (0.5, [0.7, 0.7]), (0.5, [1.5, -0.5])],
+    )
+    def test_validate_rejects_bad_values(self, existence, weights):
+        d = rows(comp(existence, [0.0, 1.0], weights=weights))
+        with pytest.raises(ValueError):
+            d.validate()
+        rows(comp(0.5, [0.0, 1.0])).validate()
 
     def test_bad_role_rejected(self):
         with pytest.raises(ValueError):
