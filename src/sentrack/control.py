@@ -28,7 +28,7 @@ import numpy as np
 
 from .filtering import FilterConfig, generate_pims, pseudo_update
 from .fusion import compute_active_set, existence_odds
-from .lmb import LmbDensity, prune
+from .lmb import LmbDensity, eap_states, prune
 from .sensors import FovModel, SensorState, apply_action
 
 _CLAMP = 1e-12
@@ -273,14 +273,16 @@ class PseudoCache:
     """Per-step cache of everything control evaluation reuses.
 
     labels is the step's sorted label index; rows[s] maps sensor s's
-    components onto it.  Per (sensor, action): the post-action state, the
-    pseudo-posterior and, on first use, the mask of components the sensor
-    is active for.  Per (owner, action, center), on first use: the in-disk
-    weight of each of the owner's pseudo components.  A pseudo-posterior
-    shares its predicted density's states array, since pseudo_update never
-    moves a particle, so which particles lie in a disk is found once per
-    (sensor, center) from predicted.states, and only components with a
-    particle inside are summed.
+    components onto it.  Per sensor: the EAP positions of its predicted
+    density, which every action's ideal measurement set starts from.  Per
+    (sensor, action): the post-action state, the pseudo-posterior and, on
+    first use, the mask of components the sensor is active for.  Per
+    (owner, action, center), on first use: the in-disk weight of each of
+    the owner's pseudo components.  A pseudo-posterior shares its predicted
+    density's states array, since pseudo_update never moves a particle, so
+    which particles lie in a disk is found once per (sensor, center) from
+    predicted.states, and only components with a particle inside are
+    summed.
     """
 
     def __init__(
@@ -304,6 +306,10 @@ class PseudoCache:
             for s, d in predicted.items()
         }
         self.predicted_existences = {s: existence_map(d) for s, d in self.predicted.items()}
+        self.eap_positions = {
+            s: np.array([state[:2] for _label, state in eap_states(d)]).reshape(-1, 2)
+            for s, d in self.predicted.items()
+        }
         self.predicted_means = {
             s: dict(zip(d.labels, d.mean_positions())) for s, d in self.predicted.items()
         }
@@ -332,7 +338,7 @@ class PseudoCache:
         key = (s, a)
         if key not in self._pseudo:
             state = self.state_after(s, a)
-            pims = generate_pims(self.predicted[s], state, self.fovs[s])
+            pims = generate_pims(self.eap_positions[s], state, self.fovs[s])
             density = pseudo_update(
                 self.predicted[s], pims, state, self.fovs[s], self.filter_cfgs[s]
             )

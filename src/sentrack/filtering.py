@@ -13,6 +13,14 @@ ranked assignments.  The update itself never resamples: resampling and
 pruning are separate steps so that a no-information update is exactly the
 identity on the density.
 
+The update works on arrays of gated (row, measurement) pairs: one rows x
+measurements distance matrix gates them, one pass over all gated pairs
+computes their likelihoods and normalized particle weights, and each
+row's posterior weights are summed term by term in its own event order
+(miss term first, then the detections in marginal order), so the result
+has the bits of a row-by-row update.  Only the association marginals are
+computed cluster by cluster.
+
 Pass-through rule: a component whose maximum detection probability over
 its particles is at most 1e-12 has no gated measurement, so it forms a
 cluster of its own, and the update passes it through unchanged.  The
@@ -30,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .lmb import EXISTENCE_CEIL, STATE_DIM, Label, LmbDensity, eap_states, row_means
+from .lmb import EXISTENCE_CEIL, STATE_DIM, Label, LmbDensity, row_means
 from .sensors import (
     FovModel,
     MotionModel,
@@ -108,22 +116,18 @@ def predict(
 
 
 def generate_pims(
-    predicted: LmbDensity, sensor_after_action: SensorState, fov: FovModel
-) -> list:
+    positions: np.ndarray, sensor_after_action: SensorState, fov: FovModel
+) -> np.ndarray:
     """Ideal measurement set for a hypothesized sensor state.
 
-    For each EAP-estimated object, if the detection probability at the
-    estimated position exceeds the model threshold, the exact noiseless
-    relative displacement is emitted; otherwise the object is treated as
-    missed and omitted.
+    positions holds the (N, 2) positions of the predicted density's EAP
+    estimates (eap_states), so one sensor's actions share them.  Each
+    estimate whose detection probability exceeds the model threshold emits
+    its exact noiseless relative displacement, a row of the (M, 2) result;
+    the others are treated as missed and omitted.
     """
-    positions = [state[:2] for _label, state in eap_states(predicted)]
     pd = detection_probabilities(fov, sensor_after_action, positions)
-    return [
-        pos - sensor_after_action.position
-        for pos, p in zip(positions, pd)
-        if p > fov.p_d_threshold
-    ]
+    return positions[pd > fov.p_d_threshold] - sensor_after_action.position
 
 
 # ---------------------------------------------------------------------------
@@ -137,24 +141,7 @@ class _RowTerms(NamedTuple):
     row: int
     no_det_weight: float
     det_weights: dict  # {meas_idx: r * G_z / clutter}
-    det_particle_w: dict  # {meas_idx: normalized particle weights}
-
-
-def _row_terms(k, predicted, pd, no_det, mean_disp, sensor, measurements, cfg) -> _RowTerms:
-    terms = _RowTerms(k, no_det, {}, {})
-    r = min(float(predicted.existences[k]), EXISTENCE_CEIL)
-    kappa = max(cfg.clutter_intensity, _MIN_CLUTTER)
-    for j, z in enumerate(measurements):
-        if np.hypot(*(z - mean_disp)) > cfg.association_gate:
-            continue
-        positions = predicted.states[k, :, :2]
-        logg = displacement_log_likelihoods(positions, sensor, z, cfg.meas_noise_std)
-        raw = predicted.weights[k] * pd * np.exp(logg)
-        g_sum = float(raw.sum())
-        if g_sum > 0.0:
-            terms.det_weights[j] = r * g_sum / kappa
-            terms.det_particle_w[j] = raw / g_sum
-    return terms
+    pairs: dict  # {meas_idx: index of the (row, meas_idx) pair in the gated arrays}
 
 
 def _cluster_components(terms: list) -> list:
@@ -298,27 +285,6 @@ def _ranked_marginals(cluster_terms: list, k: int) -> list:
     return [{e: v / total for e, v in s.items()} for s in sums]
 
 
-def _posterior_row(existence, weights, pd, miss_lik, t: _RowTerms, marginals: dict):
-    """Posterior existence and particle weights of one updated row."""
-    r = min(existence, EXISTENCE_CEIL)
-    beta_miss = marginals.get(None, 0.0)
-    exist_miss = beta_miss * (r * miss_lik / t.no_det_weight) if t.no_det_weight > 0 else 0.0
-    new_r = exist_miss + sum(p for ev, p in marginals.items() if ev is not None)
-    new_r = min(new_r, EXISTENCE_CEIL)
-    if new_r <= 0.0:
-        return 0.0, weights
-    w = np.zeros(len(weights))
-    if exist_miss > 0.0 and miss_lik > 0.0:
-        w += exist_miss * weights * (1.0 - pd) / miss_lik
-    for ev, p in marginals.items():
-        if ev is not None and p > 0.0:
-            w += p * t.det_particle_w[ev]
-    total = float(w.sum())
-    if total <= 0.0:
-        return new_r, weights
-    return new_r, w / total
-
-
 def _bayes_update(
     predicted: LmbDensity,
     measurements,
@@ -329,22 +295,44 @@ def _bayes_update(
     rng: np.random.Generator | None = None,
     origin: int | None = None,
 ) -> LmbDensity:
-    measurements = [np.asarray(z, dtype=float) for z in measurements]
+    z = np.asarray(measurements, dtype=float).reshape(-1, 2)
     k, j = predicted.weights.shape
-    pd = detection_probabilities(fov, sensor, predicted.states[:, :, :2].reshape(-1, 2))
-    pd = pd.reshape(k, j)
+    positions = predicted.states[:, :, :2].reshape(-1, 2)
+    pd = detection_probabilities(fov, sensor, positions).reshape(k, j)
     passed = pd.max(axis=1, initial=0.0) <= 1e-12
     r = np.minimum(predicted.existences, EXISTENCE_CEIL)
-    miss_lik = row_means(predicted.weights, (1.0 - pd)[:, :, None])[:, 0]
+    miss_p = 1.0 - pd
+    miss_lik = row_means(predicted.weights, miss_p[:, :, None])[:, 0]
     no_det = ((1.0 - r) + r * miss_lik).tolist()
-    mean_disp = predicted.mean_positions() - sensor.position
-    terms = [
-        _row_terms(i, predicted, pd[i], no_det[i], mean_disp[i], sensor, measurements, cfg)
-        for i in np.flatnonzero(~passed).tolist()
-    ]
+
+    # gated pairs: an updated row and a measurement within the gate of its
+    # mean; a pair whose likelihood sum is 0 is dropped
+    rows = meas = np.empty(0, dtype=np.intp)
+    particle_w, det_w = np.empty((0, j)), np.empty(0)
+    if len(z):
+        d = z - (predicted.mean_positions() - sensor.position)[:, None, :]
+        gated = ~(np.hypot(d[..., 0], d[..., 1]) > cfg.association_gate) & ~passed[:, None]
+        rows, meas = np.nonzero(gated)
+        positions = positions.reshape(k, j, 2).take(rows, axis=0).reshape(-1, 2)
+        logg = displacement_log_likelihoods(
+            positions, sensor, z.take(meas, axis=0).repeat(j, axis=0), cfg.meas_noise_std
+        )
+        raw = predicted.weights.take(rows, axis=0) * pd.take(rows, axis=0)
+        raw *= np.exp(logg.reshape(len(rows), j))
+        g_sum = raw.sum(axis=1)
+        hit = g_sum > 0.0
+        if not hit.all():
+            rows, meas, raw, g_sum = rows[hit], meas[hit], raw[hit], g_sum[hit]
+        particle_w = raw / g_sum[:, None]
+        det_w = r.take(rows) * g_sum / max(cfg.clutter_intensity, _MIN_CLUTTER)
+    terms = {i: _RowTerms(i, no_det[i], {}, {}) for i, p in enumerate(passed.tolist()) if not p}
+    for g, (i, m, weight) in enumerate(zip(rows.tolist(), meas.tolist(), det_w.tolist())):
+        terms[i].det_weights[m], terms[i].pairs[m] = weight, g
+    terms = list(terms.values())
 
     existences = predicted.existences.copy()
-    weights = predicted.weights.copy()
+    r, misses = r.tolist(), miss_lik.tolist()
+    miss_r, events = [0.0] * k, [[] for _ in range(k)]  # per row: exist_miss, [(pair, p)]
     for cluster in _cluster_components(terms):
         cluster_terms = [terms[i] for i in cluster]
         bound = 1
@@ -357,16 +345,32 @@ def _bayes_update(
         else:
             marginals = _ranked_marginals(cluster_terms, cfg.assoc_max_hypotheses)
         for t, marg in zip(cluster_terms, marginals):
-            i = t.row
-            existences[i], weights[i] = _posterior_row(
-                existences[i], weights[i], pd[i], miss_lik[i], t, marg
-            )
+            i, beta_miss = t.row, marg.get(None, 0.0)
+            if t.no_det_weight > 0:
+                miss_r[i] = beta_miss * (r[i] * misses[i] / t.no_det_weight)
+            new_r = miss_r[i] + sum(p for ev, p in marg.items() if ev is not None)
+            existences[i] = min(new_r, EXISTENCE_CEIL)
+            events[i] = [(t.pairs[e], p) for e, p in marg.items() if e is not None and p > 0.0]
+
+    # posterior weights, summed term by term in each row's event order: the
+    # miss term, then the detections in marginal order, one slot at a time.
+    # The miss term is 0 where exist_miss is (so where miss_lik is, and on
+    # the rows passed through); a row with no term to sum keeps its weights.
+    weights = predicted.weights.copy()
+    if terms:
+        w = np.array(miss_r)[:, None] * predicted.weights * miss_p
+        w /= np.array([m or 1.0 for m in misses])[:, None]
+        for s in range(max(map(len, events))):
+            at = [i for i, row_events in enumerate(events) if len(row_events) > s]
+            pair, p = zip(*(events[i][s] for i in at))
+            w[np.array(at)] += np.array(p)[:, None] * particle_w.take(pair, axis=0)
+        total = w.sum(axis=1)[:, None]
+        np.divide(w, total, out=weights, where=total > 0.0)
 
     labels, states = predicted.labels, predicted.states
     if rng is not None and origin is not None:
-        gated = {j for t in terms for j in t.det_weights}
-        centers = [sensor.position + z for i, z in enumerate(measurements) if i not in gated]
-        if centers:
+        centers = sensor.position + np.delete(z, meas, axis=0)
+        if len(centers):
             n = cfg.particle_count
             births = np.empty((len(centers), n, STATE_DIM))
             for b, center in enumerate(centers):  # drawn birth by birth

@@ -573,3 +573,57 @@ class TestDcdSelect:
         scores1 = [best_score(1, s) for s in range(8)]
         scores4 = [best_score(4, s) for s in range(8)]
         assert np.mean(scores4) >= np.mean(scores1) - 1e-9
+
+
+def unconstrained_best(ctx, node):
+    """First command, in index order, with the highest objective when the
+    constraints are ignored."""
+    best, best_score = None, -math.inf
+    for cmd in itertools.product(*(range(n) for n in ctx.n_actions().values())):
+        existences = ctx.fused(cmd).existences
+        score = objective(existences, ctx.cache.predicted_existences[node], ctx.params)
+        if score > best_score:
+            best, best_score = cmd, score
+    return best
+
+
+class TestInfeasibleBestCommand:
+    """Descent over real pseudo-posteriors when the best-scoring command
+    breaks one constraint and meets the other: it must not be chosen."""
+
+    def eta_breaking_context(self):
+        # both sensors stepping toward the target sees it twice but puts
+        # them 40 m apart; their exclusion disks stay empty
+        target = cloud((100, 300), 0.5, LABEL_A, spread=3.0)
+        states = {0: SensorState(0, 0, 0), 1: SensorState(200, 0, 0)}
+        actions = {0: [SensorAction(), SensorAction(dx=80.0)],
+                   1: [SensorAction(), SensorAction(dx=-80.0)]}
+        cache = pseudo_cache({0: density([target]), 1: density([target])}, states,
+                             {0: NARROW_FOV, 1: NARROW_FOV}, actions)
+        return ControlContext(cache, (0, 1))
+
+    def psi_breaking_context(self):
+        # moving onto the target sees it best but puts it in the exclusion
+        # disk; the single sensor meets the distance constraint vacuously
+        target = cloud((0, 150), 0.5, LABEL_A, spread=3.0)
+        fov = FovModel(rho_max=100.0, theta_max=math.pi, p_d_max=0.99, k_rho=0.05, k_theta=1.0)
+        actions = {0: [SensorAction(), SensorAction(dy=145.0), SensorAction(dy=60.0)]}
+        cache = pseudo_cache({0: density([target])}, {0: SensorState(0, 0, 0)}, {0: fov},
+                             actions)
+        return ControlContext(cache, (0,))
+
+    @pytest.mark.parametrize("broken", ["eta", "psi"])
+    def test_descent_returns_a_feasible_command(self, broken):
+        ctx = getattr(self, f"{broken}_breaking_context")()
+        params = ctx.params
+        best = unconstrained_best(ctx, 0)
+        fe = ctx.fused(best)
+        met = {"eta": fe.eta > params.eta_threshold, "psi": fe.psi > params.psi_threshold}
+        assert not met[broken] and all(v for k, v in met.items() if k != broken)
+
+        initial = dict(zip(ctx.participants, best))
+        out = run_flooded_descent(ctx.participants, ctx.n_actions(), ctx.evaluate, initial)
+        chosen = ctx.fused(out.command)
+        assert out.command != best
+        assert chosen.eta > params.eta_threshold and chosen.psi > params.psi_threshold
+        assert out.score > -math.inf

@@ -1,12 +1,16 @@
 import dataclasses
 import itertools
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sentrack.filtering import (
     FilterConfig,
+    _cluster_components,
     _exact_marginals,
     _ranked_marginals,
     generate_pims,
@@ -15,12 +19,22 @@ from sentrack.filtering import (
     pseudo_update,
     update,
 )
-from sentrack.lmb import Component, Label, LmbDensity, resample_component
+from sentrack.lmb import (
+    EXISTENCE_CEIL,
+    STATE_DIM,
+    Component,
+    Label,
+    LmbDensity,
+    eap_states,
+    resample_component,
+    row_means,
+)
 from sentrack.sensors import (
     FovModel,
     MotionModel,
     SensorState,
     detection_probabilities,
+    displacement_log_likelihoods,
     propagate_states,
 )
 
@@ -55,6 +69,11 @@ def comp_of(density, label):
 
 def mean_position(c):
     return c.weights @ c.states[:, :2]
+
+
+def pims(predicted, sensor):
+    positions = np.array([state[:2] for _label, state in eap_states(predicted)]).reshape(-1, 2)
+    return generate_pims(positions, sensor, FOV)
 
 
 class TestFilterConfig:
@@ -217,8 +236,7 @@ class TestPseudoUpdate:
 
     def test_covered_existences_rise(self):
         pred = predicted_density([cloud((0, 300), 0.5)])
-        pims = generate_pims(pred, SENSOR, FOV)
-        out = pseudo_update(pred, pims, SENSOR, FOV, CFG)
+        out = pseudo_update(pred, pims(pred, SENSOR), SENSOR, FOV, CFG)
         assert out.components[0].existence > 0.9
 
     def test_empty_pims_drops_in_fov_existence(self):
@@ -240,25 +258,25 @@ class TestPseudoUpdate:
 class TestGeneratePims:
     def test_zero_action_measurement(self):
         pred = predicted_density([cloud((0, 300), 0.9, spread=1e-9)])
-        [z] = generate_pims(pred, SENSOR, FOV)
+        [z] = pims(pred, SENSOR)
         assert np.allclose(z, [0.0, 300.0], atol=1e-6)
 
     def test_rotated_away_object_missed(self):
         pred = predicted_density([cloud((0, 300), 0.9)])
         rotated = SensorState(0.0, 0.0, math.pi)  # facing away
-        assert generate_pims(pred, rotated, FOV) == []
+        assert pims(pred, rotated).shape == (0, 2)
 
     def test_translation_shifts_measurement(self):
         pred = predicted_density([cloud((0, 300), 0.9, spread=1e-9)])
         moved = SensorState(10.0, 0.0, 0.0)
-        [z] = generate_pims(pred, moved, FOV)
+        [z] = pims(pred, moved)
         assert np.allclose(z, [-10.0, 300.0], atol=1e-6)
 
     def test_low_existence_components_not_estimated(self):
         pred = predicted_density(
             [cloud((0, 300), 0.9), cloud((50, 300), 0.1, label=Label(0, 1, 0))]
         )
-        assert len(generate_pims(pred, SENSOR, FOV)) == 1
+        assert len(pims(pred, SENSOR)) == 1
 
 
 class TestAssociationMarginals:
@@ -347,3 +365,243 @@ class TestMurty:
         [(total, assign)] = murty_assignments(cost, 5)
         assert assign == (0, 1)
         assert total == pytest.approx(2.0)
+
+
+# ---------------------------------------------------------------------------
+# Per-row oracle of the batched update
+# ---------------------------------------------------------------------------
+
+
+class RowTerms(NamedTuple):
+    row: int
+    no_det_weight: float
+    det_weights: dict  # {meas_idx: r * G_z / clutter}
+    det_particle_w: dict  # {meas_idx: normalized particle weights}
+
+
+def row_terms(k, predicted, pd, no_det, mean_disp, sensor, measurements, cfg):
+    """Gate and likelihoods of one row, one measurement at a time."""
+    terms = RowTerms(k, no_det, {}, {})
+    r = min(float(predicted.existences[k]), EXISTENCE_CEIL)
+    kappa = max(cfg.clutter_intensity, 1e-12)
+    for j, z in enumerate(measurements):
+        if np.hypot(*(z - mean_disp)) > cfg.association_gate:
+            continue
+        positions = predicted.states[k, :, :2]
+        logg = displacement_log_likelihoods(positions, sensor, z, cfg.meas_noise_std)
+        raw = predicted.weights[k] * pd * np.exp(logg)
+        g_sum = float(raw.sum())
+        if g_sum > 0.0:
+            terms.det_weights[j] = r * g_sum / kappa
+            terms.det_particle_w[j] = raw / g_sum
+    return terms
+
+
+def posterior_row(existence, weights, pd, miss_lik, t, marginals):
+    """Posterior existence and particle weights of one row."""
+    r = min(existence, EXISTENCE_CEIL)
+    beta_miss = marginals.get(None, 0.0)
+    exist_miss = beta_miss * (r * miss_lik / t.no_det_weight) if t.no_det_weight > 0 else 0.0
+    new_r = exist_miss + sum(p for ev, p in marginals.items() if ev is not None)
+    new_r = min(new_r, EXISTENCE_CEIL)
+    if new_r <= 0.0:
+        return 0.0, weights
+    w = np.zeros(len(weights))
+    if exist_miss > 0.0 and miss_lik > 0.0:
+        w += exist_miss * weights * (1.0 - pd) / miss_lik
+    for ev, p in marginals.items():
+        if ev is not None and p > 0.0:
+            w += p * t.det_particle_w[ev]
+    total = float(w.sum())
+    if total <= 0.0:
+        return new_r, weights
+    return new_r, w / total
+
+
+def reference_update(predicted, measurements, sensor, fov, cfg, role, rng=None, origin=None):
+    """The update row by row: terms per (row, measurement), posterior per row."""
+    measurements = [np.asarray(z, dtype=float) for z in measurements]
+    k, j = predicted.weights.shape
+    pd = detection_probabilities(fov, sensor, predicted.states[:, :, :2].reshape(-1, 2))
+    pd = pd.reshape(k, j)
+    passed = pd.max(axis=1, initial=0.0) <= 1e-12
+    r = np.minimum(predicted.existences, EXISTENCE_CEIL)
+    miss_lik = row_means(predicted.weights, (1.0 - pd)[:, :, None])[:, 0]
+    no_det = ((1.0 - r) + r * miss_lik).tolist()
+    mean_disp = predicted.mean_positions() - sensor.position
+    terms = [
+        row_terms(i, predicted, pd[i], no_det[i], mean_disp[i], sensor, measurements, cfg)
+        for i in np.flatnonzero(~passed).tolist()
+    ]
+    existences = predicted.existences.copy()
+    weights = predicted.weights.copy()
+    for cluster in _cluster_components(terms):
+        cluster_terms = [terms[i] for i in cluster]
+        if math.prod(1 + len(t.det_weights) for t in cluster_terms) <= cfg.exact_enum_limit:
+            marginals = _exact_marginals(cluster_terms)
+        else:
+            marginals = _ranked_marginals(cluster_terms, cfg.assoc_max_hypotheses)
+        for t, marg in zip(cluster_terms, marginals):
+            i = t.row
+            existences[i], weights[i] = posterior_row(
+                existences[i], weights[i], pd[i], miss_lik[i], t, marg
+            )
+    labels, states = predicted.labels, predicted.states
+    if rng is not None:
+        gated = {j for t in terms for j in t.det_weights}
+        centers = [sensor.position + z for i, z in enumerate(measurements) if i not in gated]
+        if centers:
+            n = cfg.particle_count
+            births = np.empty((len(centers), n, STATE_DIM))
+            for b, center in enumerate(centers):
+                births[b, :, :2] = center + rng.normal(0.0, cfg.birth_particle_std, (n, 2))
+                births[b, :, 2:] = rng.normal(0.0, cfg.birth_velocity_std, (n, 2))
+            labels += tuple(Label(predicted.timestamp, b, origin) for b in range(len(centers)))
+            existences = np.concatenate([existences, np.full(len(centers), cfg.birth_existence)])
+            states = np.concatenate([states.reshape(k, n, STATE_DIM), births])
+            weights = np.concatenate([weights.reshape(k, n), np.full((len(centers), n), 1.0 / n)])
+            passed = np.concatenate([passed, np.zeros(len(centers), dtype=bool)])
+    return LmbDensity(labels, existences, states, weights, predicted.timestamp, role, passed)
+
+
+ORACLE_CASES = (
+    "random",
+    "no_measurements",
+    "all_passed",
+    "gate_edge",
+    "zero_g_sum",
+    "zero_existence",
+    "murty",
+)
+
+
+def oracle_inputs(case, seed):
+    """A predicted density, measurements and config exercising one case.
+
+    Rows hold 16 particles (a power of two, so a row whose particles all sit
+    at one point has that point as its exact mean) and the config's birth
+    clouds hold 16 too.
+    """
+    rng = np.random.default_rng(seed)
+    cfg = dataclasses.replace(CFG, particle_count=16)
+    n_rows = int(rng.integers(1, 5))
+    centers = rng.uniform([-150.0, 150.0], [150.0, 400.0], (n_rows, 2))
+    existences = rng.uniform(0.01, 1.0, n_rows)
+    spread = rng.uniform(0.5, 15.0, n_rows)
+    if case == "all_passed":
+        centers[:, 1] *= -1.0  # behind the sensor: detection probability 0
+    rows = [
+        cloud(c, e, Label(0, i, 0), n=16, spread=s, seed=seed + i)
+        for i, (c, e, s) in enumerate(zip(centers, existences, spread))
+    ]
+    n_meas = 0 if case == "no_measurements" else int(rng.integers(1, 6))
+    meas = [c + rng.normal(0.0, 20.0, 2) for c in rng.permutation(centers)[: n_meas]]
+    meas += [rng.uniform([-200.0, 100.0], [200.0, 450.0]) for _ in range(n_meas - len(meas))]
+    if case == "gate_edge":
+        point = Component(Label(1, 0, 0), 0.6, np.tile([0.0, 300.0, 0.0, 0.0], (16, 1)),
+                          np.full(16, 1 / 16))
+        rows.append(point)
+        meas += [np.array([0.0, 350.0]), np.array([30.0, 340.0])]  # exactly 50 m away
+    if case == "zero_g_sum":
+        states = np.zeros((16, 4))
+        states[:, :2] = [0.0, 300.0]
+        states[::2, 0], states[1::2, 0] = -200.0, 200.0  # mean at x = 0, no particle there
+        rows.append(Component(Label(1, 0, 0), 0.6, states, np.full(16, 1 / 16)))
+        meas.append(np.array([0.0, 300.0]))
+    if case == "zero_existence":
+        rows[0] = rows[0]._replace(existence=0.0)
+        meas.append(centers[0] + rng.normal(0.0, 3.0, 2))
+    if case == "murty":
+        cfg = dataclasses.replace(cfg, exact_enum_limit=1, assoc_max_hypotheses=8)
+        meas.append(centers[0] + rng.normal(0.0, 3.0, 2))
+    order = rng.permutation(len(meas)).tolist()
+    return predicted_density(rows), [meas[i] for i in order], cfg
+
+
+def assert_same_density(a, b):
+    assert a.labels == b.labels and a.role == b.role and a.timestamp == b.timestamp
+    np.testing.assert_array_equal(a.existences, b.existences)
+    np.testing.assert_array_equal(a.weights, b.weights)
+    np.testing.assert_array_equal(a.states, b.states)
+    np.testing.assert_array_equal(a.passed_through, b.passed_through)
+
+
+class TestBatchedUpdateOracle:
+    """update and pseudo_update equal the per-row update bit for bit."""
+
+    def check(self, case, seed):
+        pred, meas, cfg = oracle_inputs(case, seed)
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = update(pred, meas, SENSOR, FOV, cfg, rng, origin=2)
+        assert_same_density(
+            got, reference_update(pred, meas, SENSOR, FOV, cfg, "posterior", ref_rng, 2)
+        )
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        pseudo = pseudo_update(pred, meas, SENSOR, FOV, cfg)
+        assert_same_density(pseudo, reference_update(pred, meas, SENSOR, FOV, cfg,
+                                                      "pseudo-posterior"))
+        return pred, meas, cfg, got
+
+    @given(case=st.sampled_from(ORACLE_CASES), seed=st.integers(0, 2**16))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_row_update(self, case, seed):
+        self.check(case, seed)
+
+    def test_no_measurements(self):
+        pred, _meas, _cfg, got = self.check("no_measurements", 1)
+        assert got.labels == pred.labels
+
+    def test_every_row_passed_through(self):
+        _pred, meas, _cfg, got = self.check("all_passed", 2)
+        k = len(got.labels) - len(meas)
+        assert got.passed_through[:k].all() and not got.passed_through[k:].any()
+
+    def test_measurement_exactly_at_gate(self):
+        pred, meas, cfg, got = self.check("gate_edge", 3)
+        assert pred.mean_positions()[-1].tolist() == [0.0, 300.0]
+        assert np.hypot(30.0, 40.0) == cfg.association_gate
+        edge = np.array([[0.0, 350.0], [30.0, 340.0]])
+
+        def births_at_edge(density):
+            births = density.states[len(pred.labels):, :, :2].mean(axis=1)
+            return sum(np.min(np.hypot(*(births - e).T), initial=np.inf) < 10.0 for e in edge)
+
+        assert births_at_edge(got) == 0  # a pair at exactly the gate distance is gated
+        narrower = dataclasses.replace(cfg, association_gate=np.nextafter(50.0, 0.0))
+        assert births_at_edge(update(pred, meas, SENSOR, FOV, narrower,
+                                     np.random.default_rng(0), origin=2)) == 2
+
+    def test_passed_row_gates_no_measurement(self):
+        faint = TestPassThrough.FAINT
+        row = cloud((0, 497), 0.5, n=16, spread=1e-6)
+        assert 0.0 < detection_probabilities(faint, SENSOR, row.states[:, :2]).max() <= 1e-12
+        pred, meas = predicted_density([row]), [np.array([0.0, 497.0])]
+        cfg = dataclasses.replace(CFG, particle_count=16)
+        got = update(pred, meas, SENSOR, faint, cfg, np.random.default_rng(0), origin=2)
+        ref = reference_update(pred, meas, SENSOR, faint, cfg, "posterior",
+                               np.random.default_rng(0), 2)
+        assert_same_density(got, ref)
+        assert got.passed_through.tolist() == [True, False]  # the measurement spawns a birth
+
+    def test_pair_with_zero_likelihood_sum(self):
+        pred, meas, cfg, got = self.check("zero_g_sum", 4)
+        positions = pred.states[-1, :, :2]
+        logg = displacement_log_likelihoods(positions, SENSOR, [0.0, 300.0], cfg.meas_noise_std)
+        assert not np.exp(logg).any()  # gated, yet the pair has no likelihood mass
+        births = got.states[len(pred.labels):, :, :2].mean(axis=1)
+        assert np.min(np.hypot(*(births - [0.0, 300.0]).T)) < 10.0
+
+    def test_row_whose_existence_becomes_zero(self):
+        pred, _meas, _cfg, got = self.check("zero_existence", 5)
+        assert got.existences[0] == 0.0
+        np.testing.assert_array_equal(got.weights[0], pred.weights[0])
+
+    def test_cluster_on_murty_path(self, monkeypatch):
+        import sentrack.filtering as filtering
+
+        calls = []
+        ranked = filtering._ranked_marginals
+        monkeypatch.setattr(filtering, "_ranked_marginals",
+                            lambda *a: calls.append(1) or ranked(*a))
+        self.check("murty", 6)
+        assert calls
