@@ -310,9 +310,7 @@ class PseudoCache:
             s: np.array([state[:2] for _label, state in eap_states(d)]).reshape(-1, 2)
             for s, d in self.predicted.items()
         }
-        self.predicted_means = {
-            s: dict(zip(d.labels, d.mean_positions())) for s, d in self.predicted.items()
-        }
+        self.predicted_means = {s: d.mean_positions() for s, d in self.predicted.items()}
         self.labels = sorted({label for d in self.predicted.values() for label in d.labels})
         index = {label: i for i, label in enumerate(self.labels)}
         self.rows = {
@@ -351,17 +349,13 @@ class PseudoCache:
 
     def active(self, s: int, a: int) -> np.ndarray:
         """Mask of sensor s's components it is active for after action a,
-        by compute_active_set."""
+        by compute_active_set; a pseudo-posterior keeps its predicted rows."""
         key = (s, a)
         if key not in self._active:
-            pseudo = self.pseudo(s, a)
-            labels = compute_active_set(
-                self.state_after(s, a),
-                self.fovs[s],
-                dict(zip(pseudo.labels, pseudo.mean_positions())),
-                self.predicted_means[s],
+            state, pseudo = self.state_after(s, a), self.pseudo(s, a)
+            self._active[key] = compute_active_set(
+                state, self.fovs[s], pseudo.mean_positions(), self.predicted_means[s]
             )
-            self._active[key] = np.array([label in labels for label in pseudo.labels], dtype=bool)
         return self._active[key]
 
     def indisk_weight(self, owner: int, action: int, center: tuple) -> np.ndarray | None:

@@ -18,8 +18,9 @@ measurements distance matrix gates them, one pass over all gated pairs
 computes their likelihoods and normalized particle weights, and each
 row's posterior weights are summed term by term in its own event order
 (miss term first, then the detections in marginal order), so the result
-has the bits of a row-by-row update.  Only the association marginals are
-computed cluster by cluster.
+has the bits of a row-by-row update.  Every updated row first takes the
+miss-only update as arrays; only the rows with a gated pair go on to the
+association marginals, computed cluster by cluster.
 
 Pass-through rule: a component whose maximum detection probability over
 its particles is at most 1e-12 has no gated measurement, so it forms a
@@ -136,7 +137,7 @@ def generate_pims(
 
 
 class _RowTerms(NamedTuple):
-    """Association weights of one updated row for one measurement scan."""
+    """Association weights of one row with a gated pair for one measurement scan."""
 
     row: int
     no_det_weight: float
@@ -303,7 +304,7 @@ def _bayes_update(
     r = np.minimum(predicted.existences, EXISTENCE_CEIL)
     miss_p = 1.0 - pd
     miss_lik = row_means(predicted.weights, miss_p[:, :, None])[:, 0]
-    no_det = ((1.0 - r) + r * miss_lik).tolist()
+    no_det = (1.0 - r) + r * miss_lik
 
     # gated pairs: an updated row and a measurement within the gate of its
     # mean; a pair whose likelihood sum is 0 is dropped
@@ -325,14 +326,19 @@ def _bayes_update(
             rows, meas, raw, g_sum = rows[hit], meas[hit], raw[hit], g_sum[hit]
         particle_w = raw / g_sum[:, None]
         det_w = r.take(rows) * g_sum / max(cfg.clutter_intensity, _MIN_CLUTTER)
-    terms = {i: _RowTerms(i, no_det[i], {}, {}) for i, p in enumerate(passed.tolist()) if not p}
+
+    # every updated row gets the miss-only update; rows with a gated pair
+    # are then associated cluster by cluster and scaled by their miss marginal
+    miss_r = np.zeros(k)  # per row: existence after a miss
+    np.divide(r * miss_lik, no_det, out=miss_r, where=~passed & (no_det > 0))
+    existences = np.where(passed, predicted.existences, np.minimum(miss_r, EXISTENCE_CEIL))
+    events = [[] for _ in range(k)]  # per row: [(pair, p)]
+    terms, no_det = {}, no_det.tolist()
     for g, (i, m, weight) in enumerate(zip(rows.tolist(), meas.tolist(), det_w.tolist())):
+        if i not in terms:
+            terms[i] = _RowTerms(i, no_det[i], {}, {})
         terms[i].det_weights[m], terms[i].pairs[m] = weight, g
     terms = list(terms.values())
-
-    existences = predicted.existences.copy()
-    r, misses = r.tolist(), miss_lik.tolist()
-    miss_r, events = [0.0] * k, [[] for _ in range(k)]  # per row: exist_miss, [(pair, p)]
     for cluster in _cluster_components(terms):
         cluster_terms = [terms[i] for i in cluster]
         bound = 1
@@ -345,9 +351,8 @@ def _bayes_update(
         else:
             marginals = _ranked_marginals(cluster_terms, cfg.assoc_max_hypotheses)
         for t, marg in zip(cluster_terms, marginals):
-            i, beta_miss = t.row, marg.get(None, 0.0)
-            if t.no_det_weight > 0:
-                miss_r[i] = beta_miss * (r[i] * misses[i] / t.no_det_weight)
+            i = t.row
+            miss_r[i] *= marg.get(None, 0.0)
             new_r = miss_r[i] + sum(p for ev, p in marg.items() if ev is not None)
             existences[i] = min(new_r, EXISTENCE_CEIL)
             events[i] = [(t.pairs[e], p) for e, p in marg.items() if e is not None and p > 0.0]
@@ -357,9 +362,9 @@ def _bayes_update(
     # The miss term is 0 where exist_miss is (so where miss_lik is, and on
     # the rows passed through); a row with no term to sum keeps its weights.
     weights = predicted.weights.copy()
-    if terms:
-        w = np.array(miss_r)[:, None] * predicted.weights * miss_p
-        w /= np.array([m or 1.0 for m in misses])[:, None]
+    if not passed.all():
+        w = miss_r[:, None] * predicted.weights * miss_p
+        w /= np.where(miss_lik == 0.0, 1.0, miss_lik)[:, None]
         for s in range(max(map(len, events))):
             at = [i for i, row_events in enumerate(events) if len(row_events) > s]
             pair, p = zip(*(events[i][s] for i in at))

@@ -2,14 +2,17 @@
 
 Fusion is complementary (union-style) per label, restricted to the active
 sensors for that label.  compute_active_set states the rule once, per
-sensor: a sensor is active for a label it holds when the detection
-probability at its own updated or predicted estimate of the label exceeds
-its FoV's p_d_threshold.  The harness applies it to each member sensor's
-posterior, and control to each sensor's pseudo-posterior under the
-sensor's own hypothesized action.  Existence probabilities fuse in odds
-space; spatial clouds fuse as an odds-weighted mixture.
+sensor, as a row mask: a sensor is active for a row it holds when the
+detection probability at its own updated or predicted estimate of the
+row's label exceeds its FoV's p_d_threshold.  The harness applies it to
+each member sensor's posterior, and control to each sensor's
+pseudo-posterior under the sensor's own hypothesized action.  Existence
+probabilities fuse by one odds rule, existence_odds: the odds of the
+contributors add, in holder order, and the fused existence is
+total / (1 + total); spatial clouds fuse as an odds-weighted mixture.
 
-fuse_lmb handles a label by its active set A:
+fuse_lmb handles a label by its active set A, the holders whose row masks
+are set:
   |A| > 1  fuse over A,
   |A| = 1  copy that sensor's component unchanged,
   A empty  every sensor holding the label contributes equally, so tracks
@@ -24,7 +27,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .lmb import EXISTENCE_CEIL, Label, LmbDensity, systematic_resample_indices
+from .lmb import EXISTENCE_CEIL, LmbDensity, systematic_resample_indices
 from .sensors import FovModel, SensorState, detection_probabilities
 
 
@@ -47,35 +50,18 @@ def existence_odds(r):
 
 
 def compute_active_set(
-    state: SensorState,
-    fov: FovModel,
-    updated: Mapping[Label, np.ndarray],
-    predicted: Mapping[Label, np.ndarray],
-) -> set:
-    """Labels one sensor is active for: the active-set rule.
+    state: SensorState, fov: FovModel, updated: np.ndarray, predicted: np.ndarray
+) -> np.ndarray:
+    """(K,) mask of the rows one sensor is active for: the active-set rule.
 
-    A sensor is active for a label when the detection probability at the
-    label's updated or predicted position estimate, as held by that sensor,
-    exceeds fov.p_d_threshold.  updated and predicted map label -> (x, y).
+    A sensor is active for a row when the detection probability at the
+    row's updated or predicted position estimate, as held by that sensor,
+    exceeds fov.p_d_threshold.  updated and predicted are row-aligned
+    (K, 2) arrays; a NaN row in predicted (no predicted estimate) has
+    detection probability 0.
     """
-    labels = [*updated, *predicted]
-    pd = detection_probabilities(fov, state, [*updated.values(), *predicted.values()])
-    return {label for label, p in zip(labels, pd) if p > fov.p_d_threshold}
-
-
-def fuse_existence(existences) -> float:
-    """Complementary fusion of existence probabilities: odds add.
-
-    Returns S / (1 + S) with S the sum of odds r / (1 - r).  An input of
-    exactly 1 has infinite odds, so the result saturates to 1.
-    """
-    existences = list(existences)
-    if not existences:
-        raise ValueError("fuse_existence requires at least one input")
-    if any(r >= 1.0 for r in existences):
-        return 1.0
-    s = sum(r / (1.0 - r) for r in existences)
-    return s / (1.0 + s)
+    pd = detection_probabilities(fov, state, np.concatenate([updated, predicted]))
+    return (pd > fov.p_d_threshold).reshape(2, -1).any(axis=0)
 
 
 def fuse_spatial(components, particle_count: int | None = None):
@@ -104,9 +90,10 @@ def fuse_spatial(components, particle_count: int | None = None):
     return states, weights
 
 
-def fuse_lmb(locals_: Mapping[int, LmbDensity], active: Mapping[Label, set]) -> LmbDensity:
+def fuse_lmb(locals_: Mapping[int, LmbDensity], active: Mapping[int, np.ndarray]) -> LmbDensity:
     """Fuse per-sensor LMB densities into one density by the active sets.
 
+    active[s] is the row mask of locals_[s] that compute_active_set gives.
     The densities must share one particle count J; a fused label's union
     of clouds is resampled to J particles.
     """
@@ -121,6 +108,7 @@ def fuse_lmb(locals_: Mapping[int, LmbDensity], active: Mapping[Label, set]) -> 
         raise ValueError(f"inconsistent roles: {sorted(roles)}")
 
     rows = {s: d.components for s, d in densities.items()}
+    odds = {s: existence_odds(d.existences).tolist() for s, d in densities.items()}
     holders_of = {}
     for s in sorted(densities):
         for k, label in enumerate(densities[s].labels):
@@ -129,14 +117,13 @@ def fuse_lmb(locals_: Mapping[int, LmbDensity], active: Mapping[Label, set]) -> 
     fused = []
     for label in sorted(holders_of):
         holders = holders_of[label]
-        chosen = active.get(label, set())
-        contributors = [(s, k) for s, k in holders if s in chosen] or holders
+        contributors = [(s, k) for s, k in holders if active[s][k]] or holders
         comps = [rows[s][k] for s, k in contributors]
         if len(comps) == 1:
             fused.append(comps[0])
             continue
-        r = fuse_existence([c.existence for c in comps])
-        fused.append((label, r, *fuse_spatial(comps, len(comps[0].weights))))
+        total = sum(odds[s][k] for s, k in contributors)
+        fused.append((label, total / (1.0 + total), *fuse_spatial(comps, len(comps[0].weights))))
     return LmbDensity.from_rows(fused, timestamps.pop(), "fused")
 
 
@@ -169,22 +156,18 @@ def _label_positions(densities: Mapping[int, LmbDensity]) -> dict:
 
 
 def associate_labels(
-    locals_: Mapping[int, LmbDensity],
-    merge_distance: float,
-    current_step: int | None = None,
+    locals_: Mapping[int, LmbDensity], merge_distance: float, current_step: int
 ) -> dict:
     """Assign one canonical label to same-target components across sensors.
 
-    A label is "fresh" if born at current_step or the step before
-    (default: the densities' timestamp).  Every fresh label is merged onto
-    the nearest label of a different origin sensor within merge_distance
-    (lowest label wins); established labels are left alone.  Deterministic.
+    A label is "fresh" if born at current_step or the step before.  Every
+    fresh label is merged onto the nearest label of a different origin
+    sensor within merge_distance (lowest label wins); established labels
+    are left alone.  Deterministic.
     """
     densities = dict(locals_)
     if not densities:
         return {}
-    if current_step is None:
-        current_step = max(d.timestamp for d in densities.values())
 
     positions = _label_positions(densities)
     labels = sorted(positions)

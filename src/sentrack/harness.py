@@ -29,7 +29,7 @@ from .control import (
     run_flooded_descent,
 )
 from .filtering import predict, update
-from .fusion import associate_labels, compute_active_set, fuse_existence, fuse_lmb
+from .fusion import associate_labels, compute_active_set, existence_odds, fuse_lmb
 from .lmb import eap_states, empty_density, prune, resample_component
 from .metrics import ospa, ospa2
 from .network import CommLog, build_topology
@@ -176,24 +176,24 @@ def _fuse_and_estimate(scenario, members, posteriors, predicted, sensor_states):
     floor = scenario.fusion.estimate_floor
     held = {}
     for s in members:
-        for label, r in zip(posteriors[s].labels, posteriors[s].existences.tolist()):
-            held.setdefault(label, []).append(r)
-    reach = {label for label, rs in held.items() if fuse_existence(rs) >= floor - 1e-12}
+        odds = existence_odds(posteriors[s].existences).tolist()
+        for label, o in zip(posteriors[s].labels, odds):
+            held[label] = held.get(label, 0.0) + o
+    reach = {label for label, total in held.items() if total / (1.0 + total) >= floor - 1e-12}
     locals_ = {
         s: posteriors[s].take([k for k, label in enumerate(posteriors[s].labels) if label in reach])
         for s in members
     }
     active = {}
     for s in members:
-        upd = dict(zip(locals_[s].labels, locals_[s].mean_positions()))
-        pred_means = dict(zip(predicted[s].labels, predicted[s].mean_positions()))
-        pred = {label: pred_means[label] for label in upd if label in pred_means}
-        fov = scenario.sensors[s].fov
-        for label in compute_active_set(sensor_states[s], fov, upd, pred):
-            active.setdefault(label, set()).add(s)
+        row = {label: k for k, label in enumerate(predicted[s].labels)}
+        # a label the sensor did not predict takes the NaN row: no estimate
+        means = np.vstack([predicted[s].mean_positions(), [np.nan, np.nan]])
+        pred = means[[row.get(label, -1) for label in locals_[s].labels]]
+        fov, updated = scenario.sensors[s].fov, locals_[s].mean_positions()
+        active[s] = compute_active_set(sensor_states[s], fov, updated, pred)
     fused = fuse_lmb(locals_, active)
-    reporting = prune(fused, floor, len(fused.labels) or 1)
-    return [(label, state) for label, state in eap_states(reporting)]
+    return eap_states(prune(fused, floor, len(fused.labels) or 1))
 
 
 def run_single(

@@ -87,17 +87,15 @@ class CommLog:
     """Per-run communication accounting: one entry per originated message."""
 
     entries: list = field(default_factory=list)
-    _sequence: int = 0
 
     def record(self, topology: Topology, step: int, origin: int, label_count: int) -> CommLogEntry:
         entry = CommLogEntry(
             step=step,
             origin=origin,
-            sequence=self._sequence,
+            sequence=len(self.entries),
             bytes=message_cost(label_count),
             rounds=topology.rounds[origin],
         )
-        self._sequence += 1
         self.entries.append(entry)
         return entry
 

@@ -26,7 +26,7 @@ from sentrack.control import (
     void_probability,
 )
 from sentrack.filtering import FilterConfig
-from sentrack.fusion import compute_active_set, fuse_existence, fuse_lmb, fuse_spatial
+from sentrack.fusion import compute_active_set, fuse_lmb, fuse_spatial
 from sentrack.lmb import Component, Label, LmbDensity, empty_density
 from sentrack.sensors import FovModel, SensorAction, SensorState
 
@@ -418,23 +418,46 @@ class TestFdcdPipeline:
         locals_ = {s: cache.pseudo(s, cmd[s]) for s in (0, 1)}
         active = active_sets(cache, (0, 1), cmd)
         # fuse_lmb over the labels some participant is active for
-        fused = fuse_lmb(locals_, active)
+        fused = fuse_lmb(locals_, active_masks(cache, (0, 1), cmd))
         assert set(fe.existences) == set(active) == set(fused.labels)
         for label, r in fe.existences.items():
             assert r == pytest.approx(comp_of(fused, label).existence, abs=1e-12)
 
 
+def component_means(density):
+    """(K, 2) mean position of each component, one component at a time."""
+    return np.array([c.weights @ c.states[:, :2] for c in density.components]).reshape(-1, 2)
+
+
+def active_masks(cache, participants, command):
+    """participant -> row mask of its pseudo-posterior, by compute_active_set
+    on component-by-component means; a pseudo-posterior keeps its predicted
+    density's rows."""
+    return {
+        s: compute_active_set(
+            cache.state_after(s, a),
+            cache.fovs[s],
+            component_means(cache.pseudo(s, a)),
+            component_means(cache.predicted[s]),
+        )
+        for s, a in zip(participants, command)
+    }
+
+
 def active_sets(cache, participants, command):
-    """label -> participants active for it, by compute_active_set on each
-    participant's pseudo-posterior and predicted density."""
+    """label -> participants active for it, by active_masks."""
     active = {}
-    for s, a in zip(participants, command):
-        pseudo = cache.pseudo(s, a)
-        updated = {c.label: c.weights @ c.states[:, :2] for c in pseudo.components}
-        predicted = {c.label: c.weights @ c.states[:, :2] for c in cache.predicted[s].components}
-        for label in compute_active_set(cache.state_after(s, a), cache.fovs[s], updated, predicted):
-            active.setdefault(label, set()).add(s)
+    for (s, mask), a in zip(active_masks(cache, participants, command).items(), command):
+        for label, on in zip(cache.pseudo(s, a).labels, mask.tolist()):
+            if on:
+                active.setdefault(label, set()).add(s)
     return active
+
+
+def odds_add(existences):
+    """Complementary existence fusion: the odds r / (1 - r) add."""
+    total = sum(r / (1.0 - r) for r in existences)
+    return total / (1.0 + total)
 
 
 WIDE_FOV = FovModel(rho_max=120.0, theta_max=math.pi, p_d_max=0.99, k_rho=0.5, k_theta=20.0)
@@ -501,7 +524,7 @@ class TestFusedEvaluation:
             union = []
             for label in sorted(active):
                 comps = [comp_of(cache.pseudo(s, cmd[s]), label) for s in sorted(active[label])]
-                r = fuse_existence([c.existence for c in comps])
+                r = odds_add([c.existence for c in comps])
                 assert fe.existences[label] == pytest.approx(r, abs=1e-12)
                 union.append(Component(label, r, *fuse_spatial(comps)))
             assert list(fe.existences) == sorted(active)

@@ -596,6 +596,41 @@ class TestBatchedUpdateOracle:
         assert got.existences[0] == 0.0
         np.testing.assert_array_equal(got.weights[0], pred.weights[0])
 
+    def test_exact_marginals_only_for_clusters_with_a_gated_pair(self, monkeypatch):
+        import sentrack.filtering as filtering
+
+        clusters = []
+        exact = filtering._exact_marginals
+        monkeypatch.setattr(filtering, "_exact_marginals",
+                            lambda terms: clusters.append([t.row for t in terms]) or exact(terms))
+        # row 0 is gated to the measurement, row 1 is in view with no gated
+        # pair, row 2 lies behind the sensor and is passed through
+        rows = [cloud((0, 300), 0.6, Label(0, 0, 0), n=16, spread=2.0, seed=1),
+                cloud((-150, 200), 0.6, Label(0, 1, 0), n=16, seed=2),
+                cloud((0, -300), 0.6, Label(0, 2, 0), n=16, seed=3)]
+        pred, meas = predicted_density(rows), [np.array([0.0, 302.0])]
+        cfg = dataclasses.replace(CFG, particle_count=16)
+        got = pseudo_update(pred, meas, SENSOR, FOV, cfg)
+        assert clusters == [[0]]
+        assert got.passed_through.tolist() == [False, False, True]
+        assert got.existences[1] < pred.existences[1]  # the miss-only update
+        assert_same_density(got, reference_update(pred, meas, SENSOR, FOV, cfg,
+                                                  "pseudo-posterior"))
+
+    def test_passed_row_keeps_uneven_weights(self):
+        # a row passed through takes no miss-only update: its weights, not
+        # a power-of-two count of equal ones, come back bit for bit
+        behind = cloud((0, -300), 0.6, Label(0, 1, 0), n=15, seed=2)
+        weights = np.random.default_rng(3).dirichlet(np.ones(15))
+        rows = [cloud((0, 300), 0.6, Label(0, 0, 0), n=15, seed=1), behind._replace(weights=weights)]
+        pred, meas = predicted_density(rows), [np.array([0.0, 302.0])]
+        cfg = dataclasses.replace(CFG, particle_count=15)
+        got = pseudo_update(pred, meas, SENSOR, FOV, cfg)
+        assert got.passed_through.tolist() == [False, True]
+        assert np.array_equal(got.weights[1], weights) and got.existences[1] == 0.6
+        assert_same_density(got, reference_update(pred, meas, SENSOR, FOV, cfg,
+                                                  "pseudo-posterior"))
+
     def test_cluster_on_murty_path(self, monkeypatch):
         import sentrack.filtering as filtering
 

@@ -2,18 +2,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sentrack.fusion import (
     associate_labels,
     compute_active_set,
-    fuse_existence,
     fuse_lmb,
     fuse_spatial,
 )
 from sentrack.lmb import Component, Label, LmbDensity
-from sentrack.sensors import FovModel, SensorState
+from sentrack.sensors import FovModel, SensorState, detection_probabilities
 
 FOV = FovModel(rho_max=500.0, theta_max=math.pi / 4, p_d_max=0.99, k_rho=0.5, k_theta=20.0)
 
@@ -31,44 +30,66 @@ def density(comps, timestamp=1, role="posterior"):
     return LmbDensity.from_rows(comps, timestamp, role)
 
 
+def fused_existence(existences):
+    """Existence fuse_lmb gives one label held, as a one-row density, by one
+    sensor per entry of existences (sensors 1, 2, ... in that order), with no
+    sensor active, so every holder contributes."""
+    locals_ = {
+        s: density([cloud((0, 300), r, seed=s)]) for s, r in enumerate(existences, start=1)
+    }
+    inactive = {s: np.zeros(1, dtype=bool) for s in locals_}
+    return float(fuse_lmb(locals_, inactive).existences[0])
+
+
 class TestFuseExistence:
+    # fuse_lmb's existence rule: the holders' odds add
+
     def test_half_half(self):
-        assert fuse_existence([0.5, 0.5]) == pytest.approx(2.0 / 3.0)
+        assert fused_existence([0.5, 0.5]) == pytest.approx(2.0 / 3.0)
 
     def test_singleton_identity(self):
-        assert fuse_existence([0.9]) == pytest.approx(0.9, abs=1e-15)
+        assert fused_existence([0.9]) == pytest.approx(0.9, abs=1e-15)
 
     def test_zeros(self):
-        assert fuse_existence([0.0, 0.0]) == 0.0
-
-    def test_saturates_at_one(self):
-        assert fuse_existence([1.0, 0.3]) == 1.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            fuse_existence([])
+        # a zero existence adds no odds; with no odds at all there is no
+        # cloud share to fuse by, and fuse_spatial rejects the label
+        assert fused_existence([0.0, 0.5, 0.0]) == 0.5
+        with pytest.raises(ValueError, match="odds is zero"):
+            fused_existence([0.0, 0.0])
 
     @given(st.lists(unit_prob, min_size=1, max_size=6))
     @settings(max_examples=200, deadline=None)
     def test_never_lowers_belief(self, rs):
-        assert fuse_existence(rs) >= max(rs) - 1e-12
+        assume(any(rs))
+        assert fused_existence(rs) >= max(rs) - 1e-12
 
     @given(st.lists(unit_prob, min_size=2, max_size=6))
     @settings(max_examples=200, deadline=None)
     def test_symmetric(self, rs):
-        assert fuse_existence(rs) == pytest.approx(fuse_existence(rs[::-1]), abs=1e-12)
+        assume(any(rs))
+        assert fused_existence(rs) == pytest.approx(fused_existence(rs[::-1]), abs=1e-12)
 
     @given(unit_prob, unit_prob, st.floats(min_value=0.0, max_value=0.4))
     @settings(max_examples=200, deadline=None)
     def test_monotone_in_each_argument(self, a, b, bump):
-        lo = fuse_existence([a, b])
-        hi = fuse_existence([min(a + bump, 0.999), b])
+        assume(a + b > 0.0)
+        lo = fused_existence([a, b])
+        hi = fused_existence([min(a + bump, 0.999), b])
         assert hi >= lo - 1e-12
 
     @given(st.floats(min_value=0.0, max_value=0.999))
     @settings(max_examples=100, deadline=None)
     def test_singleton_identity_property(self, r):
-        assert fuse_existence([r]) == pytest.approx(r, abs=1e-12)
+        assert fused_existence([r]) == pytest.approx(r, abs=1e-12)
+
+    @given(st.lists(unit_prob, min_size=2, max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_odds_summed_in_holder_order(self, rs):
+        assume(any(rs))
+        total = 0.0
+        for r in rs:
+            total += r / (1.0 - r)
+        assert fused_existence(rs) == total / (1.0 + total)
 
 
 class TestFuseSpatial:
@@ -106,34 +127,90 @@ class TestFuseSpatial:
         assert np.allclose(weights, 1.0 / 80)
 
 
+def active_set_reference(state, fov, updated, predicted):
+    """The label-keyed form of the active-set rule: updated and predicted map
+    label -> (x, y); returns the set of labels the sensor is active for."""
+    labels = [*updated, *predicted]
+    pd = detection_probabilities(fov, state, [*updated.values(), *predicted.values()])
+    return {label for label, p in zip(labels, pd) if p > fov.p_d_threshold}
+
+
+OMNI_FOV = FovModel(rho_max=500.0, theta_max=math.pi, p_d_max=0.99, k_rho=0.5, k_theta=20.0)
+NO_ESTIMATE = (math.nan, math.nan)
+
+
 class TestComputeActiveSet:
-    LABEL = Label(0, 0, 0)
+    INSIDE, OUTSIDE = (0.0, 300.0), (0.0, -300.0)
+
+    def active(self, updated, predicted, state=SensorState(0, 0, 0), fov=FOV):
+        updated = np.array(updated, dtype=float).reshape(-1, 2)
+        predicted = np.array(predicted, dtype=float).reshape(-1, 2)
+        return compute_active_set(state, fov, updated, predicted).tolist()
 
     def test_updated_estimate_inside_one_fov(self):
-        est = {self.LABEL: np.array([0.0, 300.0])}
-        assert compute_active_set(SensorState(0, 0, 0), FOV, est, {}) == {self.LABEL}
-        assert compute_active_set(SensorState(0, 0, math.pi), FOV, est, {}) == set()
+        assert self.active([self.INSIDE], [NO_ESTIMATE]) == [True]
+        assert self.active([self.INSIDE], [NO_ESTIMATE], SensorState(0, 0, math.pi)) == [False]
 
     def test_predicted_estimate_rescues_sensor(self):
-        outside = {self.LABEL: np.array([0.0, -300.0])}
-        inside = {self.LABEL: np.array([0.0, 300.0])}
-        sensor = SensorState(0, 0, 0)
-        assert compute_active_set(sensor, FOV, outside, inside) == {self.LABEL}
+        assert self.active([self.OUTSIDE], [self.INSIDE]) == [True]
 
     def test_both_outside_everywhere(self):
-        outside = {self.LABEL: np.array([0.0, -300.0])}
-        assert compute_active_set(SensorState(0, 0, 0), FOV, outside, outside) == set()
+        assert self.active([self.OUTSIDE], [self.OUTSIDE]) == [False]
 
     def test_labels_judged_one_by_one(self):
-        other = Label(0, 1, 0)
-        updated = {self.LABEL: np.array([0.0, 300.0]), other: np.array([0.0, -300.0])}
-        assert compute_active_set(SensorState(0, 0, 0), FOV, updated, {}) == {self.LABEL}
-        assert compute_active_set(SensorState(0, 0, 0), FOV, {}, {}) == set()
+        both = [NO_ESTIMATE, NO_ESTIMATE]
+        assert self.active([self.INSIDE, self.OUTSIDE], both) == [True, False]
+        assert self.active([], []) == []
 
     def test_range_edge_is_inactive(self):
         # at the range edge the detection probability is 0.49, below 0.5
-        edge = {self.LABEL: np.array([0.0, 500.0])}
-        assert compute_active_set(SensorState(0, 0, 0), FOV, edge, {}) == set()
+        assert self.active([(0.0, 500.0)], [NO_ESTIMATE]) == [False]
+
+    @pytest.mark.parametrize("fov", [FOV, OMNI_FOV], ids=["sector", "omni"])
+    def test_no_estimate_is_never_active(self, fov):
+        # a NaN position has detection probability 0, with no warning
+        state = SensorState(1.0, 2.0, 0.3)
+        assert detection_probabilities(fov, state, [NO_ESTIMATE]).tolist() == [0.0]
+        assert self.active([NO_ESTIMATE], [NO_ESTIMATE], state, fov) == [False]
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(-math.pi, math.pi),
+                st.one_of(st.floats(0.0, 700.0), st.sampled_from([499.9, 500.0, 500.1])),
+                st.floats(-math.pi, math.pi),
+                st.one_of(st.none(), st.floats(0.0, 700.0)),
+            ),
+            max_size=8,
+        ),
+        st.sampled_from([FOV, OMNI_FOV]),
+        st.floats(-math.pi, math.pi),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_mask_equals_label_keyed_rule(self, rows, fov, bearing):
+        # row k holds label k; a None predicted range means no predicted
+        # estimate: a NaN row in the mask form, no entry in the label form
+        state = SensorState(10.0, -20.0, bearing)
+        labels = [Label(0, k, 0) for k in range(len(rows))]
+
+        def at(angle, rho):
+            return (state.x + rho * math.sin(angle), state.y + rho * math.cos(angle))
+
+        updated = [at(a, rho) for a, rho, _b, _p in rows]
+        predicted = [NO_ESTIMATE if p is None else at(b, p) for _a, _rho, b, p in rows]
+        expected = active_set_reference(
+            state,
+            fov,
+            {label: np.array(xy) for label, xy in zip(labels, updated)},
+            {label: np.array(xy) for label, xy in zip(labels, predicted) if not np.isnan(xy[0])},
+        )
+        mask = self.active(updated, predicted, state, fov)
+        assert mask == [label in expected for label in labels]
+
+
+def masks(locals_, *active):
+    """Row masks that set every row of the given sensors and no other."""
+    return {s: np.full(len(d.labels), s in active) for s, d in locals_.items()}
 
 
 class TestFuseLmb:
@@ -148,13 +225,13 @@ class TestFuseLmb:
 
     def test_two_active_sensors_fuse(self):
         locals_ = self.make_locals([0.5, 0.5])
-        fused = fuse_lmb(locals_, {self.LABEL: {1, 2}})
+        fused = fuse_lmb(locals_, masks(locals_, 1, 2))
         assert fused.components[0].existence == pytest.approx(2.0 / 3.0)
         assert fused.role == "fused"
 
     def test_single_active_sensor_copies(self):
         locals_ = self.make_locals([0.5, 0.9])
-        fused = fuse_lmb(locals_, {self.LABEL: {2}})
+        fused = fuse_lmb(locals_, masks(locals_, 2))
         [got], [want] = fused.components, locals_[2].components
         assert got.label == want.label and got.existence == want.existence
         np.testing.assert_array_equal(got.states, want.states)
@@ -162,14 +239,25 @@ class TestFuseLmb:
 
     def test_empty_active_update_uses_all_holders(self):
         locals_ = self.make_locals([0.5, 0.5])
-        fused = fuse_lmb(locals_, {})
+        fused = fuse_lmb(locals_, masks(locals_))
         assert fused.components[0].existence == pytest.approx(2.0 / 3.0)
 
     def test_death_observed_by_only_active_sensor(self):
         # the sole active sensor saw the death; its low existence wins
         locals_ = self.make_locals([0.05, 0.95, 0.9])
-        fused = fuse_lmb(locals_, {self.LABEL: {1}})
+        fused = fuse_lmb(locals_, masks(locals_, 1))
         assert fused.components[0].existence == pytest.approx(0.05)
+
+    def test_masks_judge_each_row(self):
+        # label 0: only sensor 2 is active; label 1: no sensor is, so both fuse
+        labels = [Label(0, 0, 0), Label(0, 1, 0)]
+        locals_ = {
+            s: density([cloud((i * 30, 300), r, labels[i], seed=s + i) for i in range(2)])
+            for s, r in ((1, 0.5), (2, 0.8))
+        }
+        active = {1: np.array([False, False]), 2: np.array([True, False])}
+        fused = fuse_lmb(locals_, active)
+        assert fused.existences.tolist() == [0.8, pytest.approx(5.0 / 6.0)]  # odds 1 + 4
 
     def test_inconsistent_timestamps_rejected(self):
         locals_ = {
@@ -177,7 +265,7 @@ class TestFuseLmb:
             2: density([cloud((0, 0), 0.5)], timestamp=2),
         }
         with pytest.raises(ValueError):
-            fuse_lmb(locals_, {})
+            fuse_lmb(locals_, masks(locals_))
 
     def test_output_labels_distinct_and_valid(self):
         labels = [Label(0, i, 0) for i in range(3)]
@@ -185,8 +273,7 @@ class TestFuseLmb:
             1: density([cloud((i * 30, 300), 0.6, labels[i], seed=i) for i in range(3)]),
             2: density([cloud((i * 30, 300), 0.7, labels[i], seed=5 + i) for i in range(3)]),
         }
-        active = {l: {1, 2} for l in labels}
-        fused = fuse_lmb(locals_, active)
+        fused = fuse_lmb(locals_, masks(locals_, 1, 2))
         fused.validate()
         assert fused.labels == tuple(labels)
         assert fused.states.shape == (3, 50, 4)
@@ -195,7 +282,7 @@ class TestFuseLmb:
         locals_ = {1: density([cloud((0, 300), 0.5, n=50)]),
                    2: density([cloud((0, 300), 0.5, Label(0, 1, 0), n=40)])}
         with pytest.raises(ValueError, match="different particle counts"):
-            fuse_lmb(locals_, {})
+            fuse_lmb(locals_, masks(locals_))
 
 
 class TestAssociateLabels:
@@ -269,13 +356,11 @@ class TestAssociateLabels:
         assert out[1].components[0].existence == pytest.approx(0.6)
 
 
-def associate_labels_reference(locals_, merge_distance, current_step=None):
+def associate_labels_reference(locals_, merge_distance, current_step):
     """Per-pair scan reference for associate_labels."""
     densities = dict(locals_)
     if not densities:
         return {}
-    if current_step is None:
-        current_step = max(d.timestamp for d in densities.values())
     best_holder = {}
     for s in sorted(densities):
         for c in densities[s].components:

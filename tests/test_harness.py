@@ -121,7 +121,8 @@ def test_labels_below_reach_skip_fusion_without_changing_results(monkeypatch, sc
     monkeypatch.setattr(harness, "fuse_lmb", lambda *a: counted(*a, "filtered"))
     filtered = run_single(build(), "fixed", seed=20260810, duration=8)
     monkeypatch.setattr(harness, "fuse_lmb", lambda *a: counted(*a, "all"))
-    monkeypatch.setattr(harness, "fuse_existence", lambda existences: 1.0)
+    # odds so large that every label reaches the floor switch the pre-filter off
+    monkeypatch.setattr(harness, "existence_odds", lambda r: np.full(len(r), 1e300))
     everything = run_single(build(), "fixed", seed=20260810, duration=8)
     assert filtered.steps == everything.steps
     assert fused_rows["filtered"] < fused_rows["all"]
