@@ -17,7 +17,9 @@ Three selectors are provided:
     cycle-detection stopping (CLI "fdcd").
 All three share one descent core driven by a command evaluator, which the
 simulation harness wires to the pseudo-update/fusion pipeline and tests
-may replace with synthetic score tables.
+may replace with synthetic score tables.  The core reports the sensor of
+each turn (DescentOutcome.turns), from which the harness counts the
+messages a flooded descent sends.
 """
 
 import math
@@ -63,6 +65,8 @@ class ObjectiveParams:
             raise ValueError("penalty_lambda must be >= 1")
         if self.exclusion_radius <= 0:
             raise ValueError("exclusion_radius must be positive")
+        if not 0.0 <= self.min_existence < 1.0:
+            raise ValueError("min_existence must be in [0, 1)")
 
 
 def existence_map(density: LmbDensity) -> dict:
@@ -152,41 +156,12 @@ def distance_feasible(eta: float, params: ObjectiveParams) -> bool:
 CommandEvaluator = Callable[[int, tuple], float]
 
 
-def detect_cycle(history: list) -> tuple | None:
-    """First repeated command in a descent history.
-
-    Returns 1-based positions (t_start, t_end) of the first pair of equal
-    commands, or None when all commands are distinct.
-    """
-    seen = {}
-    for t, cmd in enumerate(history):
-        if cmd in seen:
-            return seen[cmd] + 1, t + 1
-        seen[cmd] = t
-    return None
-
-
-def select_final_command(history: list, scores: list, t_start: int, t_end: int) -> tuple:
-    """Command in the cycle [t_start, t_end] with the highest stored score.
-
-    history[i] is one sensor's multi-sensor command after its turn at
-    iteration i (entry 0 is the initialization round) and scores[i] its
-    objective value.  Positions are 1-based as returned by detect_cycle;
-    ties go to the earliest iteration.
-    """
-    best_t = t_start
-    for t in range(t_start, t_end + 1):
-        if scores[t - 1] > scores[best_t - 1]:
-            best_t = t
-    return history[best_t - 1]
-
-
 @dataclass
 class DescentOutcome:
     command: tuple
     score: float
     iterations: int
-    stopped_at_sensor: int
+    turns: tuple  # the sensor of each turn, in order; the last met the stopping rule
 
 
 def _best_own_action(
@@ -201,14 +176,14 @@ def _best_own_action(
     Ties break to the lowest action index; if every candidate is
     infeasible the stay action (index 0) is used.
     """
-    best_action, best_score = None, NEG_INF
+    best_action, best_score = 0, NEG_INF
     for a in range(n_actions):
         candidate = latest.copy()
         candidate[position] = a
         score = evaluate(node, tuple(candidate))
         if score > best_score:
             best_action, best_score = a, score
-    if best_action is None or best_score == NEG_INF:
+    if best_score == NEG_INF:
         fallback = latest.copy()
         fallback[position] = 0
         return 0, evaluate(node, tuple(fallback))
@@ -220,15 +195,18 @@ def run_flooded_descent(
     n_actions: Mapping[int, int],
     evaluate: CommandEvaluator,
     initial_actions: Mapping[int, int],
-    on_turn: Callable[[int, int], None] | None = None,
 ) -> DescentOutcome:
     """Sequential coordinate descent over the given sensors until a cycle.
 
     Each iteration visits sensors in ascending id order; each sensor
     exhaustively re-optimizes its own action against the latest actions of
-    the others, then records the resulting full command and score.  The
-    descent stops the first time any sensor sees a repeated command in its
-    own history, and returns the best-scoring command within that cycle.
+    the others.  Every sensor keeps one record of (command, score) entries,
+    starting with the initial command, and the position of each command's
+    first entry.  The descent stops the first time a sensor's turn yields
+    a command already in its own record, and returns the best entry of
+    that record from the command's first entry on, ties going to the
+    earliest.  A recorded score is evaluate(sensor, command), so the
+    repeated entry, left out, would change nothing.
 
     Because the update is deterministic over a finite command space, a
     cycle must appear within prod(n_actions) + 1 iterations.
@@ -237,8 +215,9 @@ def run_flooded_descent(
     pos = {s: i for i, s in enumerate(ids)}
     latest = [initial_actions[s] for s in ids]
     cmd0 = tuple(latest)
-    history = {s: [cmd0] for s in ids}
-    scores = {s: [evaluate(s, cmd0)] for s in ids}
+    record = {s: [(cmd0, evaluate(s, cmd0))] for s in ids}
+    first = {s: {cmd0: 0} for s in ids}
+    turns = []
 
     bound = 1
     for s in ids:
@@ -248,19 +227,13 @@ def run_flooded_descent(
         for s in ids:
             action, score = _best_own_action(s, pos[s], latest, n_actions[s], evaluate)
             latest[pos[s]] = action
-            if on_turn is not None:
-                on_turn(s, action)
-            history[s].append(tuple(latest))
-            scores[s].append(score)
-            cycle = detect_cycle(history[s])
-            if cycle is not None:
-                final = select_final_command(history[s], scores[s], *cycle)
-                return DescentOutcome(
-                    command=final,
-                    score=scores[s][history[s].index(final)],
-                    iterations=t,
-                    stopped_at_sensor=s,
-                )
+            turns.append(s)
+            command = tuple(latest)
+            if command in first[s]:
+                command, score = max(record[s][first[s][command] :], key=lambda e: e[1])
+                return DescentOutcome(command, score, t, tuple(turns))
+            first[s][command] = len(record[s])
+            record[s].append((command, score))
     raise RuntimeError("coordinate descent failed to cycle within its pigeonhole bound")
 
 
@@ -333,9 +306,10 @@ class PseudoCache:
         return self._state_after[key]
 
     def pseudo(self, s: int, a: int) -> LmbDensity:
-        key = (s, a)
+        # an empty predicted density has one pseudo-posterior, with no rows
+        key = (s, a if self.predicted[s].labels else 0)
         if key not in self._pseudo:
-            state = self.state_after(s, a)
+            state = self.state_after(*key)
             pims = generate_pims(self.eap_positions[s], state, self.fovs[s])
             density = pseudo_update(
                 self.predicted[s], pims, state, self.fovs[s], self.filter_cfgs[s]

@@ -41,6 +41,8 @@ class FusionConfig:
     def __post_init__(self):
         if self.merge_distance < 0:
             raise ValueError("merge_distance must be nonnegative")
+        if not 0.0 <= self.estimate_floor < 1.0:
+            raise ValueError("estimate_floor must be in [0, 1)")
 
 
 def existence_odds(r):

@@ -145,19 +145,13 @@ def _select_commands(method, scenario, cache, topology, step, seed, dcd_runs, co
         for component in topology.components:
             participants = tuple(sorted(component))
             ctx = ControlContext(cache, participants)
-            initial = {}
-            for s in participants:
-                initial[s], _ = isc_select(s, cache)
-                comm_log.record(topology, step, s, len(cache.pseudo(s, initial[s]).labels))
-
-            def on_turn(s, a):
-                comm_log.record(topology, step, s, len(cache.pseudo(s, a).labels))
-
-            outcome = run_flooded_descent(
-                participants, ctx.n_actions(), ctx.evaluate, initial, on_turn=on_turn
-            )
-            # final command flood-out from the sensor that met the stopping rule
-            comm_log.record(topology, step, outcome.stopped_at_sensor, 0)
+            initial = {s: isc_select(s, cache)[0] for s in participants}
+            outcome = run_flooded_descent(participants, ctx.n_actions(), ctx.evaluate, initial)
+            # each turn floods one pseudo-posterior, which keeps every predicted row;
+            # the initial round comes first and the final command flood-out last
+            for s in participants + outcome.turns:
+                comm_log.record(topology, step, s, len(cache.predicted[s].labels))
+            comm_log.record(topology, step, outcome.turns[-1], 0)
             for s, a in zip(participants, outcome.command):
                 commands[s] = a
             iterations = max(iterations, outcome.iterations)

@@ -65,8 +65,8 @@ def _window_tracks(tracks: dict, steps) -> np.ndarray:
     return np.stack(dense, axis=1) if dense else np.zeros((len(steps), 0, 2))
 
 
-def ospa2(truth_tracks: dict, estimated_tracks: dict, c: float, p: float, window, step: int | None = None) -> float:
-    """OSPA over track segments in a trailing window.
+def ospa2(truth_tracks: dict, estimated_tracks: dict, c: float, p: float, window: int, step: int) -> float:
+    """OSPA over track segments in the `window` steps trailing `step` (inclusive).
 
     Tracks map a track key to {step: state}; the first two entries of a
     state are its position.  Each track present at some step of the window
@@ -77,21 +77,11 @@ def ospa2(truth_tracks: dict, estimated_tracks: dict, c: float, p: float, window
     where exactly one exists and 0 where neither does.  All n x m x W of
     these per-step terms are computed in one broadcast, and the base
     distances feed a standard OSPA assignment across tracks.
-
-    `window` is either an iterable of steps or an integer length w, in
-    which case the window is the w steps trailing `step` (inclusive).
     """
     _check_parameters(c, p)
-    if isinstance(window, int):
-        if window < 1:
-            raise ValueError("window length must be >= 1")
-        if step is None:
-            raise ValueError("step is required with an integer window length")
-        steps = list(range(step - window + 1, step + 1))
-    else:
-        steps = sorted(window)
-        if not steps:
-            raise ValueError("empty window")
+    if window < 1:
+        raise ValueError("window length must be >= 1")
+    steps = list(range(step - window + 1, step + 1))
 
     x = _window_tracks(truth_tracks, steps)[:, :, None, :]
     y = _window_tracks(estimated_tracks, steps)[:, None, :, :]

@@ -7,25 +7,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sentrack import control
 from sentrack.control import (
+    NEG_INF,
     ControlContext,
     ObjectiveParams,
     PseudoCache,
     bernoulli_kld,
     dcd_sc_select,
-    detect_cycle,
     drop_penalty,
     existence_map,
     isc_select,
     kld_existence,
     objective,
     run_flooded_descent,
-    select_final_command,
     sensor_sensor_constraint,
     void_feasible,
     void_probability,
 )
-from sentrack.filtering import FilterConfig
+from sentrack.filtering import FilterConfig, pseudo_update
 from sentrack.fusion import compute_active_set, fuse_lmb, fuse_spatial
 from sentrack.lmb import Component, Label, LmbDensity, empty_density
 from sentrack.sensors import FovModel, SensorAction, SensorState
@@ -249,29 +249,173 @@ class TestConstraints:
         assert sensor_sensor_constraint({0: SensorState(0, 0, 0)}) == math.inf
 
 
-class TestDetectCycle:
-    def test_aba(self):
-        assert detect_cycle(["a", "b", "a"]) == (1, 3)
-
-    def test_immediate_convergence(self):
-        assert detect_cycle(["a", "a"]) == (1, 2)
-
-    def test_distinct_history(self):
-        assert detect_cycle(["a", "b", "c"]) is None
-
-    def test_earliest_pair_wins(self):
-        assert detect_cycle(["a", "b", "b", "a"]) == (2, 3)
+# ---------------------------------------------------------------------------
+# Descent oracle: the stopping rule kept as a scan of parallel command and
+# score histories, rebuilt after every turn
+# ---------------------------------------------------------------------------
 
 
-class TestSelectFinalCommand:
-    def test_argmax_inside_cycle(self):
-        assert select_final_command(["a", "b", "a"], [5.0, 7.0, 5.0], 1, 3) == "b"
+def detect_cycle(history: list) -> tuple | None:
+    """First repeated command in a descent history.
 
-    def test_length_one_cycle(self):
-        assert select_final_command(["a", "a"], [3.0, 3.0], 1, 2) == "a"
+    Returns 1-based positions (t_start, t_end) of the first pair of equal
+    commands, or None when all commands are distinct.
+    """
+    seen = {}
+    for t, cmd in enumerate(history):
+        if cmd in seen:
+            return seen[cmd] + 1, t + 1
+        seen[cmd] = t
+    return None
 
-    def test_tie_takes_earliest(self):
-        assert select_final_command(["a", "b", "a"], [4.0, 4.0, 4.0], 1, 3) == "a"
+
+def select_final_command(history: list, scores: list, t_start: int, t_end: int) -> tuple:
+    """Command in the cycle [t_start, t_end] with the highest stored score.
+
+    history[i] is one sensor's multi-sensor command after its turn at
+    iteration i (entry 0 is the initialization round) and scores[i] its
+    objective value.  Positions are 1-based as returned by detect_cycle;
+    ties go to the earliest iteration.
+    """
+    best_t = t_start
+    for t in range(t_start, t_end + 1):
+        if scores[t - 1] > scores[best_t - 1]:
+            best_t = t
+    return history[best_t - 1]
+
+
+def best_own_action_reference(node, position, latest, n_actions, evaluate):
+    """Exhaustive own-action search that starts from no action (None)."""
+    best_action, best_score = None, NEG_INF
+    for a in range(n_actions):
+        candidate = latest.copy()
+        candidate[position] = a
+        score = evaluate(node, tuple(candidate))
+        if score > best_score:
+            best_action, best_score = a, score
+    if best_action is None or best_score == NEG_INF:
+        fallback = latest.copy()
+        fallback[position] = 0
+        return 0, evaluate(node, tuple(fallback))
+    return best_action, best_score
+
+
+def descent_reference(sensor_ids, n_actions, evaluate, initial_actions):
+    """(command, score, iterations, turns) of the history-scan descent."""
+    ids = tuple(sorted(sensor_ids))
+    pos = {s: i for i, s in enumerate(ids)}
+    latest = [initial_actions[s] for s in ids]
+    cmd0 = tuple(latest)
+    history = {s: [cmd0] for s in ids}
+    scores = {s: [evaluate(s, cmd0)] for s in ids}
+    turns = []
+
+    bound = 1
+    for s in ids:
+        bound *= max(n_actions[s], 1)
+
+    for t in range(1, bound + 2):
+        for s in ids:
+            action, score = best_own_action_reference(s, pos[s], latest, n_actions[s], evaluate)
+            latest[pos[s]] = action
+            turns.append(s)
+            history[s].append(tuple(latest))
+            scores[s].append(score)
+            cycle = detect_cycle(history[s])
+            if cycle is not None:
+                final = select_final_command(history[s], scores[s], *cycle)
+                return final, scores[s][history[s].index(final)], t, tuple(turns)
+    raise RuntimeError("coordinate descent failed to cycle within its pigeonhole bound")
+
+
+def table_evaluator(table, calls=None):
+    """evaluate(s, cmd) from {(s, cmd): score}, logging each call in calls."""
+
+    def evaluate(s, cmd):
+        if calls is not None:
+            calls.append((s, cmd))
+        return table[(s, cmd)]
+
+    return evaluate
+
+
+@st.composite
+def score_tables(draw):
+    """Unsorted sensor ids, per-sensor action counts, initial actions and a
+    full (sensor, command) score table with ties and -inf cells."""
+    n = draw(st.integers(1, 4))
+    ids = draw(st.lists(st.integers(0, 9), min_size=n, max_size=n, unique=True))
+    n_actions = {s: draw(st.integers(1, 3)) for s in ids}
+    ordered = sorted(ids)
+    cell = st.one_of(st.integers(-3, 3).map(float), st.just(NEG_INF))
+    table = {
+        (s, cmd): draw(cell)
+        for cmd in itertools.product(*(range(n_actions[s]) for s in ordered))
+        for s in ids
+    }
+    init = {s: draw(st.integers(0, n_actions[s] - 1)) for s in ids}
+    return ids, n_actions, table, init
+
+
+class TestDescentOracle:
+    @settings(max_examples=500, deadline=None)
+    @given(case=score_tables())
+    def test_matches_history_scan(self, case):
+        ids, n_actions, table, init = case
+        out = run_flooded_descent(ids, n_actions, table_evaluator(table), init)
+        expected = descent_reference(ids, n_actions, table_evaluator(table), init)
+        assert (out.command, out.score, out.iterations, out.turns) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=score_tables())
+    def test_same_evaluations_in_the_same_order(self, case):
+        ids, n_actions, table, init = case
+        ours, theirs = [], []
+        run_flooded_descent(ids, n_actions, table_evaluator(table, ours), init)
+        descent_reference(ids, n_actions, table_evaluator(table, theirs), init)
+        assert ours == theirs
+
+    @staticmethod
+    def chase(reply_score):
+        """Two sensors, two actions: sensor 0 scores 1 for differing from
+        sensor 1's action, sensor 1 scores reply_score[cmd] (it wants to match)."""
+        table = {}
+        for cmd in itertools.product(range(2), range(2)):
+            table[(0, cmd)] = float(cmd[0] != cmd[1])
+            table[(1, cmd)] = reply_score.get(cmd, 0.0)
+        return table_evaluator(table)
+
+    def test_first_repeat_closes_the_cycle(self):
+        # sensor 1 records (0, 0), then (1, 1), then meets (0, 0) again at
+        # iteration 2; the best entry from (0, 0)'s first entry on is (1, 1)
+        evaluate = self.chase({(0, 0): 1.0, (1, 1): 2.0})
+        out = run_flooded_descent((0, 1), {0: 2, 1: 2}, evaluate, {0: 0, 1: 0})
+        assert (out.command, out.score, out.iterations) == ((1, 1), 2.0, 2)
+        assert out.turns == (0, 1, 0, 1)
+
+    def test_tie_in_the_cycle_goes_to_the_earliest_entry(self):
+        # the same cycle as above, with both of its entries scoring 1
+        evaluate = self.chase({(0, 0): 1.0, (1, 1): 1.0})
+        out = run_flooded_descent((0, 1), {0: 2, 1: 2}, evaluate, {0: 0, 1: 0})
+        assert (out.command, out.score, out.iterations) == ((0, 0), 1.0, 2)
+        assert out.turns == (0, 1, 0, 1)
+
+    def test_cycle_of_length_one(self):
+        # the initial command is already sensor 0's best reply
+        commands = list(itertools.product(range(2), repeat=2))
+        table = {(s, cmd): float(cmd == (1, 0)) for s in (0, 1) for cmd in commands}
+        out = run_flooded_descent((0, 1), {0: 2, 1: 2}, table_evaluator(table), {0: 1, 1: 0})
+        assert (out.command, out.score, out.iterations, out.turns) == ((1, 0), 1.0, 1, (0,))
+
+    def test_repeat_in_another_sensors_record_does_not_stop(self):
+        # both sensors prefer action 1: sensor 1 records (1, 1) first, and
+        # sensor 0 reaching (1, 1) next is new to its own record, so the
+        # descent stops only at sensor 1's second turn
+        commands = list(itertools.product(range(2), repeat=2))
+        table = {(s, cmd): float(cmd[s] == 1) for s in (0, 1) for cmd in commands}
+        out = run_flooded_descent((0, 1), {0: 2, 1: 2}, table_evaluator(table), {0: 0, 1: 0})
+        assert (out.command, out.score, out.iterations) == ((1, 1), 1.0, 2)
+        assert out.turns == (0, 1, 0, 1)
 
 
 class TestDescentCore:
@@ -307,9 +451,7 @@ class TestDescentCore:
         evaluate = lambda s, cmd: float(table[s][cmd])
         ids = (0, 1)
         out = run_flooded_descent(ids, {0: 3, 1: 3}, evaluate, {0: 0, 1: 0})
-        assert out.score == pytest.approx(
-            evaluate(out.stopped_at_sensor, out.command)
-        )
+        assert out.score == evaluate(out.turns[-1], out.command)
 
     def test_all_infeasible_falls_back_to_zero(self):
         evaluate = lambda s, cmd: float("-inf")
@@ -381,6 +523,30 @@ class TestIscSelect:
         cache = two_sensor_cache()
         action, _ = isc_select(0, cache)
         assert action == 0  # staying keeps its own target in view
+
+
+class TestPseudoCache:
+    def test_empty_predicted_density_pseudo_updated_once(self, monkeypatch):
+        calls = []
+
+        def counted(predicted, *args):
+            calls.append(len(predicted.labels))
+            return pseudo_update(predicted, *args)
+
+        monkeypatch.setattr(control, "pseudo_update", counted)
+        base = two_sensor_cache()
+        cache = pseudo_cache(
+            {0: base.predicted[0], 1: empty_density(1, "predicted")},
+            base.sensor_states,
+            base.fovs,
+            base.action_sets,
+        )
+        pseudos = [cache.pseudo(1, a) for a in range(cache.n_actions(1))]
+        assert calls == [0]
+        assert all(p is pseudos[0] for p in pseudos) and pseudos[0].labels == ()
+        for a in range(cache.n_actions(0)):
+            cache.pseudo(0, a)
+        assert calls == [0, 2, 2]
 
 
 class TestFdcdPipeline:

@@ -6,6 +6,7 @@ import pytest
 
 from sentrack import harness
 from sentrack.harness import METHODS, ControlContext, run_single
+from sentrack.network import message_cost
 from sentrack.scenarios import build_scenario_1, build_scenario_2
 
 
@@ -43,6 +44,39 @@ def test_fused_evaluations_stay_in_range(monkeypatch, scenario, method):
     build = build_scenario_1 if scenario == 1 else build_scenario_2
     run_single(build(), method, seed=20260810, duration=8)
     assert seen and any(seen)
+
+
+def test_fdcd_messages_follow_the_descent_turns(monkeypatch):
+    # per component: the initial round in id order, one pseudo-posterior per
+    # turn, then the final command's flood-out from the sensor of the last
+    # turn; from step 10 on, this run's descents take more than one turn
+    original = harness.run_flooded_descent
+    blocks = []
+
+    def recorded(participants, *args):
+        outcome = original(participants, *args)
+        blocks.append((participants, outcome.turns))
+        return outcome
+
+    monkeypatch.setattr(harness, "run_flooded_descent", recorded)
+    scenario = build_scenario_2()
+    result = run_single(scenario, "fdcd", seed=20260810, duration=12)
+    n = len(scenario.sensors)
+    by_step = {}
+    for entry in result.comm_entries:
+        by_step.setdefault(entry.step, []).append(entry)
+    # each step ends with the n posterior messages of the update
+    control = [e for rec in result.steps for e in by_step[rec.step][:-n]]
+    at = 0
+    for participants, turns in blocks:
+        initial = control[at : at + len(participants)]
+        assert [e.origin for e in initial] == list(participants)
+        size = {e.origin: e.bytes for e in initial}
+        rest = control[at + len(participants) : at + len(participants) + len(turns) + 1]
+        assert [e.origin for e in rest] == [*turns, turns[-1]]
+        assert [e.bytes for e in rest] == [size[s] for s in turns] + [message_cost(0)]
+        at += len(participants) + len(turns) + 1
+    assert at == len(control) and any(len(turns) > 1 for _, turns in blocks)
 
 
 def _equal_rows(a, rows_a, b, rows_b):

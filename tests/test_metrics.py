@@ -104,7 +104,7 @@ class TestOspa2:
     def test_bad_window(self):
         with pytest.raises(ValueError):
             ospa2({}, {}, 100.0, 1.0, 0, step=3)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             ospa2({}, {}, 100.0, 1.0, 3)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -142,9 +142,9 @@ def _window_distance(track_a: dict, track_b: dict, steps, c: float) -> float:
     return total / len(steps)
 
 
-def ospa2_reference(truth_tracks, estimated_tracks, c, p, window, step=None):
+def ospa2_reference(truth_tracks, estimated_tracks, c, p, window, step):
     """Loop reference for ospa2: one _window_distance per track pair."""
-    steps = list(range(step - window + 1, step + 1)) if isinstance(window, int) else sorted(window)
+    steps = list(range(step - window + 1, step + 1))
     in_window = lambda track: any(t in track for t in steps)
     xs = [track for track in truth_tracks.values() if in_window(track)]
     ys = [track for track in estimated_tracks.values() if in_window(track)]
@@ -190,11 +190,3 @@ class TestOspa2Oracle:
         est = data.draw(track_sets(step))
         expected = ospa2_reference(truth, est, c, p, window, step)
         assert ospa2(truth, est, c, p, window, step) == pytest.approx(expected, abs=ORACLE_TOL)
-
-    @settings(max_examples=100, deadline=None)
-    @given(data=st.data(), steps=st.sets(st.integers(5, 22), min_size=1, max_size=12))
-    def test_explicit_window_matches_loop_reference(self, data, steps):
-        truth = data.draw(track_sets(20))
-        est = data.draw(track_sets(20))
-        expected = ospa2_reference(truth, est, 100.0, 1.0, steps)
-        assert ospa2(truth, est, 100.0, 1.0, steps) == pytest.approx(expected, abs=ORACLE_TOL)

@@ -106,6 +106,24 @@ class TestRejectedAtLoad:
         cfg = scenario_from_dict(d)
         assert cfg.metric.ospa2_window == 1 and cfg.monte_carlo.runs == 1
 
+    @pytest.mark.parametrize(
+        "section,key", [("fusion", "estimate_floor"), ("objective", "min_existence")]
+    )
+    @pytest.mark.parametrize("value", [-0.1, 1.0])
+    def test_existence_floors_outside_unit_interval(self, section, key, value):
+        # prune takes a floor in [0, 1); a scenario must not load with another
+        d = scenario_to_dict(build_scenario_1())
+        d[section][key] = value
+        with pytest.raises(ValueError, match=key):
+            scenario_from_dict(d)
+
+    def test_smallest_valid_existence_floors_accepted(self):
+        d = scenario_to_dict(build_scenario_1())
+        d["fusion"]["estimate_floor"] = 0.0
+        d["objective"]["min_existence"] = 0.0
+        cfg = scenario_from_dict(d)
+        assert cfg.fusion.estimate_floor == 0.0 and cfg.objective.min_existence == 0.0
+
 
 class TestStepPeriod:
     def test_truth_moves_by_motion_period(self):
