@@ -22,6 +22,7 @@ each turn (DescentOutcome.turns), from which the harness counts the
 messages a flooded descent sends.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping
@@ -125,29 +126,6 @@ def objective(r1: Mapping, r2: Mapping, params: ObjectiveParams) -> float:
     )
 
 
-def sensor_sensor_constraint(sensors_after) -> float:
-    """Minimum pairwise distance between sensors; +inf for a single sensor.
-
-    sensors_after maps sensor id -> post-action SensorState.
-    """
-    states = list(sensors_after.values())
-    if len(states) < 2:
-        return math.inf
-    eta = math.inf
-    for i in range(len(states)):
-        for j in range(i + 1, len(states)):
-            eta = min(eta, math.hypot(states[i].x - states[j].x, states[i].y - states[j].y))
-    return eta
-
-
-def void_feasible(psi: float, params: ObjectiveParams) -> bool:
-    return psi > params.psi_threshold
-
-
-def distance_feasible(eta: float, params: ObjectiveParams) -> bool:
-    return eta > params.eta_threshold
-
-
 # ---------------------------------------------------------------------------
 # Coordinate descent core
 # ---------------------------------------------------------------------------
@@ -245,11 +223,13 @@ def run_flooded_descent(
 class PseudoCache:
     """Per-step cache of everything control evaluation reuses.
 
-    labels is the step's sorted label index; rows[s] maps sensor s's
+    after[s][a] is sensor s's state after its action a, built for every
+    action up front; every post-action geometry of the step is read from
+    it.  labels is the step's sorted label index; rows[s] maps sensor s's
     components onto it.  Per sensor: the EAP positions of its predicted
     density, which every action's ideal measurement set starts from.  Per
-    (sensor, action): the post-action state, the pseudo-posterior and, on
-    first use, the mask of components the sensor is active for.  Per
+    (sensor, action), on first use: the pseudo-posterior and the mask of
+    components the sensor is active for.  Per
     (owner, action, center), on first use: the in-disk weight of each of
     the owner's pseudo components.  A pseudo-posterior shares its predicted
     density's states array, since pseudo_update never moves a particle, so
@@ -271,12 +251,12 @@ class PseudoCache:
         self.filter_cfgs = dict(filter_cfgs)
         self.sensor_states = dict(sensor_states)
         self.fovs = dict(fovs)
-        self.action_sets = {s: list(a) for s, a in action_sets.items()}
+        self.after = {
+            s: [apply_action(self.sensor_states[s], action) for action in actions]
+            for s, actions in action_sets.items()
+        }
         self.predicted = {
-            s: prune(d, params.min_existence, len(d.labels) or 1)
-            if params.min_existence > 0
-            else d
-            for s, d in predicted.items()
+            s: prune(d, params.min_existence, len(d.labels) or 1) for s, d in predicted.items()
         }
         self.predicted_existences = {s: existence_map(d) for s, d in self.predicted.items()}
         self.eap_positions = {
@@ -290,45 +270,28 @@ class PseudoCache:
             s: np.array([index[label] for label in d.labels], dtype=np.intp)
             for s, d in self.predicted.items()
         }
-        self._state_after = {}
         self._pseudo = {}
         self._active = {}
         self._disk = {}
         self._indisk = {}
 
-    def n_actions(self, s: int) -> int:
-        return len(self.action_sets[s])
-
-    def state_after(self, s: int, a: int) -> SensorState:
-        key = (s, a)
-        if key not in self._state_after:
-            self._state_after[key] = apply_action(self.sensor_states[s], self.action_sets[s][a])
-        return self._state_after[key]
-
     def pseudo(self, s: int, a: int) -> LmbDensity:
         # an empty predicted density has one pseudo-posterior, with no rows
         key = (s, a if self.predicted[s].labels else 0)
         if key not in self._pseudo:
-            state = self.state_after(*key)
-            pims = generate_pims(self.eap_positions[s], state, self.fovs[s])
-            density = pseudo_update(
-                self.predicted[s], pims, state, self.fovs[s], self.filter_cfgs[s]
-            )
-            self._pseudo[key] = density
+            state, fov, cfg = self.after[s][key[1]], self.fovs[s], self.filter_cfgs[s]
+            pims = generate_pims(self.eap_positions[s], state, fov)
+            self._pseudo[key] = pseudo_update(self.predicted[s], pims, state, fov, cfg)
         return self._pseudo[key]
-
-    def existences(self, s: int, a: int) -> np.ndarray:
-        """Pseudo existence of each of sensor s's components after action a."""
-        return self.pseudo(s, a).existences
 
     def active(self, s: int, a: int) -> np.ndarray:
         """Mask of sensor s's components it is active for after action a,
         by compute_active_set; a pseudo-posterior keeps its predicted rows."""
         key = (s, a)
         if key not in self._active:
-            state, pseudo = self.state_after(s, a), self.pseudo(s, a)
+            pseudo = self.pseudo(s, a)
             self._active[key] = compute_active_set(
-                state, self.fovs[s], pseudo.mean_positions(), self.predicted_means[s]
+                self.after[s][a], self.fovs[s], pseudo.mean_positions(), self.predicted_means[s]
             )
         return self._active[key]
 
@@ -373,8 +336,8 @@ class ControlContext:
     """Evaluates multi-sensor commands over a fixed participant set.
 
     Commands index each participant's action set in ascending sensor-id
-    order.  Fusion results and per-node scores are memoized, so repeated
-    commands during descent cycling cost nothing.
+    order.  Fusion results are memoized, so a command revisited during
+    descent cycling is fused once.
     """
 
     def __init__(self, cache: PseudoCache, participants):
@@ -382,10 +345,9 @@ class ControlContext:
         self.participants = tuple(sorted(participants))
         self.params = cache.params
         self._fused = {}
-        self._scores = {}
 
     def n_actions(self) -> dict:
-        return {s: self.cache.n_actions(s) for s in self.participants}
+        return {s: len(self.cache.after[s]) for s in self.participants}
 
     def fused(self, command: tuple) -> FusedEvaluation:
         """Pseudo-mode fusion under command, and its feasibility.
@@ -402,7 +364,7 @@ class ControlContext:
         for s, a in zip(self.participants, command):
             active, rows = cache.active(s, a), cache.rows[s]
             # the update caps existences at EXISTENCE_CEIL, so no odds are clamped
-            odds = np.where(active, existence_odds(cache.existences(s, a)), 0.0)
+            odds = np.where(active, existence_odds(cache.pseudo(s, a).existences), 0.0)
             odds_sum[rows] += odds  # in participant order, as a sequential sum
             held[rows] |= active
             terms.append((s, a, rows, odds))
@@ -411,8 +373,9 @@ class ControlContext:
         total = np.where(odds_sum > 0.0, odds_sum, 1.0)
         shares = [(s, a, rows, odds / total[rows]) for s, a, rows, odds in terms]
 
-        states_after = [cache.state_after(s, a) for s, a in zip(self.participants, command)]
-        eta = sensor_sensor_constraint(dict(zip(self.participants, states_after)))
+        states_after = [cache.after[s][a] for s, a in zip(self.participants, command)]
+        pairs = itertools.combinations(states_after, 2)
+        eta = min((math.hypot(p.x - q.x, p.y - q.y) for p, q in pairs), default=math.inf)
         psi = 0.0
         for state in states_after:
             center = (state.x, state.y)
@@ -422,7 +385,7 @@ class ControlContext:
                 if weight is not None:
                     inside[rows] += share * weight
             psi = max(psi, void_probability(existences, inside[used]))
-        feasible = distance_feasible(eta, params) and void_feasible(psi, params)
+        feasible = eta > params.eta_threshold and psi > params.psi_threshold
 
         labels = [cache.labels[i] for i in used.tolist()]
         out = FusedEvaluation(dict(zip(labels, existences.tolist())), psi, eta, feasible)
@@ -430,44 +393,35 @@ class ControlContext:
         return out
 
     def evaluate(self, node: int, command: tuple) -> float:
-        key = (node, command)
-        if key in self._scores:
-            return self._scores[key]
         fe = self.fused(command)
         if not fe.feasible:
-            score = NEG_INF
-        else:
-            score = objective(fe.existences, self.cache.predicted_existences[node], self.params)
-        self._scores[key] = score
-        return score
+            return NEG_INF
+        return objective(fe.existences, self.cache.predicted_existences[node], self.params)
 
 
-def isc_select(
-    node: int,
-    cache: PseudoCache,
-    other_positions=(),
-) -> tuple:
+def isc_select(node: int, cache: PseudoCache, others=()) -> tuple:
     """Independent single-sensor selection on the local pseudo-posterior.
 
-    Exhaustive over the node's actions, scoring the local pseudo-posterior
-    against the local prediction; feasibility uses the node's own
-    exclusion disk and, when given, the current positions of the other
-    sensors.  The void probability runs over every component of the node's
-    pseudo-posterior, in component order.  Returns (action index, score);
-    the stay action (index 0) with score -inf when no action is feasible.
+    Exhaustive over the node's actions (cache.after[node]), scoring the
+    local pseudo-posterior against the local prediction.  An action is
+    feasible when the void probability of the node's own exclusion disk,
+    tested first, exceeds psi_threshold, and when the post-action position
+    is more than eta_threshold from the current position of every sensor
+    id in others.  The void probability runs over every component of the
+    node's pseudo-posterior, in component order.  Returns (action index,
+    score); the stay action (index 0) with score -inf when none is feasible.
     """
     params = cache.params
     predicted_exist = cache.predicted_existences[node]
+    other_states = [cache.sensor_states[t] for t in others]
     best_action, best_score = None, NEG_INF
-    for a in range(cache.n_actions(node)):
-        state = cache.state_after(node, a)
+    for a, state in enumerate(cache.after[node]):
         inside = cache.indisk_weight(node, a, (state.x, state.y))
-        psi = 1.0 if inside is None else void_probability(cache.existences(node, a), inside)
-        feasible = void_feasible(psi, params)
-        if feasible and other_positions:
-            eta = min(math.hypot(state.x - p[0], state.y - p[1]) for p in other_positions)
-            feasible = distance_feasible(eta, params)
-        if not feasible:
+        psi = 1.0 if inside is None else void_probability(cache.pseudo(node, a).existences, inside)
+        if psi <= params.psi_threshold:
+            continue
+        distances = (math.hypot(state.x - q.x, state.y - q.y) for q in other_states)
+        if min(distances, default=math.inf) <= params.eta_threshold:
             continue
         score = objective(existence_map(cache.pseudo(node, a)), predicted_exist, params)
         if score > best_score:

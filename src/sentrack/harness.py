@@ -34,7 +34,7 @@ from .lmb import eap_states, empty_density, prune, resample_component
 from .metrics import ospa, ospa2
 from .network import CommLog, build_topology
 from .scenarios import ScenarioConfig
-from .sensors import apply_action, detection_probabilities
+from .sensors import detection_probabilities
 
 METHODS = ("fixed", "isc", "dcd", "fdcd")
 
@@ -119,12 +119,7 @@ def _select_commands(method, scenario, cache, topology, step, seed, dcd_runs, co
         return [0] * n, 0
 
     if method == "isc":
-        positions = [cache.sensor_states[s].position for s in range(n)]
-        commands = []
-        for s in range(n):
-            others = [positions[t] for t in range(n) if t != s]
-            commands.append(isc_select(s, cache, other_positions=others)[0])
-        return commands, 0
+        return [isc_select(s, cache, [t for t in range(n) if t != s])[0] for s in range(n)], 0
 
     if method == "dcd":
         commands = [
@@ -245,9 +240,7 @@ def run_single(
         )
         control_seconds += time.perf_counter() - t0
 
-        sensor_states = [
-            apply_action(sensor_states[s], action_sets[s][commands[s]]) for s in range(n)
-        ]
+        sensor_states = [cache.after[s][commands[s]] for s in range(n)]
         positions = {s: (sensor_states[s].x, sensor_states[s].y) for s in range(n)}
         topology = build_topology(positions, scenario.comm_range)
 
@@ -291,7 +284,7 @@ def run_single(
                 scenario.metric.ospa_cutoff,
                 scenario.metric.ospa_order,
             )
-            for s in component:
+            for s in members:
                 for label, state in estimates:
                     est_tracks[s].setdefault(label, {})[step] = tuple(state[:2])
                 step_ospa2 = ospa2(

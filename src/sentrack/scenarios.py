@@ -328,19 +328,34 @@ def build_scenario_2() -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 
 
-_TOP_LEVEL_KEYS = (
-    "name", "duration", "comm_range", "clutter_mean", "motion",
-    "filter", "objective", "fusion", "metric", "monte_carlo", "sensors", "targets",
-)
+_TOP_LEVEL_REQUIRED = ("duration", "comm_range", "clutter_mean", "sensors", "targets")
+_TOP_LEVEL_OPTIONAL = ("name", "motion", "filter", "objective", "fusion", "metric", "monte_carlo")
 
 
-def _checked(d: dict, section: str, allowed) -> dict:
-    """d itself, once every key in it is one of allowed."""
-    unknown = sorted(set(d) - set(allowed))
+def _checked(d: dict, section: str, optional, required=()) -> dict:
+    """d itself, once it is a mapping with every required key and no key
+    outside optional and required."""
+    if not isinstance(d, dict):
+        raise ValueError(f"scenario section {section!r} must be a mapping, not {type(d).__name__}")
+    unknown = sorted(set(d) - set(optional) - set(required))
     if unknown:
         keys = ", ".join(repr(k) for k in unknown)
         raise ValueError(f"unknown key {keys} in scenario section {section!r}")
+    for key in required:
+        if key not in d:
+            raise ValueError(f"missing key {key!r} in scenario section {section!r}")
     return d
+
+
+def _pair(d: dict, key: str, section: str, default=None) -> tuple:
+    """d[key] (or default when absent) as two floats: a position, velocity or move."""
+    value = d.get(key, default)
+    if isinstance(value, (list, tuple)) and len(value) == 2:
+        try:
+            return (float(value[0]), float(value[1]))
+        except (TypeError, ValueError):
+            pass
+    raise ValueError(f"{key!r} in scenario section {section!r} must be two numbers, not {value!r}")
 
 
 def _config(cls, d: dict, section: str, **fixed):
@@ -361,9 +376,8 @@ def _fov_to_dict(fov: FovModel) -> dict:
 
 
 def _fov_from_dict(d: dict, section: str) -> FovModel:
-    _checked(
-        d, section, ("rho_max", "theta_max_deg", "p_d_max", "k_rho", "k_theta", "p_d_threshold")
-    )
+    required = ("rho_max", "theta_max_deg", "p_d_max", "k_rho", "k_theta")
+    _checked(d, section, ("p_d_threshold",), required)
     return FovModel(
         rho_max=float(d["rho_max"]),
         theta_max=float(d["theta_max_deg"]) * DEG,
@@ -379,10 +393,8 @@ def _action_to_dict(a: SensorAction) -> dict:
 
 
 def _action_from_dict(d: dict, section: str) -> SensorAction:
-    move = _checked(d, section, ("move", "rotate_deg")).get("move", [0.0, 0.0])
-    return SensorAction(
-        dx=float(move[0]), dy=float(move[1]), rotation=float(d.get("rotate_deg", 0.0)) * DEG
-    )
+    dx, dy = _pair(_checked(d, section, ("move", "rotate_deg")), "move", section, (0.0, 0.0))
+    return SensorAction(dx=dx, dy=dy, rotation=float(d.get("rotate_deg", 0.0)) * DEG)
 
 
 def scenario_to_dict(cfg: ScenarioConfig) -> dict:
@@ -419,14 +431,14 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict:
 
 
 def scenario_from_dict(d: dict) -> ScenarioConfig:
-    _checked(d, "top level", _TOP_LEVEL_KEYS)
+    _checked(d, "top level", _TOP_LEVEL_OPTIONAL, _TOP_LEVEL_REQUIRED)
     sensors = []
     for i, s in enumerate(d["sensors"]):
         section = f"sensors[{i}]"
-        _checked(s, section, ("position", "bearing_deg", "fov", "actions"))
+        _checked(s, section, (), ("position", "bearing_deg", "fov", "actions"))
         sensors.append(
             SensorSpec(
-                position=tuple(float(v) for v in s["position"]),
+                position=_pair(s, "position", section),
                 bearing=float(s["bearing_deg"]) * DEG,
                 fov=_fov_from_dict(s["fov"], f"{section}.fov"),
                 actions=tuple(
@@ -437,11 +449,12 @@ def scenario_from_dict(d: dict) -> ScenarioConfig:
         )
     targets = []
     for i, t in enumerate(d["targets"]):
-        _checked(t, f"targets[{i}]", ("position", "velocity", "birth", "death"))
+        section = f"targets[{i}]"
+        _checked(t, section, ("birth", "death"), ("position", "velocity"))
         targets.append(
             TargetSpec(
-                position=tuple(float(v) for v in t["position"]),
-                velocity=tuple(float(v) for v in t["velocity"]),
+                position=_pair(t, "position", section),
+                velocity=_pair(t, "velocity", section),
                 birth=int(t.get("birth", 1)),
                 death=None if t.get("death") is None else int(t["death"]),
             )

@@ -65,3 +65,16 @@ def test_unknown_scenario_key_rejected_before_writing(tmp_path):
     assert exc.value.code not in (0, None)
     assert "colour" in str(exc.value.code) and "\n" not in str(exc.value.code)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["", "name: short\nduration: 5\n"])
+def test_incomplete_scenario_file_rejected_in_one_line(tmp_path, text):
+    path = tmp_path / "scenario.yaml"
+    path.write_text(text)
+    out = tmp_path / "out"
+    argv = ["simulate", "--scenario", str(path), "--method", "isc", "--runs", "1"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--steps", "1", "--out", str(out)])
+    assert exc.value.code not in (0, None)
+    assert "'top level'" in str(exc.value.code) and "\n" not in str(exc.value.code)
+    assert not out.exists()

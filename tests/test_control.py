@@ -21,14 +21,12 @@ from sentrack.control import (
     kld_existence,
     objective,
     run_flooded_descent,
-    sensor_sensor_constraint,
-    void_feasible,
     void_probability,
 )
 from sentrack.filtering import FilterConfig, pseudo_update
 from sentrack.fusion import compute_active_set, fuse_lmb, fuse_spatial
 from sentrack.lmb import Component, Label, LmbDensity, empty_density
-from sentrack.sensors import FovModel, SensorAction, SensorState
+from sentrack.sensors import FovModel, SensorAction, SensorState, apply_action
 
 PARAMS = ObjectiveParams()
 
@@ -144,7 +142,7 @@ def stay_psi(predicted, sensor, rho):
     computes it, and that pseudo-posterior."""
     cache = stay_only_cache({0: predicted}, {0: sensor}, replace(PARAMS, exclusion_radius=rho))
     inside = cache.indisk_weight(0, 0, (sensor.x, sensor.y))
-    psi = 1.0 if inside is None else void_probability(cache.existences(0, 0), inside)
+    psi = 1.0 if inside is None else void_probability(cache.pseudo(0, 0).existences, inside)
     return psi, cache.pseudo(0, 0)
 
 
@@ -205,7 +203,7 @@ class TestConstraints:
         fe = ControlContext(cache, (0, 1)).fused((0, 0))
         assert fe.psi == 1.0
         # exclusion disks certainly empty: feasible
-        assert void_feasible(fe.psi, PARAMS) and fe.feasible
+        assert fe.psi > PARAMS.psi_threshold and fe.feasible
 
     def test_sensor_on_cloud_contributes(self):
         d = density([cloud((0, 5), 0.9, LABEL_A, spread=0.5)])
@@ -227,26 +225,40 @@ class TestConstraints:
         cache = stay_only_cache({0: empty_density(1, "predicted")}, {0: SensorState(0, 0, 0)})
         assert ControlContext(cache, (0,)).fused((0,)).psi == 1.0
 
+    # eta, the smallest distance between two participants after the command
+    @staticmethod
+    def fused_eta(states):
+        d = density([cloud((5000, 5000), 0.9)])
+        cache = stay_only_cache({s: d for s in states}, states)
+        return ControlContext(cache, tuple(states)).fused((0,) * len(states))
+
     def test_eta_three_four_five(self):
-        sensors = {0: SensorState(0, 0, 0), 1: SensorState(30, 40, 0)}
-        eta = sensor_sensor_constraint(sensors)
-        assert eta == pytest.approx(50.0)
-        assert not eta > PARAMS.eta_threshold  # strict inequality: infeasible
+        fe = self.fused_eta({0: SensorState(0, 0, 0), 1: SensorState(30, 40, 0)})
+        assert fe.eta == pytest.approx(50.0)
+        assert not fe.feasible  # strict inequality: infeasible
 
     def test_eta_minimum_of_pairs(self):
-        sensors = {
-            0: SensorState(0, 0, 0),
-            1: SensorState(100, 0, 0),
-            2: SensorState(100, 60, 0),
-        }
-        assert sensor_sensor_constraint(sensors) == pytest.approx(60.0)
+        states = {0: SensorState(0, 0, 0), 1: SensorState(100, 0, 0), 2: SensorState(100, 60, 0)}
+        fe = self.fused_eta(states)
+        assert fe.eta == pytest.approx(60.0) and fe.feasible
 
     def test_eta_identical_positions(self):
-        sensors = {0: SensorState(5, 5, 0), 1: SensorState(5, 5, 0)}
-        assert sensor_sensor_constraint(sensors) == 0.0
+        assert self.fused_eta({0: SensorState(5, 5, 0), 1: SensorState(5, 5, 0)}).eta == 0.0
 
     def test_eta_single_sensor_vacuous(self):
-        assert sensor_sensor_constraint({0: SensorState(0, 0, 0)}) == math.inf
+        fe = self.fused_eta({0: SensorState(0, 0, 0)})
+        assert fe.eta == math.inf and fe.feasible
+
+    def test_eta_uses_post_action_positions(self):
+        # 100 m apart, each stepping 30 m toward the other: 40 m apart after
+        d = density([cloud((5000, 5000), 0.9)])
+        states = {0: SensorState(0, 0, 0), 1: SensorState(100, 0, 0)}
+        actions = {0: [SensorAction(), SensorAction(dx=30.0)],
+                   1: [SensorAction(), SensorAction(dx=-30.0)]}
+        cache = pseudo_cache({0: d, 1: d}, states, {0: NARROW_FOV, 1: NARROW_FOV}, actions)
+        ctx = ControlContext(cache, (0, 1))
+        assert ctx.fused((0, 0)).eta == 100.0 and ctx.fused((0, 1)).eta == 70.0
+        assert ctx.fused((1, 1)).eta == 40.0 and not ctx.fused((1, 1)).feasible
 
 
 # ---------------------------------------------------------------------------
@@ -479,6 +491,12 @@ LABEL_B = Label(0, 1, 0)
 TOWARD_B = math.atan2(200.0, 300.0)  # bearing from s0 at (0,0) to B at (200,300)
 
 
+TWO_SENSOR_ACTIONS = {
+    0: [SensorAction(), SensorAction(rotation=TOWARD_B)],
+    1: [SensorAction(), SensorAction(rotation=-TOWARD_B)],
+}
+
+
 def two_sensor_cache(r_a=0.9, r_b=0.9):
     """Two sensors, two shared targets; action 0 watches own target,
     action 1 rotates to the other."""
@@ -493,12 +511,21 @@ def two_sensor_cache(r_a=0.9, r_b=0.9):
         ),
     }
     states = {0: SensorState(0, 0, 0), 1: SensorState(200, 0, 0)}
-    actions = {
-        0: [SensorAction(), SensorAction(rotation=TOWARD_B)],
-        1: [SensorAction(), SensorAction(rotation=-TOWARD_B)],
-    }
     fovs = {0: NARROW_FOV, 1: NARROW_FOV}
-    return pseudo_cache(predicted, states, fovs, actions)
+    return pseudo_cache(predicted, states, fovs, TWO_SENSOR_ACTIONS)
+
+
+def isc_cache(others):
+    """Sensor 0 at the origin facing east, a target to its north; its
+    action 1 steps 30 m east and turns north, the only way to see it.
+    Sensors 1, 2, ... stand at the given positions and can only stay."""
+    predicted = {0: density([cloud((0, 300), 0.5, LABEL_A, spread=3.0)])}
+    states = {0: SensorState(0, 0, math.pi / 2)}
+    actions = {0: [SensorAction(), SensorAction(dx=30.0, rotation=-math.pi / 2)]}
+    for s, (x, y) in enumerate(others, start=1):
+        predicted[s], states[s] = empty_density(1, "predicted"), SensorState(x, y, 0)
+        actions[s] = [SensorAction()]
+    return pseudo_cache(predicted, states, {s: NARROW_FOV for s in states}, actions)
 
 
 class TestIscSelect:
@@ -524,8 +551,42 @@ class TestIscSelect:
         action, _ = isc_select(0, cache)
         assert action == 0  # staying keeps its own target in view
 
+    # eta: the post-action position against the others' current positions
+    def test_action_landing_near_another_sensor_skipped(self):
+        # the step lands 30 m from sensor 1; staying keeps 60 m
+        cache = isc_cache([(60.0, 0.0)])
+        assert isc_select(0, cache)[0] == 1
+        assert isc_select(0, cache, [1]) == (0, 0.0)
+
+    def test_distance_equal_to_threshold_rejected(self):
+        # the step lands exactly eta_threshold (50 m) from sensor 1
+        cache = isc_cache([(80.0, 0.0)])
+        assert isc_select(0, cache, [1])[0] == 0
+
+    def test_other_sensors_close_to_each_other_do_not_constrain_the_node(self):
+        cache = isc_cache([(500.0, 0.0), (505.0, 0.0)])
+        best = isc_select(0, cache)
+        assert best[0] == 1 and best[1] > 0
+        assert isc_select(0, cache, [1, 2]) == best
+
+    def test_without_others_distance_never_rejects(self):
+        # sensor 1 stands where the step lands, and next to the origin
+        cache = isc_cache([(30.0, 0.0)])
+        assert isc_select(0, cache)[0] == 1
+        assert isc_select(0, cache, [1]) == (0, NEG_INF)
+
 
 class TestPseudoCache:
+    def test_after_holds_every_post_action_state(self):
+        states = {0: SensorState(10, 20, 0.5), 1: SensorState(-5, 0, -3.0)}
+        actions = {0: [SensorAction(), SensorAction(dx=3.0, dy=-4.0, rotation=1.0)],
+                   1: [SensorAction(), SensorAction(rotation=0.5), SensorAction(dy=15.0)]}
+        d = density([cloud((0, 300), 0.5)])
+        cache = pseudo_cache({0: d, 1: d}, states, {0: NARROW_FOV, 1: NARROW_FOV}, actions)
+        assert cache.after == {
+            s: [apply_action(states[s], action) for action in actions[s]] for s in states
+        }
+
     def test_empty_predicted_density_pseudo_updated_once(self, monkeypatch):
         calls = []
 
@@ -539,12 +600,12 @@ class TestPseudoCache:
             {0: base.predicted[0], 1: empty_density(1, "predicted")},
             base.sensor_states,
             base.fovs,
-            base.action_sets,
+            TWO_SENSOR_ACTIONS,
         )
-        pseudos = [cache.pseudo(1, a) for a in range(cache.n_actions(1))]
+        pseudos = [cache.pseudo(1, a) for a in range(len(cache.after[1]))]
         assert calls == [0]
         assert all(p is pseudos[0] for p in pseudos) and pseudos[0].labels == ()
-        for a in range(cache.n_actions(0)):
+        for a in range(len(cache.after[0])):
             cache.pseudo(0, a)
         assert calls == [0, 2, 2]
 
@@ -601,7 +662,7 @@ def active_masks(cache, participants, command):
     density's rows."""
     return {
         s: compute_active_set(
-            cache.state_after(s, a),
+            cache.after[s][a],
             cache.fovs[s],
             component_means(cache.pseudo(s, a)),
             component_means(cache.predicted[s]),
@@ -656,7 +717,7 @@ def seeded_cache(seed):
 
 
 def all_commands(cache):
-    n = [cache.n_actions(s) for s in sorted(cache.predicted)]
+    n = [len(cache.after[s]) for s in sorted(cache.predicted)]
     return list(itertools.product(*(range(k) for k in n)))
 
 
@@ -668,7 +729,7 @@ class TestFusedEvaluation:
         for seed in range(6):
             cache = seeded_cache(seed)
             for s in cache.predicted:
-                for a in range(cache.n_actions(s)):
+                for a in range(len(cache.after[s])):
                     assert cache.pseudo(s, a).states is cache.predicted[s].states
                     pseudo = cache.pseudo(s, a).components
                     predicted = cache.predicted[s].components
@@ -695,7 +756,7 @@ class TestFusedEvaluation:
                 union.append(Component(label, r, *fuse_spatial(comps)))
             assert list(fe.existences) == sorted(active)
             expected = max(
-                enumerated_psi(union, cache.state_after(s, a), rho)
+                enumerated_psi(union, cache.after[s][a], rho)
                 for s, a in zip(participants, cmd)
             )
             assert fe.psi == pytest.approx(expected, abs=1e-12)

@@ -117,6 +117,65 @@ class TestRejectedAtLoad:
         with pytest.raises(ValueError, match=key):
             scenario_from_dict(d)
 
+    @pytest.mark.parametrize(
+        "path,key,section",
+        [
+            ((), "sensors", "top level"),
+            ((), "targets", "top level"),
+            ((), "duration", "top level"),
+            (("sensors", 1), "position", "sensors[1]"),
+            (("sensors", 1), "actions", "sensors[1]"),
+            (("sensors", 2, "fov"), "rho_max", "sensors[2].fov"),
+            (("targets", 3), "velocity", "targets[3]"),
+        ],
+    )
+    def test_missing_key_names_section_and_key(self, path, key, section):
+        d = scenario_to_dict(build_scenario_1())
+        node = d
+        for k in path:
+            node = node[k]
+        del node[key]
+        with pytest.raises(ValueError) as err:
+            scenario_from_dict(d)
+        assert "missing" in str(err.value)
+        assert repr(key) in str(err.value) and repr(section) in str(err.value)
+
+    def test_optional_keys_may_be_missing(self):
+        d = scenario_to_dict(build_scenario_1())
+        for key in ("name", "motion", "filter", "objective", "fusion", "metric", "monte_carlo"):
+            del d[key]
+        del d["sensors"][0]["fov"]["p_d_threshold"]
+        del d["sensors"][0]["actions"][1]["move"]
+        del d["targets"][0]["birth"]
+        assert scenario_from_dict(d).name == "custom"
+
+    @pytest.mark.parametrize("document", [None, [], "sensors", 3])
+    def test_document_that_is_not_a_mapping(self, document):
+        with pytest.raises(ValueError, match="'top level' must be a mapping"):
+            scenario_from_dict(document)
+
+    def test_section_that_is_not_a_mapping(self):
+        d = scenario_to_dict(build_scenario_1())
+        d["sensors"][0]["fov"] = None
+        with pytest.raises(ValueError, match=r"'sensors\[0\]\.fov' must be a mapping"):
+            scenario_from_dict(d)
+
+    @pytest.mark.parametrize(
+        "path,key",
+        [(("sensors", 0), "position"), (("targets", 2), "position"),
+         (("targets", 2), "velocity"), (("sensors", 1, "actions", 1), "move")],
+    )
+    @pytest.mark.parametrize("value", [[1.0], [1.0, 2.0, 3.0], 5.0, None, ["a", 1.0], "12"])
+    def test_pair_that_is_not_two_numbers(self, path, key, value):
+        d = scenario_to_dict(build_scenario_1())
+        node = d
+        for k in path:
+            node = node[k]
+        node[key] = value
+        with pytest.raises(ValueError) as err:
+            scenario_from_dict(d)
+        assert f"{key!r}" in str(err.value) and "two numbers" in str(err.value)
+
     def test_smallest_valid_existence_floors_accepted(self):
         d = scenario_to_dict(build_scenario_1())
         d["fusion"]["estimate_floor"] = 0.0
