@@ -151,8 +151,10 @@ def _best_own_action(
 ) -> tuple:
     """Exhaustive search over one sensor's actions with the others fixed.
 
-    Ties break to the lowest action index; if every candidate is
-    infeasible the stay action (index 0) is used.
+    Each action a is scored once, as evaluate(node, latest with a at
+    position).  Returns the best (action, score), ties going to the lowest
+    action index; when every score is -inf (every candidate infeasible),
+    the stay action (index 0) with score -inf.
     """
     best_action, best_score = 0, NEG_INF
     for a in range(n_actions):
@@ -161,10 +163,6 @@ def _best_own_action(
         score = evaluate(node, tuple(candidate))
         if score > best_score:
             best_action, best_score = a, score
-    if best_score == NEG_INF:
-        fallback = latest.copy()
-        fallback[position] = 0
-        return 0, evaluate(node, tuple(fallback))
     return best_action, best_score
 
 
@@ -402,33 +400,31 @@ class ControlContext:
 def isc_select(node: int, cache: PseudoCache, others=()) -> tuple:
     """Independent single-sensor selection on the local pseudo-posterior.
 
-    Exhaustive over the node's actions (cache.after[node]), scoring the
-    local pseudo-posterior against the local prediction.  An action is
-    feasible when the void probability of the node's own exclusion disk,
-    tested first, exceeds psi_threshold, and when the post-action position
-    is more than eta_threshold from the current position of every sensor
-    id in others.  The void probability runs over every component of the
-    node's pseudo-posterior, in component order.  Returns (action index,
-    score); the stay action (index 0) with score -inf when none is feasible.
+    The descent's own-action search, _best_own_action, over the node's
+    actions alone (cache.after[node]), scoring the local pseudo-posterior
+    against the local prediction; it returns (action index, score).  An
+    action is feasible when the void probability of the node's own
+    exclusion disk, tested first, exceeds psi_threshold, and when the
+    post-action position is more than eta_threshold from the current
+    position of every sensor id in others; an infeasible action scores
+    -inf.  The void probability runs over every component of the node's
+    pseudo-posterior, in component order.
     """
     params = cache.params
     predicted_exist = cache.predicted_existences[node]
     other_states = [cache.sensor_states[t] for t in others]
-    best_action, best_score = None, NEG_INF
-    for a, state in enumerate(cache.after[node]):
+
+    def score(_node, command):
+        [a] = command
+        state = cache.after[node][a]
         inside = cache.indisk_weight(node, a, (state.x, state.y))
         psi = 1.0 if inside is None else void_probability(cache.pseudo(node, a).existences, inside)
-        if psi <= params.psi_threshold:
-            continue
         distances = (math.hypot(state.x - q.x, state.y - q.y) for q in other_states)
-        if min(distances, default=math.inf) <= params.eta_threshold:
-            continue
-        score = objective(existence_map(cache.pseudo(node, a)), predicted_exist, params)
-        if score > best_score:
-            best_action, best_score = a, score
-    if best_action is None:
-        return 0, NEG_INF
-    return best_action, best_score
+        if psi <= params.psi_threshold or min(distances, default=math.inf) <= params.eta_threshold:
+            return NEG_INF
+        return objective(existence_map(cache.pseudo(node, a)), predicted_exist, params)
+
+    return _best_own_action(node, 0, [0], len(cache.after[node]), score)
 
 
 def dcd_sc_select(
@@ -442,19 +438,19 @@ def dcd_sc_select(
 
     Runs `runs` independent descents over the node's neighborhood, each
     from uniformly random initial actions, and returns the node's own
-    component of the best-scoring final command.  Reaching the global
-    optimum with probability P among M equally likely local optima takes
-    ceil(log(1 - P) / log(1 - 1/M)) restarts.
+    component of the best-scoring final command, ties going to the
+    earliest restart.  Reaching the global optimum with probability P among
+    M equally likely local optima takes ceil(log(1 - P) / log(1 - 1/M))
+    restarts.
     """
     if runs < 1:
         raise ValueError("runs must be >= 1")
     participants = tuple(sorted(set(neighborhood) | {node}))
     ctx = ControlContext(cache, participants)
     n_actions = ctx.n_actions()
-    best_cmd, best_score = None, NEG_INF
+    outcomes = []
     for _ in range(runs):
         init = {s: int(rng.integers(n_actions[s])) for s in participants}
-        outcome = run_flooded_descent(participants, n_actions, ctx.evaluate, init)
-        if outcome.score > best_score or best_cmd is None:
-            best_cmd, best_score = outcome.command, outcome.score
-    return best_cmd[participants.index(node)]
+        outcomes.append(run_flooded_descent(participants, n_actions, ctx.evaluate, init))
+    best = max(outcomes, key=lambda outcome: outcome.score)  # the first of equal scores
+    return best.command[participants.index(node)]

@@ -7,11 +7,12 @@ used for control scoring.
 The update is the standard SMC-LMB component-wise Bayes update: particles
 are reweighted by detection probability and measurement likelihood, and
 association hypotheses are marginalized per cluster of components that
-share gated measurements.  Small clusters are marginalized exactly by
-enumerating all partial matchings; large clusters fall back to the best-k
-ranked assignments.  The update itself never resamples: resampling and
-pruning are separate steps so that a no-information update is exactly the
-identity on the density.
+share gated measurements.  The exact path enumerates the product of the
+rows' events (a miss or a gated measurement each) when its size is within
+exact_enum_limit, keeping the partial matchings; larger clusters fall back
+to the best-k ranked assignments.  The update itself never resamples:
+resampling and pruning are separate steps so that a no-information update
+is exactly the identity on the density.
 
 The update works on arrays of gated (row, measurement) pairs: one rows x
 measurements distance matrix gates them, one pass over all gated pairs
@@ -39,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .lmb import EXISTENCE_CEIL, STATE_DIM, Label, LmbDensity, row_means
+from .lmb import EXISTENCE_CEIL, STATE_DIM, Label, LmbDensity, connected_groups, row_means
 from .sensors import (
     FovModel,
     MotionModel,
@@ -145,33 +146,9 @@ class _RowTerms(NamedTuple):
     pairs: dict  # {meas_idx: index of the (row, meas_idx) pair in the gated arrays}
 
 
-def _cluster_components(terms: list) -> list:
-    """Group components that share gated measurements (union-find)."""
-    parent = list(range(len(terms)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    meas_owner = {}
-    for i, t in enumerate(terms):
-        for j in t.det_weights:
-            if j in meas_owner:
-                a, b = find(meas_owner[j]), find(i)
-                if a != b:
-                    parent[b] = a
-            else:
-                meas_owner[j] = i
-    clusters = {}
-    for i in range(len(terms)):
-        clusters.setdefault(find(i), []).append(i)
-    return list(clusters.values())
-
-
 def _exact_marginals(cluster_terms: list) -> list:
-    """Exact association marginals by enumerating all partial matchings.
+    """Exact association marginals over the product of the rows' events,
+    skipping every hypothesis that uses a measurement twice.
 
     Returns, per component, a dict {event: probability} where the event is
     None for no-detection or a measurement index.
@@ -181,36 +158,21 @@ def _exact_marginals(cluster_terms: list) -> list:
     total = 0.0
 
     # Scale each component's events so products stay near unity.
-    scales = []
     events = []
     for t in cluster_terms:
         ev = [(None, t.no_det_weight)] + sorted(t.det_weights.items())
         s = max(w for _, w in ev)
-        scales.append(s if s > 0 else 1.0)
-        events.append([(e, w / scales[-1]) for e, w in ev])
+        scale = s if s > 0 else 1.0
+        events.append([(e, w / scale) for e, w in ev])
 
-    used = set()
-
-    def recurse(i, weight):
-        nonlocal total
-        if i == n:
-            total += weight
-            for idx, ev in enumerate(chosen):
-                sums[idx][ev] = sums[idx].get(ev, 0.0) + weight
-            return
-        for ev, w in events[i]:
-            if ev is not None and ev in used:
-                continue
-            if ev is not None:
-                used.add(ev)
-            chosen.append(ev)
-            recurse(i + 1, weight * w)
-            chosen.pop()
-            if ev is not None:
-                used.discard(ev)
-
-    chosen = []
-    recurse(0, 1.0)
+    for hypothesis in itertools.product(*events):
+        detections = [e for e, _w in hypothesis if e is not None]
+        if len(set(detections)) < len(detections):
+            continue
+        weight = math.prod((w for _e, w in hypothesis), start=1.0)
+        total += weight
+        for idx, (ev, _w) in enumerate(hypothesis):
+            sums[idx][ev] = sums[idx].get(ev, 0.0) + weight
     if total <= 0.0:
         return [{None: 1.0} for _ in range(n)]
     return [{e: v / total for e, v in s.items()} for s in sums]
@@ -228,7 +190,8 @@ def murty_assignments(cost: np.ndarray, k: int) -> list:
     """Up to k lowest-cost assignments of rows to distinct columns.
 
     Standard Murty partitioning over linear_sum_assignment solutions;
-    infeasible cells are +inf.  Returns (total_cost, column_per_row) pairs
+    infeasible cells are +inf; a node's children partition its other
+    solutions, so none repeats.  Returns (total_cost, column_per_row) pairs
     in nondecreasing cost order.
     """
     best = _solve_assignment(cost)
@@ -236,13 +199,9 @@ def murty_assignments(cost: np.ndarray, k: int) -> list:
         return []
     out = []
     counter = itertools.count()
-    heap = [(best[0], next(counter), cost, best[1], [])]
-    seen = set()
+    heap = [(best[0], next(counter), cost, best[1])]
     while heap and len(out) < k:
-        total, _, sub, assign, forced = heapq.heappop(heap)
-        if assign in seen:
-            continue
-        seen.add(assign)
+        total, _, sub, assign = heapq.heappop(heap)
         out.append((total, assign))
         n = len(assign)
         for i in range(n):
@@ -255,7 +214,7 @@ def murty_assignments(cost: np.ndarray, k: int) -> list:
                 child[r, keep] = sub[r, keep]
             sol = _solve_assignment(child)
             if sol is not None:
-                heapq.heappush(heap, (sol[0], next(counter), child, sol[1], None))
+                heapq.heappush(heap, (sol[0], next(counter), child, sol[1]))
     return out
 
 
@@ -339,14 +298,12 @@ def _bayes_update(
             terms[i] = _RowTerms(i, no_det[i], {}, {})
         terms[i].det_weights[m], terms[i].pairs[m] = weight, g
     terms = list(terms.values())
-    for cluster in _cluster_components(terms):
+    first = {}  # measurement -> the first row term that holds it
+    shared = [(first.setdefault(m, i), i) for i, t in enumerate(terms) for m in t.det_weights]
+    for cluster in connected_groups(len(terms), shared):
         cluster_terms = [terms[i] for i in cluster]
-        bound = 1
-        for t in cluster_terms:
-            bound *= 1 + len(t.det_weights)
-            if bound > cfg.exact_enum_limit:
-                break
-        if bound <= cfg.exact_enum_limit:
+        # the number of hypotheses the exact path enumerates
+        if math.prod(1 + len(t.det_weights) for t in cluster_terms) <= cfg.exact_enum_limit:
             marginals = _exact_marginals(cluster_terms)
         else:
             marginals = _ranked_marginals(cluster_terms, cfg.assoc_max_hypotheses)

@@ -27,7 +27,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .lmb import EXISTENCE_CEIL, LmbDensity, systematic_resample_indices
+from .lmb import EXISTENCE_CEIL, LmbDensity, connected_groups, systematic_resample_indices
 from .sensors import FovModel, SensorState, detection_probabilities
 
 
@@ -70,21 +70,19 @@ def fuse_spatial(components, particle_count: int | None = None):
     """Odds-weighted union of the particle clouds of same-label components.
 
     Each cloud's weights are scaled by its share of the total existence
-    odds.  If particle_count is given the union is resampled to that many
-    equally weighted particles with the deterministic mid-cell offset (so
-    every node computes the identical fusion).  Returns (states, weights).
+    odds, or by an equal share when the total is 0 (every existence is).
+    If particle_count is given the union is resampled to that many equally
+    weighted particles with the deterministic mid-cell offset (so every
+    node computes the identical fusion).  Returns (states, weights).
     """
     components = list(components)
     if not components:
         raise ValueError("fuse_spatial requires at least one component")
     odds = existence_odds(np.array([c.existence for c in components]))
     total = float(odds.sum())
-    if total <= 0.0:
-        raise ValueError("total existence odds is zero; nothing to fuse")
+    shares = odds / total if total > 0.0 else np.full(len(odds), 1.0 / len(odds))
     states = np.concatenate([c.states for c in components])
-    weights = np.concatenate(
-        [c.weights * (o / total) for c, o in zip(components, odds)]
-    )
+    weights = np.concatenate([c.weights * share for c, share in zip(components, shares)])
     if particle_count is not None:
         [idx] = systematic_resample_indices(weights, particle_count, 0.5)
         states = states[idx].copy()
@@ -97,7 +95,8 @@ def fuse_lmb(locals_: Mapping[int, LmbDensity], active: Mapping[int, np.ndarray]
 
     active[s] is the row mask of locals_[s] that compute_active_set gives.
     The densities must share one particle count J; a fused label's union
-    of clouds is resampled to J particles.
+    of clouds is resampled to J particles.  A label whose contributors all
+    have existence 0 fuses to existence 0, their clouds sharing equally.
     """
     densities = dict(locals_)
     if not densities:
@@ -177,30 +176,21 @@ def associate_labels(
     fresh = np.array([l.birth_time >= current_step - 1 for l in labels], dtype=bool)
     origin = np.array([l.origin_sensor for l in labels])
 
-    parent = {l: l for l in labels}
-
-    def find(l):
-        while parent[l] != l:
-            parent[l] = parent[parent[l]]
-            l = parent[l]
-        return l
-
-    for i in np.flatnonzero(fresh):
+    merges = []  # (fresh label, its nearest candidate), as indices into labels
+    for i in np.flatnonzero(fresh).tolist():
         d = np.hypot(xy[:, 0] - xy[i, 0], xy[:, 1] - xy[i, 1])
         candidate = (d <= merge_distance) & ~(fresh & (origin == origin[i]))
         candidate[i] = False
         near = np.flatnonzero(candidate)
         if near.size:
             # first minimum in sorted label order: ties go to the lower label
-            a, b = find(labels[i]), find(labels[near[np.argmin(d[near])]])
-            if a != b:
-                # canonical is the smaller label
-                root, child = (a, b) if a < b else (b, a)
-                parent[child] = root
-
-    mapping = {l: find(l) for l in labels}
-    if all(k == v for k, v in mapping.items()):
+            merges.append((i, int(near[np.argmin(d[near])])))
+    if not merges:
         return densities
+
+    # canonical is the smallest label of each merged group
+    mapping = {labels[i]: labels[group[0]] for group in connected_groups(len(labels), merges)
+               for i in group}
 
     out = {}
     for s, density in densities.items():

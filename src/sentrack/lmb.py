@@ -237,3 +237,25 @@ def prune(density: LmbDensity, existence_floor: float, max_components: int) -> L
         keep[:] = False
         keep[ranked[:max_components]] = True
     return density.take(np.flatnonzero(keep))
+
+
+def connected_groups(n: int, edges) -> list:
+    """Connected components of the graph on nodes 0..n-1 with the given
+    (a, b) edges, by union-find: lists of ascending nodes, ordered by their
+    smallest node.  Association clusters rows that share a measurement by
+    it, and label association groups the labels it merges."""
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for a, b in edges:
+        a, b = find(a), find(b)
+        parent[max(a, b)] = min(a, b)
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())

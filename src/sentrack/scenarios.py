@@ -6,7 +6,9 @@ committed here, so results are stable across machines.
 Configuration files are YAML.  Angles are in degrees in the file and in
 radians in code; they are converted on load.  Bearings and rotations are
 measured clockwise from +y.  Distances are in meters.  A key not listed
-below is rejected with a ValueError that names its section.
+below, a missing required key, or a value not of its field's type (a
+number, an integer or a list; null is none of them) is rejected with a
+ValueError that names the key and its section.
 
   name                 scenario name (default "custom")
   duration             number of steps
@@ -347,21 +349,34 @@ def _checked(d: dict, section: str, optional, required=()) -> dict:
     return d
 
 
+# a field type -> the values it takes and their name; a bool is no number
+_KINDS = {float: ((int, float), "a number"), int: (int, "an integer"), list: (list, "a list")}
+
+
+def _get(d: dict, key: str, section: str, kind=float, default=None):
+    """d[key] (or default when absent) as kind: float, int or list."""
+    value, (types, name) = d.get(key, default), _KINDS[kind]
+    if isinstance(value, types) and not isinstance(value, bool):
+        return kind(value)
+    raise ValueError(f"{key!r} in scenario section {section!r} must be {name}, not {value!r}")
+
+
 def _pair(d: dict, key: str, section: str, default=None) -> tuple:
     """d[key] (or default when absent) as two floats: a position, velocity or move."""
     value = d.get(key, default)
     if isinstance(value, (list, tuple)) and len(value) == 2:
         try:
-            return (float(value[0]), float(value[1]))
-        except (TypeError, ValueError):
+            return tuple(_get({key: v}, key, section) for v in value)
+        except ValueError:
             pass
     raise ValueError(f"{key!r} in scenario section {section!r} must be two numbers, not {value!r}")
 
 
 def _config(cls, d: dict, section: str, **fixed):
-    """A config dataclass from its section; the fixed fields cannot be set there."""
-    allowed = [f.name for f in fields(cls) if f.name not in fixed]
-    return cls(**fixed, **_checked(d, section, allowed))
+    """A config dataclass from its section, typed by field; the fixed fields cannot be set."""
+    kinds = {f.name: f.type for f in fields(cls) if f.name not in fixed}
+    given = _checked(d, section, kinds)
+    return cls(**fixed, **{key: _get(given, key, section, kinds[key]) for key in given})
 
 
 def _fov_to_dict(fov: FovModel) -> dict:
@@ -379,12 +394,12 @@ def _fov_from_dict(d: dict, section: str) -> FovModel:
     required = ("rho_max", "theta_max_deg", "p_d_max", "k_rho", "k_theta")
     _checked(d, section, ("p_d_threshold",), required)
     return FovModel(
-        rho_max=float(d["rho_max"]),
-        theta_max=float(d["theta_max_deg"]) * DEG,
-        p_d_max=float(d["p_d_max"]),
-        k_rho=float(d["k_rho"]),
-        k_theta=float(d["k_theta"]),
-        p_d_threshold=float(d.get("p_d_threshold", 0.5)),
+        rho_max=_get(d, "rho_max", section),
+        theta_max=_get(d, "theta_max_deg", section) * DEG,
+        p_d_max=_get(d, "p_d_max", section),
+        k_rho=_get(d, "k_rho", section),
+        k_theta=_get(d, "k_theta", section),
+        p_d_threshold=_get(d, "p_d_threshold", section, default=0.5),
     )
 
 
@@ -394,7 +409,7 @@ def _action_to_dict(a: SensorAction) -> dict:
 
 def _action_from_dict(d: dict, section: str) -> SensorAction:
     dx, dy = _pair(_checked(d, section, ("move", "rotate_deg")), "move", section, (0.0, 0.0))
-    return SensorAction(dx=dx, dy=dy, rotation=float(d.get("rotate_deg", 0.0)) * DEG)
+    return SensorAction(dx=dx, dy=dy, rotation=_get(d, "rotate_deg", section, default=0.0) * DEG)
 
 
 def scenario_to_dict(cfg: ScenarioConfig) -> dict:
@@ -433,37 +448,37 @@ def scenario_to_dict(cfg: ScenarioConfig) -> dict:
 def scenario_from_dict(d: dict) -> ScenarioConfig:
     _checked(d, "top level", _TOP_LEVEL_OPTIONAL, _TOP_LEVEL_REQUIRED)
     sensors = []
-    for i, s in enumerate(d["sensors"]):
+    for i, s in enumerate(_get(d, "sensors", "top level", list)):
         section = f"sensors[{i}]"
         _checked(s, section, (), ("position", "bearing_deg", "fov", "actions"))
         sensors.append(
             SensorSpec(
                 position=_pair(s, "position", section),
-                bearing=float(s["bearing_deg"]) * DEG,
+                bearing=_get(s, "bearing_deg", section) * DEG,
                 fov=_fov_from_dict(s["fov"], f"{section}.fov"),
                 actions=tuple(
                     _action_from_dict(a, f"{section}.actions[{j}]")
-                    for j, a in enumerate(s["actions"])
+                    for j, a in enumerate(_get(s, "actions", section, list))
                 ),
             )
         )
     targets = []
-    for i, t in enumerate(d["targets"]):
+    for i, t in enumerate(_get(d, "targets", "top level", list)):
         section = f"targets[{i}]"
         _checked(t, section, ("birth", "death"), ("position", "velocity"))
         targets.append(
             TargetSpec(
                 position=_pair(t, "position", section),
                 velocity=_pair(t, "velocity", section),
-                birth=int(t.get("birth", 1)),
-                death=None if t.get("death") is None else int(t["death"]),
+                birth=_get(t, "birth", section, int, 1),
+                death=None if t.get("death") is None else _get(t, "death", section, int),
             )
         )
     return ScenarioConfig(
         name=str(d.get("name", "custom")),
-        duration=int(d["duration"]),
-        comm_range=float(d["comm_range"]),
-        clutter_mean=float(d["clutter_mean"]),
+        duration=_get(d, "duration", "top level", int),
+        comm_range=_get(d, "comm_range", "top level"),
+        clutter_mean=_get(d, "clutter_mean", "top level"),
         sensors=tuple(sensors),
         targets=tuple(targets),
         motion=_config(MotionModel, d.get("motion", {}), "motion"),

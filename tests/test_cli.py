@@ -78,3 +78,18 @@ def test_incomplete_scenario_file_rejected_in_one_line(tmp_path, text):
     assert exc.value.code not in (0, None)
     assert "'top level'" in str(exc.value.code) and "\n" not in str(exc.value.code)
     assert not out.exists()
+
+
+def test_wrongly_typed_scenario_value_rejected_in_one_line(tmp_path):
+    d = scenario_to_dict(build_scenario_1())
+    d["filter"]["particle_count"] = 1.5
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(d))
+    out = tmp_path / "out"
+    argv = ["simulate", "--scenario", str(path), "--method", "isc", "--runs", "1"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--steps", "1", "--out", str(out)])
+    assert exc.value.code not in (0, None)
+    assert "'particle_count'" in str(exc.value.code) and "'filter'" in str(exc.value.code)
+    assert "\n" not in str(exc.value.code)
+    assert not out.exists()

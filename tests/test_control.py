@@ -297,7 +297,8 @@ def select_final_command(history: list, scores: list, t_start: int, t_end: int) 
 
 
 def best_own_action_reference(node, position, latest, n_actions, evaluate):
-    """Exhaustive own-action search that starts from no action (None)."""
+    """Exhaustive own-action search that starts from no action (None); the
+    stay action scores -inf when every candidate does, with no second call."""
     best_action, best_score = None, NEG_INF
     for a in range(n_actions):
         candidate = latest.copy()
@@ -305,10 +306,8 @@ def best_own_action_reference(node, position, latest, n_actions, evaluate):
         score = evaluate(node, tuple(candidate))
         if score > best_score:
             best_action, best_score = a, score
-    if best_action is None or best_score == NEG_INF:
-        fallback = latest.copy()
-        fallback[position] = 0
-        return 0, evaluate(node, tuple(fallback))
+    if best_action is None:
+        return 0, NEG_INF
     return best_action, best_score
 
 
@@ -823,6 +822,47 @@ class TestDcdSelect:
         scores1 = [best_score(1, s) for s in range(8)]
         scores4 = [best_score(4, s) for s in range(8)]
         assert np.mean(scores4) >= np.mean(scores1) - 1e-9
+
+
+def dcd_reference(node, neighborhood, cache, runs, rng):
+    """The restart loop: a later restart wins only on a strictly higher score."""
+    participants = tuple(sorted(set(neighborhood) | {node}))
+    ctx = ControlContext(cache, participants)
+    n_actions = ctx.n_actions()
+    best_cmd, best_score = None, NEG_INF
+    for _ in range(runs):
+        init = {s: int(rng.integers(n_actions[s])) for s in participants}
+        outcome = run_flooded_descent(participants, n_actions, ctx.evaluate, init)
+        if outcome.score > best_score or best_cmd is None:
+            best_cmd, best_score = outcome.command, outcome.score
+    return best_cmd[participants.index(node)]
+
+
+class TestDcdRestarts:
+    # every golden and benchmark run takes one restart; these pin more
+
+    @pytest.mark.parametrize("runs", [2, 3, 5])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_argmax_matches_the_restart_loop(self, seed, runs):
+        cache = seeded_cache(seed)
+        ids = sorted(cache.predicted)
+        for node in ids:
+            neighborhood = set(ids) - {node}
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = dcd_sc_select(node, neighborhood, cache, runs, rng)
+            assert got == dcd_reference(node, neighborhood, cache, runs, ref_rng)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "scores,expected",
+        [((1.0, 2.0, 2.0), 1), ((NEG_INF, NEG_INF, NEG_INF), 0), ((3.0, NEG_INF, 3.0), 0)],
+    )
+    def test_ties_go_to_the_earliest_restart(self, monkeypatch, scores, expected):
+        # restart i ends on command (i, 0); node 0 takes its first component
+        outcomes = iter(control.DescentOutcome((i, 0), v, 1, (0,)) for i, v in enumerate(scores))
+        monkeypatch.setattr(control, "run_flooded_descent", lambda *args: next(outcomes))
+        rng = np.random.default_rng(0)
+        assert dcd_sc_select(0, {1}, two_sensor_cache(), len(scores), rng) == expected
 
 
 def unconstrained_best(ctx, node):

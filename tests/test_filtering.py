@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from sentrack.filtering import (
     FilterConfig,
-    _cluster_components,
     _exact_marginals,
     _ranked_marginals,
     generate_pims,
@@ -25,6 +24,7 @@ from sentrack.lmb import (
     Component,
     Label,
     LmbDensity,
+    connected_groups,
     eap_states,
     resample_component,
     row_means,
@@ -343,6 +343,72 @@ class TestAssociationMarginals:
                 assert g.get(k, 0.0) == pytest.approx(e[k], abs=1e-9)
 
 
+def exact_marginals_reference(cluster_terms):
+    """The recursive matcher: a depth-first walk over each row's events
+    that never takes a measurement already used above it."""
+    n = len(cluster_terms)
+    sums = [dict() for _ in range(n)]
+    total = 0.0
+    events = []
+    for t in cluster_terms:
+        ev = [(None, t.no_det_weight)] + sorted(t.det_weights.items())
+        s = max(w for _, w in ev)
+        scale = s if s > 0 else 1.0
+        events.append([(e, w / scale) for e, w in ev])
+    used, chosen = set(), []
+
+    def recurse(i, weight):
+        nonlocal total
+        if i == n:
+            total += weight
+            for idx, ev in enumerate(chosen):
+                sums[idx][ev] = sums[idx].get(ev, 0.0) + weight
+            return
+        for ev, w in events[i]:
+            if ev is not None and ev in used:
+                continue
+            if ev is not None:
+                used.add(ev)
+            chosen.append(ev)
+            recurse(i + 1, weight * w)
+            chosen.pop()
+            if ev is not None:
+                used.discard(ev)
+
+    recurse(0, 1.0)
+    if total <= 0.0:
+        return [{None: 1.0} for _ in range(n)]
+    return [{e: v / total for e, v in s.items()} for s in sums]
+
+
+weights_or_zero = st.one_of(st.just(0.0), st.floats(1e-300, 1e6), st.floats(0.0, 1.0))
+
+
+@st.composite
+def cluster_terms(draw):
+    """1-5 rows over up to 5 measurements, in any key order, zeros included."""
+    terms = []
+    for _ in range(draw(st.integers(1, 5))):
+        det = draw(st.dictionaries(st.integers(0, 4), weights_or_zero, max_size=5))
+        terms.append(TestAssociationMarginals.FakeTerms(draw(weights_or_zero), det))
+    return terms
+
+
+class TestExactMarginalsOracle:
+    @given(terms=cluster_terms())
+    @settings(max_examples=500, deadline=None)
+    def test_same_bits_and_key_order_as_the_recursion(self, terms):
+        got = _exact_marginals(terms)
+        expected = exact_marginals_reference(terms)
+        assert [list(g.items()) for g in got] == [list(e.items()) for e in expected]
+
+    def test_measurement_used_twice_is_skipped(self):
+        fake = TestAssociationMarginals.FakeTerms
+        terms = [fake(1.0, {0: 1.0}), fake(1.0, {0: 1.0})]
+        # hypotheses (miss, miss), (miss, 0) and (0, miss); never (0, 0)
+        assert _exact_marginals(terms) == [{None: 2 / 3, 0: 1 / 3}, {None: 2 / 3, 0: 1 / 3}]
+
+
 class TestMurty:
     @pytest.mark.parametrize("trial", range(15))
     def test_orders_all_assignments(self, trial):
@@ -435,7 +501,12 @@ def reference_update(predicted, measurements, sensor, fov, cfg, role, rng=None, 
     ]
     existences = predicted.existences.copy()
     weights = predicted.weights.copy()
-    for cluster in _cluster_components(terms):
+    holders = {}  # measurement -> the row terms that gate it
+    for i, t in enumerate(terms):
+        for m in t.det_weights:
+            holders.setdefault(m, []).append(i)
+    shared = [(rows[0], i) for rows in holders.values() for i in rows]
+    for cluster in connected_groups(len(terms), shared):
         cluster_terms = [terms[i] for i in cluster]
         if math.prod(1 + len(t.det_weights) for t in cluster_terms) <= cfg.exact_enum_limit:
             marginals = _exact_marginals(cluster_terms)

@@ -51,11 +51,10 @@ class TestFuseExistence:
         assert fused_existence([0.9]) == pytest.approx(0.9, abs=1e-15)
 
     def test_zeros(self):
-        # a zero existence adds no odds; with no odds at all there is no
-        # cloud share to fuse by, and fuse_spatial rejects the label
+        # a zero existence adds no odds; with no odds at all the clouds
+        # share equally and the label fuses to existence 0
         assert fused_existence([0.0, 0.5, 0.0]) == 0.5
-        with pytest.raises(ValueError, match="odds is zero"):
-            fused_existence([0.0, 0.0])
+        assert fused_existence([0.0, 0.0]) == 0.0
 
     @given(st.lists(unit_prob, min_size=1, max_size=6))
     @settings(max_examples=200, deadline=None)
@@ -114,10 +113,12 @@ class TestFuseSpatial:
         assert np.array_equal(states, a.states)
         assert np.allclose(weights, a.weights)
 
-    def test_zero_odds_rejected(self):
-        a = cloud((0, 0), 0.0)
-        with pytest.raises(ValueError):
-            fuse_spatial([a, a])
+    def test_zero_odds_share_equally(self):
+        a = cloud((0, 0), 0.0, seed=1)
+        b = cloud((100, 100), 0.0, seed=2)
+        states, weights = fuse_spatial([a, b])
+        assert np.array_equal(states, np.concatenate([a.states, b.states]))
+        assert np.array_equal(weights, np.concatenate([a.weights, b.weights]) / 2.0)
 
     def test_resampled_output_size(self):
         a = cloud((0, 0), 0.6, seed=1)

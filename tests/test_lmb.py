@@ -1,5 +1,6 @@
 from dataclasses import replace
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from sentrack.lmb import (
     Component,
     Label,
     LmbDensity,
+    connected_groups,
     eap_cardinality,
     eap_states,
     empty_density,
@@ -233,3 +235,36 @@ class TestDensityInvariants:
         d = density(existences)
         card = eap_cardinality(d)
         assert 0.0 <= card <= len(existences)
+
+
+@st.composite
+def graphs(draw):
+    """A node count and a list of edges between its nodes, self-loops and
+    repeats included."""
+    n = draw(st.integers(0, 12))
+    node = st.integers(0, max(n - 1, 0))
+    edges = draw(st.lists(st.tuples(node, node), max_size=3 * n))
+    return n, edges
+
+
+class TestConnectedGroups:
+    @given(case=graphs(), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_networkx(self, case, data):
+        n, edges = case
+        g = nx.Graph()
+        g.add_nodes_from(range(n))
+        g.add_edges_from(edges)
+        # ascending members, groups by their smallest member
+        expected = sorted(sorted(c) for c in nx.connected_components(g))
+        assert connected_groups(n, edges) == expected
+        # a partition does not depend on the order of its unions
+        shuffled = data.draw(st.permutations(edges))
+        assert connected_groups(n, [(b, a) for a, b in shuffled]) == expected
+
+    def test_no_edges(self):
+        assert connected_groups(0, []) == []
+        assert connected_groups(3, []) == [[0], [1], [2]]
+
+    def test_chain_joins_late_members(self):
+        assert connected_groups(5, [(4, 1), (3, 4), (0, 2)]) == [[0, 2], [1, 3, 4]]

@@ -2,7 +2,13 @@ import dataclasses
 
 import pytest
 
+from sentrack import scenarios
+from sentrack.control import ObjectiveParams
+from sentrack.filtering import FilterConfig
+from sentrack.fusion import FusionConfig
 from sentrack.scenarios import (
+    MetricConfig,
+    MonteCarloConfig,
     build_scenario_1,
     build_scenario_2,
     load_scenario,
@@ -10,6 +16,7 @@ from sentrack.scenarios import (
     scenario_from_dict,
     scenario_to_dict,
 )
+from sentrack.sensors import MotionModel
 
 
 @pytest.mark.parametrize("build", [build_scenario_1, build_scenario_2])
@@ -175,6 +182,52 @@ class TestRejectedAtLoad:
         with pytest.raises(ValueError) as err:
             scenario_from_dict(d)
         assert f"{key!r}" in str(err.value) and "two numbers" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "path,key,value,section",
+        [
+            ((), "sensors", None, "top level"),
+            ((), "targets", None, "top level"),
+            ((), "sensors", {"position": [0, 0]}, "top level"),
+            ((), "duration", None, "top level"),
+            ((), "duration", 2.5, "top level"),
+            ((), "comm_range", "far", "top level"),
+            (("sensors", 0), "actions", None, "sensors[0]"),
+            (("sensors", 0), "bearing_deg", None, "sensors[0]"),
+            (("sensors", 1, "fov"), "rho_max", None, "sensors[1].fov"),
+            (("sensors", 1, "fov"), "p_d_threshold", True, "sensors[1].fov"),
+            (("sensors", 1, "actions", 1), "rotate_deg", "left", "sensors[1].actions[1]"),
+            (("targets", 2), "birth", None, "targets[2]"),
+            (("targets", 2), "death", "40", "targets[2]"),
+            (("motion",), "period", None, "motion"),
+            (("monte_carlo",), "runs", None, "monte_carlo"),
+            (("objective",), "epsilon", "x", "objective"),
+            (("filter",), "particle_count", 1.5, "filter"),
+            (("metric",), "ospa2_window", 10.0, "metric"),
+            (("fusion",), "merge_distance", [25.0], "fusion"),
+        ],
+    )
+    def test_null_or_wrongly_typed_value_names_section_and_key(self, path, key, value, section):
+        d = scenario_to_dict(build_scenario_1())
+        node = d
+        for k in path:
+            node = node[k]
+        node[key] = value
+        with pytest.raises(ValueError) as err:
+            scenario_from_dict(d)
+        assert f"{key!r} in scenario section {section!r} must be" in str(err.value)
+
+    def test_integers_load_as_numbers(self):
+        d = scenario_to_dict(build_scenario_1())
+        d["motion"]["period"], d["sensors"][0]["bearing_deg"], d["comm_range"] = 2, 45, 800
+        cfg = scenario_from_dict(d)
+        values = (cfg.motion.period, cfg.sensors[0].bearing, cfg.comm_range)
+        assert all(type(v) is float for v in values) and cfg.motion.period == 2.0
+
+    def test_every_config_field_type_is_checked(self):
+        for cls in (MotionModel, FilterConfig, ObjectiveParams, FusionConfig, MetricConfig,
+                    MonteCarloConfig):
+            assert {f.type for f in dataclasses.fields(cls)} <= set(scenarios._KINDS)
 
     def test_smallest_valid_existence_floors_accepted(self):
         d = scenario_to_dict(build_scenario_1())
