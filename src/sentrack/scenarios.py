@@ -7,8 +7,8 @@ Configuration files are YAML.  Angles are in degrees in the file and in
 radians in code; they are converted on load.  Bearings and rotations are
 measured clockwise from +y.  Distances are in meters.  A key not listed
 below, a missing required key, or a value not of its field's type (a
-number, an integer or a list; null is none of them) is rejected with a
-ValueError that names the key and its section.
+number, an integer, a list or a string; null is none of them) is rejected
+with a ValueError that names the key and its section.
 
   name                 scenario name (default "custom")
   duration             number of steps
@@ -350,12 +350,14 @@ def _checked(d: dict, section: str, optional, required=()) -> dict:
 
 
 # a field type -> the values it takes and their name; a bool is no number
-_KINDS = {float: ((int, float), "a number"), int: (int, "an integer"), list: (list, "a list")}
+_KINDS = {float: ((int, float), "a number"), int: (int, "an integer"), list: (list, "a list"),
+          str: (str, "a string")}
 
 
 def _get(d: dict, key: str, section: str, kind=float, default=None):
-    """d[key] (or default when absent) as kind: float, int or list."""
-    value, (types, name) = d.get(key, default), _KINDS[kind]
+    """d[key] (or default when absent) as kind: float, int, list or str."""
+    value = d.get(key, default)
+    types, name = _KINDS[kind]
     if isinstance(value, types) and not isinstance(value, bool):
         return kind(value)
     raise ValueError(f"{key!r} in scenario section {section!r} must be {name}, not {value!r}")
@@ -475,7 +477,7 @@ def scenario_from_dict(d: dict) -> ScenarioConfig:
             )
         )
     return ScenarioConfig(
-        name=str(d.get("name", "custom")),
+        name=_get(d, "name", "top level", str, "custom"),
         duration=_get(d, "duration", "top level", int),
         comm_range=_get(d, "comm_range", "top level"),
         clutter_mean=_get(d, "clutter_mean", "top level"),

@@ -186,6 +186,7 @@ class TestRejectedAtLoad:
     @pytest.mark.parametrize(
         "path,key,value,section",
         [
+            ((), "name", None, "top level"),
             ((), "sensors", None, "top level"),
             ((), "targets", None, "top level"),
             ((), "sensors", {"position": [0, 0]}, "top level"),
