@@ -21,8 +21,8 @@ def _resolve_scenario(spec: str):
     if spec == "2":
         return build_scenario_2()
     path = Path(spec)
-    if not path.exists():
-        raise SystemExit(f"scenario file not found: {spec}")
+    if not path.is_file():
+        raise ValueError(f"scenario {spec!r} is neither '1', '2' nor a file")
     return load_scenario(path)
 
 

@@ -64,6 +64,10 @@ class ObjectiveParams:
             raise ValueError("epsilon must be in (0, 0.5)")
         if self.penalty_lambda < 1:
             raise ValueError("penalty_lambda must be >= 1")
+        if not 0.0 <= self.psi_threshold < 1.0:
+            raise ValueError("psi_threshold must be in [0, 1)")
+        if self.eta_threshold < 0:
+            raise ValueError("eta_threshold must be nonnegative")
         if self.exclusion_radius <= 0:
             raise ValueError("exclusion_radius must be positive")
         if not 0.0 <= self.min_existence < 1.0:

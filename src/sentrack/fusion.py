@@ -17,6 +17,8 @@ are set:
   |A| = 1  copy that sensor's component unchanged,
   A empty  every sensor holding the label contributes equally, so tracks
            are retained while unobserved.
+A label whose fused existence is below the reporting floor (the harness
+passes FusionConfig.estimate_floor) is left out, its clouds never fused.
 Control fuses pseudo-posteriors by the same odds rule but omits a label
 with an empty active set, since it carries no information for control;
 that pseudo-mode fusion lives only in control.ControlContext.fused.
@@ -36,7 +38,7 @@ class FusionConfig:
     """Harness-level fusion settings."""
 
     merge_distance: float = 10.0
-    estimate_floor: float = 0.4  # reporting floor applied before estimate extraction
+    estimate_floor: float = 0.4  # reporting floor: fuse_lmb returns no label below it
 
     def __post_init__(self):
         if self.merge_distance < 0:
@@ -90,12 +92,13 @@ def fuse_spatial(components, particle_count: int | None = None):
     return states, weights
 
 
-def fuse_lmb(locals_: Mapping[int, LmbDensity], active: Mapping[int, np.ndarray]) -> LmbDensity:
+def fuse_lmb(locals_: Mapping[int, LmbDensity], active: Mapping, floor: float) -> LmbDensity:
     """Fuse per-sensor LMB densities into one density by the active sets.
 
-    active[s] is the row mask of locals_[s] that compute_active_set gives.
-    The densities must share one particle count J; a fused label's union
-    of clouds is resampled to J particles.  A label whose contributors all
+    active[s] is the row mask of locals_[s] that compute_active_set gives;
+    a label whose fused existence is below floor is dropped unfused.  The
+    densities must share one particle count J; a fused label's union of
+    clouds is resampled to J particles.  A label whose contributors all
     have existence 0 fuses to existence 0, their clouds sharing equally.
     """
     densities = dict(locals_)
@@ -121,10 +124,13 @@ def fuse_lmb(locals_: Mapping[int, LmbDensity], active: Mapping[int, np.ndarray]
         contributors = [(s, k) for s, k in holders if active[s][k]] or holders
         comps = [rows[s][k] for s, k in contributors]
         if len(comps) == 1:
-            fused.append(comps[0])
+            if comps[0].existence >= floor:
+                fused.append(comps[0])
             continue
         total = sum(odds[s][k] for s, k in contributors)
-        fused.append((label, total / (1.0 + total), *fuse_spatial(comps, len(comps[0].weights))))
+        existence = total / (1.0 + total)
+        if existence >= floor:
+            fused.append((label, existence, *fuse_spatial(comps, len(comps[0].weights))))
     return LmbDensity.from_rows(fused, timestamps.pop(), "fused")
 
 

@@ -29,11 +29,11 @@ from .control import (
     run_flooded_descent,
 )
 from .filtering import predict, update
-from .fusion import associate_labels, compute_active_set, existence_odds, fuse_lmb
+from .fusion import associate_labels, compute_active_set, fuse_lmb
 from .lmb import eap_states, empty_density, prune, resample_component
 from .metrics import ospa, ospa2
 from .network import CommLog, build_topology
-from .scenarios import ScenarioConfig
+from .scenarios import MonteCarloConfig, ScenarioConfig
 from .sensors import detection_probabilities
 
 METHODS = ("fixed", "isc", "dcd", "fdcd")
@@ -156,33 +156,17 @@ def _select_commands(method, scenario, cache, topology, step, seed, dcd_runs, co
 
 
 def _fuse_and_estimate(scenario, members, posteriors, predicted, sensor_states):
-    """Update-mode fusion and estimate extraction for one network component.
-
-    Only labels that can reach the reporting floor are fused: odds add, so
-    fusing some of a label's holders never gives a higher existence than
-    fusing all of them (the margin absorbs rounding).
-    """
-    floor = scenario.fusion.estimate_floor
-    held = {}
-    for s in members:
-        odds = existence_odds(posteriors[s].existences).tolist()
-        for label, o in zip(posteriors[s].labels, odds):
-            held[label] = held.get(label, 0.0) + o
-    reach = {label for label, total in held.items() if total / (1.0 + total) >= floor - 1e-12}
-    locals_ = {
-        s: posteriors[s].take([k for k, label in enumerate(posteriors[s].labels) if label in reach])
-        for s in members
-    }
+    """Update-mode fusion and estimate extraction for one network component."""
     active = {}
     for s in members:
         row = {label: k for k, label in enumerate(predicted[s].labels)}
         # a label the sensor did not predict takes the NaN row: no estimate
         means = np.vstack([predicted[s].mean_positions(), [np.nan, np.nan]])
-        pred = means[[row.get(label, -1) for label in locals_[s].labels]]
-        fov, updated = scenario.sensors[s].fov, locals_[s].mean_positions()
+        pred = means[[row.get(label, -1) for label in posteriors[s].labels]]
+        fov, updated = scenario.sensors[s].fov, posteriors[s].mean_positions()
         active[s] = compute_active_set(sensor_states[s], fov, updated, pred)
-    fused = fuse_lmb(locals_, active)
-    return eap_states(prune(fused, floor, len(fused.labels) or 1))
+    locals_ = {s: posteriors[s] for s in members}
+    return eap_states(fuse_lmb(locals_, active, scenario.fusion.estimate_floor))
 
 
 def run_single(
@@ -335,8 +319,7 @@ def monte_carlo(
     duration: int | None = None,
 ) -> MonteCarloResult:
     """Independent seeded runs (seed = base_seed + i) with aggregate means."""
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
+    MonteCarloConfig(runs, base_seed)  # rejects runs below 1 and a negative seed
     results = [
         run_single(scenario, method, base_seed + i, i, dcd_runs, duration)
         for i in range(runs)

@@ -97,6 +97,8 @@ class MonteCarloConfig:
     def __post_init__(self):
         if self.runs < 1:
             raise ValueError("runs must be >= 1")
+        if self.base_seed < 0:
+            raise ValueError("base_seed must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -122,6 +124,8 @@ class ScenarioConfig:
                 raise ValueError("target death step must exceed its birth step")
         if self.duration < 1 or self.comm_range <= 0:
             raise ValueError("duration and comm_range must be positive")
+        if self.clutter_mean < 0:
+            raise ValueError("clutter_mean must be nonnegative")
 
     def filter_for(self, sensor_index: int) -> FilterConfig:
         """Per-sensor filter config with clutter density over that FoV."""
@@ -394,15 +398,9 @@ def _fov_to_dict(fov: FovModel) -> dict:
 
 def _fov_from_dict(d: dict, section: str) -> FovModel:
     required = ("rho_max", "theta_max_deg", "p_d_max", "k_rho", "k_theta")
-    _checked(d, section, ("p_d_threshold",), required)
-    return FovModel(
-        rho_max=_get(d, "rho_max", section),
-        theta_max=_get(d, "theta_max_deg", section) * DEG,
-        p_d_max=_get(d, "p_d_max", section),
-        k_rho=_get(d, "k_rho", section),
-        k_theta=_get(d, "k_theta", section),
-        p_d_threshold=_get(d, "p_d_threshold", section, default=0.5),
-    )
+    given = {key: _get(d, key, section) for key in _checked(d, section, ("p_d_threshold",), required)}
+    given["theta_max"] = given.pop("theta_max_deg") * DEG
+    return FovModel(**given)
 
 
 def _action_to_dict(a: SensorAction) -> dict:
@@ -499,4 +497,9 @@ def save_scenario(cfg: ScenarioConfig, path) -> None:
 
 def load_scenario(path) -> ScenarioConfig:
     with open(path) as fh:
-        return scenario_from_dict(yaml.safe_load(fh))
+        try:
+            document = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:  # its message spans lines; a ValueError's is one
+            raise ValueError(f"scenario file {str(path)!r} is not valid YAML: "
+                             f"{' '.join(str(exc).split())}") from exc
+    return scenario_from_dict(document)

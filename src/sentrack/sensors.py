@@ -62,6 +62,8 @@ class FovModel:
             raise ValueError("p_d_max must be in (0, 1]")
         if self.k_rho <= 0 or self.k_theta <= 0:
             raise ValueError("sigmoid sharpness constants must be positive")
+        if not 0.0 <= self.p_d_threshold < 1.0:
+            raise ValueError("p_d_threshold must be in [0, 1)")
 
     @property
     def omnidirectional(self) -> bool:
@@ -101,6 +103,8 @@ class MotionModel:
     def __post_init__(self):
         if self.period <= 0:
             raise ValueError("period must be positive")
+        if self.process_noise_std < 0:
+            raise ValueError("process_noise_std must be nonnegative")
         if not 0 < self.survival_probability <= 1:
             raise ValueError("survival_probability must be in (0, 1]")
 

@@ -93,3 +93,34 @@ def test_wrongly_typed_scenario_value_rejected_in_one_line(tmp_path):
     assert "'particle_count'" in str(exc.value.code) and "'filter'" in str(exc.value.code)
     assert "\n" not in str(exc.value.code)
     assert not out.exists()
+
+
+def _rejected_in_one_line(tmp_path, scenario, *args):
+    """The one-line error main gives for a scenario, having written nothing."""
+    out = tmp_path / "out"
+    argv = ["simulate", "--scenario", str(scenario), "--method", "isc", "--runs", "1"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--steps", "1", *args, "--out", str(out)])
+    message = str(exc.value.code)
+    assert message.startswith("sentrack: error: ") and "\n" not in message
+    assert not out.exists()
+    return message
+
+
+def test_malformed_yaml_rejected_in_one_line(tmp_path):
+    path = tmp_path / "scenario.yaml"
+    path.write_text("name: broken\nsensors: [1, 2\nduration: 3\n")
+    assert repr(str(path)) in _rejected_in_one_line(tmp_path, path)
+
+
+def test_directory_as_scenario_rejected_in_one_line(tmp_path):
+    assert repr(str(tmp_path)) in _rejected_in_one_line(tmp_path, tmp_path)
+
+
+def test_missing_scenario_file_rejected_in_one_line(tmp_path):
+    path = tmp_path / "absent.yaml"
+    assert repr(str(path)) in _rejected_in_one_line(tmp_path, path)
+
+
+def test_negative_seed_rejected_in_one_line(tmp_path):
+    assert "base_seed" in _rejected_in_one_line(tmp_path, "1", "--seed", "-1")

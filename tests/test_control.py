@@ -644,7 +644,7 @@ class TestFdcdPipeline:
         locals_ = {s: cache.pseudo(s, cmd[s]) for s in (0, 1)}
         active = active_sets(cache, (0, 1), cmd)
         # fuse_lmb over the labels some participant is active for
-        fused = fuse_lmb(locals_, active_masks(cache, (0, 1), cmd))
+        fused = fuse_lmb(locals_, active_masks(cache, (0, 1), cmd), 0.0)
         assert set(fe.existences) == set(active) == set(fused.labels)
         for label, r in fe.existences.items():
             assert r == pytest.approx(comp_of(fused, label).existence, abs=1e-12)

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from sentrack import fusion
 from sentrack.fusion import (
     associate_labels,
     compute_active_set,
     fuse_lmb,
     fuse_spatial,
 )
-from sentrack.lmb import Component, Label, LmbDensity
+from sentrack.lmb import Component, Label, LmbDensity, prune
 from sentrack.sensors import FovModel, SensorState, detection_probabilities
 
 FOV = FovModel(rho_max=500.0, theta_max=math.pi / 4, p_d_max=0.99, k_rho=0.5, k_theta=20.0)
@@ -38,7 +39,7 @@ def fused_existence(existences):
         s: density([cloud((0, 300), r, seed=s)]) for s, r in enumerate(existences, start=1)
     }
     inactive = {s: np.zeros(1, dtype=bool) for s in locals_}
-    return float(fuse_lmb(locals_, inactive).existences[0])
+    return float(fuse_lmb(locals_, inactive, 0.0).existences[0])
 
 
 class TestFuseExistence:
@@ -209,6 +210,21 @@ class TestComputeActiveSet:
         assert mask == [label in expected for label in labels]
 
 
+@st.composite
+def local_densities(draw):
+    """Up to three sensors' densities over four labels, rows in any order,
+    with their row masks; existences include 0 and 1."""
+    labels = [Label(0, i, 0) for i in range(4)]
+    existence = st.sampled_from([0.0, 0.25, 1.0]) | unit_prob
+    locals_, active = {}, {}
+    for s in range(1, draw(st.integers(1, 3)) + 1):
+        held = draw(st.permutations(labels))[: draw(st.integers(0, len(labels)))]
+        comps = [cloud((30 * l.index, 300), draw(existence), l, n=4, seed=s) for l in held]
+        locals_[s] = density(comps)
+        active[s] = np.array([draw(st.booleans()) for _ in comps], dtype=bool)
+    return locals_, active
+
+
 def masks(locals_, *active):
     """Row masks that set every row of the given sensors and no other."""
     return {s: np.full(len(d.labels), s in active) for s, d in locals_.items()}
@@ -226,13 +242,13 @@ class TestFuseLmb:
 
     def test_two_active_sensors_fuse(self):
         locals_ = self.make_locals([0.5, 0.5])
-        fused = fuse_lmb(locals_, masks(locals_, 1, 2))
+        fused = fuse_lmb(locals_, masks(locals_, 1, 2), 0.0)
         assert fused.components[0].existence == pytest.approx(2.0 / 3.0)
         assert fused.role == "fused"
 
     def test_single_active_sensor_copies(self):
         locals_ = self.make_locals([0.5, 0.9])
-        fused = fuse_lmb(locals_, masks(locals_, 2))
+        fused = fuse_lmb(locals_, masks(locals_, 2), 0.0)
         [got], [want] = fused.components, locals_[2].components
         assert got.label == want.label and got.existence == want.existence
         np.testing.assert_array_equal(got.states, want.states)
@@ -240,13 +256,13 @@ class TestFuseLmb:
 
     def test_empty_active_update_uses_all_holders(self):
         locals_ = self.make_locals([0.5, 0.5])
-        fused = fuse_lmb(locals_, masks(locals_))
+        fused = fuse_lmb(locals_, masks(locals_), 0.0)
         assert fused.components[0].existence == pytest.approx(2.0 / 3.0)
 
     def test_death_observed_by_only_active_sensor(self):
         # the sole active sensor saw the death; its low existence wins
         locals_ = self.make_locals([0.05, 0.95, 0.9])
-        fused = fuse_lmb(locals_, masks(locals_, 1))
+        fused = fuse_lmb(locals_, masks(locals_, 1), 0.0)
         assert fused.components[0].existence == pytest.approx(0.05)
 
     def test_masks_judge_each_row(self):
@@ -257,7 +273,7 @@ class TestFuseLmb:
             for s, r in ((1, 0.5), (2, 0.8))
         }
         active = {1: np.array([False, False]), 2: np.array([True, False])}
-        fused = fuse_lmb(locals_, active)
+        fused = fuse_lmb(locals_, active, 0.0)
         assert fused.existences.tolist() == [0.8, pytest.approx(5.0 / 6.0)]  # odds 1 + 4
 
     def test_inconsistent_timestamps_rejected(self):
@@ -266,7 +282,7 @@ class TestFuseLmb:
             2: density([cloud((0, 0), 0.5)], timestamp=2),
         }
         with pytest.raises(ValueError):
-            fuse_lmb(locals_, masks(locals_))
+            fuse_lmb(locals_, masks(locals_), 0.0)
 
     def test_output_labels_distinct_and_valid(self):
         labels = [Label(0, i, 0) for i in range(3)]
@@ -274,16 +290,43 @@ class TestFuseLmb:
             1: density([cloud((i * 30, 300), 0.6, labels[i], seed=i) for i in range(3)]),
             2: density([cloud((i * 30, 300), 0.7, labels[i], seed=5 + i) for i in range(3)]),
         }
-        fused = fuse_lmb(locals_, masks(locals_, 1, 2))
+        fused = fuse_lmb(locals_, masks(locals_, 1, 2), 0.0)
         fused.validate()
         assert fused.labels == tuple(labels)
         assert fused.states.shape == (3, 50, 4)
+
+    def test_floor_drops_labels_before_spatial_fusion(self, monkeypatch):
+        # odds 0.25 + 0.25 fuse to existence 1/3
+        calls = []
+        monkeypatch.setattr(fusion, "fuse_spatial", lambda *a: calls.append(a) or fuse_spatial(*a))
+        locals_ = self.make_locals([0.2, 0.2])
+        assert fuse_lmb(locals_, masks(locals_, 1, 2), 0.34).labels == ()
+        assert not calls
+        fused = fuse_lmb(locals_, masks(locals_, 1, 2), 1.0 / 3.0)
+        assert fused.labels == (self.LABEL,) and len(calls) == 1
+        # a copied component is held to the floor too
+        assert fuse_lmb(locals_, masks(locals_, 2), 0.21).labels == ()
+        assert fuse_lmb(locals_, masks(locals_, 2), 0.2).labels == (self.LABEL,)
+
+    @given(local_densities(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_floor_equals_pruning_after_fusion(self, case, data):
+        locals_, active = case
+        everything = fuse_lmb(locals_, active, 0.0)
+        # floors exactly at a fused existence test the boundary
+        exact = st.sampled_from([0.0, *everything.existences.tolist()]).filter(lambda r: r < 1.0)
+        floor = data.draw(st.floats(0.0, 1.0, exclude_max=True) | exact)
+        got = fuse_lmb(locals_, active, floor)
+        want = prune(everything, floor, len(everything.labels) or 1)
+        assert got.labels == want.labels
+        for name in ("existences", "states", "weights"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
     def test_locals_of_different_particle_counts_rejected(self):
         locals_ = {1: density([cloud((0, 300), 0.5, n=50)]),
                    2: density([cloud((0, 300), 0.5, Label(0, 1, 0), n=40)])}
         with pytest.raises(ValueError, match="different particle counts"):
-            fuse_lmb(locals_, masks(locals_))
+            fuse_lmb(locals_, masks(locals_), 0.0)
 
 
 class TestAssociateLabels:

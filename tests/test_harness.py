@@ -4,8 +4,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from sentrack import harness
+from sentrack import fusion, harness
+from sentrack.fusion import existence_odds
 from sentrack.harness import METHODS, ControlContext, run_single
+from sentrack.lmb import prune
 from sentrack.network import message_cost
 from sentrack.scenarios import build_scenario_1, build_scenario_2
 
@@ -142,21 +144,31 @@ def test_every_density_stays_valid(monkeypatch, scenario, method):
 
 @pytest.mark.parametrize("scenario", [1, 2])
 def test_labels_below_reach_skip_fusion_without_changing_results(monkeypatch, scenario):
-    # fusing every label, as with no pre-filter, must give the same records
+    # no label below the reporting floor reaches fuse_spatial, and the
+    # records equal those of fusing every label and pruning to the floor
     build = build_scenario_1 if scenario == 1 else build_scenario_2
-    fused_rows = Counter()
-    original = harness.__dict__["fuse_lmb"]
+    floor = build().fusion.estimate_floor
+    spatial = Counter()
+    original_spatial, original_fuse = fusion.fuse_spatial, harness.fuse_lmb
 
-    def counted(locals_, active, key):
-        fused = original(locals_, active)
-        fused_rows[key] += len(fused.labels)
-        return fused
+    def counted(key):
+        def fuse_spatial(components, *args):
+            # fuse_lmb's existence rule: the contributors' odds add, in order
+            total = sum(existence_odds(np.array([c.existence for c in components])).tolist())
+            spatial[key, total / (1.0 + total) >= floor] += 1
+            return original_spatial(components, *args)
 
-    monkeypatch.setattr(harness, "fuse_lmb", lambda *a: counted(*a, "filtered"))
-    filtered = run_single(build(), "fixed", seed=20260810, duration=8)
-    monkeypatch.setattr(harness, "fuse_lmb", lambda *a: counted(*a, "all"))
-    # odds so large that every label reaches the floor switch the pre-filter off
-    monkeypatch.setattr(harness, "existence_odds", lambda r: np.full(len(r), 1e300))
+        return fuse_spatial
+
+    def pruned(locals_, active, floor):
+        fused = original_fuse(locals_, active, 0.0)
+        return prune(fused, floor, len(fused.labels) or 1)
+
+    monkeypatch.setattr(fusion, "fuse_spatial", counted("floor"))
+    floored = run_single(build(), "fixed", seed=20260810, duration=8)
+    monkeypatch.setattr(fusion, "fuse_spatial", counted("all"))
+    monkeypatch.setattr(harness, "fuse_lmb", pruned)
     everything = run_single(build(), "fixed", seed=20260810, duration=8)
-    assert filtered.steps == everything.steps
-    assert fused_rows["filtered"] < fused_rows["all"]
+    assert floored.steps == everything.steps
+    assert spatial["floor", False] == 0 and spatial["floor", True] > 0
+    assert spatial["all", False] > 0

@@ -125,6 +125,38 @@ class TestRejectedAtLoad:
             scenario_from_dict(d)
 
     @pytest.mark.parametrize(
+        "path,key,value",
+        [
+            (("motion",), "process_noise_std", -1.0),
+            ((), "clutter_mean", -1.0),
+            (("monte_carlo",), "base_seed", -1),
+            (("objective",), "psi_threshold", -0.1),
+            (("objective",), "psi_threshold", 1.0),
+            (("objective",), "eta_threshold", -1.0),
+            (("sensors", 1, "fov"), "p_d_threshold", -0.1),
+            (("sensors", 1, "fov"), "p_d_threshold", 1.0),
+        ],
+    )
+    def test_out_of_range_value_names_key(self, path, key, value):
+        # each used to load, then run with it or fail mid-run
+        d = scenario_to_dict(build_scenario_2())
+        node = d
+        for k in path:
+            node = node[k]
+        node[key] = value
+        with pytest.raises(ValueError, match=key):
+            scenario_from_dict(d)
+
+    def test_smallest_valid_thresholds_accepted(self):
+        d = scenario_to_dict(build_scenario_2())
+        d["motion"]["process_noise_std"], d["clutter_mean"] = 0.0, 0.0
+        d["monte_carlo"]["base_seed"] = 0
+        d["objective"].update(psi_threshold=0.0, eta_threshold=0.0)
+        d["sensors"][1]["fov"]["p_d_threshold"] = 0.0
+        cfg = scenario_from_dict(d)
+        assert cfg.sensors[1].fov.p_d_threshold == 0.0 and cfg.monte_carlo.base_seed == 0
+
+    @pytest.mark.parametrize(
         "path,key,section",
         [
             ((), "sensors", "top level"),
