@@ -1,6 +1,9 @@
 import dataclasses
+import math
+from pathlib import Path
 
 import pytest
+import yaml
 
 from sentrack import scenarios
 from sentrack.control import ObjectiveParams
@@ -9,6 +12,9 @@ from sentrack.fusion import FusionConfig
 from sentrack.scenarios import (
     MetricConfig,
     MonteCarloConfig,
+    ScenarioConfig,
+    SensorSpec,
+    TargetSpec,
     build_scenario_1,
     build_scenario_2,
     load_scenario,
@@ -16,7 +22,10 @@ from sentrack.scenarios import (
     scenario_from_dict,
     scenario_to_dict,
 )
-from sentrack.sensors import MotionModel
+from sentrack.sensors import FovModel, MotionModel, SensorAction
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+DEG = math.pi / 180.0
 
 
 @pytest.mark.parametrize("build", [build_scenario_1, build_scenario_2])
@@ -25,6 +34,68 @@ def test_yaml_round_trip(build, tmp_path):
     path = tmp_path / "scenario.yaml"
     save_scenario(cfg, path)
     assert load_scenario(path) == cfg
+
+
+class TestFileFormat:
+    """The keys and values of a scenario file, pinned apart from the writer:
+    the other tests start from scenario_to_dict, so a key renamed in both
+    the reader and the writer would pass them.  The fixtures were written
+    by save_scenario; write them again only for a change to the format."""
+
+    @pytest.mark.parametrize("number,build", [(1, build_scenario_1), (2, build_scenario_2)])
+    def test_built_in_scenario_matches_fixture(self, number, build):
+        path = GOLDEN_DIR / f"scenario-{number}.yaml"
+        # compared as mappings: the order of the keys is not part of the format
+        assert scenario_to_dict(build()) == yaml.safe_load(path.read_text())
+        assert load_scenario(path) == build()
+
+    def test_literal_file_loads(self, tmp_path):
+        path = tmp_path / "literal.yaml"
+        path.write_text(
+            """\
+name: literal
+duration: 5
+comm_range: 250
+clutter_mean: 2.5
+sensors:
+  - position: [0, 10]
+    bearing_deg: 90
+    fov: {rho_max: 300, theta_max_deg: 45, p_d_max: 0.9, k_rho: 0.5, k_theta: 20}
+    actions:
+      - {}
+      - {rotate_deg: 22.5}
+      - {move: [15, -5]}
+targets:
+  - position: [1, 2]
+    velocity: [3, 4]
+  - {position: [-1, -2], velocity: [0, 0.5], birth: 3, death: 7}
+motion: {period: 2.0}
+filter: {particle_count: 100, existence_floor: 0.001}
+objective: {psi_threshold: 0.5}
+fusion: {merge_distance: 10}
+metric: {ospa2_window: 4}
+monte_carlo: {runs: 3, base_seed: 7}
+"""
+        )
+        fov = FovModel(rho_max=300.0, theta_max=45.0 * DEG, p_d_max=0.9, k_rho=0.5, k_theta=20.0)
+        actions = (SensorAction(), SensorAction(rotation=22.5 * DEG), SensorAction(dx=15.0, dy=-5.0))
+        assert load_scenario(path) == ScenarioConfig(
+            name="literal",
+            duration=5,
+            comm_range=250.0,
+            clutter_mean=2.5,
+            sensors=(SensorSpec(position=(0.0, 10.0), bearing=90.0 * DEG, fov=fov, actions=actions),),
+            targets=(
+                TargetSpec(position=(1.0, 2.0), velocity=(3.0, 4.0)),
+                TargetSpec(position=(-1.0, -2.0), velocity=(0.0, 0.5), birth=3, death=7),
+            ),
+            motion=MotionModel(period=2.0),
+            filter=FilterConfig(clutter_intensity=0.0, particle_count=100, existence_floor=0.001),
+            objective=ObjectiveParams(psi_threshold=0.5),
+            fusion=FusionConfig(merge_distance=10.0),
+            metric=MetricConfig(ospa2_window=4),
+            monte_carlo=MonteCarloConfig(runs=3, base_seed=7),
+        )
 
 
 class TestRejectedAtLoad:
