@@ -3,41 +3,41 @@
 Ground-truth trajectories are generated procedurally from constants
 committed here, so results are stable across machines.
 
-Configuration files are YAML.  Angles are in degrees in the file and in
-radians in code; they are converted on load.  Bearings and rotations are
-measured clockwise from +y.  Distances are in meters.  A key not listed
-below, a missing required key, or a value not of its field's type (a
-number, an integer, a list or a string; null is none of them) is rejected
-with a ValueError that names the key and its section.
+Configuration files are YAML.  A section's keys are the fields of its
+dataclass, listed below: a field without a default is a required key, an
+omitted key keeps the field's default, and a value is read by the field's
+annotation (a number, an integer, a list, a string, [x, y] for a pair, a
+mapping for a section and a list of them for a tuple of sections; null is
+none of them, except for a target's death).  A key that names no field, a
+missing required key or a value of another type is rejected with a
+ValueError that names the key and its section.  Four facts are the file's
+own: angles are in degrees, so the fields bearing and theta_max are read
+from bearing_deg and theta_max_deg; an action is {move: [dx, dy],
+rotate_deg}; filter takes no clutter_intensity; and name defaults to
+"custom".  Bearings and rotations are measured clockwise from +y and
+distances are in meters.
 
-  name                 scenario name (default "custom")
-  duration             number of steps
-  comm_range           communication range
-  clutter_mean         mean clutter count per sensor per step
-  sensors              list, at least one, of:
-    position           [x, y]
-    bearing_deg        initial bearing
-    fov                {rho_max, theta_max_deg (half-angle), p_d_max,
-                        k_rho, k_theta, p_d_threshold (default 0.5)}
-    actions            list of {move: [dx, dy], rotate_deg}, both
-                       optional; the first must be the stay action (no
-                       move, no rotation), which is also the fallback when
-                       no action is feasible
-  targets              list of {position: [x, y], velocity: [vx, vy],
-                        birth (default 1), death (default none)}
+  name, duration, comm_range, clutter_mean (mean clutter count per sensor
+                       per step), sensors and targets: ScenarioConfig
+  sensors              at least one SensorSpec: position, bearing_deg, fov
+                       (FovModel: rho_max, theta_max_deg (half-angle),
+                       p_d_max, k_rho, k_theta, p_d_threshold), actions
+  actions              {move, rotate_deg}, both optional; the first must be
+                       the stay action (no move, no rotation), which is
+                       also the fallback when no action is feasible
+  targets              TargetSpec: position, velocity, birth, death
   motion, filter, objective, fusion, metric, monte_carlo
-                       optional mappings of the fields of MotionModel,
-                       FilterConfig, ObjectiveParams, FusionConfig,
-                       MetricConfig and MonteCarloConfig; omitted fields
-                       keep their defaults.  The step period, in
-                       seconds, is motion.period: targets move by it and
-                       the filters predict with it.  filter takes no
-                       clutter_intensity: each sensor derives it from
-                       clutter_mean and its FoV area.
+                       MotionModel, FilterConfig, ObjectiveParams,
+                       FusionConfig, MetricConfig and MonteCarloConfig, all
+                       optional.  The step period, in seconds, is
+                       motion.period: targets move by it and the filters
+                       predict with it.  Each sensor derives its filter's
+                       clutter_intensity from clutter_mean and its FoV area.
 """
 
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
+from typing import get_args
 
 import yaml
 
@@ -53,18 +53,18 @@ DEG = math.pi / 180.0
 class TargetSpec:
     """Linear ground-truth trajectory: alive for birth <= step < death."""
 
-    position: tuple
-    velocity: tuple
+    position: tuple[float, float]
+    velocity: tuple[float, float]
     birth: int = 1
     death: int | None = None
 
 
 @dataclass(frozen=True)
 class SensorSpec:
-    position: tuple
+    position: tuple[float, float]
     bearing: float
     fov: FovModel
-    actions: tuple
+    actions: tuple[SensorAction, ...]
 
     def __post_init__(self):
         if not self.actions or not self.actions[0].is_zero:
@@ -107,8 +107,8 @@ class ScenarioConfig:
     duration: int
     comm_range: float
     clutter_mean: float
-    sensors: tuple
-    targets: tuple
+    sensors: tuple[SensorSpec, ...]
+    targets: tuple[TargetSpec, ...]
     motion: MotionModel = MotionModel()
     filter: FilterConfig = FilterConfig(clutter_intensity=0.0)
     objective: ObjectiveParams = ObjectiveParams()
@@ -330,12 +330,13 @@ def build_scenario_2() -> ScenarioConfig:
 
 
 # ---------------------------------------------------------------------------
-# YAML round trip (angles in degrees in the file)
+# YAML round trip: a section's keys are its dataclass's fields
 # ---------------------------------------------------------------------------
 
-
-_TOP_LEVEL_REQUIRED = ("duration", "comm_range", "clutter_mean", "sensors", "targets")
-_TOP_LEVEL_OPTIONAL = ("name", "motion", "filter", "objective", "fusion", "metric", "monte_carlo")
+# the format's own facts, which the fields do not state
+_DEGREES = ("bearing", "theta_max")  # radians in code, <name>_deg in the file
+_FIXED = {"clutter_intensity": 0.0}  # FilterConfig's: derived per sensor, not settable
+_DEFAULTS = {"name": "custom"}  # ScenarioConfig's, for a file that names none
 
 
 def _checked(d: dict, section: str, optional, required=()) -> dict:
@@ -378,31 +379,6 @@ def _pair(d: dict, key: str, section: str, default=None) -> tuple:
     raise ValueError(f"{key!r} in scenario section {section!r} must be two numbers, not {value!r}")
 
 
-def _config(cls, d: dict, section: str, **fixed):
-    """A config dataclass from its section, typed by field; the fixed fields cannot be set."""
-    kinds = {f.name: f.type for f in fields(cls) if f.name not in fixed}
-    given = _checked(d, section, kinds)
-    return cls(**fixed, **{key: _get(given, key, section, kinds[key]) for key in given})
-
-
-def _fov_to_dict(fov: FovModel) -> dict:
-    return {
-        "rho_max": fov.rho_max,
-        "theta_max_deg": fov.theta_max / DEG,
-        "p_d_max": fov.p_d_max,
-        "k_rho": fov.k_rho,
-        "k_theta": fov.k_theta,
-        "p_d_threshold": fov.p_d_threshold,
-    }
-
-
-def _fov_from_dict(d: dict, section: str) -> FovModel:
-    required = ("rho_max", "theta_max_deg", "p_d_max", "k_rho", "k_theta")
-    given = {key: _get(d, key, section) for key in _checked(d, section, ("p_d_threshold",), required)}
-    given["theta_max"] = given.pop("theta_max_deg") * DEG
-    return FovModel(**given)
-
-
 def _action_to_dict(a: SensorAction) -> dict:
     return {"move": [a.dx, a.dy], "rotate_deg": a.rotation / DEG}
 
@@ -412,82 +388,65 @@ def _action_from_dict(d: dict, section: str) -> SensorAction:
     return SensorAction(dx=dx, dy=dy, rotation=_get(d, "rotate_deg", section, default=0.0) * DEG)
 
 
+def _key(name: str) -> str:
+    return f"{name}_deg" if name in _DEGREES else name
+
+
+def _value(kind, d: dict, key: str, section: str):
+    """d[key] read as a field annotated kind."""
+    inner = key if section == "top level" else f"{section}.{key}"
+    if kind in _KINDS:
+        return _get(d, key, section, kind)
+    if kind == tuple[float, float]:
+        return _pair(d, key, section)
+    if kind == int | None:
+        return None if d[key] is None else _get(d, key, section, int)
+    if is_dataclass(kind):
+        return _read(kind, d[key], inner)
+    (item, _) = get_args(kind)  # tuple[item, ...]: a list of sections
+    return tuple(_read(item, v, f"{inner}[{i}]") for i, v in enumerate(_get(d, key, section, list)))
+
+
+def _read(cls, d, section: str):
+    """A cls from its section d: one key per field, required when the field
+    has no default, each value read by the field's annotation."""
+    if cls is SensorAction:
+        return _action_from_dict(d, section)
+    names = {f.name for f in fields(cls)}
+    keyed = {_key(f.name): f for f in fields(cls) if f.name not in _FIXED}
+    required = [k for k, f in keyed.items() if f.default is MISSING and k not in _DEFAULTS]
+    _checked(d, section, keyed, required)
+    values = {name: v for name, v in (_FIXED | _DEFAULTS).items() if name in names}
+    for key, f in keyed.items():
+        if key in d:
+            value = _value(f.type, d, key, section)
+            values[f.name] = value * DEG if f.name in _DEGREES else value
+    return cls(**values)
+
+
+def _write(value):
+    """The file form of a value, the inverse of _read: a section for a
+    dataclass, a list for a tuple, anything else as it is."""
+    if isinstance(value, SensorAction):
+        return _action_to_dict(value)
+    if isinstance(value, tuple):
+        return [_write(v) for v in value]
+    if not is_dataclass(value):
+        return value
+    section = {}
+    for f in fields(value):
+        v = getattr(value, f.name)
+        if f.name not in _FIXED:
+            section[_key(f.name)] = _write(v / DEG if f.name in _DEGREES else v)
+    return section
+
+
 def scenario_to_dict(cfg: ScenarioConfig) -> dict:
-    return {
-        "name": cfg.name,
-        "duration": cfg.duration,
-        "comm_range": cfg.comm_range,
-        "clutter_mean": cfg.clutter_mean,
-        "motion": asdict(cfg.motion),
-        "filter": {k: v for k, v in asdict(cfg.filter).items() if k != "clutter_intensity"},
-        "objective": asdict(cfg.objective),
-        "fusion": asdict(cfg.fusion),
-        "metric": asdict(cfg.metric),
-        "monte_carlo": asdict(cfg.monte_carlo),
-        "sensors": [
-            {
-                "position": list(s.position),
-                "bearing_deg": s.bearing / DEG,
-                "fov": _fov_to_dict(s.fov),
-                "actions": [_action_to_dict(a) for a in s.actions],
-            }
-            for s in cfg.sensors
-        ],
-        "targets": [
-            {
-                "position": list(t.position),
-                "velocity": list(t.velocity),
-                "birth": t.birth,
-                "death": t.death,
-            }
-            for t in cfg.targets
-        ],
-    }
+    return _write(cfg)
 
 
 def scenario_from_dict(d: dict) -> ScenarioConfig:
-    _checked(d, "top level", _TOP_LEVEL_OPTIONAL, _TOP_LEVEL_REQUIRED)
-    sensors = []
-    for i, s in enumerate(_get(d, "sensors", "top level", list)):
-        section = f"sensors[{i}]"
-        _checked(s, section, (), ("position", "bearing_deg", "fov", "actions"))
-        sensors.append(
-            SensorSpec(
-                position=_pair(s, "position", section),
-                bearing=_get(s, "bearing_deg", section) * DEG,
-                fov=_fov_from_dict(s["fov"], f"{section}.fov"),
-                actions=tuple(
-                    _action_from_dict(a, f"{section}.actions[{j}]")
-                    for j, a in enumerate(_get(s, "actions", section, list))
-                ),
-            )
-        )
-    targets = []
-    for i, t in enumerate(_get(d, "targets", "top level", list)):
-        section = f"targets[{i}]"
-        _checked(t, section, ("birth", "death"), ("position", "velocity"))
-        targets.append(
-            TargetSpec(
-                position=_pair(t, "position", section),
-                velocity=_pair(t, "velocity", section),
-                birth=_get(t, "birth", section, int, 1),
-                death=None if t.get("death") is None else _get(t, "death", section, int),
-            )
-        )
-    return ScenarioConfig(
-        name=_get(d, "name", "top level", str, "custom"),
-        duration=_get(d, "duration", "top level", int),
-        comm_range=_get(d, "comm_range", "top level"),
-        clutter_mean=_get(d, "clutter_mean", "top level"),
-        sensors=tuple(sensors),
-        targets=tuple(targets),
-        motion=_config(MotionModel, d.get("motion", {}), "motion"),
-        filter=_config(FilterConfig, d.get("filter", {}), "filter", clutter_intensity=0.0),
-        objective=_config(ObjectiveParams, d.get("objective", {}), "objective"),
-        fusion=_config(FusionConfig, d.get("fusion", {}), "fusion"),
-        metric=_config(MetricConfig, d.get("metric", {}), "metric"),
-        monte_carlo=_config(MonteCarloConfig, d.get("monte_carlo", {}), "monte_carlo"),
-    )
+    return _read(ScenarioConfig, d, "top level")
 
 
 def save_scenario(cfg: ScenarioConfig, path) -> None:
