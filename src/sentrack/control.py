@@ -255,7 +255,7 @@ class PseudoCache:
             for s, actions in action_sets.items()
         }
         self.predicted = {
-            s: prune(d, params.min_existence, len(d.labels) or 1) for s, d in predicted.items()
+            s: prune(d, params.min_existence, len(d.labels)) for s, d in predicted.items()
         }
         self.predicted_existences = {s: existence_map(d) for s, d in self.predicted.items()}
         self.eap_positions = {

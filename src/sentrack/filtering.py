@@ -99,7 +99,7 @@ class FilterConfig:
 def predict(
     prior: LmbDensity,
     motion: MotionModel,
-    rng: np.random.Generator | None,
+    rng: np.random.Generator,
 ) -> LmbDensity:
     """Predict one step ahead: survival-scaled existence, propagated particles.
 

@@ -1,10 +1,10 @@
 """Per-timestep simulation pipeline, Monte Carlo orchestration, and export.
 
-Each step runs, per sensor node: prediction of its own prior and of every
-posterior received at the previous step, action selection under the chosen
-control method, action execution, detection simulation, measurement
-update, cross-sensor label association, posterior flooding, update-mode
-fusion, and estimate extraction with OSPA scoring.
+Each step runs, per sensor node: prediction of its own posterior from the
+previous step, action selection under the chosen control method, action
+execution, detection simulation, measurement update, cross-sensor label
+association, posterior flooding, update-mode fusion, and estimate
+extraction with OSPA scoring.
 
 Everything stochastic draws from one per-run generator in a fixed order
 (plus per-(step, node) derived streams for the restart initializations of
@@ -91,9 +91,9 @@ class MonteCarloResult:
         return out
 
 
-def _simulate_measurements(scenario, sensor_states, truth, rng):
-    """Detections (sigmoid-gated, Gaussian displacement noise) plus clutter."""
-    positions = [truth[idx] for idx in sorted(truth)]
+def _simulate_measurements(scenario, sensor_states, positions, rng):
+    """Detections of the truth positions (sigmoid-gated, Gaussian
+    displacement noise) plus clutter."""
     per_sensor = []
     for s, state in enumerate(sensor_states):
         fov = scenario.sensors[s].fov
@@ -183,6 +183,8 @@ def run_single(
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}")
+    if dcd_runs < 1:
+        raise ValueError("dcd_runs must be >= 1")
     if duration is None:
         duration = scenario.duration
     if duration < 1:
@@ -199,16 +201,17 @@ def run_single(
     comm_log = CommLog()
     control_seconds = 0.0
     records = []
+    # rebuilt after each move: step k's control reads the one built after step k-1's
+    topology = build_topology({s: (st.x, st.y) for s, st in enumerate(sensor_states)},
+                              scenario.comm_range)
 
     for step in range(1, duration + 1):
         truth = scenario.truth_states(step)
+        truth_positions = [truth[i] for i in sorted(truth)]
 
         predicted = {
             s: predict(posteriors[s], scenario.motion, rng) for s in range(n)
         }
-
-        positions = {s: (sensor_states[s].x, sensor_states[s].y) for s in range(n)}
-        topology = build_topology(positions, scenario.comm_range)
 
         t0 = time.perf_counter()
         cache = PseudoCache(
@@ -225,10 +228,10 @@ def run_single(
         control_seconds += time.perf_counter() - t0
 
         sensor_states = [cache.after[s][commands[s]] for s in range(n)]
-        positions = {s: (sensor_states[s].x, sensor_states[s].y) for s in range(n)}
-        topology = build_topology(positions, scenario.comm_range)
+        topology = build_topology({s: (st.x, st.y) for s, st in enumerate(sensor_states)},
+                                  scenario.comm_range)
 
-        measurements = _simulate_measurements(scenario, sensor_states, truth, rng)
+        measurements = _simulate_measurements(scenario, sensor_states, truth_positions, rng)
 
         for s in range(n):
             posterior = update(
@@ -253,11 +256,9 @@ def run_single(
         for s in range(n):
             comm_log.record(topology, step, s, len(posteriors[s].labels))
 
-        truth_positions = [truth[i] for i in sorted(truth)]
         ospa_sum = 0.0
         ospa2_sum = 0.0
         card_sum = 0.0
-        per_sensor_card = [0] * n
         for component in topology.components:
             members = sorted(component)
             estimates = _fuse_and_estimate(scenario, members, posteriors, predicted, sensor_states)
@@ -282,7 +283,6 @@ def run_single(
                 ospa_sum += step_ospa
                 ospa2_sum += step_ospa2
                 card_sum += len(estimates)
-                per_sensor_card[s] = len(posteriors[s].labels)
 
         records.append(
             StepRecord(
@@ -294,7 +294,7 @@ def run_single(
                 bytes=comm_log.bytes_in_step(step),
                 control_iterations=iterations,
                 commands=tuple(commands),
-                per_sensor_card=per_sensor_card,
+                per_sensor_card=[len(posteriors[s].labels) for s in range(n)],
             )
         )
 

@@ -158,14 +158,14 @@ def apply_action(sensor: SensorState, action: SensorAction) -> SensorState:
 
 
 def propagate_states(
-    motion: MotionModel, states: np.ndarray, rng: np.random.Generator | None
+    motion: MotionModel, states: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
     """Vectorized constant-velocity propagation of an (N, 4) state array."""
     t = motion.period
     out = np.array(states, dtype=float, copy=True)
     out[:, 0] += t * states[:, 2]
     out[:, 1] += t * states[:, 3]
-    if rng is not None and motion.process_noise_std > 0:
+    if motion.process_noise_std > 0:
         accel = rng.normal(0.0, motion.process_noise_std, size=(len(out), 2))
         out[:, :2] += 0.5 * t**2 * accel
         out[:, 2:] += t * accel

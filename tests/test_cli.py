@@ -124,3 +124,14 @@ def test_missing_scenario_file_rejected_in_one_line(tmp_path):
 
 def test_negative_seed_rejected_in_one_line(tmp_path):
     assert "base_seed" in _rejected_in_one_line(tmp_path, "1", "--seed", "-1")
+
+
+@pytest.mark.parametrize("method,dcd_runs", [("fixed", "-3"), ("isc", "0"), ("dcd", "0"), ("fdcd", "-1")])
+def test_dcd_runs_below_one_rejected_for_every_method(tmp_path, method, dcd_runs):
+    # fixed, isc and fdcd used to accept it; dcd named the wrong option
+    out = tmp_path / "out"
+    argv = ["simulate", "--scenario", "1", "--method", method, "--runs", "1", "--steps", "1"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--dcd-runs", dcd_runs, "--out", str(out)])
+    assert exc.value.code == "sentrack: error: dcd_runs must be >= 1"
+    assert not out.exists()

@@ -113,8 +113,8 @@ class TestPredict:
         states = c.states.copy()
         states[:, 2:] = [3.0, -2.0]
         prior = LmbDensity.from_rows([c._replace(states=states)], 0, "posterior")
-        quiet = MotionModel(period=1.0, process_noise_std=1e-12, survival_probability=0.99)
-        out = predict(prior, quiet, None)
+        quiet = MotionModel(period=1.0, process_noise_std=0.0, survival_probability=0.99)
+        out = predict(prior, quiet, np.random.default_rng(0))
         assert np.allclose(out.components[0].states[:, 0], states[:, 0] + 3.0)
         assert np.allclose(out.components[0].states[:, 1], states[:, 1] - 2.0)
 

@@ -19,6 +19,34 @@ def test_run_single_rejects_duration_below_one(duration):
         run_single(build_scenario_1(), "isc", seed=1, duration=duration)
 
 
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("dcd_runs", [0, -3])
+def test_run_single_rejects_dcd_runs_below_one(monkeypatch, method, dcd_runs):
+    # checked before step 1 for every method; only dcd used to check it,
+    # inside the first control step, as "runs"
+    monkeypatch.setattr(harness, "predict", None)
+    with pytest.raises(ValueError, match="^dcd_runs must be >= 1$"):
+        run_single(build_scenario_1(), method, seed=1, dcd_runs=dcd_runs)
+
+
+@pytest.mark.parametrize("method", ["dcd", "fdcd"])
+def test_one_topology_per_move_read_by_the_next_control_step(monkeypatch, method):
+    built = []
+    build = harness.build_topology
+    monkeypatch.setattr(harness, "build_topology", lambda *args: built.append(build(*args)) or built[-1])
+    select = harness._select_commands
+
+    def checked(method, scenario, cache, topology, *rest):
+        assert topology is built[-1]
+        assert topology.positions == {s: (st.x, st.y) for s, st in cache.sensor_states.items()}
+        return select(method, scenario, cache, topology, *rest)
+
+    monkeypatch.setattr(harness, "_select_commands", checked)
+    result = run_single(build_scenario_2(), method, seed=3, duration=4)
+    assert len(built) == 4 + 1
+    assert any(rec.commands != result.steps[0].commands for rec in result.steps)
+
+
 def test_run_single_defaults_to_scenario_duration():
     scenario = dataclasses.replace(build_scenario_1(), duration=2)
     result = run_single(scenario, "fixed", seed=1)

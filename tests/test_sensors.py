@@ -177,11 +177,13 @@ class TestPropagate:
     MOTION = MotionModel(period=1.0, process_noise_std=0.5, survival_probability=0.99)
 
     def test_noiseless_shift(self):
-        out = propagate_states(MotionModel(1.0, 0.5, 0.99), np.array([[0.0, 0, 1, 2]]), None)
+        quiet = MotionModel(1.0, 0.0, 0.99)
+        out = propagate_states(quiet, np.array([[0.0, 0, 1, 2]]), np.random.default_rng(0))
         assert np.allclose(out, [[1, 2, 1, 2]])
 
     def test_zero_velocity_fixed_point(self):
-        out = propagate_states(self.MOTION, np.array([[5.0, 6, 0, 0]]), None)[0]
+        quiet = MotionModel(1.0, 0.0, 0.99)
+        out = propagate_states(quiet, np.array([[5.0, 6, 0, 0]]), np.random.default_rng(0))[0]
         assert out[0] == 5 and out[1] == 6
 
     def test_monte_carlo_mean(self):
