@@ -227,14 +227,15 @@ class PseudoCache:
     it.  labels is the step's sorted label index; rows[s] maps sensor s's
     components onto it.  Per sensor: the EAP positions of its predicted
     density, which every action's ideal measurement set starts from.  Per
-    (sensor, action), on first use: the pseudo-posterior and the mask of
-    components the sensor is active for.  Per
-    (owner, action, center), on first use: the in-disk weight of each of
-    the owner's pseudo components.  A pseudo-posterior shares its predicted
-    density's states array, since pseudo_update never moves a particle, so
-    which particles lie in a disk is found once per (sensor, center) from
-    predicted.states, and only components with a particle inside are
-    summed.
+    (sensor, action), on first use: the pseudo-posterior, the mask of
+    components the sensor is active for, and the existence odds of its
+    pseudo components masked to that set.  Per (owner, action, center), on
+    first use: the in-disk weight of each of the owner's pseudo components.
+    A pseudo-posterior shares its predicted density's states array, since
+    pseudo_update never moves a particle, so which particles lie in a disk
+    is found once per (sensor, center) from predicted.states, and only
+    components with a particle inside are summed.  Per center, on first
+    use: whether its disk holds no predicted particle of any sensor.
     """
 
     def __init__(
@@ -271,7 +272,9 @@ class PseudoCache:
         }
         self._pseudo = {}
         self._active = {}
+        self._odds = {}
         self._disk = {}
+        self._empty = {}
         self._indisk = {}
 
     def pseudo(self, s: int, a: int) -> LmbDensity:
@@ -294,18 +297,38 @@ class PseudoCache:
             )
         return self._active[key]
 
+    def odds(self, s: int, a: int) -> np.ndarray:
+        """Existence odds of sensor s's pseudo components after action a,
+        0.0 where the sensor is not active."""
+        if (s, a) not in self._odds:
+            # the update caps existences at EXISTENCE_CEIL, so no odds are clamped
+            odds = existence_odds(self.pseudo(s, a).existences)
+            self._odds[s, a] = np.where(self.active(s, a), odds, 0.0)
+        return self._odds[s, a]
+
+    def _hits(self, owner: int, center: tuple) -> list:
+        """(component, particle mask) of the owner's components with a particle in center's disk."""
+        key = (owner, center)
+        if key not in self._disk:
+            d = self.predicted[owner].states[:, :, :2] - center
+            inside = (d[..., 0] ** 2 + d[..., 1] ** 2) <= self.params.exclusion_radius**2
+            ks = np.flatnonzero(inside.any(axis=1)).tolist()
+            self._disk[key] = [(k, inside[k]) for k in ks]
+        return self._disk[key]
+
+    def empty_disk(self, center: tuple) -> bool:
+        """Whether center's exclusion disk holds no predicted particle of any sensor."""
+        if center not in self._empty:
+            self._empty[center] = not any(self._hits(s, center) for s in self.predicted)
+        return self._empty[center]
+
     def indisk_weight(self, owner: int, action: int, center: tuple) -> np.ndarray | None:
         """Particle weight of each of the owner's pseudo components within
         the exclusion radius of center, an exact post-action position (x, y);
         None when none of the owner's particles lies in that disk."""
         key = (owner, action, center)
         if key not in self._indisk:
-            hits = self._disk.get((owner, center))
-            if hits is None:  # (component, particle mask) with a particle inside
-                d = self.predicted[owner].states[:, :, :2] - center
-                inside = (d[..., 0] ** 2 + d[..., 1] ** 2) <= self.params.exclusion_radius**2
-                ks = np.flatnonzero(inside.any(axis=1)).tolist()
-                hits = self._disk[(owner, center)] = [(k, inside[k]) for k in ks]
+            hits = self._hits(owner, center)
             weight = None
             if hits:
                 weights = self.pseudo(owner, action).weights
@@ -359,31 +382,32 @@ class ControlContext:
             return self._fused[command]
         cache, params = self.cache, self.params
         n_labels = len(cache.labels)
-        odds_sum, held, terms = np.zeros(n_labels), np.zeros(n_labels, dtype=bool), []
-        for s, a in zip(self.participants, command):
-            active, rows = cache.active(s, a), cache.rows[s]
-            # the update caps existences at EXISTENCE_CEIL, so no odds are clamped
-            odds = np.where(active, existence_odds(cache.pseudo(s, a).existences), 0.0)
-            odds_sum[rows] += odds  # in participant order, as a sequential sum
-            held[rows] |= active
-            terms.append((s, a, rows, odds))
+        terms = [(s, a, cache.rows[s]) for s, a in zip(self.participants, command)]
+        odds_sum, held = np.zeros(n_labels), np.zeros(n_labels, dtype=bool)
+        for s, a, rows in terms:
+            odds_sum[rows] += cache.odds(s, a)  # in participant order, as a sequential sum
+            held[rows] |= cache.active(s, a)
         used = np.flatnonzero(held)
         existences = odds_sum[used] / (1.0 + odds_sum[used])
-        total = np.where(odds_sum > 0.0, odds_sum, 1.0)
-        shares = [(s, a, rows, odds / total[rows]) for s, a, rows, odds in terms]
 
-        states_after = [cache.after[s][a] for s, a in zip(self.participants, command)]
-        pairs = itertools.combinations(states_after, 2)
-        eta = min((math.hypot(p.x - q.x, p.y - q.y) for p, q in pairs), default=math.inf)
-        psi = 0.0
-        for state in states_after:
-            center = (state.x, state.y)
-            inside = np.zeros(n_labels)
-            for s, a, rows, share in shares:
-                weight = cache.indisk_weight(s, a, center)
-                if weight is not None:
-                    inside[rows] += share * weight
-            psi = max(psi, void_probability(existences, inside[used]))
+        centers = [(cache.after[s][a].x, cache.after[s][a].y) for s, a, _rows in terms]
+        pairs = itertools.combinations(centers, 2)
+        eta = min(itertools.starmap(math.dist, pairs), default=math.inf)
+        # the shortcut relies on psi being a maximum of products of factors 1 - r * w <= 1:
+        # a disk with no sensor's particle gives exactly 1.0.  Change it if psi's aggregation does.
+        if any(map(cache.empty_disk, centers)):
+            psi = 1.0
+        else:
+            total = np.where(odds_sum > 0.0, odds_sum, 1.0)
+            shares = [cache.odds(s, a) / total[rows] for s, a, rows in terms]
+            psi = 0.0
+            for center in centers:
+                inside = np.zeros(n_labels)
+                for (s, a, rows), share in zip(terms, shares):
+                    weight = cache.indisk_weight(s, a, center)
+                    if weight is not None:
+                        inside[rows] += share * weight
+                psi = max(psi, void_probability(existences, inside[used]))
         feasible = eta > params.eta_threshold and psi > params.psi_threshold
 
         labels = [cache.labels[i] for i in used.tolist()]

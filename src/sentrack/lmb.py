@@ -214,7 +214,7 @@ def resample_component(
     idx = systematic_resample_indices(density.weights[rows], target_count, rng.random(rows.size))
     states = np.empty((k, target_count, STATE_DIM))
     weights = np.empty((k, target_count))
-    if passed is not None:
+    if rows.size < k:  # some row passed through, so it holds target_count particles
         states[passed], weights[passed] = density.states[passed], density.weights[passed]
     flat = (rows[:, None] * j + idx).ravel()  # one gather over all rows' particles
     particles = np.take(density.states.reshape(-1, STATE_DIM), flat, axis=0)

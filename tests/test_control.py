@@ -24,7 +24,7 @@ from sentrack.control import (
     void_probability,
 )
 from sentrack.filtering import FilterConfig, pseudo_update
-from sentrack.fusion import compute_active_set, fuse_lmb, fuse_spatial
+from sentrack.fusion import compute_active_set, existence_odds, fuse_lmb, fuse_spatial
 from sentrack.lmb import Component, Label, LmbDensity, empty_density
 from sentrack.sensors import FovModel, SensorAction, SensorState, apply_action
 
@@ -785,6 +785,104 @@ class TestFusedEvaluation:
         assert fe.psi == 1.0
         # isc_select's void probability runs over every pseudo component
         assert stay_psi(predicted, states[0], PARAMS.exclusion_radius)[0] < 0.2
+
+
+def fused_reference(cache, participants, command):
+    """Oracle for ControlContext.fused without its shortcuts: each
+    participant's masked odds computed for this command, and psi by the
+    full loop over every center.  Returns (existences, psi, eta, feasible)."""
+    n_labels = len(cache.labels)
+    odds_sum, held, terms = np.zeros(n_labels), np.zeros(n_labels, dtype=bool), []
+    for s, a in zip(participants, command):
+        active, rows = cache.active(s, a), cache.rows[s]
+        odds = np.where(active, existence_odds(cache.pseudo(s, a).existences), 0.0)
+        odds_sum[rows] += odds
+        held[rows] |= active
+        terms.append((s, a, rows, odds))
+    used = np.flatnonzero(held)
+    existences = odds_sum[used] / (1.0 + odds_sum[used])
+    total = np.where(odds_sum > 0.0, odds_sum, 1.0)
+    states_after = [cache.after[s][a] for s, a in zip(participants, command)]
+    pairs = itertools.combinations(states_after, 2)
+    eta = min((math.hypot(p.x - q.x, p.y - q.y) for p, q in pairs), default=math.inf)
+    psi = 0.0
+    for state in states_after:
+        center = (state.x, state.y)
+        inside = np.zeros(n_labels)
+        for s, a, rows, odds in terms:
+            weight = cache.indisk_weight(s, a, center)
+            if weight is not None:
+                inside[rows] += odds / total[rows] * weight
+        psi = max(psi, void_probability(existences, inside[used]))
+    feasible = eta > cache.params.eta_threshold and psi > cache.params.psi_threshold
+    labels = [cache.labels[i] for i in used.tolist()]
+    return dict(zip(labels, existences.tolist())), psi, eta, feasible
+
+
+def count_indisk_calls(monkeypatch, cache):
+    """Count the cache's indisk_weight calls from here on."""
+    calls, indisk_weight = [], cache.indisk_weight
+    monkeypatch.setattr(cache, "indisk_weight", lambda *key: calls.append(key) or indisk_weight(*key))
+    return calls
+
+
+class TestFusedShortcuts:
+    # fused reads memoized masked odds, and sets psi to 1.0 without the
+    # per-center loop when some center's disk holds no predicted particle
+    @pytest.mark.parametrize("seed", range(12))
+    def test_bit_identical_to_oracle_for_every_participant_set(self, seed):
+        cache, fresh = seeded_cache(seed), seeded_cache(seed)
+        sensors = sorted(cache.predicted)
+        for k in range(1, len(sensors) + 1):
+            for participants in itertools.combinations(sensors, k):
+                ctx = ControlContext(cache, participants)
+                n = ctx.n_actions()
+                for cmd in itertools.product(*(range(n[s]) for s in participants)):
+                    fe = ctx.fused(cmd)
+                    existences, psi, eta, feasible = fused_reference(fresh, participants, cmd)
+                    assert list(fe.existences.items()) == list(existences.items())
+                    assert (fe.psi, fe.eta, fe.feasible) == (psi, eta, feasible)
+
+    def test_seeded_caches_take_both_psi_paths(self):
+        shortcut = loop = 0
+        for seed in range(12):
+            cache = seeded_cache(seed)
+            for cmd in all_commands(cache):
+                centers = [(cache.after[s][a].x, cache.after[s][a].y) for s, a in enumerate(cmd)]
+                empty = any(map(cache.empty_disk, centers))
+                shortcut, loop = shortcut + empty, loop + (not empty)
+        assert shortcut > 20 and loop > 20
+
+    @staticmethod
+    def two_sensor_context(occupied):
+        """Sensors 0 at (0, 0) and 1 at (200, 0), both staying and both
+        holding one cloud on each sensor in occupied."""
+        states = {0: SensorState(0, 0, 0), 1: SensorState(200, 0, 0)}
+        d = density([cloud((states[s].x, 5), 0.9, Label(0, s, 0), spread=1.0, seed=s)
+                     for s in occupied])
+        return ControlContext(stay_only_cache({0: d, 1: d}, states), (0, 1))
+
+    @pytest.mark.parametrize("empty", [0, 1])
+    def test_one_empty_disk_gives_psi_one_without_the_loop(self, monkeypatch, empty):
+        ctx = self.two_sensor_context([1 - empty])
+        calls = count_indisk_calls(monkeypatch, ctx.cache)
+        score = ctx.evaluate(0, (0, 0))
+        fe = ctx.fused((0, 0))
+        assert fe.psi == 1.0 and fe.feasible and score > NEG_INF
+        assert calls == []
+        occupied = ctx.cache.after[1 - empty][0]
+        assert not ctx.cache.empty_disk((occupied.x, occupied.y))
+        reference = fused_reference(self.two_sensor_context([1 - empty]).cache, (0, 1), (0, 0))
+        assert reference[1] == 1.0
+
+    def test_every_disk_occupied_runs_the_loop(self, monkeypatch):
+        ctx = self.two_sensor_context([0, 1])
+        calls = count_indisk_calls(monkeypatch, ctx.cache)
+        fe = ctx.fused((0, 0))
+        assert len(calls) == 4  # each participant at each center
+        assert fe.psi < 0.2 and not fe.feasible
+        reference = fused_reference(self.two_sensor_context([0, 1]).cache, (0, 1), (0, 0))
+        assert (fe.psi, fe.eta, fe.feasible) == reference[1:]
 
 
 class TestDcdSelect:

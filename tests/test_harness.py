@@ -47,6 +47,13 @@ def test_one_topology_per_move_read_by_the_next_control_step(monkeypatch, method
     assert any(rec.commands != result.steps[0].commands for rec in result.steps)
 
 
+def test_sensor_with_empty_prediction_and_no_measurements_is_resampled():
+    # at this seed a sensor predicts no target and measures nothing at step
+    # 1; resampling its empty posterior used to fail to broadcast
+    result = run_single(build_scenario_1(), "dcd", 222222, duration=1)
+    assert [rec.step for rec in result.steps] == [1]
+
+
 def test_run_single_defaults_to_scenario_duration():
     scenario = dataclasses.replace(build_scenario_1(), duration=2)
     result = run_single(scenario, "fixed", seed=1)

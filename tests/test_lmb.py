@@ -179,6 +179,24 @@ class TestResample:
         with pytest.raises(ValueError, match="target_count"):
             resample_component(d, 3, np.random.default_rng(0))
 
+    def test_empty_update_result_resamples_to_empty(self):
+        # an update of an empty prediction with no measurements: no rows,
+        # no particles, and an empty passed_through mask
+        d = replace(empty_density(1, "posterior"), passed_through=np.zeros(0, dtype=bool))
+        out = resample_component(d, 500, np.random.default_rng(0))
+        assert out.states.shape == (0, 500, 4) and out.weights.shape == (0, 500)
+        assert out.labels == () and out.passed_through is None
+
+    def test_no_row_passed_resamples_to_another_count(self):
+        rng = np.random.default_rng(7)
+        d = replace(random_density(rng, 3, 4), passed_through=np.zeros(3, dtype=bool))
+        out = resample_component(d, 9, np.random.default_rng(1))
+        draws = np.random.default_rng(1)
+        for row in range(3):
+            idx = systematic_row(d.weights[row], 9, draws.random())
+            np.testing.assert_array_equal(out.states[row], d.states[row][idx])
+        np.testing.assert_array_equal(out.weights, np.full((3, 9), 1.0 / 9))
+
 
 class TestPrune:
     def test_floor(self):
