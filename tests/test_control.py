@@ -822,7 +822,12 @@ def fused_reference(cache, participants, command):
 def count_indisk_calls(monkeypatch, cache):
     """Count the cache's indisk_weight calls from here on."""
     calls, indisk_weight = [], cache.indisk_weight
-    monkeypatch.setattr(cache, "indisk_weight", lambda *key: calls.append(key) or indisk_weight(*key))
+
+    def counted(*key):
+        calls.append(key)
+        return indisk_weight(*key)
+
+    monkeypatch.setattr(cache, "indisk_weight", counted)
     return calls
 
 
