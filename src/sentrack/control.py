@@ -227,9 +227,9 @@ class PseudoCache:
     it.  labels is the step's sorted label index; rows[s] maps sensor s's
     components onto it.  Per sensor: the EAP positions of its predicted
     density, which every action's ideal measurement set starts from.  Per
-    (sensor, action), on first use: the pseudo-posterior, the mask of
-    components the sensor is active for, and the existence odds of its
-    pseudo components masked to that set.  Per (owner, action, center), on
+    (sensor, action), on first use: the pseudo-posterior and one memo of
+    (mask, odds), the components the sensor is active for and their pseudo
+    existence odds, 0.0 elsewhere.  Per (owner, action, center), on
     first use: the in-disk weight of each of the owner's pseudo components.
     A pseudo-posterior shares its predicted density's states array, since
     pseudo_update never moves a particle, so which particles lie in a disk
@@ -272,7 +272,6 @@ class PseudoCache:
         }
         self._pseudo = {}
         self._active = {}
-        self._odds = {}
         self._disk = {}
         self._empty = {}
         self._indisk = {}
@@ -286,25 +285,17 @@ class PseudoCache:
             self._pseudo[key] = pseudo_update(self.predicted[s], pims, state, fov, cfg)
         return self._pseudo[key]
 
-    def active(self, s: int, a: int) -> np.ndarray:
-        """Mask of sensor s's components it is active for after action a,
-        by compute_active_set; a pseudo-posterior keeps its predicted rows."""
+    def active(self, s: int, a: int) -> tuple:
+        """(mask, odds) of sensor s after action a: the components it is active
+        for, by compute_active_set, and their pseudo existence odds, 0.0 elsewhere."""
         key = (s, a)
         if key not in self._active:
-            pseudo = self.pseudo(s, a)
-            self._active[key] = compute_active_set(
-                self.after[s][a], self.fovs[s], pseudo.mean_positions(), self.predicted_means[s]
-            )
-        return self._active[key]
-
-    def odds(self, s: int, a: int) -> np.ndarray:
-        """Existence odds of sensor s's pseudo components after action a,
-        0.0 where the sensor is not active."""
-        if (s, a) not in self._odds:
+            pseudo = self.pseudo(s, a)  # it keeps its predicted rows
+            means = pseudo.mean_positions(), self.predicted_means[s]
+            mask = compute_active_set(self.after[s][a], self.fovs[s], *means)
             # the update caps existences at EXISTENCE_CEIL, so no odds are clamped
-            odds = existence_odds(self.pseudo(s, a).existences)
-            self._odds[s, a] = np.where(self.active(s, a), odds, 0.0)
-        return self._odds[s, a]
+            self._active[key] = mask, np.where(mask, existence_odds(pseudo.existences), 0.0)
+        return self._active[key]
 
     def _hits(self, owner: int, center: tuple) -> list:
         """(component, particle mask) of the owner's components with a particle in center's disk."""
@@ -382,15 +373,16 @@ class ControlContext:
             return self._fused[command]
         cache, params = self.cache, self.params
         n_labels = len(cache.labels)
-        terms = [(s, a, cache.rows[s]) for s, a in zip(self.participants, command)]
-        odds_sum, held = np.zeros(n_labels), np.zeros(n_labels, dtype=bool)
-        for s, a, rows in terms:
-            odds_sum[rows] += cache.odds(s, a)  # in participant order, as a sequential sum
-            held[rows] |= cache.active(s, a)
+        odds_sum, held, terms = np.zeros(n_labels), np.zeros(n_labels, dtype=bool), []
+        for s, a in zip(self.participants, command):
+            (mask, odds), rows = cache.active(s, a), cache.rows[s]
+            odds_sum[rows] += odds  # in participant order, as a sequential sum
+            held[rows] |= mask
+            terms.append((s, a, rows, odds))
         used = np.flatnonzero(held)
         existences = odds_sum[used] / (1.0 + odds_sum[used])
 
-        centers = [(cache.after[s][a].x, cache.after[s][a].y) for s, a, _rows in terms]
+        centers = [(cache.after[s][a].x, cache.after[s][a].y) for s, a, _rows, _odds in terms]
         pairs = itertools.combinations(centers, 2)
         eta = min(itertools.starmap(math.dist, pairs), default=math.inf)
         # the shortcut relies on psi being a maximum of products of factors 1 - r * w <= 1:
@@ -399,11 +391,11 @@ class ControlContext:
             psi = 1.0
         else:
             total = np.where(odds_sum > 0.0, odds_sum, 1.0)
-            shares = [cache.odds(s, a) / total[rows] for s, a, rows in terms]
+            shares = [odds / total[rows] for _s, _a, rows, odds in terms]
             psi = 0.0
             for center in centers:
                 inside = np.zeros(n_labels)
-                for (s, a, rows), share in zip(terms, shares):
+                for (s, a, rows, _odds), share in zip(terms, shares):
                     weight = cache.indisk_weight(s, a, center)
                     if weight is not None:
                         inside[rows] += share * weight

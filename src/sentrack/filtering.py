@@ -1,8 +1,8 @@
 """Per-sensor sequential Monte Carlo LMB filter.
 
-Prediction, measurement update with marginalized association, ideal
-measurement set generation for hypothesized actions, and the pseudo-update
-used for control scoring.
+Prediction, ideal measurement sets for hypothesized actions, and one
+Bayes core that returns arrays, shared by the measurement update, which
+alone appends births, and the pseudo-update used for control scoring.
 
 The update is the standard SMC-LMB component-wise Bayes update: particles
 are reweighted by detection probability and measurement likelihood, and
@@ -247,15 +247,15 @@ def _ranked_marginals(cluster_terms: list, k: int) -> list:
 
 def _bayes_update(
     predicted: LmbDensity,
-    measurements,
+    z: np.ndarray,
     sensor: SensorState,
     fov: FovModel,
     cfg: FilterConfig,
-    role: str,
-    rng: np.random.Generator | None = None,
-    origin: int | None = None,
-) -> LmbDensity:
-    z = np.asarray(measurements, dtype=float).reshape(-1, 2)
+) -> tuple:
+    """The rows' (existences, weights, passed_through) after the Bayes update
+    against the (M, 2) measurements z, and the measurement of each gated pair."""
+    if predicted.role != "predicted":
+        raise ValueError(f"the update expects a predicted density, got role {predicted.role!r}")
     k, j = predicted.weights.shape
     positions = predicted.states[:, :, :2].reshape(-1, 2)
     pd = detection_probabilities(fov, sensor, positions).reshape(k, j)
@@ -329,22 +329,7 @@ def _bayes_update(
         total = w.sum(axis=1)[:, None]
         np.divide(w, total, out=weights, where=total > 0.0)
 
-    labels, states = predicted.labels, predicted.states
-    if rng is not None and origin is not None:
-        centers = sensor.position + np.delete(z, meas, axis=0)
-        if len(centers):
-            n = cfg.particle_count
-            births = np.empty((len(centers), n, STATE_DIM))
-            for b, center in enumerate(centers):  # drawn birth by birth
-                births[b, :, :2] = center + rng.normal(0.0, cfg.birth_particle_std, (n, 2))
-                births[b, :, 2:] = rng.normal(0.0, cfg.birth_velocity_std, (n, 2))
-            labels += tuple(Label(predicted.timestamp, b, origin) for b in range(len(centers)))
-            existences = np.concatenate([existences, np.full(len(centers), cfg.birth_existence)])
-            # an empty density has no particle count of its own: reshape gives it n
-            states = np.concatenate([states.reshape(k, n, STATE_DIM), births])
-            weights = np.concatenate([weights.reshape(k, n), np.full((len(centers), n), 1.0 / n)])
-            passed = np.concatenate([passed, np.zeros(len(centers), dtype=bool)])
-    return LmbDensity(labels, existences, states, weights, predicted.timestamp, role, passed)
+    return existences, weights, passed, meas
 
 
 def update(
@@ -363,11 +348,23 @@ def update(
     not gated to any component spawn birth components labeled
     (timestep, i, origin), appended after the predicted rows.
     """
-    if predicted.role != "predicted":
-        raise ValueError(f"update expects a predicted density, got role {predicted.role!r}")
-    return _bayes_update(
-        predicted, measurements, sensor, fov, cfg, "posterior", rng=rng, origin=origin
-    )
+    z = np.asarray(measurements, dtype=float).reshape(-1, 2)
+    existences, weights, passed, meas = _bayes_update(predicted, z, sensor, fov, cfg)
+    labels, states = predicted.labels, predicted.states
+    centers = sensor.position + np.delete(z, meas, axis=0)
+    if len(centers):
+        k, n = len(labels), cfg.particle_count
+        births = np.empty((len(centers), n, STATE_DIM))
+        for b, center in enumerate(centers):  # drawn birth by birth
+            births[b, :, :2] = center + rng.normal(0.0, cfg.birth_particle_std, (n, 2))
+            births[b, :, 2:] = rng.normal(0.0, cfg.birth_velocity_std, (n, 2))
+        labels += tuple(Label(predicted.timestamp, b, origin) for b in range(len(centers)))
+        existences = np.concatenate([existences, np.full(len(centers), cfg.birth_existence)])
+        # an empty density has no particle count of its own: reshape gives it n
+        states = np.concatenate([states.reshape(k, n, STATE_DIM), births])
+        weights = np.concatenate([weights.reshape(k, n), np.full((len(centers), n), 1.0 / n)])
+        passed = np.concatenate([passed, np.zeros(len(centers), dtype=bool)])
+    return LmbDensity(labels, existences, states, weights, predicted.timestamp, "posterior", passed)
 
 
 def pseudo_update(
@@ -381,8 +378,9 @@ def pseudo_update(
 
     Mechanics are identical to update (same code path), so feeding the same
     measurements produces the same component updates.  pseudo_update never
-    moves a particle: the result shares predicted.states.
+    moves a particle: the result shares predicted.labels and predicted.states.
     """
-    if predicted.role != "predicted":
-        raise ValueError(f"pseudo_update expects a predicted density, got {predicted.role!r}")
-    return _bayes_update(predicted, pims, sensor_after_action, fov, cfg, "pseudo-posterior")
+    z = np.asarray(pims, dtype=float).reshape(-1, 2)
+    existences, weights, passed, _meas = _bayes_update(predicted, z, sensor_after_action, fov, cfg)
+    labels, states, timestamp = predicted.labels, predicted.states, predicted.timestamp
+    return LmbDensity(labels, existences, states, weights, timestamp, "pseudo-posterior", passed)

@@ -794,7 +794,7 @@ def fused_reference(cache, participants, command):
     n_labels = len(cache.labels)
     odds_sum, held, terms = np.zeros(n_labels), np.zeros(n_labels, dtype=bool), []
     for s, a in zip(participants, command):
-        active, rows = cache.active(s, a), cache.rows[s]
+        (active, _odds), rows = cache.active(s, a), cache.rows[s]
         odds = np.where(active, existence_odds(cache.pseudo(s, a).existences), 0.0)
         odds_sum[rows] += odds
         held[rows] |= active
@@ -817,6 +817,43 @@ def fused_reference(cache, participants, command):
     feasible = eta > cache.params.eta_threshold and psi > cache.params.psi_threshold
     labels = [cache.labels[i] for i in used.tolist()]
     return dict(zip(labels, existences.tolist())), psi, eta, feasible
+
+
+class TestActiveMemo:
+    # PseudoCache.active keeps one (mask, odds) entry per (sensor, action)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sweep_computes_each_active_set_once(self, monkeypatch, seed):
+        cache = seeded_cache(seed)
+        calls, compute = [], control.compute_active_set
+
+        def counted(state, *args):
+            calls.append(id(state))
+            return compute(state, *args)
+
+        monkeypatch.setattr(control, "compute_active_set", counted)
+        sensors = sorted(cache.predicted)
+        for k in range(len(sensors), 0, -1):
+            for participants in itertools.combinations(sensors, k):
+                ctx = ControlContext(cache, participants)
+                for cmd in itertools.product(*(range(n) for n in ctx.n_actions().values())):
+                    ctx.fused(cmd)
+        states = [state for s in sensors for state in cache.after[s]]
+        assert sorted(calls) == sorted(map(id, states))
+
+    def test_odds_are_the_pseudo_odds_inside_the_mask_and_zero_outside(self):
+        masked = 0
+        for seed in range(6):
+            cache = seeded_cache(seed)
+            for s in cache.predicted:
+                for a in range(len(cache.after[s])):
+                    mask, odds = cache.active(s, a)
+                    assert cache.active(s, a)[1] is odds
+                    expected = existence_odds(cache.pseudo(s, a).existences)
+                    assert odds[mask].tolist() == expected[mask].tolist()
+                    assert not odds[~mask].any()
+                    masked += int((~mask).sum())
+        assert masked > 0
 
 
 def count_indisk_calls(monkeypatch, cache):

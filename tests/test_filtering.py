@@ -255,6 +255,39 @@ class TestPseudoUpdate:
         assert out.role == "pseudo-posterior"
 
 
+class TestBayesCore:
+    # update and pseudo_update run one Bayes core; update alone appends births
+
+    @pytest.mark.parametrize("role", ["prior", "posterior", "pseudo-posterior", "fused"])
+    def test_density_not_predicted_is_rejected(self, role):
+        pred = dataclasses.replace(predicted_density([cloud((0, 300), 0.6)]), role=role)
+        with pytest.raises(ValueError, match="expects a predicted density"):
+            update(pred, [], SENSOR, FOV, CFG, np.random.default_rng(0), origin=0)
+        with pytest.raises(ValueError, match="expects a predicted density"):
+            pseudo_update(pred, [], SENSOR, FOV, CFG)
+
+    @pytest.mark.parametrize("meas", [[], [(0.0, 300.0)], [(0.0, 300.0), (200.0, 150.0)]])
+    def test_pseudo_update_shares_predicted_labels_and_states(self, meas):
+        pred = predicted_density(
+            [cloud((0, 300), 0.6), cloud((100, 250), 0.4, label=Label(0, 1, 0), seed=2)]
+        )
+        out = pseudo_update(pred, meas, SENSOR, FOV, CFG)
+        assert out.labels is pred.labels and out.states is pred.states
+
+    def test_update_rows_have_the_pseudo_update_bits(self):
+        pred = predicted_density(
+            [cloud((0, 300), 0.6), cloud((0, -300), 0.4, label=Label(0, 1, 0), seed=2)]
+        )
+        meas = [np.array([0.0, 300.0]), np.array([200.0, 150.0])]  # gated, then ungated
+        post = update(pred, meas, SENSOR, FOV, CFG, np.random.default_rng(0), origin=2)
+        pseudo = pseudo_update(pred, meas, SENSOR, FOV, CFG)
+        assert post.labels == pred.labels + (Label(1, 0, 2),)
+        np.testing.assert_array_equal(post.existences[:2], pseudo.existences)
+        np.testing.assert_array_equal(post.weights[:2], pseudo.weights)
+        assert post.passed_through.tolist() == pseudo.passed_through.tolist() + [False]
+        assert pseudo.passed_through.tolist() == [False, True]
+
+
 class TestGeneratePims:
     def test_zero_action_measurement(self):
         pred = predicted_density([cloud((0, 300), 0.9, spread=1e-9)])

@@ -8,7 +8,7 @@ from sentrack import fusion, harness
 from sentrack.fusion import existence_odds
 from sentrack.harness import METHODS, ControlContext, run_single
 from sentrack.lmb import prune
-from sentrack.network import message_cost
+from sentrack.network import CommLogEntry, message_cost
 from sentrack.scenarios import build_scenario_1, build_scenario_2
 
 
@@ -207,3 +207,31 @@ def test_labels_below_reach_skip_fusion_without_changing_results(monkeypatch, sc
     assert floored.steps == everything.steps
     assert spatial["floor", False] == 0 and spatial["floor", True] > 0
     assert spatial["all", False] > 0
+
+
+def test_export_results_writes_the_pinned_csv_format(tmp_path):
+    # one run of two steps and two messages: every column, in order, and
+    # floats by repr, so a renamed or reordered column fails here
+    steps = [
+        harness.StepRecord(1, 2, 1.5, 12.25, 0.1, 60, 3, (0, 1), [1, 2]),
+        harness.StepRecord(2, 3, 2.0, 8.0, 0.30000000000000004, 44, 0, (2, 0), [2, 2]),
+    ]
+    comm = [CommLogEntry(1, 0, 0, 36, 1), CommLogEntry(2, 1, 1, 44, 2)]
+    run = harness.RunResult("dcd", 0, 17, steps, 10.125, 0.2, 0.5, comm)
+    paths = harness.export_results([harness.MonteCarloResult("dcd", "scenario-1", [run])], tmp_path)
+    expected = {
+        "runs": "method,run,seed,mean_ospa,mean_ospa2\r\ndcd,0,17,10.125,0.2\r\n",
+        "timesteps": (
+            "method,run,step,card_truth,card_est,ospa,ospa2,bytes,control_iterations\r\n"
+            "dcd,0,1,2,1.5,12.25,0.1,60,3\r\n"
+            "dcd,0,2,3,2.0,8.0,0.30000000000000004,44,0\r\n"
+        ),
+        "cardinality": "method,step,card_truth,card_est_mean\r\ndcd,1,2,1.5\r\ndcd,2,3,2.0\r\n",
+        "comm": (
+            "method,run,step,origin,sequence,bytes,rounds\r\n"
+            "dcd,0,1,0,0,36,1\r\n"
+            "dcd,0,2,1,1,44,2\r\n"
+        ),
+    }
+    for name, text in expected.items():
+        assert paths[name].read_bytes() == text.encode()
