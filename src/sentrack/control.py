@@ -224,7 +224,8 @@ class PseudoCache:
 
     after[s][a] is sensor s's state after its action a, built for every
     action up front; every post-action geometry of the step is read from
-    it.  labels is the step's sorted label index; rows[s] maps sensor s's
+    it, and after[s][0], the stay action's, is sensor s's current pose.
+    labels is the step's sorted label index; rows[s] maps sensor s's
     components onto it.  Per sensor: the EAP positions of its predicted
     density, which every action's ideal measurement set starts from.  Per
     (sensor, action), on first use: the pseudo-posterior and one memo of
@@ -249,10 +250,9 @@ class PseudoCache:
     ):
         self.params = params
         self.filter_cfgs = dict(filter_cfgs)
-        self.sensor_states = dict(sensor_states)
         self.fovs = dict(fovs)
         self.after = {
-            s: [apply_action(self.sensor_states[s], action) for action in actions]
+            s: [apply_action(sensor_states[s], action) for action in actions]
             for s, actions in action_sets.items()
         }
         self.predicted = {
@@ -423,13 +423,13 @@ def isc_select(node: int, cache: PseudoCache, others=()) -> tuple:
     action is feasible when the void probability of the node's own
     exclusion disk, tested first, exceeds psi_threshold, and when the
     post-action position is more than eta_threshold from the current
-    position of every sensor id in others; an infeasible action scores
-    -inf.  The void probability runs over every component of the node's
-    pseudo-posterior, in component order.
+    position, cache.after[t][0], of every sensor id t in others; an
+    infeasible action scores -inf.  The void probability runs over every
+    component of the node's pseudo-posterior, in component order.
     """
     params = cache.params
     predicted_exist = cache.predicted_existences[node]
-    other_states = [cache.sensor_states[t] for t in others]
+    other_states = [cache.after[t][0] for t in others]
 
     def score(_node, command):
         [a] = command

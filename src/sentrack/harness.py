@@ -82,14 +82,6 @@ class MonteCarloResult:
     def mean_control_seconds(self) -> float:
         return float(np.mean([r.control_seconds_per_sensor for r in self.runs]))
 
-    def cardinality_trace(self) -> list:
-        """Per step: (step, true count, mean estimated count over runs)."""
-        out = []
-        for i, rec in enumerate(self.runs[0].steps):
-            est = float(np.mean([r.steps[i].card_est for r in self.runs]))
-            out.append((rec.step, rec.card_truth, est))
-        return out
-
 
 def _simulate_measurements(scenario, sensor_states, positions, rng):
     """Detections of the truth positions (sigmoid-gated, Gaussian
@@ -333,11 +325,13 @@ def monte_carlo(
 
 
 def export_results(results: list, out_dir) -> dict:
-    """Write run-level, timestep-level, cardinality-trace and comm-log CSVs.
+    """Write the run, timestep, cardinality-trace and comm-log CSVs.
 
-    Wall-clock timings go to a JSON sidecar so the CSV outputs stay
-    byte-identical across repeated invocations with the same arguments.
-    Returns the mapping of logical name -> written path.
+    Each CSV is one (header, rows) table, floats by repr, and one csv.writer
+    loop writes all four; the cardinality trace is the per-step mean
+    estimated count over the runs.  Wall-clock timings go to a JSON sidecar
+    so the CSVs stay byte-identical across repeated invocations.  Returns
+    the mapping of logical name -> written path.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -348,65 +342,37 @@ def export_results(results: list, out_dir) -> dict:
         "comm": out / "comm_log.csv",
         "timings": out / "timings.json",
     }
-
-    with open(paths["runs"], "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["method", "run", "seed", "mean_ospa", "mean_ospa2"])
-        for mc in results:
-            for r in mc.runs:
-                w.writerow([r.method, r.run_index, r.seed, repr(r.mean_ospa), repr(r.mean_ospa2)])
-
-    with open(paths["timesteps"], "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            [
-                "method",
-                "run",
-                "step",
-                "card_truth",
-                "card_est",
-                "ospa",
-                "ospa2",
-                "bytes",
-                "control_iterations",
-            ]
-        )
-        for mc in results:
-            for r in mc.runs:
-                for rec in r.steps:
-                    w.writerow(
-                        [
-                            r.method,
-                            r.run_index,
-                            rec.step,
-                            rec.card_truth,
-                            repr(rec.card_est),
-                            repr(rec.ospa),
-                            repr(rec.ospa2),
-                            rec.bytes,
-                            rec.control_iterations,
-                        ]
-                    )
-
-    with open(paths["cardinality"], "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["method", "step", "card_truth", "card_est_mean"])
-        for mc in results:
-            for step, truth, est in mc.cardinality_trace() if mc.runs else []:
-                w.writerow([mc.method, step, truth, repr(est)])
-
-    with open(paths["comm"], "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["method", "run", "step", "origin", "sequence", "bytes", "rounds"])
-        for mc in results:
-            for r in mc.runs:
-                for e in r.comm_entries:
-                    w.writerow([r.method, r.run_index, e.step, e.origin, e.sequence, e.bytes, e.rounds])
+    runs = [r for mc in results for r in mc.runs]
+    tables = {
+        "runs": (
+            "method,run,seed,mean_ospa,mean_ospa2",
+            [(r.method, r.run_index, r.seed, repr(r.mean_ospa), repr(r.mean_ospa2)) for r in runs],
+        ),
+        "timesteps": (
+            "method,run,step,card_truth,card_est,ospa,ospa2,bytes,control_iterations",
+            [(r.method, r.run_index, rec.step, rec.card_truth, repr(rec.card_est), repr(rec.ospa),
+              repr(rec.ospa2), rec.bytes, rec.control_iterations) for r in runs for rec in r.steps],
+        ),
+        "cardinality": (
+            "method,step,card_truth,card_est_mean",
+            [(mc.method, rec.step, rec.card_truth,
+              repr(float(np.mean([r.steps[i].card_est for r in mc.runs]))))
+             for mc in results for i, rec in enumerate(mc.runs[0].steps)],
+        ),
+        "comm": (
+            "method,run,step,origin,sequence,bytes,rounds",
+            [(r.method, r.run_index, e.step, e.origin, e.sequence, e.bytes, e.rounds)
+             for r in runs for e in r.comm_entries],
+        ),
+    }
+    for name, (header, rows) in tables.items():
+        with open(paths[name], "w", newline="") as fh:
+            csv.writer(fh).writerows([header.split(","), *rows])
 
     timings = {
         mc.method: {
             "control_seconds_per_sensor": [r.control_seconds_per_sensor for r in mc.runs],
-            "mean_control_seconds_per_sensor": mc.mean_control_seconds if mc.runs else 0.0,
+            "mean_control_seconds_per_sensor": mc.mean_control_seconds,
         }
         for mc in results
     }

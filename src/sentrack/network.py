@@ -19,7 +19,6 @@ from typing import Mapping
 class Topology:
     """Range-based communication graph over sensor positions."""
 
-    positions: dict  # sensor id -> (x, y)
     adjacency: dict  # sensor id -> frozenset of neighbor ids
     components: tuple  # connected components as frozensets, by smallest id
     rounds: dict  # sensor id -> flood rounds to reach its whole component
@@ -59,7 +58,6 @@ def build_topology(positions: Mapping[int, tuple], comm_range: float) -> Topolog
     adjacency = {s: frozenset(n) for s, n in adjacency.items()}
     distances = {s: _hop_distances(adjacency, s) for s in ids}
     return Topology(
-        positions={s: tuple(positions[s]) for s in ids},
         adjacency=adjacency,
         components=tuple(sorted({frozenset(d) for d in distances.values()}, key=min)),
         rounds={s: max(d.values()) for s, d in distances.items()},

@@ -3,7 +3,7 @@
 Angles are radians everywhere in code; configuration files accept degrees
 and convert at load time.  Bearings are measured from the +y axis, i.e.
 atan2(dx, dy), matching the measurement convention of relative
-(horizontal, vertical) displacement.
+(horizontal, vertical) displacement.  Only SensorState wraps a bearing.
 """
 
 import math
@@ -15,8 +15,10 @@ TWO_PI = 2.0 * math.pi
 
 
 def wrap_angle(angle: float) -> float:
-    """Normalize an angle to (-pi, pi]."""
-    return -((-angle + math.pi) % TWO_PI - math.pi)
+    """Normalize an angle to (-pi, pi], idempotently: where the remainder rounds
+    up to 2*pi (as for nextafter(pi, 4)) the formula gives -pi, and pi is returned."""
+    wrapped = -((-angle + math.pi) % TWO_PI - math.pi)
+    return math.pi if wrapped == -math.pi else wrapped
 
 
 @dataclass(frozen=True)
@@ -109,11 +111,6 @@ class MotionModel:
             raise ValueError("survival_probability must be in (0, 1]")
 
 
-def wrap_angles(angles: np.ndarray) -> np.ndarray:
-    """Vectorized wrap_angle."""
-    return -((-np.asarray(angles) + math.pi) % TWO_PI - math.pi)
-
-
 def detection_probabilities(
     fov: FovModel, sensor: SensorState, positions: np.ndarray
 ) -> np.ndarray:
@@ -130,7 +127,8 @@ def detection_probabilities(
     if fov.omnidirectional:
         p = p_rho * fov.p_d_max
     else:
-        theta = np.abs(wrap_angles(np.arctan2(d[:, 0], d[:, 1]) - sensor.bearing))
+        # |wrap_angle(bearing offset)|, where -pi and pi give the same value
+        theta = np.abs((sensor.bearing - np.arctan2(d[:, 0], d[:, 1]) + math.pi) % TWO_PI - math.pi)
         inside = inside & (theta <= fov.theta_max)
         p_theta = fov.p_d_max / (
             1.0 + np.exp(np.minimum(fov.k_theta * (theta - fov.theta_max), 500.0))
@@ -149,12 +147,8 @@ def displacement_log_likelihoods(
 
 
 def apply_action(sensor: SensorState, action: SensorAction) -> SensorState:
-    """Apply a control command: translate, then rotate (bearing renormalized)."""
-    return SensorState(
-        x=sensor.x + action.dx,
-        y=sensor.y + action.dy,
-        bearing=wrap_angle(sensor.bearing + action.rotation),
-    )
+    """Apply a control command: translate, then rotate (SensorState wraps the bearing)."""
+    return SensorState(sensor.x + action.dx, sensor.y + action.dy, sensor.bearing + action.rotation)
 
 
 def propagate_states(

@@ -597,7 +597,7 @@ class TestPseudoCache:
         base = two_sensor_cache()
         cache = pseudo_cache(
             {0: base.predicted[0], 1: empty_density(1, "predicted")},
-            base.sensor_states,
+            {s: after[0] for s, after in base.after.items()},
             base.fovs,
             TWO_SENSOR_ACTIONS,
         )

@@ -114,9 +114,9 @@ def test_long_run_reaches_constraints_and_ranked_association(scenario, method, m
         # post-action positions from the scenario, not from the cache's table
         action, score = isc_select(node, cache, *args, **kwargs)
         threshold = cache.params.eta_threshold
-        others = [st for t, st in cache.sensor_states.items() if t != node]
+        others = [after[0] for t, after in cache.after.items() if t != node]
         for a, act in enumerate(actions[node]):
-            p = apply_action(cache.sensor_states[node], act)
+            p = apply_action(cache.after[node][0], act)
             if others and min(math.hypot(p.x - q.x, p.y - q.y) for q in others) <= threshold:
                 counts["isc_eta"] += 1
                 assert a != action or score == -math.inf

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 from collections import Counter
 
 import numpy as np
@@ -38,7 +39,8 @@ def test_one_topology_per_move_read_by_the_next_control_step(monkeypatch, method
 
     def checked(method, scenario, cache, topology, *rest):
         assert topology is built[-1]
-        assert topology.positions == {s: (st.x, st.y) for s, st in cache.sensor_states.items()}
+        poses = {s: (after[0].x, after[0].y) for s, after in cache.after.items()}
+        assert topology == build(poses, scenario.comm_range)
         return select(method, scenario, cache, topology, *rest)
 
     monkeypatch.setattr(harness, "_select_commands", checked)
@@ -235,3 +237,8 @@ def test_export_results_writes_the_pinned_csv_format(tmp_path):
     }
     for name, text in expected.items():
         assert paths[name].read_bytes() == text.encode()
+    timings = json.loads(paths["timings"].read_text())
+    assert list(timings) == ["dcd"]
+    assert list(timings["dcd"]) == ["control_seconds_per_sensor", "mean_control_seconds_per_sensor"]
+    assert timings["dcd"]["control_seconds_per_sensor"] == [0.5]
+    assert timings["dcd"]["mean_control_seconds_per_sensor"] == 0.5

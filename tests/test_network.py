@@ -11,7 +11,7 @@ def random_positions(rng, n, scale=1000.0):
 
 def to_networkx(topology):
     g = nx.Graph()
-    g.add_nodes_from(topology.positions)
+    g.add_nodes_from(topology.adjacency)
     for s, neighbors in topology.adjacency.items():
         for t in neighbors:
             g.add_edge(s, t)

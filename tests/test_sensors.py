@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from sentrack.scenarios import build_scenario_1
 from sentrack.sensors import (
+    TWO_PI,
     FovModel,
     MotionModel,
     SensorAction,
@@ -34,6 +36,21 @@ def oracle_pd(fov: FovModel, sensor: SensorState, point) -> float:
         return 0.0
     p_theta = fov.p_d_max / (1.0 + math.exp(fov.k_theta * (abs(theta) - fov.theta_max)))
     return p_rho * p_theta
+
+
+def old_wrap(angle: float) -> float:
+    """The wrap before its -pi case was mended: a remainder rounded up to
+    2*pi gives -pi."""
+    return -((-angle + math.pi) % TWO_PI - math.pi)
+
+
+def double_wrap(angle: float) -> float:
+    """Oracle: the old wrap applied twice, as apply_action and SensorState did."""
+    return old_wrap(old_wrap(angle))
+
+
+def bits(values) -> np.ndarray:
+    return np.array(values, dtype=float).view(np.int64)
 
 
 def pd_rows(fov: FovModel, sensor: SensorState, points) -> np.ndarray:
@@ -139,6 +156,22 @@ class TestDetectionProbability:
     def test_empty_input(self):
         assert detection_probabilities(SCEN1_FOV, NORTH, []).shape == (0,)
 
+    @pytest.mark.parametrize("bearing", [math.pi, math.nextafter(-math.pi, 0)])
+    def test_bearing_at_the_seam_matches_scalar(self, bearing):
+        # a sensor facing -y: points ahead, just inside and outside the
+        # sector's edges, and behind it
+        sensor = SensorState(10.0, -20.0, bearing)
+        edge = SCEN1_FOV.theta_max
+        offsets = [0.0, edge - 1e-9, edge + 1e-9, -edge + 1e-9, -edge - 1e-9, math.pi]
+        angles = np.concatenate([np.linspace(-math.pi, math.pi, 721), bearing + np.array(offsets)])
+        rho = np.repeat([0.0, 1.0, 250.0, 499.0], len(angles))
+        theta = np.tile(angles, 4)
+        pts = np.column_stack([sensor.x + rho * np.sin(theta), sensor.y + rho * np.cos(theta)])
+        vec = pd_rows(SCEN1_FOV, sensor, pts)
+        assert (vec > 0.9).any() and (vec == 0.0).any()
+        for p, pt in zip(vec, pts):
+            assert p == pytest.approx(oracle_pd(SCEN1_FOV, sensor, pt), abs=1e-12)
+
 
 class TestMeasurementLikelihood:
     def test_mode_value(self):
@@ -171,6 +204,26 @@ class TestApplyAction:
     def test_bearing_normalization(self):
         out = apply_action(SensorState(0, 0, math.pi), SensorAction(rotation=math.pi / 2))
         assert out.bearing == pytest.approx(-math.pi / 2)
+
+    def test_scenario_1_rotation_chains_equal_double_wrap(self):
+        # every bearing a scenario 1 sensor can reach in one run, one action
+        # per step, is the old double wrap of its unwrapped sum, bit for bit
+        scenario = build_scenario_1()
+        actions = {a for spec in scenario.sensors for a in spec.actions}
+        frontier = {spec.initial_state().bearing for spec in scenario.sensors}
+        seen, single_wrap_gives_minus_pi = set(frontier), 0
+        for _ in range(scenario.duration):
+            reached = set()
+            for bearing in frontier:
+                for action in actions:
+                    total = bearing + action.rotation
+                    after = apply_action(SensorState(0.0, 0.0, bearing), action).bearing
+                    assert after.hex() == double_wrap(total).hex()
+                    single_wrap_gives_minus_pi += old_wrap(total) == -math.pi
+                    reached.add(after)
+            frontier = reached - seen
+            seen |= reached
+        assert len(seen) > 400 and single_wrap_gives_minus_pi > 0
 
 
 class TestPropagate:
@@ -214,3 +267,29 @@ class TestWrapAngle:
         for a in np.linspace(-20, 20, 999):
             w = wrap_angle(a)
             assert -math.pi < w <= math.pi
+
+    def test_remainder_rounded_up_gives_pi(self):
+        angle = math.nextafter(math.pi, 4)
+        assert old_wrap(angle) == -math.pi
+        assert wrap_angle(angle) == math.pi
+        assert SensorState(0, 0, angle).bearing == math.pi
+
+    @staticmethod
+    def check_against_double_wrap(angles):
+        wrapped = [wrap_angle(a) for a in angles]
+        assert all(-math.pi < w <= math.pi for w in wrapped)
+        assert np.array_equal(bits(wrapped), bits([double_wrap(a) for a in angles]))
+        assert np.array_equal(bits(wrapped), bits([wrap_angle(w) for w in wrapped]))
+
+    @pytest.mark.parametrize("center", [0.0, math.pi, TWO_PI, 3 * math.pi])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_ulps_near_multiples_of_pi(self, center, sign):
+        below = above = sign * center
+        angles = [below]
+        for _ in range(3000):
+            below, above = math.nextafter(below, -math.inf), math.nextafter(above, math.inf)
+            angles += [below, above]
+        self.check_against_double_wrap(angles)
+
+    def test_uniform_draws(self):
+        self.check_against_double_wrap(np.random.default_rng(19).uniform(-20, 20, 100_000).tolist())
