@@ -52,6 +52,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if Path(args.out).exists() and not Path(args.out).is_dir():
+            raise ValueError(f"--out {args.out!r} exists and is not a directory")
         scenario = _resolve_scenario(args.scenario)
         runs = args.runs if args.runs is not None else scenario.monte_carlo.runs
         seed = args.seed if args.seed is not None else scenario.monte_carlo.base_seed
@@ -69,7 +71,10 @@ def main(argv=None) -> int:
             f"mean OSPA={mc.mean_ospa:.2f} m, mean OSPA2={mc.mean_ospa2:.2f} m, "
             f"control {mc.mean_control_seconds * 1e3:.1f} ms/sensor/step"
         )
-    paths = export_results(results, args.out)
+    try:
+        paths = export_results(results, args.out)
+    except OSError as exc:
+        raise SystemExit(f"sentrack: error: cannot write the results: {exc}") from None
     print(f"results written to {Path(args.out).resolve()}")
     for name in ("runs", "timesteps", "cardinality", "comm", "timings"):
         print(f"  {paths[name].name}")

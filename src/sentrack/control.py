@@ -301,8 +301,9 @@ class PseudoCache:
         """(component, particle mask) of the owner's components with a particle in center's disk."""
         key = (owner, center)
         if key not in self._disk:
-            d = self.predicted[owner].states[:, :, :2] - center
-            inside = (d[..., 0] ** 2 + d[..., 1] ** 2) <= self.params.exclusion_radius**2
+            states = self.predicted[owner].states
+            dx, dy = states[:, :, 0] - center[0], states[:, :, 1] - center[1]
+            inside = (dx**2 + dy**2) <= self.params.exclusion_radius**2
             ks = np.flatnonzero(inside.any(axis=1)).tolist()
             self._disk[key] = [(k, inside[k]) for k in ks]
         return self._disk[key]

@@ -257,8 +257,7 @@ def _bayes_update(
     if predicted.role != "predicted":
         raise ValueError(f"the update expects a predicted density, got role {predicted.role!r}")
     k, j = predicted.weights.shape
-    positions = predicted.states[:, :, :2].reshape(-1, 2)
-    pd = detection_probabilities(fov, sensor, positions).reshape(k, j)
+    pd = detection_probabilities(fov, sensor, predicted.states[:, :, :2]).reshape(k, j)
     passed = pd.max(axis=1, initial=0.0) <= 1e-12
     r = np.minimum(predicted.existences, EXISTENCE_CEIL)
     miss_p = 1.0 - pd
@@ -270,15 +269,16 @@ def _bayes_update(
     rows = meas = np.empty(0, dtype=np.intp)
     particle_w, det_w = np.empty((0, j)), np.empty(0)
     if len(z):
-        d = z - (predicted.mean_positions() - sensor.position)[:, None, :]
-        gated = ~(np.hypot(d[..., 0], d[..., 1]) > cfg.association_gate) & ~passed[:, None]
+        means = predicted.mean_positions()
+        dx = z[:, 0] - (means[:, 0] - sensor.x)[:, None]
+        dy = z[:, 1] - (means[:, 1] - sensor.y)[:, None]
+        gated = ~(np.hypot(dx, dy) > cfg.association_gate) & ~passed[:, None]
         rows, meas = np.nonzero(gated)
-        positions = positions.reshape(k, j, 2).take(rows, axis=0).reshape(-1, 2)
-        logg = displacement_log_likelihoods(
-            positions, sensor, z.take(meas, axis=0).repeat(j, axis=0), cfg.meas_noise_std
-        )
+        # (G, J) likelihoods of each pair's particles, read from their states
+        pair_states, pair_z = predicted.states.take(rows, axis=0), z.take(meas, axis=0)[:, None]
+        logg = displacement_log_likelihoods(pair_states, sensor, pair_z, cfg.meas_noise_std)
         raw = predicted.weights.take(rows, axis=0) * pd.take(rows, axis=0)
-        raw *= np.exp(logg.reshape(len(rows), j))
+        raw *= np.exp(logg)
         g_sum = raw.sum(axis=1)
         hit = g_sum > 0.0
         if not hit.all():

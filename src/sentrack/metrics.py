@@ -87,10 +87,9 @@ def ospa2(truth_tracks: dict, estimated_tracks: dict, c: float, p: float, window
     y = _window_tracks(estimated_tracks, steps)[:, None, :, :]
     x_present = ~np.isnan(x[..., 0])
     y_present = ~np.isnan(y[..., 0])
-    diff = x - y
     per_step = np.where(
         x_present & y_present,
-        np.minimum(c, np.hypot(diff[..., 0], diff[..., 1])),
+        np.minimum(c, np.hypot(x[..., 0] - y[..., 0], x[..., 1] - y[..., 1])),
         np.where(x_present | y_present, float(c), 0.0),
     )
     # the builtin sum adds the window steps one after another, in step

@@ -4,6 +4,12 @@ Angles are radians everywhere in code; configuration files accept degrees
 and convert at load time.  Bearings are measured from the +y axis, i.e.
 atan2(dx, dy), matching the measurement convention of relative
 (horizontal, vertical) displacement.  Only SensorState wraps a bearing.
+
+Where particle positions meet a point, x and y are handled per axis: an
+(N, 2) array minus a 2-vector makes numpy run one 2-element inner loop per
+row, several times slower than two 1-D subtractions.  Subtraction, squares,
+hypot and arctan2 are elementwise, so both forms give the same bits (the lmb
+docstring says which reductions do).
 """
 
 import math
@@ -120,15 +126,16 @@ def detection_probabilities(
     measurement sets, the active-set rule and the simulated detections all
     evaluate it.  Bearings are atan2(dx, dy) relative to the sensor bearing.
     """
-    d = np.asarray(positions, dtype=float).reshape(-1, 2) - sensor.position
-    rho = np.hypot(d[:, 0], d[:, 1])
+    positions = np.asarray(positions, dtype=float).reshape(-1, 2)
+    dx, dy = positions[:, 0] - sensor.x, positions[:, 1] - sensor.y
+    rho = np.hypot(dx, dy)
     inside = rho <= fov.rho_max
     p_rho = fov.p_d_max / (1.0 + np.exp(np.minimum(fov.k_rho * (rho - fov.rho_max), 500.0)))
     if fov.omnidirectional:
         p = p_rho * fov.p_d_max
     else:
         # |wrap_angle(bearing offset)|, where -pi and pi give the same value
-        theta = np.abs((sensor.bearing - np.arctan2(d[:, 0], d[:, 1]) + math.pi) % TWO_PI - math.pi)
+        theta = np.abs((sensor.bearing - np.arctan2(dx, dy) + math.pi) % TWO_PI - math.pi)
         inside = inside & (theta <= fov.theta_max)
         p_theta = fov.p_d_max / (
             1.0 + np.exp(np.minimum(fov.k_theta * (theta - fov.theta_max), 500.0))
@@ -140,10 +147,15 @@ def detection_probabilities(
 def displacement_log_likelihoods(
     positions: np.ndarray, sensor: SensorState, measurement: np.ndarray, noise_std: float
 ) -> np.ndarray:
-    """Log Gaussian displacement likelihood for each particle position."""
-    err = (positions - sensor.position) - np.asarray(measurement, dtype=float)
+    """Log Gaussian displacement likelihood for each particle position.
+
+    positions holds x, y first on its last axis: (..., 2) positions or (..., 4)
+    states.  measurement is one (2,) displacement or (..., 2), broadcast."""
+    z = np.asarray(measurement, dtype=float)
+    ex = (positions[..., 0] - sensor.x) - z[..., 0]
+    ey = (positions[..., 1] - sensor.y) - z[..., 1]
     var = noise_std**2
-    return -0.5 * np.einsum("ij,ij->i", err, err) / var - math.log(TWO_PI * var)
+    return -0.5 * (ex * ex + ey * ey) / var - math.log(TWO_PI * var)
 
 
 def apply_action(sensor: SensorState, action: SensorAction) -> SensorState:
@@ -161,6 +173,7 @@ def propagate_states(
     out[:, 1] += t * states[:, 3]
     if motion.process_noise_std > 0:
         accel = rng.normal(0.0, motion.process_noise_std, size=(len(out), 2))
-        out[:, :2] += 0.5 * t**2 * accel
-        out[:, 2:] += t * accel
+        for axis in (0, 1):
+            out[:, axis] += 0.5 * t**2 * accel[:, axis]
+            out[:, axis + 2] += t * accel[:, axis]
     return out

@@ -135,3 +135,28 @@ def test_dcd_runs_below_one_rejected_for_every_method(tmp_path, method, dcd_runs
         main(argv + ["--dcd-runs", dcd_runs, "--out", str(out)])
     assert exc.value.code == "sentrack: error: dcd_runs must be >= 1"
     assert not out.exists()
+
+
+def test_existing_file_as_out_rejected_before_simulating(tmp_path, monkeypatch):
+    # it used to run the whole Monte Carlo, then fail in export_results
+    monkeypatch.setattr("sentrack.cli.monte_carlo", lambda *a, **k: pytest.fail("simulated"))
+    out = tmp_path / "out"
+    out.write_text("kept")
+    argv = ["simulate", "--scenario", "1", "--method", "fixed", "--runs", "1", "--steps", "2"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    message = str(exc.value.code)
+    assert message.startswith("sentrack: error: ") and "\n" not in message
+    assert repr(str(out)) in message
+    assert out.read_text() == "kept"
+
+
+def test_os_error_while_writing_reported_in_one_line(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    argv = ["simulate", "--scenario", "1", "--method", "fixed", "--runs", "1", "--steps", "1"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(blocker / "out")])
+    message = str(exc.value.code)
+    assert message.startswith("sentrack: error: cannot write the results: ")
+    assert "\n" not in message and str(blocker / "out") in message

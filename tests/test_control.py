@@ -720,7 +720,29 @@ def all_commands(cache):
     return list(itertools.product(*(range(k) for k in n)))
 
 
+def old_hits(cache, owner, center):
+    """Oracle: PseudoCache._hits from the (K, J, 2) displacements to center."""
+    d = cache.predicted[owner].states[:, :, :2] - center
+    inside = (d[..., 0] ** 2 + d[..., 1] ** 2) <= cache.params.exclusion_radius**2
+    return [(k, inside[k]) for k in np.flatnonzero(inside.any(axis=1)).tolist()]
+
+
 class TestFusedEvaluation:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_disk_hits_match_the_broadcast_form(self, seed):
+        cache = seeded_cache(seed)
+        # every post-action position, and every row's mean so that disks cut clouds
+        centers = {(state.x, state.y) for after in cache.after.values() for state in after}
+        centers |= {tuple(m) for means in cache.predicted_means.values() for m in means.tolist()}
+        partial = 0
+        for owner in cache.predicted:
+            for center in sorted(centers):
+                got, want = cache._hits(owner, center), old_hits(cache, owner, center)
+                assert [k for k, _ in got] == [k for k, _ in want]
+                assert all(np.array_equal(g, w) for (_, g), (_, w) in zip(got, want))
+                partial += sum(0 < mask.sum() < len(mask) for _, mask in got)
+        assert partial > 0
+
     def test_pseudo_components_keep_predicted_particles(self):
         # the in-disk mask is found once per (sensor, center) from the
         # predicted particles: pseudo_update must reweight, never move them

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from sentrack.metrics import ospa, ospa2
+from sentrack.metrics import _assignment_distance, _window_tracks, ospa, ospa2
 
 # Allowed gap between the array OSPA(2) and the loop reference below: float
 # rounding only, the same 1e-9 as the golden gate.
@@ -162,10 +162,26 @@ def ospa2_reference(truth_tracks, estimated_tracks, c, p, window, step):
     return float(((cost + c**p * (m - n)) / m) ** (1.0 / p))
 
 
+def old_ospa2(truth_tracks, estimated_tracks, c, p, window, step):
+    """Oracle: ospa2 with one (W, n, m, 2) difference array."""
+    steps = list(range(step - window + 1, step + 1))
+    x = _window_tracks(truth_tracks, steps)[:, :, None, :]
+    y = _window_tracks(estimated_tracks, steps)[:, None, :, :]
+    x_present = ~np.isnan(x[..., 0])
+    y_present = ~np.isnan(y[..., 0])
+    diff = x - y
+    per_step = np.where(
+        x_present & y_present,
+        np.minimum(c, np.hypot(diff[..., 0], diff[..., 1])),
+        np.where(x_present | y_present, float(c), 0.0),
+    )
+    return _assignment_distance(sum(per_step) / len(steps), c, p)
+
+
 @st.composite
-def track_sets(draw, step):
+def track_sets(draw, step, span=300.0):
     """Tracks with gaps over steps around the window; states of 2 to 4 entries."""
-    coord = st.floats(min_value=0.0, max_value=300.0, allow_nan=False)
+    coord = st.floats(min_value=0.0, max_value=span, allow_nan=False)
     out = {}
     for key in range(draw(st.integers(0, 6))):
         present = draw(st.sets(st.integers(step - 15, step + 2), max_size=18))
@@ -190,3 +206,18 @@ class TestOspa2Oracle:
         est = data.draw(track_sets(step))
         expected = ospa2_reference(truth, est, c, p, window, step)
         assert ospa2(truth, est, c, p, window, step) == pytest.approx(expected, abs=ORACLE_TOL)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        window=st.integers(1, 12),
+        p=st.sampled_from([1.0, 2.0]),
+        c=st.sampled_from([20.0, 100.0]),
+    )
+    def test_matches_broadcast_form_bit_for_bit(self, data, window, p, c):
+        # positions within 30 m, so most distances fall below the cutoff
+        step = 20
+        truth = data.draw(track_sets(step, 30.0))
+        est = data.draw(track_sets(step, 30.0))
+        got = ospa2(truth, est, c, p, window, step)
+        assert got.hex() == old_ospa2(truth, est, c, p, window, step).hex()

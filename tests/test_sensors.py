@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sentrack.scenarios import build_scenario_1
 from sentrack.sensors import (
@@ -51,6 +54,73 @@ def double_wrap(angle: float) -> float:
 
 def bits(values) -> np.ndarray:
     return np.array(values, dtype=float).view(np.int64)
+
+
+def old_detection_probabilities(fov: FovModel, sensor: SensorState, positions) -> np.ndarray:
+    """Oracle: the model with an (N, 2) displacement array, before x and y
+    were handled per axis."""
+    d = np.asarray(positions, dtype=float).reshape(-1, 2) - sensor.position
+    rho = np.hypot(d[:, 0], d[:, 1])
+    inside = rho <= fov.rho_max
+    p_rho = fov.p_d_max / (1.0 + np.exp(np.minimum(fov.k_rho * (rho - fov.rho_max), 500.0)))
+    if fov.omnidirectional:
+        p = p_rho * fov.p_d_max
+    else:
+        theta = np.abs((sensor.bearing - np.arctan2(d[:, 0], d[:, 1]) + math.pi) % TWO_PI - math.pi)
+        inside = inside & (theta <= fov.theta_max)
+        p_theta = fov.p_d_max / (
+            1.0 + np.exp(np.minimum(fov.k_theta * (theta - fov.theta_max), 500.0))
+        )
+        p = p_rho * p_theta
+    return np.where(inside, p, 0.0)
+
+
+def old_displacement_log_likelihoods(positions, sensor, measurement, noise_std) -> np.ndarray:
+    """Oracle: (N, 2) errors reduced by einsum."""
+    err = (positions - sensor.position) - np.asarray(measurement, dtype=float)
+    var = noise_std**2
+    return -0.5 * np.einsum("ij,ij->i", err, err) / var - math.log(TWO_PI * var)
+
+
+def old_propagate_states(motion: MotionModel, states, rng) -> np.ndarray:
+    """Oracle: the noise added to the (N, 2) position and velocity blocks."""
+    t = motion.period
+    out = np.array(states, dtype=float, copy=True)
+    out[:, 0] += t * states[:, 2]
+    out[:, 1] += t * states[:, 3]
+    if motion.process_noise_std > 0:
+        accel = rng.normal(0.0, motion.process_noise_std, size=(len(out), 2))
+        out[:, :2] += 0.5 * t**2 * accel
+        out[:, 2:] += t * accel
+    return out
+
+
+def same_bits(got, expected) -> bool:
+    return np.array_equal(bits(got), bits(expected))
+
+
+coords = st.floats(-2000.0, 2000.0, allow_nan=False)
+# the two bearings at the seam, then any other
+bearings = st.sampled_from([math.pi, math.nextafter(-math.pi, 0)]) | st.floats(-4.0, 4.0)
+sensor_states = st.builds(SensorState, coords, coords, bearings)
+fovs = st.sampled_from([SCEN1_FOV, OMNI_FOV]) | st.builds(
+    FovModel,
+    st.floats(1.0, 3000.0),
+    st.floats(0.01, math.pi),
+    st.floats(0.05, 1.0),
+    st.floats(0.01, 5.0),
+    st.floats(0.5, 50.0),
+)
+
+
+@st.composite
+def point_arrays(draw, columns=2, max_rows=40):
+    """(N, columns) coordinates, some rows NaN when the array holds positions."""
+    n = draw(st.integers(0, max_rows))
+    points = draw(arrays(np.float64, (n, columns), elements=coords))
+    if columns == 2:
+        points[draw(arrays(np.bool_, n))] = np.nan
+    return points
 
 
 def pd_rows(fov: FovModel, sensor: SensorState, points) -> np.ndarray:
@@ -171,6 +241,93 @@ class TestDetectionProbability:
         assert (vec > 0.9).any() and (vec == 0.0).any()
         for p, pt in zip(vec, pts):
             assert p == pytest.approx(oracle_pd(SCEN1_FOV, sensor, pt), abs=1e-12)
+
+
+class TestPerAxisOracle:
+    """The per-axis forms give the bits of the (N, 2) broadcast forms they replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(fov=fovs, sensor=sensor_states, points=point_arrays(), seed=st.integers(0, 2**32 - 1))
+    def test_detection_probabilities(self, fov, sensor, points, seed):
+        # and 100 uniform draws within 1.2 rho_max of the sensor, where the
+        # range sigmoid is off its plateau often enough to show every bit
+        rng = np.random.default_rng(seed)
+        rho, theta = rng.uniform(0.0, 1.2 * fov.rho_max, 100), rng.uniform(-math.pi, math.pi, 100)
+        near = np.column_stack([sensor.x + rho * np.sin(theta), sensor.y + rho * np.cos(theta)])
+        points = np.concatenate([points, near])
+        got = detection_probabilities(fov, sensor, points)
+        assert same_bits(got, old_detection_probabilities(fov, sensor, points))
+
+    @settings(max_examples=100, deadline=None)
+    @given(fov=fovs, sensor=sensor_states, states=arrays(np.float64, (3, 5, 4), elements=coords))
+    def test_detection_probabilities_of_a_strided_view(self, fov, sensor, states):
+        view = states[:, :, :2]
+        assert not view.flags.c_contiguous
+        got = detection_probabilities(fov, sensor, view)
+        assert same_bits(got, old_detection_probabilities(fov, sensor, view))
+
+    @pytest.mark.parametrize("fov", [SCEN1_FOV, OMNI_FOV])
+    @pytest.mark.parametrize(
+        "points",
+        [[], np.zeros((0, 2)), np.array([30.0, 40.0]), [[30.0, 40.0], [-5.0, 7.5]],
+         [[np.nan, np.nan], [1.0, 2.0], [np.nan, 3.0]]],
+        ids=["empty-list", "empty-array", "one-position", "list", "nan-rows"],
+    )
+    @pytest.mark.parametrize("bearing", [math.pi, math.nextafter(-math.pi, 0), 0.7])
+    def test_detection_probabilities_of_each_input_form(self, fov, points, bearing):
+        sensor = SensorState(10.0, -20.0, bearing)
+        got = detection_probabilities(fov, sensor, points)
+        assert same_bits(got, old_detection_probabilities(fov, sensor, points))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        sensor=sensor_states,
+        positions=point_arrays(),
+        measurement=arrays(np.float64, 2, elements=coords),
+        noise_std=st.floats(0.1, 50.0),
+    )
+    def test_displacement_log_likelihoods_of_one_measurement(
+        self, sensor, positions, measurement, noise_std
+    ):
+        got = displacement_log_likelihoods(positions, sensor, measurement, noise_std)
+        want = old_displacement_log_likelihoods(positions, sensor, measurement, noise_std)
+        assert same_bits(got, want)
+        assert same_bits(displacement_log_likelihoods(positions, sensor, list(measurement), noise_std), want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(sensor=sensor_states, data=st.data(), noise_std=st.floats(0.1, 50.0))
+    def test_displacement_log_likelihoods_of_one_measurement_per_row(self, sensor, data, noise_std):
+        positions = data.draw(point_arrays())
+        measurements = data.draw(arrays(np.float64, positions.shape, elements=coords))
+        got = displacement_log_likelihoods(positions, sensor, measurements, noise_std)
+        assert same_bits(got, old_displacement_log_likelihoods(positions, sensor, measurements, noise_std))
+
+    @settings(max_examples=100, deadline=None)
+    @given(sensor=sensor_states, data=st.data(), noise_std=st.floats(0.1, 50.0))
+    def test_displacement_log_likelihoods_of_gated_pairs(self, sensor, data, noise_std):
+        # the update's form: (G, J, 4) states, one (2,) measurement per pair
+        g, j = data.draw(st.integers(0, 4)), data.draw(st.integers(1, 6))
+        states = data.draw(arrays(np.float64, (g, j, 4), elements=coords))
+        z = data.draw(arrays(np.float64, (g, 2), elements=coords))
+        got = displacement_log_likelihoods(states, sensor, z[:, None, :], noise_std)
+        want = old_displacement_log_likelihoods(
+            states[:, :, :2].reshape(-1, 2), sensor, z.repeat(j, axis=0), noise_std
+        )
+        assert got.shape == (g, j) and same_bits(got.ravel(), want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        states=point_arrays(columns=4, max_rows=60),
+        period=st.floats(0.01, 10.0),
+        noise=st.sampled_from([0.0]) | st.floats(0.01, 20.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_propagate_states(self, states, period, noise, seed):
+        motion = MotionModel(period, noise, 0.99)
+        rng, old_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = propagate_states(motion, states, rng)
+        assert same_bits(got, old_propagate_states(motion, states, old_rng))
+        assert rng.bit_generator.state == old_rng.bit_generator.state
 
 
 class TestMeasurementLikelihood:
