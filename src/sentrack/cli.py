@@ -8,7 +8,7 @@ timing sidecar) into the output directory.
 """
 
 import argparse
-import sys
+import os
 from pathlib import Path
 
 from .harness import METHODS, export_results, monte_carlo
@@ -24,6 +24,18 @@ def _resolve_scenario(spec: str):
     if not path.is_file():
         raise ValueError(f"scenario {spec!r} is neither '1', '2' nor a file")
     return load_scenario(path)
+
+
+def _check_out(out: str) -> None:
+    """Reject an --out that cannot hold the results, creating nothing: the
+    first path that exists on the way up from it must be a directory this
+    process may write in and search."""
+    path = Path(out).absolute()
+    existing = next(p for p in (path, *path.parents) if os.path.lexists(p))
+    if not os.path.isdir(existing):
+        raise ValueError(f"--out {out!r}: {str(existing)!r} is not a directory")
+    if not os.access(existing, os.W_OK | os.X_OK):
+        raise ValueError(f"--out {out!r}: {str(existing)!r} is not writable")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -52,8 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if Path(args.out).exists() and not Path(args.out).is_dir():
-            raise ValueError(f"--out {args.out!r} exists and is not a directory")
+        _check_out(args.out)
         scenario = _resolve_scenario(args.scenario)
         runs = args.runs if args.runs is not None else scenario.monte_carlo.runs
         seed = args.seed if args.seed is not None else scenario.monte_carlo.base_seed
@@ -80,6 +91,3 @@ def main(argv=None) -> int:
         print(f"  {paths[name].name}")
     return 0
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -9,7 +9,8 @@ each member sensor's posterior, and control to each sensor's
 pseudo-posterior under the sensor's own hypothesized action.  Existence
 probabilities fuse by one odds rule, existence_odds: the odds of the
 contributors add, in holder order, and the fused existence is
-total / (1 + total); spatial clouds fuse as an odds-weighted mixture.
+total / (1 + total); spatial clouds fuse as an odds-weighted mixture,
+resampled to the common particle count.
 
 fuse_lmb handles a label by its active set A, the holders whose row masks
 are set:
@@ -68,14 +69,15 @@ def compute_active_set(
     return (pd > fov.p_d_threshold).reshape(2, -1).any(axis=0)
 
 
-def fuse_spatial(components, particle_count: int | None = None):
-    """Odds-weighted union of the particle clouds of same-label components.
+def fuse_spatial(components, particle_count: int):
+    """Odds-weighted union of the particle clouds of same-label components,
+    resampled to particle_count equally weighted particles.
 
     Each cloud's weights are scaled by its share of the total existence
     odds, or by an equal share when the total is 0 (every existence is).
-    If particle_count is given the union is resampled to that many equally
-    weighted particles with the deterministic mid-cell offset (so every
-    node computes the identical fusion).  Returns (states, weights).
+    The union is resampled systematically with the deterministic mid-cell
+    offset, so every node computes the identical fusion.  Returns (states,
+    weights).
     """
     components = list(components)
     if not components:
@@ -85,11 +87,8 @@ def fuse_spatial(components, particle_count: int | None = None):
     shares = odds / total if total > 0.0 else np.full(len(odds), 1.0 / len(odds))
     states = np.concatenate([c.states for c in components])
     weights = np.concatenate([c.weights * share for c, share in zip(components, shares)])
-    if particle_count is not None:
-        [idx] = systematic_resample_indices(weights, particle_count, 0.5)
-        states = states[idx].copy()
-        weights = np.full(particle_count, 1.0 / particle_count)
-    return states, weights
+    [idx] = systematic_resample_indices(weights, particle_count, 0.5)
+    return states[idx], np.full(particle_count, 1.0 / particle_count)
 
 
 def fuse_lmb(locals_: Mapping[int, LmbDensity], active: Mapping, floor: float) -> LmbDensity:

@@ -117,7 +117,7 @@ def _select_commands(method, scenario, cache, topology, step, seed, dcd_runs, co
         commands = [
             dcd_sc_select(
                 s,
-                topology.neighbors(s),
+                topology.adjacency[s],
                 cache,
                 runs=dcd_runs,
                 rng=np.random.default_rng([seed, step, s]),

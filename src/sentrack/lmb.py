@@ -25,7 +25,9 @@ import numpy as np
 
 STATE_DIM = 4
 
-VALID_ROLES = ("prior", "predicted", "posterior", "pseudo-posterior", "fused")
+# The stage that made a density: predict, update (and the empty posterior
+# every node starts from), pseudo_update and fuse_lmb.
+VALID_ROLES = ("predicted", "posterior", "pseudo-posterior", "fused")
 
 # Existence probabilities are clamped below 1 before any odds computation
 # so that r / (1 - r) stays finite.
@@ -124,20 +126,8 @@ class LmbDensity:
         """(K, 2) weight-averaged particle position of each row."""
         return row_means(self.weights, self.states[:, :, :2])
 
-    def validate(self, tol: float = 1e-9) -> None:
-        """Raise ValueError unless existences lie in [0, 1] and every row's
-        weights are nonnegative and sum to one.  Shapes, one particle count
-        and unique labels already hold by construction."""
-        if np.any((self.existences < 0.0) | (self.existences > 1.0)):
-            raise ValueError(f"existences {self.existences} outside [0, 1]")
-        if np.any(self.weights < 0.0):
-            raise ValueError("negative particle weight")
-        sums = self.weights.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > tol):
-            raise ValueError(f"row weights sum to {sums}, not 1")
 
-
-def empty_density(timestamp: int, role: str = "prior") -> LmbDensity:
+def empty_density(timestamp: int, role: str) -> LmbDensity:
     return LmbDensity.from_rows((), timestamp, role)
 
 

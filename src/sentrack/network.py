@@ -23,9 +23,6 @@ class Topology:
     components: tuple  # connected components as frozensets, by smallest id
     rounds: dict  # sensor id -> flood rounds to reach its whole component
 
-    def neighbors(self, s: int) -> frozenset:
-        return self.adjacency[s]
-
 
 def _hop_distances(adjacency: Mapping[int, frozenset], origin: int) -> dict:
     """Hop distance from origin to every node of its connected component."""

@@ -8,14 +8,14 @@ dataclass, listed below: a field without a default is a required key, an
 omitted key keeps the field's default, and a value is read by the field's
 annotation (a number, an integer, a list, a string, [x, y] for a pair, a
 mapping for a section and a list of them for a tuple of sections; null is
-none of them, except for a target's death).  A key that names no field, a
-missing required key or a value of another type is rejected with a
-ValueError that names the key and its section.  Four facts are the file's
-own: angles are in degrees, so the fields bearing and theta_max are read
-from bearing_deg and theta_max_deg; an action is {move: [dx, dy],
-rotate_deg}; filter takes no clutter_intensity; and name defaults to
-"custom".  Bearings and rotations are measured clockwise from +y and
-distances are in meters.
+none of them, except for a target's death, and .nan is no number).  A key
+that names no field, a missing required key or a value of another type is
+rejected with a ValueError that names the key and its section.  Four facts
+are the file's own: angles are in degrees, so the fields bearing and
+theta_max are read from bearing_deg and theta_max_deg; an action is
+{move: [dx, dy], rotate_deg}; filter takes no clutter_intensity; and name
+defaults to "custom".  Bearings and rotations are measured clockwise from
++y and distances are in meters.
 
   name, duration, comm_range, clutter_mean (mean clutter count per sensor
                        per step), sensors and targets: ScenarioConfig
@@ -149,11 +149,9 @@ class ScenarioConfig:
             if self.alive(i, step)
         }
 
-    def truth_tracks(self, duration: int | None = None) -> dict:
-        """Target index -> {step: (x, y)} over steps 1..duration (default:
-        the scenario's), for targets alive in any of them."""
-        if duration is None:
-            duration = self.duration
+    def truth_tracks(self, duration: int) -> dict:
+        """Target index -> {step: (x, y)} over steps 1..duration, for
+        targets alive in any of them."""
         if duration < 1:
             raise ValueError("duration must be >= 1")
         tracks = {}
@@ -360,10 +358,12 @@ _KINDS = {float: ((int, float), "a number"), int: (int, "an integer"), list: (li
 
 
 def _get(d: dict, key: str, section: str, kind=float, default=None):
-    """d[key] (or default when absent) as kind: float, int, list or str."""
+    """d[key] (or default when absent) as kind: float, int, list or str.
+    NaN is no number here: a range check such as x <= 0 would pass it."""
     value = d.get(key, default)
     types, name = _KINDS[kind]
-    if isinstance(value, types) and not isinstance(value, bool):
+    nan = isinstance(value, float) and math.isnan(value)
+    if isinstance(value, types) and not isinstance(value, bool) and not nan:
         return kind(value)
     raise ValueError(f"{key!r} in scenario section {section!r} must be {name}, not {value!r}")
 

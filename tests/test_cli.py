@@ -151,12 +151,37 @@ def test_existing_file_as_out_rejected_before_simulating(tmp_path, monkeypatch):
     assert out.read_text() == "kept"
 
 
-def test_os_error_while_writing_reported_in_one_line(tmp_path):
+def test_out_under_a_regular_file_rejected_before_simulating(tmp_path, monkeypatch):
+    # it used to run the whole Monte Carlo, then fail to make the directory
+    monkeypatch.setattr("sentrack.cli.monte_carlo", lambda *a, **k: pytest.fail("simulated"))
     blocker = tmp_path / "file"
-    blocker.write_text("")
+    blocker.write_text("kept")
+    out = blocker / "sub" / "out"
+    argv = ["simulate", "--scenario", "1", "--method", "fixed", "--runs", "1", "--steps", "2"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(out)])
+    message = str(exc.value.code)
+    assert message.startswith("sentrack: error: ") and "\n" not in message
+    assert repr(str(out)) in message and f"{str(blocker)!r} is not a directory" in message
+    assert blocker.read_text() == "kept"
+
+
+def test_os_error_while_writing_reported_in_one_line(tmp_path):
+    # --out passes the up-front check, but runs.csv cannot be opened
+    out = tmp_path / "out"
+    (out / "runs.csv").mkdir(parents=True)
     argv = ["simulate", "--scenario", "1", "--method", "fixed", "--runs", "1", "--steps", "1"]
     with pytest.raises(SystemExit) as exc:
-        main(argv + ["--out", str(blocker / "out")])
+        main(argv + ["--out", str(out)])
     message = str(exc.value.code)
     assert message.startswith("sentrack: error: cannot write the results: ")
-    assert "\n" not in message and str(blocker / "out") in message
+    assert "\n" not in message and str(out / "runs.csv") in message
+
+
+def test_nan_in_scenario_file_rejected_in_one_line(tmp_path):
+    d = scenario_to_dict(build_scenario_1())
+    d["comm_range"] = float("nan")
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(d))
+    message = _rejected_in_one_line(tmp_path, path)
+    assert "'comm_range' in scenario section 'top level' must be a number, not nan" in message

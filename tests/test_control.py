@@ -24,7 +24,7 @@ from sentrack.control import (
     void_probability,
 )
 from sentrack.filtering import FilterConfig, pseudo_update
-from sentrack.fusion import compute_active_set, existence_odds, fuse_lmb, fuse_spatial
+from sentrack.fusion import compute_active_set, existence_odds, fuse_lmb
 from sentrack.lmb import Component, Label, LmbDensity, empty_density
 from sentrack.sensors import FovModel, SensorAction, SensorState, apply_action
 
@@ -686,6 +686,15 @@ def odds_add(existences):
     return total / (1.0 + total)
 
 
+def odds_weighted_union(components):
+    """The union of same-label clouds that fuse_spatial resamples: each
+    cloud's weights scaled by its share of the existence odds."""
+    odds = existence_odds(np.array([c.existence for c in components]))
+    states = np.concatenate([c.states for c in components])
+    weights = np.concatenate([c.weights * share for c, share in zip(components, odds / odds.sum())])
+    return states, weights
+
+
 WIDE_FOV = FovModel(rho_max=120.0, theta_max=math.pi, p_d_max=0.99, k_rho=0.5, k_theta=20.0)
 
 
@@ -774,7 +783,7 @@ class TestFusedEvaluation:
                 comps = [comp_of(cache.pseudo(s, cmd[s]), label) for s in sorted(active[label])]
                 r = odds_add([c.existence for c in comps])
                 assert fe.existences[label] == pytest.approx(r, abs=1e-12)
-                union.append(Component(label, r, *fuse_spatial(comps)))
+                union.append(Component(label, r, *odds_weighted_union(comps)))
             assert list(fe.existences) == sorted(active)
             expected = max(
                 enumerated_psi(union, cache.after[s][a], rho)

@@ -258,7 +258,7 @@ class TestPseudoUpdate:
 class TestBayesCore:
     # update and pseudo_update run one Bayes core; update alone appends births
 
-    @pytest.mark.parametrize("role", ["prior", "posterior", "pseudo-posterior", "fused"])
+    @pytest.mark.parametrize("role", ["posterior", "pseudo-posterior", "fused"])
     def test_density_not_predicted_is_rejected(self, role):
         pred = dataclasses.replace(predicted_density([cloud((0, 300), 0.6)]), role=role)
         with pytest.raises(ValueError, match="expects a predicted density"):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from density_checks import validate
 from sentrack import fusion
 from sentrack.fusion import (
     associate_labels,
@@ -92,39 +93,54 @@ class TestFuseExistence:
         assert fused_existence(rs) == total / (1.0 + total)
 
 
+def drawn_per_cloud(states, comps):
+    """How many of the resampled particles each cloud gave, matching each
+    particle to the clouds that hold it."""
+    return [int((states[:, None] == c.states).all(axis=2).any(axis=1).sum()) for c in comps]
+
+
 class TestFuseSpatial:
+    # fuse_spatial resamples the odds-weighted union, so each claim is read
+    # off the resampled particles: systematic resampling draws from a cloud
+    # within one of its mass times the count
+
     def test_identical_clouds_preserved(self):
         a = cloud((0, 0), 0.5, seed=1)
         b = Component(a.label, 0.5, a.states.copy(), a.weights.copy())
-        states, weights = fuse_spatial([a, b])
+        states, weights = fuse_spatial([a, b], 100)
         assert weights.sum() == pytest.approx(1.0, abs=1e-9)
-        # both halves carry equal mass over the same atoms
-        assert np.allclose(weights[:50] + weights[50:], a.weights)
+        # both halves carry equal mass over the same atoms: each atom is
+        # drawn within one of its mass in a times the count
+        copies = (states[:, None] == a.states).all(axis=2).sum(axis=0)
+        assert copies.sum() == 100 and np.all(np.abs(copies - 100 * a.weights) <= 1)
 
-    def test_odds_weighted_mass(self):
-        a = cloud((0, 0), 0.9, seed=1)
-        b = cloud((100, 100), 0.1, seed=2)
-        states, weights = fuse_spatial([a, b])
-        share = weights[:50].sum()
-        assert share == pytest.approx(9.0 / (9.0 + 1.0 / 9.0), abs=1e-9)
+    @given(st.lists(unit_prob, min_size=1, max_size=4))
+    @settings(max_examples=100, deadline=None)
+    def test_odds_weighted_mass(self, rs):
+        comps = [cloud((100 * i, 0), r, seed=i) for i, r in enumerate(rs)]
+        states, weights = fuse_spatial(comps, 120)
+        odds = np.array([r / (1.0 - r) for r in rs])
+        shares = odds / odds.sum() if odds.sum() > 0 else np.full(len(rs), 1.0 / len(rs))
+        drawn = drawn_per_cloud(states, comps)
+        assert sum(drawn) == 120
+        assert np.all(np.abs(np.array(drawn) - 120 * shares) <= 1)
 
     def test_single_cloud_identity(self):
         a = cloud((3, 4), 0.7)
-        states, weights = fuse_spatial([a])
+        states, weights = fuse_spatial([a], len(a.weights))
         assert np.array_equal(states, a.states)
         assert np.allclose(weights, a.weights)
 
     def test_zero_odds_share_equally(self):
         a = cloud((0, 0), 0.0, seed=1)
         b = cloud((100, 100), 0.0, seed=2)
-        states, weights = fuse_spatial([a, b])
-        assert np.array_equal(states, np.concatenate([a.states, b.states]))
-        assert np.array_equal(weights, np.concatenate([a.weights, b.weights]) / 2.0)
+        states, weights = fuse_spatial([a, b], 50)
+        assert drawn_per_cloud(states, [a, b]) == [25, 25]
 
     def test_resampled_output_size(self):
         a = cloud((0, 0), 0.6, seed=1)
         b = cloud((1, 1), 0.6, seed=2)
-        states, weights = fuse_spatial([a, b], particle_count=80)
+        states, weights = fuse_spatial([a, b], 80)
         assert states.shape == (80, 4)
         assert np.allclose(weights, 1.0 / 80)
 
@@ -291,7 +307,7 @@ class TestFuseLmb:
             2: density([cloud((i * 30, 300), 0.7, labels[i], seed=5 + i) for i in range(3)]),
         }
         fused = fuse_lmb(locals_, masks(locals_, 1, 2), 0.0)
-        fused.validate()
+        validate(fused)
         assert fused.labels == tuple(labels)
         assert fused.states.shape == (3, 50, 4)
 

@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from density_checks import validate
 from sentrack import fusion, harness
 from sentrack.fusion import existence_odds
 from sentrack.harness import METHODS, ControlContext, run_single
@@ -138,7 +139,7 @@ def test_every_density_stays_valid(monkeypatch, scenario, method):
         def checked(*args, **kwargs):
             result = check(original, *args, **kwargs)
             for density in result.values() if isinstance(result, dict) else [result]:
-                density.validate()
+                validate(density)
             seen[name] += 1
             return result
 
@@ -212,33 +213,72 @@ def test_labels_below_reach_skip_fusion_without_changing_results(monkeypatch, sc
 
 
 def test_export_results_writes_the_pinned_csv_format(tmp_path):
-    # one run of two steps and two messages: every column, in order, and
-    # floats by repr, so a renamed or reordered column fails here
-    steps = [
-        harness.StepRecord(1, 2, 1.5, 12.25, 0.1, 60, 3, (0, 1), [1, 2]),
-        harness.StepRecord(2, 3, 2.0, 8.0, 0.30000000000000004, 44, 0, (2, 0), [2, 2]),
+    # two methods (not in name order) of two runs of two steps: every
+    # column, in order, floats by repr, rows by method, run and step, and
+    # the cardinality trace as the mean over runs, so a renamed or
+    # reordered column or row fails here
+    def run(method, index, card_est, ospa, comm):
+        steps = [
+            harness.StepRecord(1, 2, card_est[0], ospa[0], 0.1, 60, 3, (0, 1), [1, 2]),
+            harness.StepRecord(2, 3, card_est[1], ospa[1], 0.30000000000000004, 44, 0, (2, 0), [2]),
+        ]
+        control = 0.5 / (1 + index)
+        return harness.RunResult(method, index, 17 + index, steps, 10.125 + index, 0.2, control, comm)
+
+    results = [
+        harness.MonteCarloResult("fdcd", "scenario-1", [
+            run("fdcd", 0, (0.1, 2.0), (12.25, 8.0),
+                [CommLogEntry(1, 0, 0, 36, 1), CommLogEntry(2, 1, 1, 44, 2)]),
+            run("fdcd", 1, (0.2, 0.2), (4.0, 6.5), [CommLogEntry(1, 1, 0, 36, 0)]),
+        ]),
+        harness.MonteCarloResult("dcd", "scenario-1", [
+            run("dcd", 0, (1.0, 3.0), (7.5, 9.0), []),
+            run("dcd", 1, (2.0, 2.5), (1.0, 2.0), [CommLogEntry(2, 0, 0, 44, 3)]),
+        ]),
     ]
-    comm = [CommLogEntry(1, 0, 0, 36, 1), CommLogEntry(2, 1, 1, 44, 2)]
-    run = harness.RunResult("dcd", 0, 17, steps, 10.125, 0.2, 0.5, comm)
-    paths = harness.export_results([harness.MonteCarloResult("dcd", "scenario-1", [run])], tmp_path)
+    paths = harness.export_results(results, tmp_path)
     expected = {
-        "runs": "method,run,seed,mean_ospa,mean_ospa2\r\ndcd,0,17,10.125,0.2\r\n",
+        "runs": (
+            "method,run,seed,mean_ospa,mean_ospa2\r\n"
+            "fdcd,0,17,10.125,0.2\r\n"
+            "fdcd,1,18,11.125,0.2\r\n"
+            "dcd,0,17,10.125,0.2\r\n"
+            "dcd,1,18,11.125,0.2\r\n"
+        ),
         "timesteps": (
             "method,run,step,card_truth,card_est,ospa,ospa2,bytes,control_iterations\r\n"
-            "dcd,0,1,2,1.5,12.25,0.1,60,3\r\n"
-            "dcd,0,2,3,2.0,8.0,0.30000000000000004,44,0\r\n"
+            "fdcd,0,1,2,0.1,12.25,0.1,60,3\r\n"
+            "fdcd,0,2,3,2.0,8.0,0.30000000000000004,44,0\r\n"
+            "fdcd,1,1,2,0.2,4.0,0.1,60,3\r\n"
+            "fdcd,1,2,3,0.2,6.5,0.30000000000000004,44,0\r\n"
+            "dcd,0,1,2,1.0,7.5,0.1,60,3\r\n"
+            "dcd,0,2,3,3.0,9.0,0.30000000000000004,44,0\r\n"
+            "dcd,1,1,2,2.0,1.0,0.1,60,3\r\n"
+            "dcd,1,2,3,2.5,2.0,0.30000000000000004,44,0\r\n"
         ),
-        "cardinality": "method,step,card_truth,card_est_mean\r\ndcd,1,2,1.5\r\ndcd,2,3,2.0\r\n",
+        "cardinality": (
+            "method,step,card_truth,card_est_mean\r\n"
+            "fdcd,1,2,0.15000000000000002\r\n"
+            "fdcd,2,3,1.1\r\n"
+            "dcd,1,2,1.5\r\n"
+            "dcd,2,3,2.75\r\n"
+        ),
         "comm": (
             "method,run,step,origin,sequence,bytes,rounds\r\n"
-            "dcd,0,1,0,0,36,1\r\n"
-            "dcd,0,2,1,1,44,2\r\n"
+            "fdcd,0,1,0,0,36,1\r\n"
+            "fdcd,0,2,1,1,44,2\r\n"
+            "fdcd,1,1,1,0,36,0\r\n"
+            "dcd,1,2,0,0,44,3\r\n"
         ),
     }
     for name, text in expected.items():
         assert paths[name].read_bytes() == text.encode()
     timings = json.loads(paths["timings"].read_text())
-    assert list(timings) == ["dcd"]
-    assert list(timings["dcd"]) == ["control_seconds_per_sensor", "mean_control_seconds_per_sensor"]
-    assert timings["dcd"]["control_seconds_per_sensor"] == [0.5]
-    assert timings["dcd"]["mean_control_seconds_per_sensor"] == 0.5
+    assert list(timings) == ["fdcd", "dcd"]
+    for method in timings:
+        assert timings[method] == {
+            "control_seconds_per_sensor": [0.5, 0.25],
+            "mean_control_seconds_per_sensor": 0.375,
+        }
+        assert list(timings[method]) == ["control_seconds_per_sensor",
+                                         "mean_control_seconds_per_sensor"]

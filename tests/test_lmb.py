@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from density_checks import validate
 from sentrack.lmb import (
     Component,
     Label,
@@ -66,7 +67,7 @@ class TestEapCardinality:
         assert eap_cardinality(density([0.9, 0.8, 0.3])) == pytest.approx(2.0)
 
     def test_empty(self):
-        assert eap_cardinality(empty_density(0)) == 0.0
+        assert eap_cardinality(empty_density(0, "posterior")) == 0.0
 
     def test_certain(self):
         assert eap_cardinality(density([1.0])) == pytest.approx(1.0)
@@ -208,7 +209,7 @@ class TestPrune:
         assert [c.existence for c in out.components] == [0.9, 0.8]
 
     def test_empty(self):
-        out = prune(empty_density(0), 0.1, 5)
+        out = prune(empty_density(0, "posterior"), 0.1, 5)
         assert out.components == ()
 
     def test_bad_floor(self):
@@ -231,21 +232,23 @@ class TestDensityInvariants:
     @pytest.mark.parametrize("states,weights", [((1, 3, 4), (1, 2)), ((1, 4), (1,))])
     def test_inconsistent_arrays_rejected(self, states, weights):
         with pytest.raises(ValueError, match="inconsistent"):
-            LmbDensity([Label(0, 0, 0)], [0.5], np.zeros(states), np.ones(weights), 0, "prior")
+            LmbDensity([Label(0, 0, 0)], [0.5], np.zeros(states), np.ones(weights), 0, "posterior")
 
     @pytest.mark.parametrize(
         "existence,weights",
         [(1.5, [0.5, 0.5]), (-0.1, [0.5, 0.5]), (0.5, [0.7, 0.7]), (0.5, [1.5, -0.5])],
     )
     def test_validate_rejects_bad_values(self, existence, weights):
+        # validate is the test helper that the density checks of other tests use
         d = rows(comp(existence, [0.0, 1.0], weights=weights))
         with pytest.raises(ValueError):
-            d.validate()
-        rows(comp(0.5, [0.0, 1.0])).validate()
+            validate(d)
+        validate(rows(comp(0.5, [0.0, 1.0])))
 
-    def test_bad_role_rejected(self):
-        with pytest.raises(ValueError):
-            empty_density(0, role="nonsense")
+    @pytest.mark.parametrize("role", ["nonsense", "prior"])
+    def test_bad_role_rejected(self, role):
+        with pytest.raises(ValueError, match="unknown role"):
+            empty_density(0, role)
 
     @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=0, max_size=8))
     @settings(max_examples=50, deadline=None)

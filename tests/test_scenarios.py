@@ -321,6 +321,32 @@ class TestRejectedAtLoad:
             scenario_from_dict(d)
         assert f"{key!r} in scenario section {section!r} must be" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "path,key,value,section",
+        [
+            ((), "comm_range", math.nan, "top level"),
+            (("filter",), "association_gate", math.nan, "filter"),
+            (("sensors", 0, "fov"), "rho_max", math.nan, "sensors[0].fov"),
+            (("targets", 0), "position", [math.nan, 1000.0], "targets[0]"),
+        ],
+    )
+    def test_nan_in_a_file_names_section_and_key(self, tmp_path, path, key, value, section):
+        # range checks such as comm_range <= 0 let NaN through: the run then
+        # isolated every sensor or moved OSPA, and exited 0
+        d = scenario_to_dict(build_scenario_1())
+        node = d
+        for k in path:
+            node = node[k]
+        node[key] = value
+        file = tmp_path / "scenario.yaml"
+        file.write_text(yaml.safe_dump(d))
+        assert ".nan" in file.read_text()
+        with pytest.raises(ValueError) as err:
+            load_scenario(file)
+        message = str(err.value)
+        assert f"{key!r} in scenario section {section!r} must be" in message
+        assert "nan" in message and "\n" not in message
+
     def test_integers_load_as_numbers(self):
         d = scenario_to_dict(build_scenario_1())
         d["motion"]["period"], d["sensors"][0]["bearing_deg"], d["comm_range"] = 2, 45, 800
@@ -357,8 +383,8 @@ class TestStepPeriod:
         with pytest.raises(ValueError, match="duration"):
             build_scenario_1().truth_tracks(duration)
 
-    def test_truth_tracks_default_to_scenario_duration(self):
+    def test_truth_tracks_end_at_the_given_duration(self):
         cfg = build_scenario_1()
-        tracks = cfg.truth_tracks()
-        assert max(max(track) for track in tracks.values()) == cfg.duration
-        assert tracks == cfg.truth_tracks(cfg.duration)
+        for duration in (cfg.duration, 7):
+            tracks = cfg.truth_tracks(duration)
+            assert max(max(track) for track in tracks.values()) == duration
