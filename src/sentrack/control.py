@@ -155,19 +155,18 @@ def _best_own_action(
 ) -> tuple:
     """Exhaustive search over one sensor's actions with the others fixed.
 
-    Each action a is scored once, as evaluate(node, latest with a at
-    position).  Returns the best (action, score), ties going to the lowest
-    action index; when every score is -inf (every candidate infeasible),
-    the stay action (index 0) with score -inf.
+    Each action a is scored once, in index order, as evaluate(node, latest
+    with a at position).  Returns the first maximum (action, score), so
+    ties go to the lowest action index, and when every score is -inf
+    (every candidate infeasible), the stay action (index 0) with -inf.
     """
-    best_action, best_score = 0, NEG_INF
+    scores = []
     for a in range(n_actions):
         candidate = latest.copy()
         candidate[position] = a
-        score = evaluate(node, tuple(candidate))
-        if score > best_score:
-            best_action, best_score = a, score
-    return best_action, best_score
+        scores.append(evaluate(node, tuple(candidate)))
+    best = max(scores)
+    return scores.index(best), best
 
 
 def run_flooded_descent(

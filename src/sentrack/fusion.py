@@ -30,7 +30,13 @@ from typing import Mapping
 
 import numpy as np
 
-from .lmb import EXISTENCE_CEIL, LmbDensity, connected_groups, systematic_resample_indices
+from .lmb import (
+    EXISTENCE_CEIL,
+    LmbDensity,
+    connected_groups,
+    ranked_rows,
+    systematic_resample_indices,
+)
 from .sensors import FovModel, SensorState, detection_probabilities
 
 
@@ -169,13 +175,11 @@ def associate_labels(
     A label is "fresh" if born at current_step or the step before.  Every
     fresh label is merged onto the nearest label of a different origin
     sensor within merge_distance (lowest label wins); established labels
-    are left alone.  Deterministic.
+    are left alone.  Where rows of one density map onto one canonical
+    label, the first in ranked_rows order is kept.  Returns every density
+    with its rows in label order.  Deterministic.
     """
-    densities = dict(locals_)
-    if not densities:
-        return {}
-
-    positions = _label_positions(densities)
+    positions = _label_positions(locals_)
     labels = sorted(positions)
     xy = np.array([positions[l] for l in labels]).reshape(-1, 2)
     fresh = np.array([l.birth_time >= current_step - 1 for l in labels], dtype=bool)
@@ -190,24 +194,16 @@ def associate_labels(
         if near.size:
             # first minimum in sorted label order: ties go to the lower label
             merges.append((i, int(near[np.argmin(d[near])])))
-    if not merges:
-        return densities
 
     # canonical is the smallest label of each merged group
     mapping = {labels[i]: labels[group[0]] for group in connected_groups(len(labels), merges)
                for i in group}
 
     out = {}
-    for s, density in densities.items():
-        existences = density.existences.tolist()
+    for s, density in locals_.items():
         merged = {}  # canonical label -> row
-        for k, label in enumerate(density.labels):
-            canon = mapping[label]
-            prev = merged.get(canon)
-            # on a within-density collision keep the higher existence,
-            # breaking ties by the smaller original label
-            if prev is None or (-existences[k], label) < (-existences[prev], density.labels[prev]):
-                merged[canon] = k
+        for k in ranked_rows(density):
+            merged.setdefault(mapping[density.labels[k]], k)
         order = sorted(merged)
         out[s] = replace(density.take([merged[c] for c in order]), labels=tuple(order))
     return out

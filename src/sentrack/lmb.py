@@ -5,12 +5,15 @@ probability and a weighted particle cloud over the planar constant-velocity
 state [x, y, vx, vy].  This module owns the layout: the K components are
 rows of dense arrays, labels (K unique labels), existences (K,), states
 (K, J, 4) and weights (K, J), so every component has the same particle
-count J.  Row order is build order: prediction and update keep it, births
-follow the predicted rows, and fusion and label association emit rows in
-label order.  A sum over the contiguous last axis, such as the row sums of
-a (K, J) array, gives the bits of the per-row sums.  A reduction over the
-middle J axis of (K, J, D), by einsum or (a * b).sum(axis=1), does not
-give the bits of each row's w @ values, so row_means uses np.matmul.
+count J.  Every density the simulator builds lists its rows in label
+order: prediction, update, resampling and prune keep row order; births
+follow the predicted rows by ascending index and are labeled with the
+current step, so they sort after every older label; and fusion and label
+association emit rows in label order.  A sum over the contiguous last
+axis, such as the row sums of a (K, J) array, gives the bits of the
+per-row sums.  A reduction over the middle J axis of (K, J, D), by einsum
+or (a * b).sum(axis=1), does not give the bits of each row's w @ values,
+so row_means uses np.matmul.
 
 Densities are immutable snapshots: operations return new values and never
 mutate their inputs, though a result may share an input's arrays (a

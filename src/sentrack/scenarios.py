@@ -8,14 +8,15 @@ dataclass, listed below: a field without a default is a required key, an
 omitted key keeps the field's default, and a value is read by the field's
 annotation (a number, an integer, a list, a string, [x, y] for a pair, a
 mapping for a section and a list of them for a tuple of sections; null is
-none of them, except for a target's death, and .nan is no number).  A key
-that names no field, a missing required key or a value of another type is
-rejected with a ValueError that names the key and its section.  Four facts
-are the file's own: angles are in degrees, so the fields bearing and
-theta_max are read from bearing_deg and theta_max_deg; an action is
-{move: [dx, dy], rotate_deg}; filter takes no clutter_intensity; and name
-defaults to "custom".  Bearings and rotations are measured clockwise from
-+y and distances are in meters.
+none of them, except for a target's death, and neither .nan nor .inf is a
+number, so a fully connected network takes a comm_range larger than the
+region).  A key that names no field, a missing required key or a value of
+another type is rejected with a ValueError that names the key and its
+section.  Four facts are the file's own: angles are in degrees, so the
+fields bearing and theta_max are read from bearing_deg and theta_max_deg;
+an action is {move: [dx, dy], rotate_deg}; filter takes no
+clutter_intensity; and name defaults to "custom".  Bearings and rotations
+are measured clockwise from +y and distances are in meters.
 
   name, duration, comm_range, clutter_mean (mean clutter count per sensor
                        per step), sensors and targets: ScenarioConfig
@@ -359,11 +360,11 @@ _KINDS = {float: ((int, float), "a number"), int: (int, "an integer"), list: (li
 
 def _get(d: dict, key: str, section: str, kind=float, default=None):
     """d[key] (or default when absent) as kind: float, int, list or str.
-    NaN is no number here: a range check such as x <= 0 would pass it."""
+    NaN and inf are no number here: a range check such as x <= 0 passes them."""
     value = d.get(key, default)
     types, name = _KINDS[kind]
-    nan = isinstance(value, float) and math.isnan(value)
-    if isinstance(value, types) and not isinstance(value, bool) and not nan:
+    finite = not isinstance(value, float) or math.isfinite(value)
+    if isinstance(value, types) and not isinstance(value, bool) and finite:
         return kind(value)
     raise ValueError(f"{key!r} in scenario section {section!r} must be {name}, not {value!r}")
 

@@ -185,3 +185,15 @@ def test_nan_in_scenario_file_rejected_in_one_line(tmp_path):
     path.write_text(yaml.safe_dump(d))
     message = _rejected_in_one_line(tmp_path, path)
     assert "'comm_range' in scenario section 'top level' must be a number, not nan" in message
+
+
+@pytest.mark.parametrize("value,shown", [(float("inf"), "inf"), (float("-inf"), "-inf")])
+def test_infinity_in_scenario_file_rejected_in_one_line(tmp_path, value, shown):
+    # .inf used to load, and the run then stopped mid-way with numpy's
+    # "lam value too large"; now nothing is simulated or written
+    d = scenario_to_dict(build_scenario_1())
+    d["clutter_mean"] = value
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(d))
+    message = _rejected_in_one_line(tmp_path, path)
+    assert f"'clutter_mean' in scenario section 'top level' must be a number, not {shown}" in message

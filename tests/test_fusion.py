@@ -372,7 +372,7 @@ class TestAssociateLabels:
         a = Label(5, 0, 0)
         locals_ = {0: density([cloud((0, 0), 0.8, a)], timestamp=5)}
         out = associate_labels(locals_, 10.0, current_step=5)
-        assert out[0] is locals_[0]
+        assert_same_densities(out, locals_)
 
     def test_fresh_birth_adopts_established_track(self):
         established = Label(1, 0, 0)
@@ -558,5 +558,4 @@ class TestAssociateLabelsOracle:
             1: density([point(Label(2, 0, 1), (0, 0), 0.9)], timestamp=30),
         }
         out = associate_labels(locals_, 10.0, current_step=30)
-        assert out == locals_
-        assert all(out[s] is locals_[s] for s in locals_)
+        assert_same_densities(out, locals_)

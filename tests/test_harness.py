@@ -9,7 +9,7 @@ from density_checks import validate
 from sentrack import fusion, harness
 from sentrack.fusion import existence_odds
 from sentrack.harness import METHODS, ControlContext, run_single
-from sentrack.lmb import prune
+from sentrack.lmb import LmbDensity, prune
 from sentrack.network import CommLogEntry, message_cost
 from sentrack.scenarios import build_scenario_1, build_scenario_2
 
@@ -130,15 +130,28 @@ def _equal_rows(a, rows_a, b, rows_b):
 @pytest.mark.parametrize("scenario,method", [(n, m) for n in (1, 2) for m in METHODS])
 def test_every_density_stays_valid(monkeypatch, scenario, method):
     # wrap the density stages where the harness looks them up, as the
-    # benchmark tracer does, and check every result of a golden run
+    # benchmark tracer does, and check every density of a golden run that
+    # goes in or comes out: each is valid and lists its labels in ascending
+    # order, which association's single path relies on to keep row order
     seen = Counter()
+
+    def in_label_order(values, where):
+        """The densities among values and the values of dicts among them,
+        each checked to list its labels in ascending order."""
+        found = [d for v in values for d in (v.values() if isinstance(v, dict) else [v])
+                 if isinstance(d, LmbDensity)]
+        for density in found:
+            assert list(density.labels) == sorted(density.labels), where
+        seen[where] += len(found)
+        return found
 
     def wrap(name, check):
         original = harness.__dict__[name]
 
         def checked(*args, **kwargs):
+            in_label_order([*args, *kwargs.values()], f"{name} in")
             result = check(original, *args, **kwargs)
-            for density in result.values() if isinstance(result, dict) else [result]:
+            for density in in_label_order([result], f"{name} out"):
                 validate(density)
             seen[name] += 1
             return result
@@ -177,7 +190,8 @@ def test_every_density_stays_valid(monkeypatch, scenario, method):
     build = build_scenario_1 if scenario == 1 else build_scenario_2
     run_single(build(), method, seed=20260810, duration=8)
     assert seen["update"] == seen["resample_component"] > 0 and seen["passed rows"] > 0
-    assert all(seen[name] for name in ("predict", "prune", "associate_labels", "fuse_lmb"))
+    stages = ("predict", "update", "resample_component", "prune", "associate_labels", "fuse_lmb")
+    assert all(seen[f"{name} in"] and seen[f"{name} out"] for name in stages)
 
 
 @pytest.mark.parametrize("scenario", [1, 2])

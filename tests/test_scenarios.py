@@ -321,31 +321,39 @@ class TestRejectedAtLoad:
             scenario_from_dict(d)
         assert f"{key!r} in scenario section {section!r} must be" in str(err.value)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
-        "path,key,value,section",
+        "path,key,section",
         [
-            ((), "comm_range", math.nan, "top level"),
-            (("filter",), "association_gate", math.nan, "filter"),
-            (("sensors", 0, "fov"), "rho_max", math.nan, "sensors[0].fov"),
-            (("targets", 0), "position", [math.nan, 1000.0], "targets[0]"),
+            ((), "comm_range", "top level"),
+            ((), "clutter_mean", "top level"),
+            (("filter",), "association_gate", "filter"),
+            (("filter",), "meas_noise_std", "filter"),
+            (("sensors", 0, "fov"), "rho_max", "sensors[0].fov"),
+            (("motion",), "period", "motion"),
+            (("objective",), "exclusion_radius", "objective"),
+            (("metric",), "ospa_cutoff", "metric"),
+            (("targets", 0), "position", "targets[0]"),
         ],
     )
-    def test_nan_in_a_file_names_section_and_key(self, tmp_path, path, key, value, section):
-        # range checks such as comm_range <= 0 let NaN through: the run then
-        # isolated every sensor or moved OSPA, and exited 0
+    def test_non_finite_in_a_file_names_section_and_key(self, tmp_path, path, key, section, value):
+        # range checks such as comm_range <= 0 let NaN and infinities
+        # through: the run then isolated every sensor, moved OSPA, stopped
+        # mid-way (clutter_mean, ospa_cutoff) or gave no estimate (period)
         d = scenario_to_dict(build_scenario_1())
         node = d
         for k in path:
             node = node[k]
-        node[key] = value
+        node[key] = [value, 1000.0] if key == "position" else value
         file = tmp_path / "scenario.yaml"
         file.write_text(yaml.safe_dump(d))
-        assert ".nan" in file.read_text()
+        assert {"nan": ".nan", "inf": ".inf", "-inf": "-.inf"}[repr(value)] in file.read_text()
         with pytest.raises(ValueError) as err:
             load_scenario(file)
         message = str(err.value)
-        assert f"{key!r} in scenario section {section!r} must be" in message
-        assert "nan" in message and "\n" not in message
+        number = "two numbers" if key == "position" else "a number"
+        assert f"{key!r} in scenario section {section!r} must be {number}, not " in message
+        assert repr(value) in message and "\n" not in message
 
     def test_integers_load_as_numbers(self):
         d = scenario_to_dict(build_scenario_1())
