@@ -64,6 +64,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if len(set(args.methods)) < len(args.methods):
+            raise ValueError(f"each --method may be given once, not {' '.join(args.methods)!r}")
         _check_out(args.out)
         scenario = _resolve_scenario(args.scenario)
         runs = args.runs if args.runs is not None else scenario.monte_carlo.runs

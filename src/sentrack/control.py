@@ -111,9 +111,8 @@ def kld_existence(r1: Mapping, r2: Mapping, epsilon: float) -> float:
 
 
 def drop_penalty(r1: Mapping, r2: Mapping, lam: float) -> float:
-    """Penalty for labels present in r2 but dropped from r1 (nonnegative)."""
-    if lam < 1:
-        raise ValueError("penalty scale must be >= 1")
+    """Penalty for labels present in r2 but dropped from r1 (nonnegative);
+    lam >= 1, as ObjectiveParams checks of penalty_lambda."""
     return -lam * sum(
         math.log(_clamp01(r2[label])) for label in set(r2) - set(r1)
     )
@@ -458,10 +457,8 @@ def dcd_sc_select(
     component of the best-scoring final command, ties going to the
     earliest restart.  Reaching the global optimum with probability P among
     M equally likely local optima takes ceil(log(1 - P) / log(1 - 1/M))
-    restarts.
+    restarts.  runs >= 1, as run_single checks of dcd_runs.
     """
-    if runs < 1:
-        raise ValueError("runs must be >= 1")
     participants = tuple(sorted(set(neighborhood) | {node}))
     ctx = ControlContext(cache, participants)
     n_actions = ctx.n_actions()

@@ -82,12 +82,10 @@ def fuse_spatial(components, particle_count: int):
     Each cloud's weights are scaled by its share of the total existence
     odds, or by an equal share when the total is 0 (every existence is).
     The union is resampled systematically with the deterministic mid-cell
-    offset, so every node computes the identical fusion.  Returns (states,
-    weights).
+    offset, so every node computes the identical fusion.  Takes at least
+    one component (fuse_lmb passes two or more).  Returns (states, weights).
     """
     components = list(components)
-    if not components:
-        raise ValueError("fuse_spatial requires at least one component")
     odds = existence_odds(np.array([c.existence for c in components]))
     total = float(odds.sum())
     shares = odds / total if total > 0.0 else np.full(len(odds), 1.0 / len(odds))
@@ -105,10 +103,9 @@ def fuse_lmb(locals_: Mapping[int, LmbDensity], active: Mapping, floor: float) -
     densities must share one particle count J; a fused label's union of
     clouds is resampled to J particles.  A label whose contributors all
     have existence 0 fuses to existence 0, their clouds sharing equally.
+    locals_ holds at least one density: a topology component has a member.
     """
     densities = dict(locals_)
-    if not densities:
-        raise ValueError("nothing to fuse")
     timestamps = {d.timestamp for d in densities.values()}
     if len(timestamps) != 1:
         raise ValueError(f"inconsistent timestamps: {sorted(timestamps)}")

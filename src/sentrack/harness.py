@@ -67,7 +67,6 @@ class RunResult:
 @dataclass
 class MonteCarloResult:
     method: str
-    scenario: str
     runs: list
 
     @property
@@ -316,7 +315,7 @@ def monte_carlo(
         run_single(scenario, method, base_seed + i, i, dcd_runs, duration)
         for i in range(runs)
     ]
-    return MonteCarloResult(method=method, scenario=scenario.name, runs=results)
+    return MonteCarloResult(method=method, runs=results)
 
 
 # ---------------------------------------------------------------------------

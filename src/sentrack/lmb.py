@@ -195,10 +195,9 @@ def resample_component(
 
     One offset per resampled row, drawn in row order from rng; rows passed
     through keep their particles and draw nothing, so they must already
-    hold target_count particles.
+    hold target_count particles.  target_count >= 1, as FilterConfig checks
+    of particle_count.
     """
-    if target_count < 1:
-        raise ValueError("target_count must be >= 1")
     k, j = density.weights.shape
     passed = density.passed_through
     rows = np.arange(k) if passed is None else np.flatnonzero(~passed)
@@ -220,10 +219,9 @@ def prune(density: LmbDensity, existence_floor: float, max_components: int) -> L
     """Drop components below existence_floor, then cap at max_components.
 
     The cap keeps the highest-existence components; surviving components
-    keep their original relative order.
+    keep their original relative order.  existence_floor is in [0, 1), as
+    FilterConfig and ObjectiveParams check.
     """
-    if not 0.0 <= existence_floor < 1.0:
-        raise ValueError("existence_floor must be in [0, 1)")
     keep = density.existences >= existence_floor
     if np.count_nonzero(keep) > max_components:
         ranked = [k for k in ranked_rows(density) if keep[k]]

@@ -9,13 +9,6 @@ def _as_matrix(states) -> np.ndarray:
     return np.array(rows) if rows else np.zeros((0, 2))
 
 
-def _check_parameters(c: float, p: float) -> None:
-    if c <= 0:
-        raise ValueError("cutoff c must be positive")
-    if p < 1:
-        raise ValueError("order p must be >= 1")
-
-
 def _assignment_distance(base: np.ndarray, c: float, p: float) -> float:
     """OSPA from an n x m matrix of base distances between two sets.
 
@@ -41,8 +34,8 @@ def ospa(truth, estimate, c: float, p: float) -> float:
 
     Combines localization error (optimal assignment on distances cut off
     at c) and cardinality error; both sets empty gives 0 by convention.
+    c > 0 and p >= 1, as MetricConfig checks.
     """
-    _check_parameters(c, p)
     x = _as_matrix(truth)
     y = _as_matrix(estimate)
     return _assignment_distance(np.linalg.norm(x[:, None, :] - y[None, :, :], axis=2), c, p)
@@ -76,11 +69,9 @@ def ospa2(truth_tracks: dict, estimated_tracks: dict, c: float, p: float, window
     mean over the window of min(c, |x - y|) at steps where both exist, c
     where exactly one exists and 0 where neither does.  All n x m x W of
     these per-step terms are computed in one broadcast, and the base
-    distances feed a standard OSPA assignment across tracks.
+    distances feed a standard OSPA assignment across tracks.  c > 0, p >= 1
+    and window >= 1, as MetricConfig checks (the harness passes min(ospa2_window, step)).
     """
-    _check_parameters(c, p)
-    if window < 1:
-        raise ValueError("window length must be >= 1")
     steps = list(range(step - window + 1, step + 1))
 
     x = _window_tracks(truth_tracks, steps)[:, :, None, :]

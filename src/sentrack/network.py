@@ -40,9 +40,8 @@ def _hop_distances(adjacency: Mapping[int, frozenset], origin: int) -> dict:
 
 
 def build_topology(positions: Mapping[int, tuple], comm_range: float) -> Topology:
-    """Edges connect every sensor pair within comm_range (inclusive)."""
-    if not positions:
-        raise ValueError("at least one sensor required")
+    """Edges connect every sensor pair within comm_range (inclusive);
+    positions holds at least one sensor, as ScenarioConfig checks."""
     ids = sorted(positions)
     adjacency = {s: set() for s in ids}
     for i, s in enumerate(ids):
@@ -62,9 +61,8 @@ def build_topology(positions: Mapping[int, tuple], comm_range: float) -> Topolog
 
 
 def message_cost(label_count: int) -> int:
-    """Bytes to transmit one action index plus an LMB pseudo-posterior."""
-    if label_count < 0:
-        raise ValueError("label_count must be nonnegative")
+    """Bytes to transmit one action index plus an LMB pseudo-posterior of
+    label_count >= 0 labels."""
     return 4 * (1 + (4 + 10 * label_count)) + 1
 
 

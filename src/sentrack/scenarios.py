@@ -455,10 +455,20 @@ def save_scenario(cfg: ScenarioConfig, path) -> None:
         yaml.safe_dump(scenario_to_dict(cfg), fh, sort_keys=False)
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    def construct_mapping(self, node, deep=False):
+        """safe_load's mapping, but a key written twice is an error; one may override a << merge."""
+        keys = [k for k, _ in node.value if k.tag != "tag:yaml.org,2002:merge"]
+        for i, key in enumerate(map(self.construct_object, keys)):
+            if key in map(self.construct_object, keys[:i]):
+                raise yaml.YAMLError(f"key {key!r} repeated on line {keys[i].start_mark.line + 1}")
+        return super().construct_mapping(node, deep)
+
+
 def load_scenario(path) -> ScenarioConfig:
     with open(path) as fh:
         try:
-            document = yaml.safe_load(fh)
+            document = yaml.load(fh, Loader=_UniqueKeyLoader)
         except yaml.YAMLError as exc:  # its message spans lines; a ValueError's is one
             raise ValueError(f"scenario file {str(path)!r} is not valid YAML: "
                              f"{' '.join(str(exc).split())}") from exc

@@ -197,3 +197,24 @@ def test_infinity_in_scenario_file_rejected_in_one_line(tmp_path, value, shown):
     path.write_text(yaml.safe_dump(d))
     message = _rejected_in_one_line(tmp_path, path)
     assert f"'clutter_mean' in scenario section 'top level' must be a number, not {shown}" in message
+
+
+def test_repeated_scenario_key_rejected_in_one_line(tmp_path):
+    # the second comm_range used to win silently
+    text = yaml.safe_dump(scenario_to_dict(build_scenario_1()), sort_keys=False)
+    path = tmp_path / "scenario.yaml"
+    path.write_text(text.replace("comm_range: 800.0\n", "comm_range: 800.0\ncomm_range: 50.0\n"))
+    message = _rejected_in_one_line(tmp_path, path)
+    assert message == (f"sentrack: error: scenario file {str(path)!r} is not valid YAML: "
+                       "key 'comm_range' repeated on line 4")
+
+
+def test_repeated_method_rejected_before_loading_the_scenario(tmp_path, monkeypatch):
+    # isc used to run twice: two identical rows in runs.csv, one entry in timings.json
+    monkeypatch.setattr("sentrack.cli._resolve_scenario", lambda spec: pytest.fail("loaded"))
+    out = tmp_path / "out"
+    methods = ["--method", "isc", "--method", "fixed", "--method", "isc"]
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--scenario", "1", *methods, "--runs", "1", "--steps", "2", "--out", str(out)])
+    assert exc.value.code == "sentrack: error: each --method may be given once, not 'isc fixed isc'"
+    assert not out.exists()

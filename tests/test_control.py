@@ -103,11 +103,6 @@ class TestDropPenalty:
         assert net == pytest.approx(0.6931 - 69.31, abs=0.01)
         assert net < 0
 
-    def test_lambda_below_one_rejected(self):
-        d = existence_map(exist_density([0.5]))
-        with pytest.raises(ValueError):
-            drop_penalty(d, d, 0.5)
-
 
 class TestObjective:
     def test_identical_zero(self):

@@ -80,6 +80,7 @@ class TestFilterConfig:
     @pytest.mark.parametrize(
         "name,value",
         [
+            ("particle_count", 0),
             ("existence_floor", -0.1),
             ("existence_floor", 1.0),
             ("max_components", 0),

@@ -240,12 +240,12 @@ def test_export_results_writes_the_pinned_csv_format(tmp_path):
         return harness.RunResult(method, index, 17 + index, steps, 10.125 + index, 0.2, control, comm)
 
     results = [
-        harness.MonteCarloResult("fdcd", "scenario-1", [
+        harness.MonteCarloResult("fdcd", [
             run("fdcd", 0, (0.1, 2.0), (12.25, 8.0),
                 [CommLogEntry(1, 0, 0, 36, 1), CommLogEntry(2, 1, 1, 44, 2)]),
             run("fdcd", 1, (0.2, 0.2), (4.0, 6.5), [CommLogEntry(1, 1, 0, 36, 0)]),
         ]),
-        harness.MonteCarloResult("dcd", "scenario-1", [
+        harness.MonteCarloResult("dcd", [
             run("dcd", 0, (1.0, 3.0), (7.5, 9.0), []),
             run("dcd", 1, (2.0, 2.5), (1.0, 2.0), [CommLogEntry(2, 0, 0, 44, 3)]),
         ]),

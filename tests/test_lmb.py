@@ -212,10 +212,6 @@ class TestPrune:
         out = prune(empty_density(0, "posterior"), 0.1, 5)
         assert out.components == ()
 
-    def test_bad_floor(self):
-        with pytest.raises(ValueError):
-            prune(density([0.5]), 1.0, 5)
-
 
 class TestDensityInvariants:
     def test_duplicate_labels_rejected(self):

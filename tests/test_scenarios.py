@@ -204,6 +204,8 @@ class TestRejectedAtLoad:
             (("objective",), "psi_threshold", -0.1),
             (("objective",), "psi_threshold", 1.0),
             (("objective",), "eta_threshold", -1.0),
+            (("objective",), "penalty_lambda", 0.5),
+            (("filter",), "particle_count", 0),
             (("sensors", 1, "fov"), "p_d_threshold", -0.1),
             (("sensors", 1, "fov"), "p_d_threshold", 1.0),
         ],
@@ -354,6 +356,39 @@ class TestRejectedAtLoad:
         number = "two numbers" if key == "position" else "a number"
         assert f"{key!r} in scenario section {section!r} must be {number}, not " in message
         assert repr(value) in message and "\n" not in message
+
+    @pytest.mark.parametrize(
+        "line,repeat",
+        [
+            ("comm_range: 800.0", "comm_range: 50.0"),
+            ("  particle_count: 500", "  particle_count: 20"),
+            ("  particle_count: 500", "  particle_count: 500"),
+            ("    rho_max: 500.0", "    rho_max: 9.0"),
+        ],
+    )
+    def test_repeated_key_in_a_file_names_file_key_and_line(self, tmp_path, line, repeat):
+        # the YAML reader kept the last value, so the file ran with the repeat
+        file = tmp_path / "scenario.yaml"
+        save_scenario(build_scenario_1(), file)
+        lines = file.read_text().splitlines()
+        at = lines.index(line) + 1
+        file.write_text("\n".join(lines[:at] + [repeat] + lines[at:]) + "\n")
+        with pytest.raises(ValueError) as err:
+            load_scenario(file)
+        key = line.split(":")[0].strip()
+        assert str(err.value) == (f"scenario file {str(file)!r} is not valid YAML: "
+                                  f"key {key!r} repeated on line {at + 1}")
+
+    def test_a_key_may_override_a_merged_one(self, tmp_path):
+        # a << merge is no repeat: the mapping's own key wins, as YAML says
+        d = scenario_to_dict(build_scenario_2())
+        del d["motion"]
+        file = tmp_path / "scenario.yaml"
+        file.write_text(yaml.safe_dump(d, sort_keys=False) + (
+            "motion:\n"
+            "  <<: {period: 1.0, process_noise_std: 9.0, survival_probability: 0.95}\n"
+            "  process_noise_std: 1.0\n"))
+        assert load_scenario(file) == build_scenario_2()
 
     def test_integers_load_as_numbers(self):
         d = scenario_to_dict(build_scenario_1())
