@@ -225,10 +225,12 @@ class PseudoCache:
     it, and after[s][0], the stay action's, is sensor s's current pose.
     labels is the step's sorted label index; rows[s] maps sensor s's
     components onto it.  Per sensor: the EAP positions of its predicted
-    density, which every action's ideal measurement set starts from.  Per
-    (sensor, action), on first use: the pseudo-posterior and one memo of
-    (mask, odds), the components the sensor is active for and their pseudo
-    existence odds, 0.0 elsewhere.  Per (owner, action, center), on
+    density, which every action's ideal measurement set starts from, and,
+    on first use, the pseudo-posteriors of all its actions from one
+    pseudo_update call (an empty predicted density has one, with no rows,
+    which all its actions share).  Per (sensor, action), on first use: one
+    memo of (mask, odds), the components the sensor is active for and their
+    pseudo existence odds, 0.0 elsewhere.  Per (owner, action, center), on
     first use: the in-disk weight of each of the owner's pseudo components.
     A pseudo-posterior shares its predicted density's states array, since
     pseudo_update never moves a particle, so which particles lie in a disk
@@ -275,13 +277,15 @@ class PseudoCache:
         self._indisk = {}
 
     def pseudo(self, s: int, a: int) -> LmbDensity:
-        # an empty predicted density has one pseudo-posterior, with no rows
-        key = (s, a if self.predicted[s].labels else 0)
-        if key not in self._pseudo:
-            state, fov, cfg = self.after[s][key[1]], self.fovs[s], self.filter_cfgs[s]
-            pims = generate_pims(self.eap_positions[s], state, fov)
-            self._pseudo[key] = pseudo_update(self.predicted[s], pims, state, fov, cfg)
-        return self._pseudo[key]
+        if (s, a) not in self._pseudo:
+            predicted, after, fov = self.predicted[s], self.after[s], self.fovs[s]
+            # an empty predicted density has one pseudo-posterior, with no rows
+            states = after if predicted.labels else after[:1]
+            pims = [generate_pims(self.eap_positions[s], state, fov) for state in states]
+            pseudos = pseudo_update(predicted, pims, states, fov, self.filter_cfgs[s])
+            for b in range(len(after)):
+                self._pseudo[(s, b)] = pseudos[b if predicted.labels else 0]
+        return self._pseudo[(s, a)]
 
     def active(self, s: int, a: int) -> tuple:
         """(mask, odds) of sensor s after action a: the components it is active

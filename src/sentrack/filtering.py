@@ -10,25 +10,32 @@ association hypotheses are marginalized per cluster of components that
 share gated measurements.  The exact path enumerates the product of the
 rows' events (a miss or a gated measurement each) when its size is within
 exact_enum_limit, keeping the partial matchings; larger clusters fall back
-to the best-k ranked assignments.  The update itself never resamples:
-resampling and pruning are separate steps so that a no-information update
-is exactly the identity on the density.
+to the best-k ranked assignments.  A lone row, whose gated measurements no
+other row holds, is a cluster of one; within the limit it takes the exact
+path's single-row case in closed form (_single_row_marginals), with the
+same bits.  The update itself never resamples: resampling and pruning are
+separate steps so that a no-information update is exactly the identity on
+the density.
 
-The update works on arrays of gated (row, measurement) pairs: one rows x
-measurements distance matrix gates them, one pass over all gated pairs
-computes their likelihoods and normalized particle weights, and each
-row's posterior weights are summed term by term in its own event order
-(miss term first, then the detections in marginal order), so the result
-has the bits of a row-by-row update.  Every updated row first takes the
-miss-only update as arrays; only the rows with a gated pair go on to the
-association marginals, computed cluster by cluster.
+The core updates one density against a set of A sensor poses, each with
+its own measurements: update passes one pose, pseudo_update every action's
+pose of a sensor.  Its arrays hold the (A * K) rows of all poses: one
+detection-probability call covers every pose and particle, one pose x rows
+x measurements distance matrix gates the pairs, and one pass over all
+gated pairs computes their likelihoods and normalized particle weights.
+Each pose's measurements have their own indices, so no cluster spans two
+poses.  Each row's posterior weights are summed term by term in its own
+event order (miss term first, then the detections in marginal order), so
+every pose's result has the bits of a row-by-row update at that pose
+alone.  Every updated row first takes the miss-only update as arrays; only
+the rows with a gated pair go on to the association marginals.
 
 Pass-through rule: a component whose maximum detection probability over
-its particles is at most 1e-12 has no gated measurement, so it forms a
-cluster of its own, and the update passes it through unchanged.  The
-posterior marks those rows in passed_through; they are the rows the
-harness does not resample.  Whole densities go through the update: one
-detection-probability call per density and sensor state.
+its particles is at most 1e-12 at a pose has no gated measurement there,
+so it forms a cluster of its own, and the update passes it through
+unchanged.  The posterior marks those rows in passed_through; they are the
+rows the harness does not resample.  Whole densities go through the
+update: one detection-probability call per density and pose set.
 """
 
 import heapq
@@ -219,7 +226,14 @@ def murty_assignments(cost: np.ndarray, k: int) -> list:
 
 
 def _ranked_marginals(cluster_terms: list, k: int) -> list:
-    """Approximate association marginals from the k best assignments."""
+    """Approximate association marginals from the k best assignments.
+
+    Every row has a finite miss column of its own, costing at most about
+    691 (-log of 1e-300), so murty_assignments returns at least one
+    solution: a finite cell is -log of a float, at least about -710, so an
+    assignment through an infeasible cell, filled with 1e12, costs more
+    than the all-miss one for any cluster of fewer than 7e8 rows.
+    """
     n = len(cluster_terms)
     meas_ids = sorted({j for t in cluster_terms for j in t.det_weights})
     col_of = {j: idx for idx, j in enumerate(meas_ids)}
@@ -231,8 +245,6 @@ def _ranked_marginals(cluster_terms: list, k: int) -> list:
             if w > 0:
                 cost[i, col_of[j]] = -math.log(w)
     solutions = murty_assignments(cost, k)
-    if not solutions:
-        return [{None: 1.0} for _ in range(n)]
     best = solutions[0][0]
     sums = [dict() for _ in range(n)]
     total = 0.0
@@ -245,59 +257,103 @@ def _ranked_marginals(cluster_terms: list, k: int) -> list:
     return [{e: v / total for e, v in s.items()} for s in sums]
 
 
+def _single_row_marginals(weights: list) -> list:
+    """_exact_marginals of a cluster of one row, in closed form.
+
+    weights are the row's event weights, the miss first, then its gated
+    measurements in ascending index.  The product has one hypothesis per
+    event, so each marginal is the event's weight, scaled by the largest,
+    over the sequential sum of the scaled weights; [1.0], a sure miss, when
+    that sum is 0.  The values, in event order, have the exact path's bits.
+    """
+    s = max(weights)
+    scale = s if s > 0 else 1.0
+    scaled = [w / scale for w in weights]
+    total = 0.0
+    for w in scaled:
+        total += w
+    if total <= 0.0:
+        return [1.0]
+    return [w / total for w in scaled]
+
+
 def _bayes_update(
     predicted: LmbDensity,
-    z: np.ndarray,
-    sensor: SensorState,
+    zs: list,
+    sensors: list,
     fov: FovModel,
     cfg: FilterConfig,
 ) -> tuple:
     """The rows' (existences, weights, passed_through) after the Bayes update
-    against the (M, 2) measurements z, and the measurement of each gated pair."""
+    against each of A sensor poses with its (M_a, 2) measurements, as (A, K),
+    (A, K, J) and (A, K) arrays, and the measurement of each gated pair, an
+    index into the poses' measurements concatenated in pose order."""
     if predicted.role != "predicted":
         raise ValueError(f"the update expects a predicted density, got role {predicted.role!r}")
     k, j = predicted.weights.shape
-    pd = detection_probabilities(fov, sensor, predicted.states[:, :, :2]).reshape(k, j)
-    passed = pd.max(axis=1, initial=0.0) <= 1e-12
+    n_poses = len(sensors)
+    pd = detection_probabilities(fov, sensors, predicted.states[:, :, :2]).reshape(n_poses, k, j)
+    passed = pd.max(axis=2, initial=0.0) <= 1e-12
     r = np.minimum(predicted.existences, EXISTENCE_CEIL)
     miss_p = 1.0 - pd
-    miss_lik = row_means(predicted.weights, miss_p[:, :, None])[:, 0]
+    miss_lik = row_means(predicted.weights, miss_p[..., None])[..., 0]
     no_det = (1.0 - r) + r * miss_lik
 
-    # gated pairs: an updated row and a measurement within the gate of its
-    # mean; a pair whose likelihood sum is 0 is dropped
-    rows = meas = np.empty(0, dtype=np.intp)
+    # gated pairs: an updated row and a measurement of the same pose within
+    # the gate of its mean; a pair whose likelihood sum is 0 is dropped.  A
+    # pair's row in the (A * K) block of all poses' rows is `block`.
+    z = np.concatenate(zs)
+    pose_of = np.repeat(np.arange(n_poses), [len(zp) for zp in zs])
+    block = meas = np.empty(0, dtype=np.intp)
     particle_w, det_w = np.empty((0, j)), np.empty(0)
     if len(z):
+        origins = np.array([(s.x, s.y) for s in sensors])
         means = predicted.mean_positions()
-        dx = z[:, 0] - (means[:, 0] - sensor.x)[:, None]
-        dy = z[:, 1] - (means[:, 1] - sensor.y)[:, None]
-        gated = ~(np.hypot(dx, dy) > cfg.association_gate) & ~passed[:, None]
+        dx = z[:, 0] - (means[:, 0, None] - origins[pose_of, 0])
+        dy = z[:, 1] - (means[:, 1, None] - origins[pose_of, 1])
+        gated = ~(np.hypot(dx, dy) > cfg.association_gate) & ~passed.T[:, pose_of]
         rows, meas = np.nonzero(gated)
+        pair_pose = pose_of.take(meas)
+        block = pair_pose * k + rows
         # (G, J) likelihoods of each pair's particles, read from their states
         pair_states, pair_z = predicted.states.take(rows, axis=0), z.take(meas, axis=0)[:, None]
-        logg = displacement_log_likelihoods(pair_states, sensor, pair_z, cfg.meas_noise_std)
-        raw = predicted.weights.take(rows, axis=0) * pd.take(rows, axis=0)
+        pair_origin = origins.take(pair_pose, axis=0)[:, None]
+        logg = displacement_log_likelihoods(pair_states, pair_origin, pair_z, cfg.meas_noise_std)
+        raw = predicted.weights.take(rows, axis=0) * pd.reshape(n_poses * k, j).take(block, axis=0)
         raw *= np.exp(logg)
         g_sum = raw.sum(axis=1)
         hit = g_sum > 0.0
         if not hit.all():
-            rows, meas, raw, g_sum = rows[hit], meas[hit], raw[hit], g_sum[hit]
+            rows, block, meas, raw, g_sum = rows[hit], block[hit], meas[hit], raw[hit], g_sum[hit]
         particle_w = raw / g_sum[:, None]
         det_w = r.take(rows) * g_sum / max(cfg.clutter_intensity, _MIN_CLUTTER)
 
     # every updated row gets the miss-only update; rows with a gated pair
-    # are then associated cluster by cluster and scaled by their miss marginal
-    miss_r = np.zeros(k)  # per row: existence after a miss
+    # are then associated and scaled by their miss marginal.  A lone row,
+    # whose measurements no other row gates, is a cluster of its own.
+    miss_r = np.zeros((n_poses, k))  # per row: existence after a miss
     np.divide(r * miss_lik, no_det, out=miss_r, where=~passed & (no_det > 0))
     existences = np.where(passed, predicted.existences, np.minimum(miss_r, EXISTENCE_CEIL))
-    events = [[] for _ in range(k)]  # per row: [(pair, p)]
-    terms, no_det = {}, no_det.tolist()
-    for g, (i, m, weight) in enumerate(zip(rows.tolist(), meas.tolist(), det_w.tolist())):
-        if i not in terms:
-            terms[i] = _RowTerms(i, no_det[i], {}, {})
-        terms[i].det_weights[m], terms[i].pairs[m] = weight, g
-    terms = list(terms.values())
+    flat_miss_r, flat_existences = miss_r.reshape(-1), existences.reshape(-1)
+    events = [[] for _ in range(n_poses * k)]  # per block row: [(pair, p)]
+    pairs = {}  # block row -> its pairs, in ascending measurement order
+    for g, i in enumerate(block.tolist()):
+        pairs.setdefault(i, []).append(g)
+    meas_of, weight_of, no_det = meas.tolist(), det_w.tolist(), no_det.reshape(-1).tolist()
+    holders = dict.fromkeys(meas_of, 0)
+    for m in meas_of:
+        holders[m] += 1
+    terms = []
+    for i, row_pairs in pairs.items():
+        lone = all(holders[meas_of[g]] == 1 for g in row_pairs)
+        if lone and 1 + len(row_pairs) <= cfg.exact_enum_limit:
+            marg = _single_row_marginals([no_det[i]] + [weight_of[g] for g in row_pairs])
+            flat_miss_r[i] *= marg[0]
+            flat_existences[i] = min(flat_miss_r[i] + sum(marg[1:]), EXISTENCE_CEIL)
+            events[i] = [(g, p) for g, p in zip(row_pairs, marg[1:]) if p > 0.0]
+        else:
+            det_weights = {meas_of[g]: weight_of[g] for g in row_pairs}
+            terms.append(_RowTerms(i, no_det[i], det_weights, {meas_of[g]: g for g in row_pairs}))
     first = {}  # measurement -> the first row term that holds it
     shared = [(first.setdefault(m, i), i) for i, t in enumerate(terms) for m in t.det_weights]
     for cluster in connected_groups(len(terms), shared):
@@ -309,25 +365,26 @@ def _bayes_update(
             marginals = _ranked_marginals(cluster_terms, cfg.assoc_max_hypotheses)
         for t, marg in zip(cluster_terms, marginals):
             i = t.row
-            miss_r[i] *= marg.get(None, 0.0)
-            new_r = miss_r[i] + sum(p for ev, p in marg.items() if ev is not None)
-            existences[i] = min(new_r, EXISTENCE_CEIL)
+            flat_miss_r[i] *= marg.get(None, 0.0)
+            new_r = flat_miss_r[i] + sum(p for ev, p in marg.items() if ev is not None)
+            flat_existences[i] = min(new_r, EXISTENCE_CEIL)
             events[i] = [(t.pairs[e], p) for e, p in marg.items() if e is not None and p > 0.0]
 
     # posterior weights, summed term by term in each row's event order: the
     # miss term, then the detections in marginal order, one slot at a time.
     # The miss term is 0 where exist_miss is (so where miss_lik is, and on
     # the rows passed through); a row with no term to sum keeps its weights.
-    weights = predicted.weights.copy()
+    weights = np.broadcast_to(predicted.weights, (n_poses, k, j)).copy()
     if not passed.all():
-        w = miss_r[:, None] * predicted.weights * miss_p
-        w /= np.where(miss_lik == 0.0, 1.0, miss_lik)[:, None]
+        w = miss_r[..., None] * predicted.weights * miss_p
+        w /= np.where(miss_lik == 0.0, 1.0, miss_lik)[..., None]
+        w = w.reshape(n_poses * k, j)
         for s in range(max(map(len, events))):
             at = [i for i, row_events in enumerate(events) if len(row_events) > s]
             pair, p = zip(*(events[i][s] for i in at))
             w[np.array(at)] += np.array(p)[:, None] * particle_w.take(pair, axis=0)
         total = w.sum(axis=1)[:, None]
-        np.divide(w, total, out=weights, where=total > 0.0)
+        np.divide(w, total, out=weights.reshape(n_poses * k, j), where=total > 0.0)
 
     return existences, weights, passed, meas
 
@@ -349,7 +406,8 @@ def update(
     (timestep, i, origin), appended after the predicted rows.
     """
     z = np.asarray(measurements, dtype=float).reshape(-1, 2)
-    existences, weights, passed, meas = _bayes_update(predicted, z, sensor, fov, cfg)
+    existences, weights, passed, meas = _bayes_update(predicted, [z], [sensor], fov, cfg)
+    existences, weights, passed = existences[0], weights[0], passed[0]
     labels, states = predicted.labels, predicted.states
     centers = sensor.position + np.delete(z, meas, axis=0)
     if len(centers):
@@ -369,18 +427,26 @@ def update(
 
 def pseudo_update(
     predicted: LmbDensity,
-    pims,
-    sensor_after_action: SensorState,
+    pims_sets: list,
+    sensors_after_actions: list,
     fov: FovModel,
     cfg: FilterConfig,
-) -> LmbDensity:
-    """Update against an ideal measurement set; no birth, fully deterministic.
+) -> list:
+    """Update against the ideal measurement set of each of A hypothesized
+    sensor states; no birth, fully deterministic.  Returns the A
+    pseudo-posteriors, in the order of the states.
 
-    Mechanics are identical to update (same code path), so feeding the same
-    measurements produces the same component updates.  pseudo_update never
-    moves a particle: the result shares predicted.labels and predicted.states.
+    One pass of the Bayes core that update runs with one pose, so a
+    pseudo-posterior has the bits of update's rows on the same measurements.
+    pseudo_update never moves a particle: each result shares predicted.labels
+    and predicted.states.
     """
-    z = np.asarray(pims, dtype=float).reshape(-1, 2)
-    existences, weights, passed, _meas = _bayes_update(predicted, z, sensor_after_action, fov, cfg)
+    zs = [np.asarray(pims, dtype=float).reshape(-1, 2) for pims in pims_sets]
+    existences, weights, passed, _meas = _bayes_update(
+        predicted, zs, sensors_after_actions, fov, cfg
+    )
     labels, states, timestamp = predicted.labels, predicted.states, predicted.timestamp
-    return LmbDensity(labels, existences, states, weights, timestamp, "pseudo-posterior", passed)
+    return [
+        LmbDensity(labels, existences[a], states, weights[a], timestamp, "pseudo-posterior", passed[a])
+        for a in range(len(zs))
+    ]

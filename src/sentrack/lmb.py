@@ -59,8 +59,9 @@ class Component(NamedTuple):
 
 
 def row_means(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Weight-average of each row: (K, J) weights over (K, J, D) values."""
-    return np.matmul(weights[:, None, :], values)[:, 0]
+    """Weight-average of each row: (K, J) weights over (..., K, J, D) values,
+    giving (..., K, D); the weights broadcast over values' leading axes."""
+    return np.matmul(weights[..., None, :], values)[..., 0, :]
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,6 +13,7 @@ docstring says which reductions do).
 """
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,16 +119,23 @@ class MotionModel:
 
 
 def detection_probabilities(
-    fov: FovModel, sensor: SensorState, positions: np.ndarray
+    fov: FovModel, sensor: SensorState | Sequence[SensorState], positions: np.ndarray
 ) -> np.ndarray:
-    """Sigmoid detection probability at each of N positions, given as (N, 2).
+    """Sigmoid detection probability at each of N positions, given as (N, 2),
+    seen from one SensorState, as (N,), or from each of a sequence of A
+    poses, as (A, N).
 
     This is the one detection model: the filter update, the ideal
     measurement sets, the active-set rule and the simulated detections all
     evaluate it.  Bearings are atan2(dx, dy) relative to the sensor bearing.
+    Every step is elementwise, so a pose's row has the bits of its own call.
     """
     positions = np.asarray(positions, dtype=float).reshape(-1, 2)
-    dx, dy = positions[:, 0] - sensor.x, positions[:, 1] - sensor.y
+    if isinstance(sensor, SensorState):
+        x, y, bearing = sensor.x, sensor.y, sensor.bearing
+    else:  # (A, 1) columns, broadcast against the positions
+        x, y, bearing = np.array([(s.x, s.y, s.bearing) for s in sensor]).T[:, :, None]
+    dx, dy = positions[:, 0] - x, positions[:, 1] - y
     rho = np.hypot(dx, dy)
     inside = rho <= fov.rho_max
     p_rho = fov.p_d_max / (1.0 + np.exp(np.minimum(fov.k_rho * (rho - fov.rho_max), 500.0)))
@@ -135,7 +143,7 @@ def detection_probabilities(
         p = p_rho * fov.p_d_max
     else:
         # |wrap_angle(bearing offset)|, where -pi and pi give the same value
-        theta = np.abs((sensor.bearing - np.arctan2(dx, dy) + math.pi) % TWO_PI - math.pi)
+        theta = np.abs((bearing - np.arctan2(dx, dy) + math.pi) % TWO_PI - math.pi)
         inside = inside & (theta <= fov.theta_max)
         p_theta = fov.p_d_max / (
             1.0 + np.exp(np.minimum(fov.k_theta * (theta - fov.theta_max), 500.0))
@@ -145,15 +153,16 @@ def detection_probabilities(
 
 
 def displacement_log_likelihoods(
-    positions: np.ndarray, sensor: SensorState, measurement: np.ndarray, noise_std: float
+    positions: np.ndarray, origin: np.ndarray, measurement: np.ndarray, noise_std: float
 ) -> np.ndarray:
     """Log Gaussian displacement likelihood for each particle position.
 
     positions holds x, y first on its last axis: (..., 2) positions or (..., 4)
-    states.  measurement is one (2,) displacement or (..., 2), broadcast."""
-    z = np.asarray(measurement, dtype=float)
-    ex = (positions[..., 0] - sensor.x) - z[..., 0]
-    ey = (positions[..., 1] - sensor.y) - z[..., 1]
+    states.  origin, the sensor position, and measurement, the displacement
+    from it, are each one (2,) point or (..., 2), broadcast."""
+    origin, z = np.asarray(origin, dtype=float), np.asarray(measurement, dtype=float)
+    ex = (positions[..., 0] - origin[..., 0]) - z[..., 0]
+    ey = (positions[..., 1] - origin[..., 1]) - z[..., 1]
     var = noise_std**2
     return -0.5 * (ex * ex + ey * ey) / var - math.log(TWO_PI * var)
 

@@ -584,9 +584,9 @@ class TestPseudoCache:
     def test_empty_predicted_density_pseudo_updated_once(self, monkeypatch):
         calls = []
 
-        def counted(predicted, *args):
-            calls.append(len(predicted.labels))
-            return pseudo_update(predicted, *args)
+        def counted(predicted, pims_sets, states, *args):
+            calls.append((len(predicted.labels), len(states)))
+            return pseudo_update(predicted, pims_sets, states, *args)
 
         monkeypatch.setattr(control, "pseudo_update", counted)
         base = two_sensor_cache()
@@ -596,12 +596,14 @@ class TestPseudoCache:
             base.fovs,
             TWO_SENSOR_ACTIONS,
         )
+        # the empty density is pseudo-updated once, at the current pose, and
+        # every action of sensor 0 on its first look-up, by one call
         pseudos = [cache.pseudo(1, a) for a in range(len(cache.after[1]))]
-        assert calls == [0]
+        assert calls == [(0, 1)]
         assert all(p is pseudos[0] for p in pseudos) and pseudos[0].labels == ()
         for a in range(len(cache.after[0])):
             cache.pseudo(0, a)
-        assert calls == [0, 2, 2]
+        assert calls == [(0, 1), (2, 2)]
 
 
 class TestFdcdPipeline:

@@ -12,6 +12,8 @@ from sentrack.filtering import (
     FilterConfig,
     _exact_marginals,
     _ranked_marginals,
+    _RowTerms,
+    _single_row_marginals,
     generate_pims,
     murty_assignments,
     predict,
@@ -229,7 +231,7 @@ class TestPseudoUpdate:
         pred = predicted_density(comps)
         meas = [np.array([0.0, 300.0]), np.array([100.0, 250.0])]
         via_update = update(pred, meas, SENSOR, FOV, CFG, np.random.default_rng(0), origin=0)
-        via_pseudo = pseudo_update(pred, meas, SENSOR, FOV, CFG)
+        [via_pseudo] = pseudo_update(pred, [meas], [SENSOR], FOV, CFG)
         for label in pred.labels:
             a, b = comp_of(via_update, label), comp_of(via_pseudo, label)
             assert a.existence == pytest.approx(b.existence, rel=1e-12)
@@ -237,18 +239,18 @@ class TestPseudoUpdate:
 
     def test_covered_existences_rise(self):
         pred = predicted_density([cloud((0, 300), 0.5)])
-        out = pseudo_update(pred, pims(pred, SENSOR), SENSOR, FOV, CFG)
+        [out] = pseudo_update(pred, [pims(pred, SENSOR)], [SENSOR], FOV, CFG)
         assert out.components[0].existence > 0.9
 
     def test_empty_pims_drops_in_fov_existence(self):
         pred = predicted_density([cloud((0, 300), 0.9)])
-        out = pseudo_update(pred, [], SENSOR, FOV, CFG)
+        [out] = pseudo_update(pred, [[]], [SENSOR], FOV, CFG)
         assert out.components[0].existence < 0.5
 
     def test_out_of_fov_unchanged_and_no_birth(self):
         behind = cloud((0, -300), 0.7)
         pred = predicted_density([behind])
-        out = pseudo_update(pred, [np.array([50.0, 50.0])], SENSOR, FOV, CFG)
+        [out] = pseudo_update(pred, [[np.array([50.0, 50.0])]], [SENSOR], FOV, CFG)
         assert out.passed_through.tolist() == [True]
         assert out.states is pred.states and out.existences[0] == pred.existences[0]
         np.testing.assert_array_equal(out.weights, pred.weights)
@@ -265,14 +267,14 @@ class TestBayesCore:
         with pytest.raises(ValueError, match="expects a predicted density"):
             update(pred, [], SENSOR, FOV, CFG, np.random.default_rng(0), origin=0)
         with pytest.raises(ValueError, match="expects a predicted density"):
-            pseudo_update(pred, [], SENSOR, FOV, CFG)
+            pseudo_update(pred, [[]], [SENSOR], FOV, CFG)
 
     @pytest.mark.parametrize("meas", [[], [(0.0, 300.0)], [(0.0, 300.0), (200.0, 150.0)]])
     def test_pseudo_update_shares_predicted_labels_and_states(self, meas):
         pred = predicted_density(
             [cloud((0, 300), 0.6), cloud((100, 250), 0.4, label=Label(0, 1, 0), seed=2)]
         )
-        out = pseudo_update(pred, meas, SENSOR, FOV, CFG)
+        [out] = pseudo_update(pred, [meas], [SENSOR], FOV, CFG)
         assert out.labels is pred.labels and out.states is pred.states
 
     def test_update_rows_have_the_pseudo_update_bits(self):
@@ -281,7 +283,7 @@ class TestBayesCore:
         )
         meas = [np.array([0.0, 300.0]), np.array([200.0, 150.0])]  # gated, then ungated
         post = update(pred, meas, SENSOR, FOV, CFG, np.random.default_rng(0), origin=2)
-        pseudo = pseudo_update(pred, meas, SENSOR, FOV, CFG)
+        [pseudo] = pseudo_update(pred, [meas], [SENSOR], FOV, CFG)
         assert post.labels == pred.labels + (Label(1, 0, 2),)
         np.testing.assert_array_equal(post.existences[:2], pseudo.existences)
         np.testing.assert_array_equal(post.weights[:2], pseudo.weights)
@@ -460,6 +462,28 @@ class TestMurty:
         for (gc, _), (bc, _) in zip(got, brute):
             assert gc == pytest.approx(bc, abs=1e-9)
 
+    @given(terms=st.lists(
+        st.tuples(weights_or_zero, st.dictionaries(st.integers(0, 4),
+                                                   weights_or_zero | st.floats(1.0, 1e10))),
+        min_size=1, max_size=5))
+    @settings(max_examples=300, deadline=None)
+    def test_a_cost_matrix_with_miss_columns_has_a_solution(self, terms):
+        # the matrix _ranked_marginals builds: measurement columns, then one
+        # miss column per row, +inf elsewhere and for zero weights
+        meas_ids = sorted({j for _miss, det in terms for j in det})
+        n, m = len(terms), len(meas_ids)
+        cost = np.full((n, m + n), np.inf)
+        for i, (miss, det) in enumerate(terms):
+            cost[i, m + i] = -math.log(max(miss, 1e-300))
+            for j, w in det.items():
+                if w > 0:
+                    cost[i, meas_ids.index(j)] = -math.log(w)
+        solutions = murty_assignments(cost, 3)
+        assert solutions
+        total, assign = solutions[0]
+        assert all(np.isfinite(cost[i, c]) for i, c in enumerate(assign))
+        assert total <= sum(cost[i, m + i] for i in range(n)) + 1e-9
+
     def test_infeasible_cells_avoided(self):
         cost = np.array([[1.0, np.inf], [np.inf, 1.0]])
         [(total, assign)] = murty_assignments(cost, 5)
@@ -488,7 +512,7 @@ def row_terms(k, predicted, pd, no_det, mean_disp, sensor, measurements, cfg):
         if np.hypot(*(z - mean_disp)) > cfg.association_gate:
             continue
         positions = predicted.states[k, :, :2]
-        logg = displacement_log_likelihoods(positions, sensor, z, cfg.meas_noise_std)
+        logg = displacement_log_likelihoods(positions, sensor.position, z, cfg.meas_noise_std)
         raw = predicted.weights[k] * pd * np.exp(logg)
         g_sum = float(raw.sum())
         if g_sum > 0.0:
@@ -642,7 +666,7 @@ class TestBatchedUpdateOracle:
             got, reference_update(pred, meas, SENSOR, FOV, cfg, "posterior", ref_rng, 2)
         )
         assert rng.bit_generator.state == ref_rng.bit_generator.state
-        pseudo = pseudo_update(pred, meas, SENSOR, FOV, cfg)
+        [pseudo] = pseudo_update(pred, [meas], [SENSOR], FOV, cfg)
         assert_same_density(pseudo, reference_update(pred, meas, SENSOR, FOV, cfg,
                                                       "pseudo-posterior"))
         return pred, meas, cfg, got
@@ -691,7 +715,7 @@ class TestBatchedUpdateOracle:
     def test_pair_with_zero_likelihood_sum(self):
         pred, meas, cfg, got = self.check("zero_g_sum", 4)
         positions = pred.states[-1, :, :2]
-        logg = displacement_log_likelihoods(positions, SENSOR, [0.0, 300.0], cfg.meas_noise_std)
+        logg = displacement_log_likelihoods(positions, SENSOR.position, [0.0, 300.0], cfg.meas_noise_std)
         assert not np.exp(logg).any()  # gated, yet the pair has no likelihood mass
         births = got.states[len(pred.labels):, :, :2].mean(axis=1)
         assert np.min(np.hypot(*(births - [0.0, 300.0]).T)) < 10.0
@@ -704,20 +728,27 @@ class TestBatchedUpdateOracle:
     def test_exact_marginals_only_for_clusters_with_a_gated_pair(self, monkeypatch):
         import sentrack.filtering as filtering
 
-        clusters = []
-        exact = filtering._exact_marginals
+        singles, clusters, ranked = [], [], []
+        single, exact = filtering._single_row_marginals, filtering._exact_marginals
+        monkeypatch.setattr(filtering, "_single_row_marginals",
+                            lambda weights: singles.append(len(weights)) or single(weights))
         monkeypatch.setattr(filtering, "_exact_marginals",
                             lambda terms: clusters.append([t.row for t in terms]) or exact(terms))
-        # row 0 is gated to the measurement, row 1 is in view with no gated
-        # pair, row 2 lies behind the sensor and is passed through
+        monkeypatch.setattr(filtering, "_ranked_marginals", lambda *a: ranked.append(a))
+        # row 0 alone is gated to the first measurement, row 1 is in view with
+        # no gated pair, row 2 lies behind the sensor and is passed through,
+        # and rows 3 and 4 are both gated to the second measurement
         rows = [cloud((0, 300), 0.6, Label(0, 0, 0), n=16, spread=2.0, seed=1),
                 cloud((-150, 200), 0.6, Label(0, 1, 0), n=16, seed=2),
-                cloud((0, -300), 0.6, Label(0, 2, 0), n=16, seed=3)]
-        pred, meas = predicted_density(rows), [np.array([0.0, 302.0])]
+                cloud((0, -300), 0.6, Label(0, 2, 0), n=16, seed=3),
+                cloud((150, 300), 0.6, Label(0, 3, 0), n=16, spread=2.0, seed=4),
+                cloud((160, 305), 0.6, Label(0, 4, 0), n=16, spread=2.0, seed=5)]
+        pred, meas = predicted_density(rows), [np.array([0.0, 302.0]), np.array([155.0, 303.0])]
         cfg = dataclasses.replace(CFG, particle_count=16)
-        got = pseudo_update(pred, meas, SENSOR, FOV, cfg)
-        assert clusters == [[0]]
-        assert got.passed_through.tolist() == [False, False, True]
+        [got] = pseudo_update(pred, [meas], [SENSOR], FOV, cfg)
+        assert singles == [2]  # row 0's miss and its one measurement, in closed form
+        assert clusters == [[3, 4]] and not ranked
+        assert got.passed_through.tolist() == [False, False, True, False, False]
         assert got.existences[1] < pred.existences[1]  # the miss-only update
         assert_same_density(got, reference_update(pred, meas, SENSOR, FOV, cfg,
                                                   "pseudo-posterior"))
@@ -730,7 +761,7 @@ class TestBatchedUpdateOracle:
         rows = [cloud((0, 300), 0.6, Label(0, 0, 0), n=15, seed=1), behind._replace(weights=weights)]
         pred, meas = predicted_density(rows), [np.array([0.0, 302.0])]
         cfg = dataclasses.replace(CFG, particle_count=15)
-        got = pseudo_update(pred, meas, SENSOR, FOV, cfg)
+        [got] = pseudo_update(pred, [meas], [SENSOR], FOV, cfg)
         assert got.passed_through.tolist() == [False, True]
         assert np.array_equal(got.weights[1], weights) and got.existences[1] == 0.6
         assert_same_density(got, reference_update(pred, meas, SENSOR, FOV, cfg,
@@ -745,3 +776,186 @@ class TestBatchedUpdateOracle:
                             lambda *a: calls.append(1) or ranked(*a))
         self.check("murty", 6)
         assert calls
+
+
+# ---------------------------------------------------------------------------
+# Per-action oracle of the batched pseudo-update
+# ---------------------------------------------------------------------------
+
+OMNI = FovModel(rho_max=500.0, theta_max=math.pi, p_d_max=0.99, k_rho=0.5, k_theta=20.0)
+SEAM_BEARINGS = (math.pi, math.nextafter(-math.pi, 0))
+
+
+def per_action_bayes_update(predicted, z, sensor, fov, cfg):
+    """The Bayes core for one sensor pose, as it was before it took a pose
+    set: every row with a gated pair goes through connected_groups."""
+    k, j = predicted.weights.shape
+    pd = detection_probabilities(fov, sensor, predicted.states[:, :, :2]).reshape(k, j)
+    passed = pd.max(axis=1, initial=0.0) <= 1e-12
+    r = np.minimum(predicted.existences, EXISTENCE_CEIL)
+    miss_p = 1.0 - pd
+    miss_lik = np.matmul(predicted.weights[:, None, :], miss_p[:, :, None])[:, 0][:, 0]
+    no_det = (1.0 - r) + r * miss_lik
+    rows = meas = np.empty(0, dtype=np.intp)
+    particle_w, det_w = np.empty((0, j)), np.empty(0)
+    if len(z):
+        means = predicted.mean_positions()
+        dx = z[:, 0] - (means[:, 0] - sensor.x)[:, None]
+        dy = z[:, 1] - (means[:, 1] - sensor.y)[:, None]
+        gated = ~(np.hypot(dx, dy) > cfg.association_gate) & ~passed[:, None]
+        rows, meas = np.nonzero(gated)
+        pair_states, pair_z = predicted.states.take(rows, axis=0), z.take(meas, axis=0)[:, None]
+        logg = displacement_log_likelihoods(pair_states, sensor.position, pair_z, cfg.meas_noise_std)
+        raw = predicted.weights.take(rows, axis=0) * pd.take(rows, axis=0)
+        raw *= np.exp(logg)
+        g_sum = raw.sum(axis=1)
+        hit = g_sum > 0.0
+        if not hit.all():
+            rows, meas, raw, g_sum = rows[hit], meas[hit], raw[hit], g_sum[hit]
+        particle_w = raw / g_sum[:, None]
+        det_w = r.take(rows) * g_sum / max(cfg.clutter_intensity, 1e-12)
+    miss_r = np.zeros(k)
+    np.divide(r * miss_lik, no_det, out=miss_r, where=~passed & (no_det > 0))
+    existences = np.where(passed, predicted.existences, np.minimum(miss_r, EXISTENCE_CEIL))
+    events = [[] for _ in range(k)]
+    terms, no_det = {}, no_det.tolist()
+    for g, (i, m, weight) in enumerate(zip(rows.tolist(), meas.tolist(), det_w.tolist())):
+        if i not in terms:
+            terms[i] = _RowTerms(i, no_det[i], {}, {})
+        terms[i].det_weights[m], terms[i].pairs[m] = weight, g
+    terms = list(terms.values())
+    first = {}
+    shared = [(first.setdefault(m, i), i) for i, t in enumerate(terms) for m in t.det_weights]
+    for cluster in connected_groups(len(terms), shared):
+        cluster_terms = [terms[i] for i in cluster]
+        if math.prod(1 + len(t.det_weights) for t in cluster_terms) <= cfg.exact_enum_limit:
+            marginals = _exact_marginals(cluster_terms)
+        else:
+            marginals = _ranked_marginals(cluster_terms, cfg.assoc_max_hypotheses)
+        for t, marg in zip(cluster_terms, marginals):
+            i = t.row
+            miss_r[i] *= marg.get(None, 0.0)
+            new_r = miss_r[i] + sum(p for ev, p in marg.items() if ev is not None)
+            existences[i] = min(new_r, EXISTENCE_CEIL)
+            events[i] = [(t.pairs[e], p) for e, p in marg.items() if e is not None and p > 0.0]
+    weights = predicted.weights.copy()
+    if not passed.all():
+        w = miss_r[:, None] * predicted.weights * miss_p
+        w /= np.where(miss_lik == 0.0, 1.0, miss_lik)[:, None]
+        for s in range(max(map(len, events))):
+            at = [i for i, row_events in enumerate(events) if len(row_events) > s]
+            pair, p = zip(*(events[i][s] for i in at))
+            w[np.array(at)] += np.array(p)[:, None] * particle_w.take(pair, axis=0)
+        total = w.sum(axis=1)[:, None]
+        np.divide(w, total, out=weights, where=total > 0.0)
+    return LmbDensity(predicted.labels, existences, predicted.states, weights,
+                      predicted.timestamp, "pseudo-posterior", passed)
+
+
+@st.composite
+def pose_sets(draw):
+    """A predicted density from oracle_inputs, a FoV model, and 1-5 poses
+    with their measurement sets: the case's own at SENSOR, then ideal
+    measurement sets, the same points seen from elsewhere, empty sets and
+    poses that pass every row through."""
+    case, seed = draw(st.sampled_from(ORACLE_CASES)), draw(st.integers(0, 2**16))
+    pred, meas, cfg = oracle_inputs(case, seed)
+    fov = draw(st.sampled_from([FOV, OMNI]))
+    positions = np.array([state[:2] for _label, state in eap_states(pred)]).reshape(-1, 2)
+    poses, zs, away = [SENSOR], [meas], []
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["pims", "shifted", "empty", "away"]))
+        x, y = draw(st.floats(-100.0, 100.0)), draw(st.floats(-100.0, 100.0))
+        bearing = draw(st.sampled_from(SEAM_BEARINGS) | st.floats(-4.0, 4.0))
+        if kind == "away":
+            # the rows lie at |y| >= 150 on one side; a sector faces the
+            # other way, and an omnidirectional sensor stands far off
+            facing = 0.0 if case == "all_passed" else math.pi
+            pose = SensorState(x, y, facing) if fov is FOV else SensorState(5e4, 5e4, bearing)
+            away.append(len(poses))
+        else:
+            pose = SensorState(x, y, bearing)
+        if kind == "pims":
+            z = generate_pims(positions, pose, fov)
+        elif kind == "shifted":
+            z = [m - pose.position for m in meas]
+        else:
+            z = [] if kind == "empty" else meas
+        poses.append(pose)
+        zs.append(z)
+    return pred, zs, poses, fov, cfg, away
+
+
+class TestBatchedPseudoUpdateOracle:
+    """pseudo_update over a pose set equals the per-action core for every pose."""
+
+    def check(self, pred, zs, poses, fov, cfg):
+        got = pseudo_update(pred, zs, poses, fov, cfg)
+        assert len(got) == len(poses)
+        for out, z, pose in zip(got, zs, poses):
+            z = np.asarray(z, dtype=float).reshape(-1, 2)
+            assert_same_density(out, per_action_bayes_update(pred, z, pose, fov, cfg))
+            assert out.labels is pred.labels and out.states is pred.states
+        return got
+
+    @given(inputs=pose_sets())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_per_action_core(self, inputs):
+        pred, zs, poses, fov, cfg, away = inputs
+        got = self.check(pred, zs, poses, fov, cfg)
+        for a in away:
+            assert got[a].passed_through.all()
+
+    @pytest.mark.parametrize("fov", [FOV, OMNI], ids=["sector", "omni"])
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    def test_each_case_beside_an_empty_set_and_a_pose_facing_away(self, fov, case):
+        pred, meas, cfg = oracle_inputs(case, 7)
+        facing = 0.0 if case == "all_passed" else math.pi
+        away = SensorState(0.0, 0.0, facing) if fov is FOV else SensorState(5e4, 5e4, 0.0)
+        poses = [SENSOR, SensorState(20.0, -10.0, SEAM_BEARINGS[1]), away, SensorState(5.0, 5.0, 0.1)]
+        got = self.check(pred, [meas, meas, meas, []], poses, fov, cfg)
+        assert got[2].passed_through.all()
+        np.testing.assert_array_equal(got[2].weights, pred.weights)
+        np.testing.assert_array_equal(got[2].existences, pred.existences)
+
+    def test_empty_predicted_density(self):
+        pred = predicted_density([])
+        got = self.check(pred, [[], [(0.0, 300.0)]], [SENSOR, SensorState(5.0, 0.0, 1.0)], FOV, CFG)
+        assert [out.labels for out in got] == [(), ()]
+
+
+class TestSingleRowMarginals:
+    @given(miss=weights_or_zero, dets=st.lists(weights_or_zero, max_size=4),
+           keys=st.lists(st.integers(0, 9), min_size=4, max_size=4, unique=True))
+    @settings(max_examples=500, deadline=None)
+    def test_has_the_bits_of_the_exact_path(self, miss, dets, keys):
+        # a row with 0-4 gated measurements, zero weights included
+        det_weights = dict(zip(sorted(keys), dets))
+        [expected] = _exact_marginals([TestAssociationMarginals.FakeTerms(miss, det_weights)])
+        got = _single_row_marginals([miss] + dets)
+        assert len(got) == len(expected)
+        assert np.array_equal(bits_of(got), bits_of(list(expected.values())))
+
+    def test_all_zero_weights_give_a_sure_miss(self):
+        assert _single_row_marginals([0.0, 0.0, 0.0]) == [1.0]
+
+
+def bits_of(values):
+    return np.array(values, dtype=float).view(np.int64)
+
+
+class TestStackedRowMeans:
+    @given(a=st.integers(1, 9), k=st.integers(0, 24), j=st.integers(16, 501),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_each_pose_has_the_bits_of_its_own_call(self, a, k, j, seed):
+        # the miss likelihoods of a pose set: one weights array over
+        # (A, K, J, 1) values, against the (K, 1, J) @ (K, J, 1) form per pose
+        rng = np.random.default_rng(seed)
+        weights = rng.dirichlet(np.ones(j), k).reshape(k, j)
+        values = 1.0 - rng.uniform(0.0, 1.0, (a, k, j)) * (rng.random((a, k, j)) < 0.8)
+        got = row_means(weights, values[..., None])
+        assert got.shape == (a, k, 1)
+        for pose in range(a):
+            want = np.matmul(weights[:, None, :], values[pose][:, :, None])[:, 0]
+            assert np.array_equal(bits_of(got[pose]), bits_of(want))

@@ -266,6 +266,26 @@ class TestPerAxisOracle:
         got = detection_probabilities(fov, sensor, view)
         assert same_bits(got, old_detection_probabilities(fov, sensor, view))
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        fov=fovs,
+        poses=st.lists(sensor_states, min_size=1, max_size=5),
+        points=point_arrays(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_detection_probabilities_of_a_pose_sequence(self, fov, poses, points, seed):
+        # one row per pose, each with the bits of that pose's own call; the
+        # points include 20 uniform draws near each pose, as above
+        rng = np.random.default_rng(seed)
+        for sensor in poses:
+            rho, theta = rng.uniform(0.0, 1.2 * fov.rho_max, 20), rng.uniform(-math.pi, math.pi, 20)
+            near = np.column_stack([sensor.x + rho * np.sin(theta), sensor.y + rho * np.cos(theta)])
+            points = np.concatenate([points, near])
+        got = detection_probabilities(fov, poses, points)
+        assert got.shape == (len(poses), len(points))
+        for row, sensor in zip(got, poses):
+            assert same_bits(row, old_detection_probabilities(fov, sensor, points))
+
     @pytest.mark.parametrize("fov", [SCEN1_FOV, OMNI_FOV])
     @pytest.mark.parametrize(
         "points",
@@ -289,17 +309,17 @@ class TestPerAxisOracle:
     def test_displacement_log_likelihoods_of_one_measurement(
         self, sensor, positions, measurement, noise_std
     ):
-        got = displacement_log_likelihoods(positions, sensor, measurement, noise_std)
+        got = displacement_log_likelihoods(positions, sensor.position, measurement, noise_std)
         want = old_displacement_log_likelihoods(positions, sensor, measurement, noise_std)
         assert same_bits(got, want)
-        assert same_bits(displacement_log_likelihoods(positions, sensor, list(measurement), noise_std), want)
+        assert same_bits(displacement_log_likelihoods(positions, list(sensor.position), list(measurement), noise_std), want)
 
     @settings(max_examples=300, deadline=None)
     @given(sensor=sensor_states, data=st.data(), noise_std=st.floats(0.1, 50.0))
     def test_displacement_log_likelihoods_of_one_measurement_per_row(self, sensor, data, noise_std):
         positions = data.draw(point_arrays())
         measurements = data.draw(arrays(np.float64, positions.shape, elements=coords))
-        got = displacement_log_likelihoods(positions, sensor, measurements, noise_std)
+        got = displacement_log_likelihoods(positions, sensor.position, measurements, noise_std)
         assert same_bits(got, old_displacement_log_likelihoods(positions, sensor, measurements, noise_std))
 
     @settings(max_examples=100, deadline=None)
@@ -309,11 +329,26 @@ class TestPerAxisOracle:
         g, j = data.draw(st.integers(0, 4)), data.draw(st.integers(1, 6))
         states = data.draw(arrays(np.float64, (g, j, 4), elements=coords))
         z = data.draw(arrays(np.float64, (g, 2), elements=coords))
-        got = displacement_log_likelihoods(states, sensor, z[:, None, :], noise_std)
+        got = displacement_log_likelihoods(states, sensor.position, z[:, None, :], noise_std)
         want = old_displacement_log_likelihoods(
             states[:, :, :2].reshape(-1, 2), sensor, z.repeat(j, axis=0), noise_std
         )
         assert got.shape == (g, j) and same_bits(got.ravel(), want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), noise_std=st.floats(0.1, 50.0))
+    def test_displacement_log_likelihoods_with_an_origin_per_pair(self, data, noise_std):
+        # the batched update's form: each pair seen from its own pose
+        g, j = data.draw(st.integers(0, 4)), data.draw(st.integers(1, 6))
+        sensors = data.draw(st.lists(sensor_states, min_size=g, max_size=g))
+        states = data.draw(arrays(np.float64, (g, j, 4), elements=coords))
+        z = data.draw(arrays(np.float64, (g, 2), elements=coords))
+        origins = np.array([s.position for s in sensors]).reshape(g, 1, 2)
+        got = displacement_log_likelihoods(states, origins, z[:, None, :], noise_std)
+        assert got.shape == (g, j)
+        for row, sensor, states_row, z_row in zip(got, sensors, states, z):
+            want = old_displacement_log_likelihoods(states_row[:, :2], sensor, z_row, noise_std)
+            assert same_bits(row, want)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -332,20 +367,20 @@ class TestPerAxisOracle:
 
 class TestMeasurementLikelihood:
     def test_mode_value(self):
-        val = displacement_log_likelihoods(np.array([[3.0, 4.0]]), NORTH, (3.0, 4.0), 1.0)
+        val = displacement_log_likelihoods(np.array([[3.0, 4.0]]), NORTH.position, (3.0, 4.0), 1.0)
         assert np.exp(val[0]) == pytest.approx(1.0 / (2 * math.pi))
 
     def test_one_sigma_offset(self):
         sensor = SensorState(10.0, -5.0, 0.3)
         positions = np.array([[10.0, -5.0], [11.0, -5.0], [10.0, -4.0]])
-        val = displacement_log_likelihoods(positions, sensor, (0.0, 0.0), 1.0)
+        val = displacement_log_likelihoods(positions, sensor.position, (0.0, 0.0), 1.0)
         assert val[1] == pytest.approx(val[0] - 0.5)
         assert val[2] == pytest.approx(val[0] - 0.5)
 
     def test_sigma_scaling(self):
         pos = np.array([[0.0, 0.0]])
-        wide = displacement_log_likelihoods(pos, NORTH, (0, 0), 2.0)[0]
-        narrow = displacement_log_likelihoods(pos, NORTH, (0, 0), 1.0)[0]
+        wide = displacement_log_likelihoods(pos, NORTH.position, (0, 0), 2.0)[0]
+        narrow = displacement_log_likelihoods(pos, NORTH.position, (0, 0), 1.0)[0]
         assert math.exp(wide) == pytest.approx(math.exp(narrow) / 4.0)
 
 
