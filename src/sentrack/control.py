@@ -281,7 +281,7 @@ class PseudoCache:
             predicted, after, fov = self.predicted[s], self.after[s], self.fovs[s]
             # an empty predicted density has one pseudo-posterior, with no rows
             states = after if predicted.labels else after[:1]
-            pims = [generate_pims(self.eap_positions[s], state, fov) for state in states]
+            pims = generate_pims(self.eap_positions[s], states, fov)
             pseudos = pseudo_update(predicted, pims, states, fov, self.filter_cfgs[s])
             for b in range(len(after)):
                 self._pseudo[(s, b)] = pseudos[b if predicted.labels else 0]

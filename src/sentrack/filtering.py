@@ -10,10 +10,11 @@ association hypotheses are marginalized per cluster of components that
 share gated measurements.  The exact path enumerates the product of the
 rows' events (a miss or a gated measurement each) when its size is within
 exact_enum_limit, keeping the partial matchings; larger clusters fall back
-to the best-k ranked assignments.  A lone row, whose gated measurements no
-other row holds, is a cluster of one; within the limit it takes the exact
-path's single-row case in closed form (_single_row_marginals), with the
-same bits.  The update itself never resamples: resampling and pruning are
+to the best-k ranked assignments, each solved by min_cost_assignment, the
+in-house port of scipy's rectangular assignment solver.  A lone row, whose
+gated measurements no other row holds, is a cluster of one; within the
+limit it takes the exact path's single-row case in closed form
+(_single_row_marginals), with the same bits.  The update itself never resamples: resampling and pruning are
 separate steps so that a no-information update is exactly the identity on
 the density.
 
@@ -45,8 +46,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
+from .assignment import min_cost_assignment
 from .lmb import EXISTENCE_CEIL, STATE_DIM, Label, LmbDensity, connected_groups, row_means
 from .sensors import (
     FovModel,
@@ -124,19 +125,19 @@ def predict(
     )
 
 
-def generate_pims(
-    positions: np.ndarray, sensor_after_action: SensorState, fov: FovModel
-) -> np.ndarray:
-    """Ideal measurement set for a hypothesized sensor state.
+def generate_pims(positions: np.ndarray, poses: list, fov: FovModel) -> list:
+    """Ideal measurement set of each of A hypothesized sensor poses.
 
     positions holds the (N, 2) positions of the predicted density's EAP
-    estimates (eap_states), so one sensor's actions share them.  Each
-    estimate whose detection probability exceeds the model threshold emits
-    its exact noiseless relative displacement, a row of the (M, 2) result;
-    the others are treated as missed and omitted.
+    estimates (eap_states), so one sensor's actions share them.  At each
+    pose, each estimate whose detection probability exceeds the model
+    threshold emits its exact noiseless relative displacement, a row of
+    that pose's (M_a, 2) set; the others are treated as missed and omitted.
+    One detection-probability call covers every pose, and each pose's row
+    of it has the bits of its own call.
     """
-    pd = detection_probabilities(fov, sensor_after_action, positions)
-    return positions[pd > fov.p_d_threshold] - sensor_after_action.position
+    pd = detection_probabilities(fov, poses, positions)
+    return [positions[row > fov.p_d_threshold] - pose.position for pose, row in zip(poses, pd)]
 
 
 # ---------------------------------------------------------------------------
@@ -186,20 +187,24 @@ def _exact_marginals(cluster_terms: list) -> list:
 
 
 def _solve_assignment(cost: np.ndarray):
-    filled = np.where(np.isfinite(cost), cost, _BIG_COST)
-    rows, cols = linear_sum_assignment(filled)
-    if any(not np.isfinite(cost[r, c]) for r, c in zip(rows, cols)):
+    """(total cost, column per row) of the best assignment avoiding +inf
+    cells, or None when every assignment meets one.  The +inf cells are
+    filled with _BIG_COST, so min_cost_assignment sees only finite entries;
+    the cost is never taller than wide."""
+    cols = min_cost_assignment(np.where(np.isfinite(cost), cost, _BIG_COST))
+    picked = cost[np.arange(len(cols)), cols]
+    if not np.isfinite(picked).all():
         return None
-    return float(cost[rows, cols].sum()), tuple(int(c) for c in cols[np.argsort(rows)])
+    return float(picked.sum()), tuple(cols)
 
 
 def murty_assignments(cost: np.ndarray, k: int) -> list:
     """Up to k lowest-cost assignments of rows to distinct columns.
 
-    Standard Murty partitioning over linear_sum_assignment solutions;
-    infeasible cells are +inf; a node's children partition its other
-    solutions, so none repeats.  Returns (total_cost, column_per_row) pairs
-    in nondecreasing cost order.
+    Standard Murty partitioning over min_cost_assignment solutions, with
+    at most as many rows as columns; infeasible cells are +inf; a node's
+    children partition its other solutions, so none repeats.  Returns
+    (total_cost, column_per_row) pairs in nondecreasing cost order.
     """
     best = _solve_assignment(cost)
     if best is None:

@@ -160,6 +160,26 @@ def _fuse_and_estimate(scenario, members, posteriors, predicted, sensor_states):
     return eap_states(fuse_lmb(locals_, active, scenario.fusion.estimate_floor))
 
 
+def _split_histories(histories: list, components) -> list:
+    """Split each (members, history) group by this step's components.
+
+    The members of a group that fall into one component stay together.
+    When a group spans several components, the first part keeps its history
+    and each other part takes a copy, inner dicts included, so a later
+    append to one part's history leaves the others unchanged.
+    """
+    component_of = {s: c for c, component in enumerate(components) for s in component}
+    out = []
+    for members, history in histories:
+        parts = {}
+        for s in members:
+            parts.setdefault(component_of[s], []).append(s)
+        for k, part in enumerate(parts.values()):
+            copy = history if k == 0 else {label: dict(track) for label, track in history.items()}
+            out.append((part, copy))
+    return out
+
+
 def run_single(
     scenario: ScenarioConfig,
     method: str,
@@ -188,7 +208,9 @@ def run_single(
     filter_cfgs = {s: scenario.filter_for(s) for s in range(n)}
     posteriors = {s: empty_density(0, "posterior") for s in range(n)}
     truth_tracks = scenario.truth_tracks(duration)
-    est_tracks = [dict() for _ in range(n)]
+    # (members, estimate history) of each group of sensors that have shared
+    # a component at every step so far: their histories are one and the same
+    histories = [(list(range(n)), {})]
     comm_log = CommLog()
     control_seconds = 0.0
     records = []
@@ -248,8 +270,8 @@ def run_single(
             comm_log.record(topology, step, s, len(posteriors[s].labels))
 
         ospa_sum = 0.0
-        ospa2_sum = 0.0
         card_sum = 0.0
+        estimates_of = {}
         for component in topology.components:
             members = sorted(component)
             estimates = _fuse_and_estimate(scenario, members, posteriors, predicted, sensor_states)
@@ -261,19 +283,30 @@ def run_single(
                 scenario.metric.ospa_order,
             )
             for s in members:
-                for label, state in estimates:
-                    est_tracks[s].setdefault(label, {})[step] = tuple(state[:2])
-                step_ospa2 = ospa2(
-                    truth_tracks,
-                    est_tracks[s],
-                    scenario.metric.ospa_cutoff,
-                    scenario.metric.ospa_order,
-                    min(scenario.metric.ospa2_window, step),
-                    step,
-                )
+                estimates_of[s] = estimates
                 ospa_sum += step_ospa
-                ospa2_sum += step_ospa2
                 card_sum += len(estimates)
+
+        # every member of a group appends the same estimates, so each
+        # history is scored once, for all of its members
+        histories = _split_histories(histories, topology.components)
+        ospa2_of = {}
+        for members, history in histories:
+            for label, state in estimates_of[members[0]]:
+                history.setdefault(label, {})[step] = tuple(state[:2])
+            step_ospa2 = ospa2(
+                truth_tracks,
+                history,
+                scenario.metric.ospa_cutoff,
+                scenario.metric.ospa_order,
+                min(scenario.metric.ospa2_window, step),
+                step,
+            )
+            ospa2_of.update(dict.fromkeys(members, step_ospa2))
+
+        ospa2_sum = 0.0
+        for s in estimates_of:  # in the order the sums above add the sensors
+            ospa2_sum += ospa2_of[s]
 
         records.append(
             StepRecord(

@@ -1,7 +1,12 @@
-"""OSPA and windowed track OSPA tracking-accuracy metrics."""
+"""OSPA and windowed track OSPA tracking-accuracy metrics.
+
+The optimal assignments come from min_cost_assignment, the in-house port
+of scipy's rectangular assignment solver.
+"""
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
+
+from .assignment import min_cost_assignment
 
 
 def _as_matrix(states) -> np.ndarray:
@@ -14,7 +19,8 @@ def _assignment_distance(base: np.ndarray, c: float, p: float) -> float:
 
     Localization error is the optimal assignment on base distances cut off
     at c, cardinality error costs c per unassigned element; both sets
-    empty gives 0 by convention.
+    empty gives 0 by convention.  The matrix is transposed to at most as
+    many rows as columns, as min_cost_assignment requires.
     """
     if base.shape[0] > base.shape[1]:
         base = base.T
@@ -24,8 +30,7 @@ def _assignment_distance(base: np.ndarray, c: float, p: float) -> float:
     if n == 0:
         return float(c)
     d = np.minimum(base, c) ** p
-    rows, cols = linear_sum_assignment(d)
-    cost = float(d[rows, cols].sum())
+    cost = float(d[np.arange(n), min_cost_assignment(d)].sum())
     return float(((cost + c**p * (m - n)) / m) ** (1.0 / p))
 
 

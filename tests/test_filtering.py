@@ -75,7 +75,8 @@ def mean_position(c):
 
 def pims(predicted, sensor):
     positions = np.array([state[:2] for _label, state in eap_states(predicted)]).reshape(-1, 2)
-    return generate_pims(positions, sensor, FOV)
+    [z] = generate_pims(positions, [sensor], FOV)
+    return z
 
 
 class TestFilterConfig:
@@ -313,6 +314,26 @@ class TestGeneratePims:
             [cloud((0, 300), 0.9), cloud((50, 300), 0.1, label=Label(0, 1, 0))]
         )
         assert len(pims(pred, SENSOR)) == 1
+
+    @given(
+        positions=st.lists(st.tuples(st.floats(-600.0, 600.0), st.floats(-600.0, 600.0)),
+                           max_size=6),
+        poses=st.lists(st.builds(SensorState, st.floats(-100.0, 100.0), st.floats(-100.0, 100.0),
+                                 st.sampled_from([math.pi, math.nextafter(-math.pi, 0)])
+                                 | st.floats(-4.0, 4.0)),
+                       min_size=1, max_size=5),
+        fov=st.sampled_from([FOV, dataclasses.replace(FOV, theta_max=math.pi)]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_each_pose_has_the_bits_of_a_single_pose_call(self, positions, poses, fov):
+        positions = np.array(positions, dtype=float).reshape(-1, 2)
+        got = generate_pims(positions, poses, fov)
+        assert len(got) == len(poses)
+        for z, pose in zip(got, poses):
+            # the single-pose form generate_pims had before it took a pose set
+            pd = detection_probabilities(fov, pose, positions)
+            want = positions[pd > fov.p_d_threshold] - pose.position
+            assert z.shape == want.shape and z.tobytes() == want.tobytes()
 
 
 class TestAssociationMarginals:
@@ -876,7 +897,7 @@ def pose_sets(draw):
         else:
             pose = SensorState(x, y, bearing)
         if kind == "pims":
-            z = generate_pims(positions, pose, fov)
+            [z] = generate_pims(positions, [pose], fov)
         elif kind == "shifted":
             z = [m - pose.position for m in meas]
         else:

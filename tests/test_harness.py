@@ -10,6 +10,7 @@ from sentrack import fusion, harness
 from sentrack.fusion import existence_odds
 from sentrack.harness import METHODS, ControlContext, run_single
 from sentrack.lmb import LmbDensity, prune
+from sentrack.metrics import ospa2
 from sentrack.network import CommLogEntry, message_cost
 from sentrack.scenarios import build_scenario_1, build_scenario_2
 
@@ -224,6 +225,46 @@ def test_labels_below_reach_skip_fusion_without_changing_results(monkeypatch, sc
     assert floored.steps == everything.steps
     assert spatial["floor", False] == 0 and spatial["floor", True] > 0
     assert spatial["all", False] > 0
+
+
+def test_ospa2_of_shared_histories_equals_per_sensor_scoring(monkeypatch):
+    # at half the comm range scenario 2 splits into 2 to 6 components per
+    # step, so groups of sensors split, take copies of their histories and
+    # later share a component with differing histories; each step's OSPA(2)
+    # must have the bits of scoring every sensor's own history
+    base = build_scenario_2()
+    scenario = dataclasses.replace(base, comm_range=0.5 * base.comm_range)
+    n, steps, metric = len(scenario.sensors), 20, scenario.metric
+    calls = []
+    fuse = harness._fuse_and_estimate
+
+    def recorded(scenario, members, *args):
+        estimates = fuse(scenario, members, *args)
+        calls.append((members, estimates))
+        return estimates
+
+    monkeypatch.setattr(harness, "_fuse_and_estimate", recorded)
+    result = run_single(scenario, "isc", seed=20260810, duration=steps)
+
+    truth_tracks = scenario.truth_tracks(steps)
+    est_tracks = [dict() for _ in range(n)]
+    components, mixed = [], 0
+    for rec in result.steps:
+        step, total, step_calls = rec.step, 0.0, []
+        # the components of a step cover every sensor once
+        while sum(len(members) for members, _ in step_calls) < n:
+            step_calls.append(calls.pop(0))
+        for members, estimates in step_calls:
+            mixed += any(est_tracks[s] != est_tracks[members[0]] for s in members)
+            for s in members:
+                for label, state in estimates:
+                    est_tracks[s].setdefault(label, {})[step] = tuple(state[:2])
+                total += ospa2(truth_tracks, est_tracks[s], metric.ospa_cutoff, metric.ospa_order,
+                               min(metric.ospa2_window, step), step)
+        assert (total / n).hex() == rec.ospa2.hex()
+        components.append(len(step_calls))
+    assert not calls
+    assert min(components) >= 2 and max(components) > 2 and mixed > 0
 
 
 def test_export_results_writes_the_pinned_csv_format(tmp_path):
