@@ -29,7 +29,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .filtering import FilterConfig, generate_pims, pseudo_update
+from .filtering import FilterConfig, PseudoPosterior, generate_pims, pseudo_update
 from .fusion import compute_active_set, existence_odds
 from .lmb import LmbDensity, eap_states, prune
 from .sensors import FovModel, SensorState, apply_action
@@ -224,19 +224,29 @@ class PseudoCache:
     action up front; every post-action geometry of the step is read from
     it, and after[s][0], the stay action's, is sensor s's current pose.
     labels is the step's sorted label index; rows[s] maps sensor s's
-    components onto it.  Per sensor: the EAP positions of its predicted
-    density, which every action's ideal measurement set starts from, and,
-    on first use, the pseudo-posteriors of all its actions from one
-    pseudo_update call (an empty predicted density has one, with no rows,
-    which all its actions share).  Per (sensor, action), on first use: one
-    memo of (mask, odds), the components the sensor is active for and their
-    pseudo existence odds, 0.0 elsewhere.  Per (owner, action, center), on
-    first use: the in-disk weight of each of the owner's pseudo components.
-    A pseudo-posterior shares its predicted density's states array, since
-    pseudo_update never moves a particle, so which particles lie in a disk
-    is found once per (sensor, center) from predicted.states, and only
-    components with a particle inside are summed.  Per center, on first
-    use: whether its disk holds no predicted particle of any sensor.
+    components onto it.  Built up front, per sensor: its pruned predicted
+    density, the predicted existences, the EAP positions, which every
+    action's ideal measurement set starts from, and the predicted means.
+
+    Built on first use:
+      * per sensor, when any of its actions is first read: the
+        PseudoPosteriors of all its actions, from one pseudo_update call,
+        each holding its rows' existences (an empty predicted density has
+        one, with no rows, which all its actions share);
+      * per (sensor, action, row), at most once: the row's pseudo-posterior
+        particle weights, built only when active or indisk_weight reads
+        them: active for the rows the predicted estimates leave inactive,
+        indisk_weight for the rows with a particle in the disk;
+      * per (sensor, action): one memo of (mask, odds), the components the
+        sensor is active for and their pseudo existence odds, 0.0 elsewhere;
+      * per (owner, action, center): the in-disk weight of each of the
+        owner's pseudo components;
+      * per (sensor, center): which of its components have a particle in
+        the disk, and which particles, read from predicted.states, since
+        a pseudo-posterior shares its predicted density's particles and
+        pseudo_update never moves one;
+      * per center: whether its disk holds no predicted particle of any
+        sensor.
     """
 
     def __init__(
@@ -276,7 +286,7 @@ class PseudoCache:
         self._empty = {}
         self._indisk = {}
 
-    def pseudo(self, s: int, a: int) -> LmbDensity:
+    def pseudo(self, s: int, a: int) -> PseudoPosterior:
         if (s, a) not in self._pseudo:
             predicted, after, fov = self.predicted[s], self.after[s], self.fovs[s]
             # an empty predicted density has one pseudo-posterior, with no rows
@@ -293,7 +303,7 @@ class PseudoCache:
         key = (s, a)
         if key not in self._active:
             pseudo = self.pseudo(s, a)  # it keeps its predicted rows
-            means = pseudo.mean_positions(), self.predicted_means[s]
+            means = self.predicted_means[s], pseudo.mean_positions
             mask = compute_active_set(self.after[s][a], self.fovs[s], *means)
             # the update caps existences at EXISTENCE_CEIL, so no odds are clamped
             self._active[key] = mask, np.where(mask, existence_odds(pseudo.existences), 0.0)
@@ -325,10 +335,11 @@ class PseudoCache:
             hits = self._hits(owner, center)
             weight = None
             if hits:
-                weights = self.pseudo(owner, action).weights
-                weight = np.zeros(len(weights))
-                for k, inside in hits:
-                    weight[k] = weights[k][inside].sum()
+                pseudo = self.pseudo(owner, action)
+                weights = pseudo.row_weights(k for k, _inside in hits)
+                weight = np.zeros(len(pseudo.labels))
+                for (k, inside), row in zip(hits, weights):
+                    weight[k] = row[inside].sum()
             self._indisk[key] = weight
         return self._indisk[key]
 

@@ -1,8 +1,8 @@
 """Per-sensor sequential Monte Carlo LMB filter.
 
 Prediction, ideal measurement sets for hypothesized actions, and one
-Bayes core that returns arrays, shared by the measurement update, which
-alone appends births, and the pseudo-update used for control scoring.
+Bayes core, shared by the measurement update, which alone appends births,
+and the pseudo-update used for control scoring.
 
 The update is the standard SMC-LMB component-wise Bayes update: particles
 are reweighted by detection probability and measurement likelihood, and
@@ -18,25 +18,31 @@ limit it takes the exact path's single-row case in closed form
 separate steps so that a no-information update is exactly the identity on
 the density.
 
-The core updates one density against a set of A sensor poses, each with
+The core runs in two phases against a set of A sensor poses, each with
 its own measurements: update passes one pose, pseudo_update every action's
-pose of a sensor.  Its arrays hold the (A * K) rows of all poses: one
-detection-probability call covers every pose and particle, one pose x rows
-x measurements distance matrix gates the pairs, and one pass over all
-gated pairs computes their likelihoods and normalized particle weights.
-Each pose's measurements have their own indices, so no cluster spans two
-poses.  Each row's posterior weights are summed term by term in its own
-event order (miss term first, then the detections in marginal order), so
-every pose's result has the bits of a row-by-row update at that pose
-alone.  Every updated row first takes the miss-only update as arrays; only
-the rows with a gated pair go on to the association marginals.
+pose of a sensor.  The association phase holds the (A * K) block rows of
+all poses in arrays: each pose's particle offsets (x - x_a, y - y_a) are
+computed once and read by both the detection model and the gated pairs'
+likelihoods, and one pose x rows x measurements distance matrix gates the
+pairs.  Each pose's measurements have their own indices, so no cluster
+spans two poses.  Every updated row first takes the miss-only update as
+arrays; only the rows with a gated pair go on to the association
+marginals, which give each row's posterior existence.  The weights phase
+then builds the normalized particle weights of any requested block rows:
+each row's terms are summed in its own event order (miss term first, then
+the detections in marginal order) and divided by their sum, so a row has
+the bits of a row-by-row update at its pose alone, whichever rows are
+built with it.  update requests every row.  A row's existence does not
+depend on its reweighted particles, and control reads most rows'
+existences only, so a PseudoPosterior requests a row's weights the first
+time they are read.
 
 Pass-through rule: a component whose maximum detection probability over
 its particles is at most 1e-12 at a pose has no gated measurement there,
 so it forms a cluster of its own, and the update passes it through
 unchanged.  The posterior marks those rows in passed_through; they are the
 rows the harness does not resample.  Whole densities go through the
-update: one detection-probability call per density and pose set.
+update: one detection-model call per density and pose set.
 """
 
 import heapq
@@ -53,6 +59,7 @@ from .sensors import (
     FovModel,
     MotionModel,
     SensorState,
+    detection_model,
     detection_probabilities,
     displacement_log_likelihoods,
     propagate_states,
@@ -282,22 +289,70 @@ def _single_row_marginals(weights: list) -> list:
     return [w / total for w in scaled]
 
 
+class _Association(NamedTuple):
+    """The association phase's result over the (A * K) block rows of A poses,
+    pose a's row k being block row a * K + k, and what the weights phase reads.
+
+    existences and passed are (A, K); meas holds the measurement of each gated
+    pair, an index into the poses' measurements concatenated in pose order.
+    miss_r is each block row's existence after a miss, scaled by its miss
+    marginal, miss_p its particles' miss probabilities, miss_lik their
+    weight-average (1.0 where that is 0, as the divisor), and events its
+    detection events [(pair, p)] in marginal order; raw and g_sum are each
+    gated pair's unnormalized particle likelihoods and their sum."""
+
+    existences: np.ndarray
+    passed: np.ndarray
+    meas: np.ndarray
+    prior: np.ndarray  # the predicted (K, J) weights
+    miss_r: np.ndarray
+    miss_p: np.ndarray
+    miss_lik: np.ndarray
+    events: list
+    raw: np.ndarray
+    g_sum: np.ndarray
+
+    def weights(self, pose: int, rows: np.ndarray) -> np.ndarray:
+        """The weights phase: (len(rows), J) normalized posterior particle
+        weights of pose's given distinct rows, in the given order.
+
+        Each row is summed term by term in its own event order: the miss
+        term, then the detections in marginal order, then divided by its
+        sum.  The miss term is 0 where miss_r is (so where the miss
+        likelihood is, and on the rows passed through); a row whose sum is
+        0 keeps its predicted weights.  Every step is per row, so a row has
+        the same bits whichever rows are built with it.
+        """
+        block = pose * len(self.prior) + rows
+        prior = self.prior.take(rows, axis=0)
+        w = self.miss_r.take(block)[:, None] * prior * self.miss_p.take(block, axis=0)
+        w /= self.miss_lik.take(block)[:, None]
+        for row, i in zip(w, block.tolist()):
+            for pair, p in self.events[i]:
+                row += p * (self.raw[pair] / self.g_sum[pair])
+        total = w.sum(axis=1)[:, None]
+        return np.divide(w, total, out=prior, where=total > 0.0)
+
+
 def _bayes_update(
     predicted: LmbDensity,
     zs: list,
     sensors: list,
     fov: FovModel,
     cfg: FilterConfig,
-) -> tuple:
-    """The rows' (existences, weights, passed_through) after the Bayes update
-    against each of A sensor poses with its (M_a, 2) measurements, as (A, K),
-    (A, K, J) and (A, K) arrays, and the measurement of each gated pair, an
-    index into the poses' measurements concatenated in pose order."""
+) -> _Association:
+    """The association phase of the Bayes update against each of A sensor
+    poses with its (M_a, 2) measurements."""
     if predicted.role != "predicted":
         raise ValueError(f"the update expects a predicted density, got role {predicted.role!r}")
     k, j = predicted.weights.shape
     n_poses = len(sensors)
-    pd = detection_probabilities(fov, sensors, predicted.states[:, :, :2]).reshape(n_poses, k, j)
+    # each pose's (A, K, J) particle offsets, read by the detection model and
+    # the pair likelihoods
+    poses = np.array([(s.x, s.y, s.bearing) for s in sensors])
+    xs, ys, bearings = poses.T[:, :, None, None]
+    dx, dy = predicted.states[:, :, 0] - xs, predicted.states[:, :, 1] - ys
+    pd = detection_model(fov, dx, dy, bearings)
     passed = pd.max(axis=2, initial=0.0) <= 1e-12
     r = np.minimum(predicted.existences, EXISTENCE_CEIL)
     miss_p = 1.0 - pd
@@ -310,27 +365,24 @@ def _bayes_update(
     z = np.concatenate(zs)
     pose_of = np.repeat(np.arange(n_poses), [len(zp) for zp in zs])
     block = meas = np.empty(0, dtype=np.intp)
-    particle_w, det_w = np.empty((0, j)), np.empty(0)
+    raw, g_sum, det_w = np.empty((0, j)), np.empty(0), np.empty(0)
     if len(z):
-        origins = np.array([(s.x, s.y) for s in sensors])
         means = predicted.mean_positions()
-        dx = z[:, 0] - (means[:, 0, None] - origins[pose_of, 0])
-        dy = z[:, 1] - (means[:, 1, None] - origins[pose_of, 1])
-        gated = ~(np.hypot(dx, dy) > cfg.association_gate) & ~passed.T[:, pose_of]
+        gx = z[:, 0] - (means[:, 0, None] - poses[pose_of, 0])
+        gy = z[:, 1] - (means[:, 1, None] - poses[pose_of, 1])
+        gated = ~(np.hypot(gx, gy) > cfg.association_gate) & ~passed.T[:, pose_of]
         rows, meas = np.nonzero(gated)
-        pair_pose = pose_of.take(meas)
-        block = pair_pose * k + rows
-        # (G, J) likelihoods of each pair's particles, read from their states
-        pair_states, pair_z = predicted.states.take(rows, axis=0), z.take(meas, axis=0)[:, None]
-        pair_origin = origins.take(pair_pose, axis=0)[:, None]
-        logg = displacement_log_likelihoods(pair_states, pair_origin, pair_z, cfg.meas_noise_std)
+        block = pose_of.take(meas) * k + rows
+        # (G, J) likelihoods of each pair's particles, from their offsets
+        pair_dx, pair_dy = (d.reshape(n_poses * k, j).take(block, axis=0) for d in (dx, dy))
+        pair_z = z.take(meas, axis=0)[:, None]
+        logg = displacement_log_likelihoods(pair_dx, pair_dy, pair_z, cfg.meas_noise_std)
         raw = predicted.weights.take(rows, axis=0) * pd.reshape(n_poses * k, j).take(block, axis=0)
         raw *= np.exp(logg)
         g_sum = raw.sum(axis=1)
         hit = g_sum > 0.0
         if not hit.all():
             rows, block, meas, raw, g_sum = rows[hit], block[hit], meas[hit], raw[hit], g_sum[hit]
-        particle_w = raw / g_sum[:, None]
         det_w = r.take(rows) * g_sum / max(cfg.clutter_intensity, _MIN_CLUTTER)
 
     # every updated row gets the miss-only update; rows with a gated pair
@@ -375,23 +427,12 @@ def _bayes_update(
             flat_existences[i] = min(new_r, EXISTENCE_CEIL)
             events[i] = [(t.pairs[e], p) for e, p in marg.items() if e is not None and p > 0.0]
 
-    # posterior weights, summed term by term in each row's event order: the
-    # miss term, then the detections in marginal order, one slot at a time.
-    # The miss term is 0 where exist_miss is (so where miss_lik is, and on
-    # the rows passed through); a row with no term to sum keeps its weights.
-    weights = np.broadcast_to(predicted.weights, (n_poses, k, j)).copy()
-    if not passed.all():
-        w = miss_r[..., None] * predicted.weights * miss_p
-        w /= np.where(miss_lik == 0.0, 1.0, miss_lik)[..., None]
-        w = w.reshape(n_poses * k, j)
-        for s in range(max(map(len, events))):
-            at = [i for i, row_events in enumerate(events) if len(row_events) > s]
-            pair, p = zip(*(events[i][s] for i in at))
-            w[np.array(at)] += np.array(p)[:, None] * particle_w.take(pair, axis=0)
-        total = w.sum(axis=1)[:, None]
-        np.divide(w, total, out=weights.reshape(n_poses * k, j), where=total > 0.0)
-
-    return existences, weights, passed, meas
+    divisor = np.where(miss_lik == 0.0, 1.0, miss_lik).reshape(-1)
+    flat_miss_p = miss_p.reshape(n_poses * k, j)
+    return _Association(
+        existences, passed, meas, predicted.weights, flat_miss_r, flat_miss_p, divisor, events,
+        raw, g_sum,
+    )
 
 
 def update(
@@ -411,10 +452,11 @@ def update(
     (timestep, i, origin), appended after the predicted rows.
     """
     z = np.asarray(measurements, dtype=float).reshape(-1, 2)
-    existences, weights, passed, meas = _bayes_update(predicted, [z], [sensor], fov, cfg)
-    existences, weights, passed = existences[0], weights[0], passed[0]
+    association = _bayes_update(predicted, [z], [sensor], fov, cfg)
+    existences, passed = association.existences[0], association.passed[0]
     labels, states = predicted.labels, predicted.states
-    centers = sensor.position + np.delete(z, meas, axis=0)
+    weights = association.weights(0, np.arange(len(labels)))
+    centers = sensor.position + np.delete(z, association.meas, axis=0)
     if len(centers):
         k, n = len(labels), cfg.particle_count
         births = np.empty((len(centers), n, STATE_DIM))
@@ -430,6 +472,41 @@ def update(
     return LmbDensity(labels, existences, states, weights, predicted.timestamp, "posterior", passed)
 
 
+class PseudoPosterior:
+    """One hypothesized action's pseudo-posterior, from pseudo_update.
+
+    It holds its rows' existences and passed_through flags, as the shared
+    association phase gave them, and builds a row's normalized particle
+    weights by the weights phase on the row's first request, once.  It
+    shares its predicted density's labels and states, since pseudo_update
+    never moves a particle.
+    """
+
+    def __init__(self, predicted: LmbDensity, association: _Association, pose: int):
+        self.labels, self.states = predicted.labels, predicted.states
+        self.existences = association.existences[pose]
+        self.passed_through = association.passed[pose]
+        self._association, self._pose = association, pose
+        self._weights = {}  # row -> its built (J,) weights
+
+    def row_weights(self, rows) -> list:
+        """The (J,) weights of each of the given rows, in the given order."""
+        rows = list(rows)
+        new = [k for k in dict.fromkeys(rows) if k not in self._weights]
+        if new:
+            built = self._association.weights(self._pose, np.array(new, dtype=np.intp))
+            self._weights.update(zip(new, built))
+        return [self._weights[k] for k in rows]
+
+    def mean_positions(self, rows) -> np.ndarray:
+        """(len(rows), 2) weight-averaged particle position of the given rows."""
+        rows = np.asarray(rows, dtype=np.intp)
+        weights = np.array(self.row_weights(rows.tolist())).reshape(len(rows), self.states.shape[1])
+        # whole states gathered, then viewed: the (J, 2) operands keep the
+        # strides a full density's mean_positions reads
+        return row_means(weights, self.states[rows][:, :, :2])
+
+
 def pseudo_update(
     predicted: LmbDensity,
     pims_sets: list,
@@ -441,17 +518,10 @@ def pseudo_update(
     sensor states; no birth, fully deterministic.  Returns the A
     pseudo-posteriors, in the order of the states.
 
-    One pass of the Bayes core that update runs with one pose, so a
-    pseudo-posterior has the bits of update's rows on the same measurements.
-    pseudo_update never moves a particle: each result shares predicted.labels
-    and predicted.states.
+    One association phase of the Bayes core that update runs with one pose,
+    so a pseudo-posterior has the bits of update's rows on the same
+    measurements; its rows' weights are built when first asked for.
     """
     zs = [np.asarray(pims, dtype=float).reshape(-1, 2) for pims in pims_sets]
-    existences, weights, passed, _meas = _bayes_update(
-        predicted, zs, sensors_after_actions, fov, cfg
-    )
-    labels, states, timestamp = predicted.labels, predicted.states, predicted.timestamp
-    return [
-        LmbDensity(labels, existences[a], states, weights[a], timestamp, "pseudo-posterior", passed[a])
-        for a in range(len(zs))
-    ]
+    association = _bayes_update(predicted, zs, sensors_after_actions, fov, cfg)
+    return [PseudoPosterior(predicted, association, a) for a in range(len(zs))]

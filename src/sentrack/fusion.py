@@ -26,7 +26,7 @@ that pseudo-mode fusion lives only in control.ControlContext.fused.
 """
 
 from dataclasses import dataclass, replace
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -61,18 +61,28 @@ def existence_odds(r):
 
 
 def compute_active_set(
-    state: SensorState, fov: FovModel, updated: np.ndarray, predicted: np.ndarray
+    state: SensorState,
+    fov: FovModel,
+    predicted: np.ndarray,
+    updated: Callable[[np.ndarray], np.ndarray],
 ) -> np.ndarray:
     """(K,) mask of the rows one sensor is active for: the active-set rule.
 
     A sensor is active for a row when the detection probability at the
-    row's updated or predicted position estimate, as held by that sensor,
-    exceeds fov.p_d_threshold.  updated and predicted are row-aligned
-    (K, 2) arrays; a NaN row in predicted (no predicted estimate) has
-    detection probability 0.
+    row's predicted or updated position estimate, as held by that sensor,
+    exceeds fov.p_d_threshold.  The rule is evaluated in that order:
+    predicted is the (K, 2) array of predicted estimates, a NaN row (no
+    predicted estimate) having detection probability 0, and updated(rows)
+    gives the (len(rows), 2) updated estimates of the given row indices.
+    It is asked once, and only for the rows the predicted estimates leave
+    inactive, so a caller that builds updated estimates on demand builds
+    no others.
     """
-    pd = detection_probabilities(fov, state, np.concatenate([updated, predicted]))
-    return (pd > fov.p_d_threshold).reshape(2, -1).any(axis=0)
+    active = detection_probabilities(fov, state, predicted) > fov.p_d_threshold
+    rest = np.flatnonzero(~active)
+    if len(rest):
+        active[rest] = detection_probabilities(fov, state, updated(rest)) > fov.p_d_threshold
+    return active
 
 
 def fuse_spatial(components, particle_count: int):

@@ -155,7 +155,7 @@ def _fuse_and_estimate(scenario, members, posteriors, predicted, sensor_states):
         means = np.vstack([predicted[s].mean_positions(), [np.nan, np.nan]])
         pred = means[[row.get(label, -1) for label in posteriors[s].labels]]
         fov, updated = scenario.sensors[s].fov, posteriors[s].mean_positions()
-        active[s] = compute_active_set(sensor_states[s], fov, updated, pred)
+        active[s] = compute_active_set(sensor_states[s], fov, pred, updated.__getitem__)
     locals_ = {s: posteriors[s] for s in members}
     return eap_states(fuse_lmb(locals_, active, scenario.fusion.estimate_floor))
 

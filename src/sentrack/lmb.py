@@ -17,7 +17,7 @@ so row_means uses np.matmul.
 
 Densities are immutable snapshots: operations return new values and never
 mutate their inputs, though a result may share an input's arrays (a
-pseudo-posterior shares its predicted density's states).
+posterior shares its predicted density's states when no birth is added).
 """
 
 import math
@@ -29,8 +29,8 @@ import numpy as np
 STATE_DIM = 4
 
 # The stage that made a density: predict, update (and the empty posterior
-# every node starts from), pseudo_update and fuse_lmb.
-VALID_ROLES = ("predicted", "posterior", "pseudo-posterior", "fused")
+# every node starts from) and fuse_lmb.
+VALID_ROLES = ("predicted", "posterior", "fused")
 
 # Existence probabilities are clamped below 1 before any odds computation
 # so that r / (1 - r) stays finite.

@@ -40,8 +40,6 @@ import math
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from typing import get_args
 
-import yaml
-
 from .control import ObjectiveParams
 from .filtering import FilterConfig
 from .fusion import FusionConfig
@@ -451,24 +449,28 @@ def scenario_from_dict(d: dict) -> ScenarioConfig:
 
 
 def save_scenario(cfg: ScenarioConfig, path) -> None:
+    import yaml  # the file forms alone read PyYAML, so building a scenario never imports it
+
     with open(path, "w") as fh:
         yaml.safe_dump(scenario_to_dict(cfg), fh, sort_keys=False)
 
 
-class _UniqueKeyLoader(yaml.SafeLoader):
-    def construct_mapping(self, node, deep=False):
-        """safe_load's mapping, but a key written twice is an error; one may override a << merge."""
-        keys = [k for k, _ in node.value if k.tag != "tag:yaml.org,2002:merge"]
-        for i, key in enumerate(map(self.construct_object, keys)):
-            if key in map(self.construct_object, keys[:i]):
-                raise yaml.YAMLError(f"key {key!r} repeated on line {keys[i].start_mark.line + 1}")
-        return super().construct_mapping(node, deep)
-
-
 def load_scenario(path) -> ScenarioConfig:
+    import yaml
+
+    class UniqueKeyLoader(yaml.SafeLoader):
+        def construct_mapping(self, node, deep=False):
+            """safe_load's mapping, but a key written twice is an error; one may override a << merge."""
+            keys = [k for k, _ in node.value if k.tag != "tag:yaml.org,2002:merge"]
+            for i, key in enumerate(map(self.construct_object, keys)):
+                if key in map(self.construct_object, keys[:i]):
+                    line = keys[i].start_mark.line + 1
+                    raise yaml.YAMLError(f"key {key!r} repeated on line {line}")
+            return super().construct_mapping(node, deep)
+
     with open(path) as fh:
         try:
-            document = yaml.load(fh, Loader=_UniqueKeyLoader)
+            document = yaml.load(fh, Loader=UniqueKeyLoader)
         except yaml.YAMLError as exc:  # its message spans lines; a ValueError's is one
             raise ValueError(f"scenario file {str(path)!r} is not valid YAML: "
                              f"{' '.join(str(exc).split())}") from exc

@@ -125,17 +125,27 @@ def detection_probabilities(
     seen from one SensorState, as (N,), or from each of a sequence of A
     poses, as (A, N).
 
-    This is the one detection model: the filter update, the ideal
-    measurement sets, the active-set rule and the simulated detections all
-    evaluate it.  Bearings are atan2(dx, dy) relative to the sensor bearing.
-    Every step is elementwise, so a pose's row has the bits of its own call.
+    The simulated detections, the ideal measurement sets and the active-set
+    rule evaluate the model through this function; the filter update, which
+    already holds its particles' offsets from each pose, calls
+    detection_model on them.  Every step is elementwise, so a pose's row
+    has the bits of its own call.
     """
     positions = np.asarray(positions, dtype=float).reshape(-1, 2)
     if isinstance(sensor, SensorState):
         x, y, bearing = sensor.x, sensor.y, sensor.bearing
     else:  # (A, 1) columns, broadcast against the positions
         x, y, bearing = np.array([(s.x, s.y, s.bearing) for s in sensor]).T[:, :, None]
-    dx, dy = positions[:, 0] - x, positions[:, 1] - y
+    return detection_model(fov, positions[:, 0] - x, positions[:, 1] - y, bearing)
+
+
+def detection_model(fov: FovModel, dx: np.ndarray, dy: np.ndarray, bearing) -> np.ndarray:
+    """The one detection model: sigmoid detection probability of targets at
+    offsets dx = x - x_s and dy = y - y_s from a sensor of the given bearing,
+    all broadcast together.  Bearings are atan2(dx, dy) relative to the
+    sensor bearing.  Every step is elementwise, so an offset's probability
+    has the same bits in any array that holds it.
+    """
     rho = np.hypot(dx, dy)
     inside = rho <= fov.rho_max
     p_rho = fov.p_d_max / (1.0 + np.exp(np.minimum(fov.k_rho * (rho - fov.rho_max), 500.0)))
@@ -153,16 +163,13 @@ def detection_probabilities(
 
 
 def displacement_log_likelihoods(
-    positions: np.ndarray, origin: np.ndarray, measurement: np.ndarray, noise_std: float
+    dx: np.ndarray, dy: np.ndarray, measurement: np.ndarray, noise_std: float
 ) -> np.ndarray:
-    """Log Gaussian displacement likelihood for each particle position.
-
-    positions holds x, y first on its last axis: (..., 2) positions or (..., 4)
-    states.  origin, the sensor position, and measurement, the displacement
-    from it, are each one (2,) point or (..., 2), broadcast."""
-    origin, z = np.asarray(origin, dtype=float), np.asarray(measurement, dtype=float)
-    ex = (positions[..., 0] - origin[..., 0]) - z[..., 0]
-    ey = (positions[..., 1] - origin[..., 1]) - z[..., 1]
+    """Log Gaussian likelihood of a displacement measurement for particles at
+    offsets dx = x - x_s and dy = y - y_s from the sensor.  measurement is one
+    (2,) displacement or (..., 2), broadcast against the offsets."""
+    z = np.asarray(measurement, dtype=float)
+    ex, ey = dx - z[..., 0], dy - z[..., 1]
     var = noise_std**2
     return -0.5 * (ex * ex + ey * ey) / var - math.log(TWO_PI * var)
 

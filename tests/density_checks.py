@@ -1,6 +1,9 @@
-"""Value checks on an LmbDensity that its constructor does not make."""
+"""Value checks on an LmbDensity that its constructor does not make, and
+the densities of pseudo-posteriors with every row built."""
 
 import numpy as np
+
+from sentrack.lmb import LmbDensity
 
 
 def validate(density, tol: float = 1e-9) -> None:
@@ -14,3 +17,13 @@ def validate(density, tol: float = 1e-9) -> None:
     sums = density.weights.sum(axis=1)
     if np.any(np.abs(sums - 1.0) > tol):
         raise ValueError(f"row weights sum to {sums}, not 1")
+
+
+def every_row(pseudo) -> LmbDensity:
+    """A pseudo-posterior as an LmbDensity of role "posterior", every row's
+    weights built through its row_weights.  A pseudo-posterior holds no
+    time step of its own, so the density's timestamp is 0."""
+    k = len(pseudo.labels)
+    weights = np.array(pseudo.row_weights(range(k))).reshape(k, pseudo.states.shape[1])
+    existences, passed = pseudo.existences, pseudo.passed_through
+    return LmbDensity(pseudo.labels, existences, pseudo.states, weights, 0, "posterior", passed)

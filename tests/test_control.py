@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sentrack import control
+from density_checks import every_row
+from sentrack import control, filtering
 from sentrack.control import (
     NEG_INF,
     ControlContext,
@@ -26,7 +27,13 @@ from sentrack.control import (
 from sentrack.filtering import FilterConfig, pseudo_update
 from sentrack.fusion import compute_active_set, existence_odds, fuse_lmb
 from sentrack.lmb import Component, Label, LmbDensity, empty_density
-from sentrack.sensors import FovModel, SensorAction, SensorState, apply_action
+from sentrack.sensors import (
+    FovModel,
+    SensorAction,
+    SensorState,
+    apply_action,
+    detection_probabilities,
+)
 
 PARAMS = ObjectiveParams()
 
@@ -134,11 +141,11 @@ def enumerated_psi(components, sensor, rho):
 
 def stay_psi(predicted, sensor, rho):
     """psi of one staying sensor over its own pseudo-posterior, as isc_select
-    computes it, and that pseudo-posterior."""
+    computes it, and that pseudo-posterior with every row built."""
     cache = stay_only_cache({0: predicted}, {0: sensor}, replace(PARAMS, exclusion_radius=rho))
     inside = cache.indisk_weight(0, 0, (sensor.x, sensor.y))
     psi = 1.0 if inside is None else void_probability(cache.pseudo(0, 0).existences, inside)
-    return psi, cache.pseudo(0, 0)
+    return psi, every_row(cache.pseudo(0, 0))
 
 
 class TestVoidProbability:
@@ -638,7 +645,7 @@ class TestFdcdPipeline:
         ctx = ControlContext(cache, (0, 1))
         cmd = (0, 0)
         fe = ctx.fused(cmd)
-        locals_ = {s: cache.pseudo(s, cmd[s]) for s in (0, 1)}
+        locals_ = {s: every_row(cache.pseudo(s, cmd[s])) for s in (0, 1)}
         active = active_sets(cache, (0, 1), cmd)
         # fuse_lmb over the labels some participant is active for
         fused = fuse_lmb(locals_, active_masks(cache, (0, 1), cmd), 0.0)
@@ -654,14 +661,14 @@ def component_means(density):
 
 def active_masks(cache, participants, command):
     """participant -> row mask of its pseudo-posterior, by compute_active_set
-    on component-by-component means; a pseudo-posterior keeps its predicted
-    density's rows."""
+    on component-by-component means of every row; a pseudo-posterior keeps
+    its predicted density's rows."""
     return {
         s: compute_active_set(
             cache.after[s][a],
             cache.fovs[s],
-            component_means(cache.pseudo(s, a)),
             component_means(cache.predicted[s]),
+            component_means(every_row(cache.pseudo(s, a))).__getitem__,
         )
         for s, a in zip(participants, command)
     }
@@ -758,7 +765,7 @@ class TestFusedEvaluation:
             for s in cache.predicted:
                 for a in range(len(cache.after[s])):
                     assert cache.pseudo(s, a).states is cache.predicted[s].states
-                    pseudo = cache.pseudo(s, a).components
+                    pseudo = every_row(cache.pseudo(s, a)).components
                     predicted = cache.predicted[s].components
                     assert [c.label for c in pseudo] == [c.label for c in predicted]
                     for p, c in zip(pseudo, predicted):
@@ -777,7 +784,8 @@ class TestFusedEvaluation:
             active = active_sets(cache, participants, cmd)
             union = []
             for label in sorted(active):
-                comps = [comp_of(cache.pseudo(s, cmd[s]), label) for s in sorted(active[label])]
+                comps = [comp_of(every_row(cache.pseudo(s, cmd[s])), label)
+                         for s in sorted(active[label])]
                 r = odds_add([c.existence for c in comps])
                 assert fe.existences[label] == pytest.approx(r, abs=1e-12)
                 union.append(Component(label, r, *odds_weighted_union(comps)))
@@ -845,6 +853,62 @@ def fused_reference(cache, participants, command):
     feasible = eta > cache.params.eta_threshold and psi > cache.params.psi_threshold
     labels = [cache.labels[i] for i in used.tolist()]
     return dict(zip(labels, existences.tolist())), psi, eta, feasible
+
+
+def record_built_rows(monkeypatch):
+    """Record (association, pose, row) for every row the weights phase builds."""
+    built, weights = [], filtering._Association.weights
+
+    def recorded(association, pose, rows):
+        built.extend((id(association), pose, row) for row in rows.tolist())
+        return weights(association, pose, rows)
+
+    monkeypatch.setattr(filtering._Association, "weights", recorded)
+    return built
+
+
+class TestRowsBuiltOnDemand:
+    # control builds a pseudo-posterior row's weights only where it reads
+    # them, and each (sensor, action, row) at most once
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_active_builds_only_the_rows_inactive_by_their_prediction(self, monkeypatch, seed):
+        built = record_built_rows(monkeypatch)
+        cache = seeded_cache(seed)
+        for s in cache.predicted:
+            for a in range(len(cache.after[s])):
+                start = len(built)
+                cache.active(s, a)
+                fov, state = cache.fovs[s], cache.after[s][a]
+                pd = detection_probabilities(fov, state, cache.predicted_means[s])
+                assert [row for *_, row in built[start:]] == np.flatnonzero(
+                    ~(pd > fov.p_d_threshold)
+                ).tolist()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_indisk_weight_builds_only_its_hit_rows(self, monkeypatch, seed):
+        cache = seeded_cache(seed)
+        centers = sorted({(q.x, q.y) for after in cache.after.values() for q in after})
+        for s in cache.predicted:
+            for a in range(len(cache.after[s])):
+                for center in centers:
+                    fresh = seeded_cache(seed)
+                    built = record_built_rows(monkeypatch)
+                    fresh.indisk_weight(s, a, center)
+                    assert [row for *_, row in built] == [k for k, _ in fresh._hits(s, center)]
+                    monkeypatch.undo()
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_a_sweep_builds_each_row_at_most_once(self, monkeypatch, seed):
+        built = record_built_rows(monkeypatch)
+        cache = seeded_cache(seed)
+        participants = tuple(sorted(cache.predicted))
+        ctx = ControlContext(cache, participants)
+        for cmd in all_commands(cache):
+            ctx.fused(cmd)
+        for s in participants:
+            isc_select(s, cache)
+        assert built and len(set(built)) == len(built)
 
 
 class TestActiveMemo:

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from density_checks import every_row
 from sentrack.filtering import (
     FilterConfig,
+    PseudoPosterior,
     _exact_marginals,
     _ranked_marginals,
     _RowTerms,
@@ -36,7 +38,6 @@ from sentrack.sensors import (
     MotionModel,
     SensorState,
     detection_probabilities,
-    displacement_log_likelihoods,
     propagate_states,
 )
 
@@ -71,6 +72,16 @@ def comp_of(density, label):
 
 def mean_position(c):
     return c.weights @ c.states[:, :2]
+
+
+def gathered_log_likelihoods(positions, origin, measurement, noise_std):
+    """The tests' own displacement likelihood, from particle positions (..., 2)
+    or states (..., 4) and a sensor origin, each (2,) or broadcast."""
+    origin, z = np.asarray(origin, dtype=float), np.asarray(measurement, dtype=float)
+    ex = (positions[..., 0] - origin[..., 0]) - z[..., 0]
+    ey = (positions[..., 1] - origin[..., 1]) - z[..., 1]
+    var = noise_std**2
+    return -0.5 * (ex * ex + ey * ey) / var - math.log(2.0 * math.pi * var)
 
 
 def pims(predicted, sensor):
@@ -234,19 +245,19 @@ class TestPseudoUpdate:
         via_update = update(pred, meas, SENSOR, FOV, CFG, np.random.default_rng(0), origin=0)
         [via_pseudo] = pseudo_update(pred, [meas], [SENSOR], FOV, CFG)
         for label in pred.labels:
-            a, b = comp_of(via_update, label), comp_of(via_pseudo, label)
+            a, b = comp_of(via_update, label), comp_of(every_row(via_pseudo), label)
             assert a.existence == pytest.approx(b.existence, rel=1e-12)
             assert np.allclose(a.weights, b.weights)
 
     def test_covered_existences_rise(self):
         pred = predicted_density([cloud((0, 300), 0.5)])
         [out] = pseudo_update(pred, [pims(pred, SENSOR)], [SENSOR], FOV, CFG)
-        assert out.components[0].existence > 0.9
+        assert out.existences[0] > 0.9
 
     def test_empty_pims_drops_in_fov_existence(self):
         pred = predicted_density([cloud((0, 300), 0.9)])
         [out] = pseudo_update(pred, [[]], [SENSOR], FOV, CFG)
-        assert out.components[0].existence < 0.5
+        assert out.existences[0] < 0.5
 
     def test_out_of_fov_unchanged_and_no_birth(self):
         behind = cloud((0, -300), 0.7)
@@ -254,15 +265,15 @@ class TestPseudoUpdate:
         [out] = pseudo_update(pred, [[np.array([50.0, 50.0])]], [SENSOR], FOV, CFG)
         assert out.passed_through.tolist() == [True]
         assert out.states is pred.states and out.existences[0] == pred.existences[0]
-        np.testing.assert_array_equal(out.weights, pred.weights)
+        np.testing.assert_array_equal(every_row(out).weights, pred.weights)
         assert out.labels == pred.labels
-        assert out.role == "pseudo-posterior"
+        assert isinstance(out, PseudoPosterior)
 
 
 class TestBayesCore:
     # update and pseudo_update run one Bayes core; update alone appends births
 
-    @pytest.mark.parametrize("role", ["posterior", "pseudo-posterior", "fused"])
+    @pytest.mark.parametrize("role", ["posterior", "fused"])
     def test_density_not_predicted_is_rejected(self, role):
         pred = dataclasses.replace(predicted_density([cloud((0, 300), 0.6)]), role=role)
         with pytest.raises(ValueError, match="expects a predicted density"):
@@ -287,7 +298,7 @@ class TestBayesCore:
         [pseudo] = pseudo_update(pred, [meas], [SENSOR], FOV, CFG)
         assert post.labels == pred.labels + (Label(1, 0, 2),)
         np.testing.assert_array_equal(post.existences[:2], pseudo.existences)
-        np.testing.assert_array_equal(post.weights[:2], pseudo.weights)
+        np.testing.assert_array_equal(post.weights[:2], every_row(pseudo).weights)
         assert post.passed_through.tolist() == pseudo.passed_through.tolist() + [False]
         assert pseudo.passed_through.tolist() == [False, True]
 
@@ -533,7 +544,7 @@ def row_terms(k, predicted, pd, no_det, mean_disp, sensor, measurements, cfg):
         if np.hypot(*(z - mean_disp)) > cfg.association_gate:
             continue
         positions = predicted.states[k, :, :2]
-        logg = displacement_log_likelihoods(positions, sensor.position, z, cfg.meas_noise_std)
+        logg = gathered_log_likelihoods(positions, sensor.position, z, cfg.meas_noise_std)
         raw = predicted.weights[k] * pd * np.exp(logg)
         g_sum = float(raw.sum())
         if g_sum > 0.0:
@@ -676,6 +687,11 @@ def assert_same_density(a, b):
     np.testing.assert_array_equal(a.passed_through, b.passed_through)
 
 
+def assert_same_rows(pseudo, density):
+    """A pseudo-posterior, every row built, has the bits of a density's rows."""
+    assert_same_density(every_row(pseudo), dataclasses.replace(density, timestamp=0))
+
+
 class TestBatchedUpdateOracle:
     """update and pseudo_update equal the per-row update bit for bit."""
 
@@ -688,8 +704,7 @@ class TestBatchedUpdateOracle:
         )
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         [pseudo] = pseudo_update(pred, [meas], [SENSOR], FOV, cfg)
-        assert_same_density(pseudo, reference_update(pred, meas, SENSOR, FOV, cfg,
-                                                      "pseudo-posterior"))
+        assert_same_rows(pseudo, reference_update(pred, meas, SENSOR, FOV, cfg, "posterior"))
         return pred, meas, cfg, got
 
     @given(case=st.sampled_from(ORACLE_CASES), seed=st.integers(0, 2**16))
@@ -736,7 +751,7 @@ class TestBatchedUpdateOracle:
     def test_pair_with_zero_likelihood_sum(self):
         pred, meas, cfg, got = self.check("zero_g_sum", 4)
         positions = pred.states[-1, :, :2]
-        logg = displacement_log_likelihoods(positions, SENSOR.position, [0.0, 300.0], cfg.meas_noise_std)
+        logg = gathered_log_likelihoods(positions, SENSOR.position, [0.0, 300.0], cfg.meas_noise_std)
         assert not np.exp(logg).any()  # gated, yet the pair has no likelihood mass
         births = got.states[len(pred.labels):, :, :2].mean(axis=1)
         assert np.min(np.hypot(*(births - [0.0, 300.0]).T)) < 10.0
@@ -771,8 +786,7 @@ class TestBatchedUpdateOracle:
         assert clusters == [[3, 4]] and not ranked
         assert got.passed_through.tolist() == [False, False, True, False, False]
         assert got.existences[1] < pred.existences[1]  # the miss-only update
-        assert_same_density(got, reference_update(pred, meas, SENSOR, FOV, cfg,
-                                                  "pseudo-posterior"))
+        assert_same_rows(got, reference_update(pred, meas, SENSOR, FOV, cfg, "posterior"))
 
     def test_passed_row_keeps_uneven_weights(self):
         # a row passed through takes no miss-only update: its weights, not
@@ -784,9 +798,8 @@ class TestBatchedUpdateOracle:
         cfg = dataclasses.replace(CFG, particle_count=15)
         [got] = pseudo_update(pred, [meas], [SENSOR], FOV, cfg)
         assert got.passed_through.tolist() == [False, True]
-        assert np.array_equal(got.weights[1], weights) and got.existences[1] == 0.6
-        assert_same_density(got, reference_update(pred, meas, SENSOR, FOV, cfg,
-                                                  "pseudo-posterior"))
+        assert np.array_equal(every_row(got).weights[1], weights) and got.existences[1] == 0.6
+        assert_same_rows(got, reference_update(pred, meas, SENSOR, FOV, cfg, "posterior"))
 
     def test_cluster_on_murty_path(self, monkeypatch):
         import sentrack.filtering as filtering
@@ -826,7 +839,7 @@ def per_action_bayes_update(predicted, z, sensor, fov, cfg):
         gated = ~(np.hypot(dx, dy) > cfg.association_gate) & ~passed[:, None]
         rows, meas = np.nonzero(gated)
         pair_states, pair_z = predicted.states.take(rows, axis=0), z.take(meas, axis=0)[:, None]
-        logg = displacement_log_likelihoods(pair_states, sensor.position, pair_z, cfg.meas_noise_std)
+        logg = gathered_log_likelihoods(pair_states, sensor.position, pair_z, cfg.meas_noise_std)
         raw = predicted.weights.take(rows, axis=0) * pd.take(rows, axis=0)
         raw *= np.exp(logg)
         g_sum = raw.sum(axis=1)
@@ -870,17 +883,19 @@ def per_action_bayes_update(predicted, z, sensor, fov, cfg):
         total = w.sum(axis=1)[:, None]
         np.divide(w, total, out=weights, where=total > 0.0)
     return LmbDensity(predicted.labels, existences, predicted.states, weights,
-                      predicted.timestamp, "pseudo-posterior", passed)
+                      predicted.timestamp, "posterior", passed)
 
 
 @st.composite
 def pose_sets(draw):
-    """A predicted density from oracle_inputs, a FoV model, and 1-5 poses
-    with their measurement sets: the case's own at SENSOR, then ideal
-    measurement sets, the same points seen from elsewhere, empty sets and
-    poses that pass every row through."""
+    """A predicted density from oracle_inputs, one time in ten an empty one,
+    a FoV model, and 1-5 poses with their measurement sets: the case's own
+    at SENSOR, then ideal measurement sets, the same points seen from
+    elsewhere, empty sets and poses that pass every row through."""
     case, seed = draw(st.sampled_from(ORACLE_CASES)), draw(st.integers(0, 2**16))
     pred, meas, cfg = oracle_inputs(case, seed)
+    if draw(st.integers(0, 9)) == 0:
+        pred = predicted_density([])
     fov = draw(st.sampled_from([FOV, OMNI]))
     positions = np.array([state[:2] for _label, state in eap_states(pred)]).reshape(-1, 2)
     poses, zs, away = [SENSOR], [meas], []
@@ -915,9 +930,29 @@ class TestBatchedPseudoUpdateOracle:
         assert len(got) == len(poses)
         for out, z, pose in zip(got, zs, poses):
             z = np.asarray(z, dtype=float).reshape(-1, 2)
-            assert_same_density(out, per_action_bayes_update(pred, z, pose, fov, cfg))
+            assert_same_rows(out, per_action_bayes_update(pred, z, pose, fov, cfg))
             assert out.labels is pred.labels and out.states is pred.states
         return got
+
+    @given(inputs=pose_sets(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_rows_on_demand_match_the_per_action_core(self, inputs, data):
+        # random row subsets in random order, rows repeated across requests;
+        # each row's weights and mean have the bits of the per-action core's
+        pred, zs, poses, fov, cfg, _away = inputs
+        k = len(pred.labels)
+        for out, z, pose in zip(pseudo_update(pred, zs, poses, fov, cfg), zs, poses):
+            want = per_action_bayes_update(pred, np.asarray(z, dtype=float).reshape(-1, 2),
+                                           pose, fov, cfg)
+            means = want.mean_positions()
+            for _ in range(data.draw(st.integers(1, 3))):
+                rows = data.draw(st.permutations(range(k)))[: data.draw(st.integers(0, k))]
+                for row, weights in zip(rows, out.row_weights(rows)):
+                    assert np.array_equal(bits_of(weights), bits_of(want.weights[row]))
+                got_means = out.mean_positions(rows)
+                assert np.array_equal(bits_of(got_means), bits_of(means[rows].reshape(-1, 2)))
+            assert np.array_equal(bits_of(out.existences), bits_of(want.existences))
+            assert out.passed_through.tolist() == want.passed_through.tolist()
 
     @given(inputs=pose_sets())
     @settings(max_examples=200, deadline=None)
@@ -936,13 +971,15 @@ class TestBatchedPseudoUpdateOracle:
         poses = [SENSOR, SensorState(20.0, -10.0, SEAM_BEARINGS[1]), away, SensorState(5.0, 5.0, 0.1)]
         got = self.check(pred, [meas, meas, meas, []], poses, fov, cfg)
         assert got[2].passed_through.all()
-        np.testing.assert_array_equal(got[2].weights, pred.weights)
+        np.testing.assert_array_equal(every_row(got[2]).weights, pred.weights)
         np.testing.assert_array_equal(got[2].existences, pred.existences)
 
     def test_empty_predicted_density(self):
         pred = predicted_density([])
         got = self.check(pred, [[], [(0.0, 300.0)]], [SENSOR, SensorState(5.0, 0.0, 1.0)], FOV, CFG)
         assert [out.labels for out in got] == [(), ()]
+        assert [out.row_weights([]) for out in got] == [[], []]
+        assert [out.mean_positions([]).shape for out in got] == [(0, 2), (0, 2)]
 
 
 class TestSingleRowMarginals:

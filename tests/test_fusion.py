@@ -163,7 +163,7 @@ class TestComputeActiveSet:
     def active(self, updated, predicted, state=SensorState(0, 0, 0), fov=FOV):
         updated = np.array(updated, dtype=float).reshape(-1, 2)
         predicted = np.array(predicted, dtype=float).reshape(-1, 2)
-        return compute_active_set(state, fov, updated, predicted).tolist()
+        return compute_active_set(state, fov, predicted, updated.__getitem__).tolist()
 
     def test_updated_estimate_inside_one_fov(self):
         assert self.active([self.INSIDE], [NO_ESTIMATE]) == [True]
@@ -224,6 +224,46 @@ class TestComputeActiveSet:
         )
         mask = self.active(updated, predicted, state, fov)
         assert mask == [label in expected for label in labels]
+
+
+def concatenated_active_set(state, fov, updated, predicted):
+    """The rule as one detection-probability call over the updated then the
+    predicted estimates, the form before the predicted-first order."""
+    pd = detection_probabilities(fov, state, np.concatenate([updated, predicted]))
+    return (pd > fov.p_d_threshold).reshape(2, -1).any(axis=0)
+
+
+class TestPredictedFirstOrder:
+    @given(
+        n=st.integers(0, 12),
+        fov=st.sampled_from([FOV, OMNI_FOV]),
+        bearing=st.floats(-math.pi, math.pi),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_mask_equals_the_concatenated_form(self, n, fov, bearing, seed):
+        # estimates within 1.2 rho_max in any direction, where both the range
+        # and the bearing sigmoids cross the threshold; some predicted rows NaN
+        rng = np.random.default_rng(seed)
+        state = SensorState(10.0, -20.0, bearing)
+
+        def near(count):
+            rho, theta = rng.uniform(0.0, 1.2 * fov.rho_max, count), rng.uniform(-4.0, 4.0, count)
+            return np.column_stack([state.x + rho * np.sin(theta), state.y + rho * np.cos(theta)])
+
+        updated, predicted = near(n), near(n)
+        predicted[rng.random(n) < 0.3] = np.nan
+        asked = []
+
+        def updated_of(rows):
+            asked.append(rows.tolist())
+            return updated[rows]
+
+        mask = compute_active_set(state, fov, predicted, updated_of)
+        assert mask.tolist() == concatenated_active_set(state, fov, updated, predicted).tolist()
+        # updated estimates are asked for once, for the rows still inactive
+        rest = np.flatnonzero(~(detection_probabilities(fov, state, predicted) > fov.p_d_threshold))
+        assert asked == ([rest.tolist()] if len(rest) else [])
 
 
 @st.composite

@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -408,6 +411,18 @@ class TestRejectedAtLoad:
         d["objective"]["min_existence"] = 0.0
         cfg = scenario_from_dict(d)
         assert cfg.fusion.estimate_floor == 0.0 and cfg.objective.min_existence == 0.0
+
+
+def test_building_a_scenario_imports_no_yaml():
+    # PyYAML is read by the file forms alone; a fresh process shows what
+    # importing the harness and building a scenario load
+    src = str(Path(scenarios.__file__).resolve().parents[1])
+    code = ("import sys, sentrack.harness; from sentrack.scenarios import build_scenario_2; "
+            "build_scenario_2(); print(sorted(m for m in sys.modules if m.split('.')[0] == 'yaml'))")
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=120)
+    assert done.stdout.strip() == "[]"
 
 
 class TestStepPeriod:

@@ -14,6 +14,7 @@ from sentrack.sensors import (
     SensorAction,
     SensorState,
     apply_action,
+    detection_model,
     detection_probabilities,
     displacement_log_likelihoods,
     propagate_states,
@@ -299,6 +300,21 @@ class TestPerAxisOracle:
         got = detection_probabilities(fov, sensor, points)
         assert same_bits(got, old_detection_probabilities(fov, sensor, points))
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), fov=fovs)
+    def test_detection_model_of_each_pose_offsets(self, data, fov):
+        # the update's form: (A, K, J) offsets of every pose's particles,
+        # each pose's block with the bits of its own call
+        a, k, j = data.draw(st.integers(1, 4)), data.draw(st.integers(0, 3)), data.draw(st.integers(1, 6))
+        poses = data.draw(st.lists(sensor_states, min_size=a, max_size=a))
+        states = data.draw(arrays(np.float64, (k, j, 4), elements=coords))
+        xs, ys, bearings = np.array([(p.x, p.y, p.bearing) for p in poses]).T[:, :, None, None]
+        got = detection_model(fov, states[:, :, 0] - xs, states[:, :, 1] - ys, bearings)
+        assert got.shape == (a, k, j)
+        for block, sensor in zip(got, poses):
+            want = old_detection_probabilities(fov, sensor, states[:, :, :2])
+            assert same_bits(block.ravel(), want)
+
     @settings(max_examples=300, deadline=None)
     @given(
         sensor=sensor_states,
@@ -309,42 +325,33 @@ class TestPerAxisOracle:
     def test_displacement_log_likelihoods_of_one_measurement(
         self, sensor, positions, measurement, noise_std
     ):
-        got = displacement_log_likelihoods(positions, sensor.position, measurement, noise_std)
+        dx, dy = positions[:, 0] - sensor.x, positions[:, 1] - sensor.y
+        got = displacement_log_likelihoods(dx, dy, measurement, noise_std)
         want = old_displacement_log_likelihoods(positions, sensor, measurement, noise_std)
         assert same_bits(got, want)
-        assert same_bits(displacement_log_likelihoods(positions, list(sensor.position), list(measurement), noise_std), want)
+        assert same_bits(displacement_log_likelihoods(dx, dy, list(measurement), noise_std), want)
 
     @settings(max_examples=300, deadline=None)
     @given(sensor=sensor_states, data=st.data(), noise_std=st.floats(0.1, 50.0))
     def test_displacement_log_likelihoods_of_one_measurement_per_row(self, sensor, data, noise_std):
         positions = data.draw(point_arrays())
         measurements = data.draw(arrays(np.float64, positions.shape, elements=coords))
-        got = displacement_log_likelihoods(positions, sensor.position, measurements, noise_std)
+        dx, dy = positions[:, 0] - sensor.x, positions[:, 1] - sensor.y
+        got = displacement_log_likelihoods(dx, dy, measurements, noise_std)
         assert same_bits(got, old_displacement_log_likelihoods(positions, sensor, measurements, noise_std))
-
-    @settings(max_examples=100, deadline=None)
-    @given(sensor=sensor_states, data=st.data(), noise_std=st.floats(0.1, 50.0))
-    def test_displacement_log_likelihoods_of_gated_pairs(self, sensor, data, noise_std):
-        # the update's form: (G, J, 4) states, one (2,) measurement per pair
-        g, j = data.draw(st.integers(0, 4)), data.draw(st.integers(1, 6))
-        states = data.draw(arrays(np.float64, (g, j, 4), elements=coords))
-        z = data.draw(arrays(np.float64, (g, 2), elements=coords))
-        got = displacement_log_likelihoods(states, sensor.position, z[:, None, :], noise_std)
-        want = old_displacement_log_likelihoods(
-            states[:, :, :2].reshape(-1, 2), sensor, z.repeat(j, axis=0), noise_std
-        )
-        assert got.shape == (g, j) and same_bits(got.ravel(), want)
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), noise_std=st.floats(0.1, 50.0))
     def test_displacement_log_likelihoods_with_an_origin_per_pair(self, data, noise_std):
-        # the batched update's form: each pair seen from its own pose
+        # the update's form: (G, J) offsets of each pair's particles from its
+        # own pose, one (2,) measurement per pair
         g, j = data.draw(st.integers(0, 4)), data.draw(st.integers(1, 6))
         sensors = data.draw(st.lists(sensor_states, min_size=g, max_size=g))
         states = data.draw(arrays(np.float64, (g, j, 4), elements=coords))
         z = data.draw(arrays(np.float64, (g, 2), elements=coords))
-        origins = np.array([s.position for s in sensors]).reshape(g, 1, 2)
-        got = displacement_log_likelihoods(states, origins, z[:, None, :], noise_std)
+        xs, ys = np.array([(s.x, s.y) for s in sensors]).reshape(g, 2).T[:, :, None]
+        got = displacement_log_likelihoods(states[:, :, 0] - xs, states[:, :, 1] - ys,
+                                           z[:, None, :], noise_std)
         assert got.shape == (g, j)
         for row, sensor, states_row, z_row in zip(got, sensors, states, z):
             want = old_displacement_log_likelihoods(states_row[:, :2], sensor, z_row, noise_std)
@@ -367,20 +374,21 @@ class TestPerAxisOracle:
 
 class TestMeasurementLikelihood:
     def test_mode_value(self):
-        val = displacement_log_likelihoods(np.array([[3.0, 4.0]]), NORTH.position, (3.0, 4.0), 1.0)
+        val = displacement_log_likelihoods(np.array([3.0]), np.array([4.0]), (3.0, 4.0), 1.0)
         assert np.exp(val[0]) == pytest.approx(1.0 / (2 * math.pi))
 
     def test_one_sigma_offset(self):
         sensor = SensorState(10.0, -5.0, 0.3)
         positions = np.array([[10.0, -5.0], [11.0, -5.0], [10.0, -4.0]])
-        val = displacement_log_likelihoods(positions, sensor.position, (0.0, 0.0), 1.0)
+        dx, dy = positions[:, 0] - sensor.x, positions[:, 1] - sensor.y
+        val = displacement_log_likelihoods(dx, dy, (0.0, 0.0), 1.0)
         assert val[1] == pytest.approx(val[0] - 0.5)
         assert val[2] == pytest.approx(val[0] - 0.5)
 
     def test_sigma_scaling(self):
-        pos = np.array([[0.0, 0.0]])
-        wide = displacement_log_likelihoods(pos, NORTH.position, (0, 0), 2.0)[0]
-        narrow = displacement_log_likelihoods(pos, NORTH.position, (0, 0), 1.0)[0]
+        dx = dy = np.array([0.0])
+        wide = displacement_log_likelihoods(dx, dy, (0, 0), 2.0)[0]
+        narrow = displacement_log_likelihoods(dx, dy, (0, 0), 1.0)[0]
         assert math.exp(wide) == pytest.approx(math.exp(narrow) / 4.0)
 
 
