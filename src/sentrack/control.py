@@ -31,7 +31,7 @@ import numpy as np
 
 from .filtering import FilterConfig, PseudoPosterior, generate_pims, pseudo_update
 from .fusion import compute_active_set, existence_odds
-from .lmb import LmbDensity, eap_states, prune
+from .lmb import LmbDensity, eap_states, label_index, prune
 from .sensors import FovModel, SensorState, apply_action
 
 _CLAMP = 1e-12
@@ -223,10 +223,10 @@ class PseudoCache:
     after[s][a] is sensor s's state after its action a, built for every
     action up front; every post-action geometry of the step is read from
     it, and after[s][0], the stay action's, is sensor s's current pose.
-    labels is the step's sorted label index; rows[s] maps sensor s's
-    components onto it.  Built up front, per sensor: its pruned predicted
-    density, the predicted existences, the EAP positions, which every
-    action's ideal measurement set starts from, and the predicted means.
+    (labels, rows) is lmb.label_index of the pruned predicted densities.
+    Built up front, per sensor: its pruned predicted density, the predicted
+    existences, the EAP positions, which every action's ideal measurement
+    set starts from, and the predicted means.
 
     Built on first use:
       * per sensor, when any of its actions is first read: the
@@ -274,12 +274,8 @@ class PseudoCache:
             for s, d in self.predicted.items()
         }
         self.predicted_means = {s: d.mean_positions() for s, d in self.predicted.items()}
-        self.labels = sorted({label for d in self.predicted.values() for label in d.labels})
-        index = {label: i for i, label in enumerate(self.labels)}
-        self.rows = {
-            s: np.array([index[label] for label in d.labels], dtype=np.intp)
-            for s, d in self.predicted.items()
-        }
+        self.labels, rows = label_index(self.predicted.values())
+        self.rows = dict(zip(self.predicted, rows))
         self._pseudo = {}
         self._active = {}
         self._disk = {}

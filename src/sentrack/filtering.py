@@ -14,9 +14,9 @@ to the best-k ranked assignments, each solved by min_cost_assignment, the
 in-house port of scipy's rectangular assignment solver.  A lone row, whose
 gated measurements no other row holds, is a cluster of one; within the
 limit it takes the exact path's single-row case in closed form
-(_single_row_marginals), with the same bits.  The update itself never resamples: resampling and pruning are
-separate steps so that a no-information update is exactly the identity on
-the density.
+(_single_row_marginals), with the same bits.  The update itself never
+resamples: resampling and pruning are separate steps so that a
+no-information update is exactly the identity on the density.
 
 The core runs in two phases against a set of A sensor poses, each with
 its own measurements: update passes one pose, pseudo_update every action's
@@ -218,22 +218,22 @@ def murty_assignments(cost: np.ndarray, k: int) -> list:
         return []
     out = []
     counter = itertools.count()
-    heap = [(best[0], next(counter), cost, best[1])]
+    heap = [(best[0], next(counter), cost, best[1], 0)]
     while heap and len(out) < k:
-        total, _, sub, assign = heapq.heappop(heap)
+        total, _, sub, assign, forced = heapq.heappop(heap)
         out.append((total, assign))
-        n = len(assign)
-        for i in range(n):
+        # children start at the forced prefix: a row below it holds one finite cell
+        for i in range(forced, len(assign)):
             child = sub.copy()
             # forbid row i's current column, keep rows < i forced
             child[i, assign[i]] = np.inf
-            for r in range(i):
+            for r in range(forced, i):
                 keep = assign[r]
                 child[r, :] = np.inf
                 child[r, keep] = sub[r, keep]
             sol = _solve_assignment(child)
             if sol is not None:
-                heapq.heappush(heap, (sol[0], next(counter), child, sol[1]))
+                heapq.heappush(heap, (sol[0], next(counter), child, sol[1], i))
     return out
 
 

@@ -8,14 +8,15 @@ row's label exceeds its FoV's p_d_threshold.  The harness applies it to
 each member sensor's posterior, and control to each sensor's
 pseudo-posterior under the sensor's own hypothesized action.  Existence
 probabilities fuse by one odds rule, existence_odds: the odds of the
-contributors add, in holder order, and the fused existence is
-total / (1 + total); spatial clouds fuse as an odds-weighted mixture,
-resampled to the common particle count.
+contributors add, one sensor at a time in ascending id, and the fused
+existence is total / (1 + total); spatial clouds fuse as an odds-weighted
+mixture, resampled to the common particle count.
 
 fuse_lmb handles a label by its active set A, the holders whose row masks
 are set:
   |A| > 1  fuse over A,
-  |A| = 1  copy that sensor's component unchanged,
+  |A| = 1  copy that sensor's component unchanged, existence included
+           (total / (1 + total) would differ in the last bits),
   A empty  every sensor holding the label contributes equally, so tracks
            are retained while unobserved.
 A label whose fused existence is below the reporting floor (the harness
@@ -32,8 +33,10 @@ import numpy as np
 
 from .lmb import (
     EXISTENCE_CEIL,
+    Component,
     LmbDensity,
     connected_groups,
+    label_index,
     ranked_rows,
     systematic_resample_indices,
 )
@@ -110,40 +113,42 @@ def fuse_lmb(locals_: Mapping[int, LmbDensity], active: Mapping, floor: float) -
 
     active[s] is the row mask of locals_[s] that compute_active_set gives;
     a label whose fused existence is below floor is dropped unfused.  The
+    contributors' odds add as arrays, one sensor at a time in ascending id;
+    a lone contributor's row is copied, its own existence included.  The
     densities must share one particle count J; a fused label's union of
     clouds is resampled to J particles.  A label whose contributors all
     have existence 0 fuses to existence 0, their clouds sharing equally.
     locals_ holds at least one density: a topology component has a member.
     """
-    densities = dict(locals_)
-    timestamps = {d.timestamp for d in densities.values()}
-    if len(timestamps) != 1:
-        raise ValueError(f"inconsistent timestamps: {sorted(timestamps)}")
-    roles = {d.role for d in densities.values()}
-    if len(roles) != 1:
-        raise ValueError(f"inconsistent roles: {sorted(roles)}")
+    densities = [locals_[s] for s in sorted(locals_)]
+    for name in ("timestamp", "role"):
+        values = {getattr(d, name) for d in densities}
+        if len(values) != 1:
+            raise ValueError(f"inconsistent {name}s: {sorted(values)}")
 
-    rows = {s: d.components for s, d in densities.items()}
-    odds = {s: existence_odds(d.existences).tolist() for s, d in densities.items()}
-    holders_of = {}
-    for s in sorted(densities):
-        for k, label in enumerate(densities[s].labels):
-            holders_of.setdefault(label, []).append((s, k))
+    labels, rows = label_index(densities)
+    # (sensor, label) tables: the sensor's row of the label (-1 where it holds
+    # none), that row's existence (0.0 where none) and its active flag
+    row = np.full((len(densities), len(labels)), -1)
+    r, act = np.zeros(row.shape), np.zeros(row.shape, dtype=bool)
+    for m, (s, idx) in enumerate(zip(sorted(locals_), rows)):
+        row[m, idx], r[m, idx] = np.arange(len(idx)), densities[m].existences
+        act[m, idx] = active[s]
+    contrib = np.where(act.any(axis=0), act, row >= 0)  # the active holders, else all
+    # a sequential sum over sensors: adding 0.0 for a non-contributor keeps its bits
+    total = np.cumsum(np.where(contrib, existence_odds(r), 0.0), axis=0)[-1]
+    own = np.where(contrib, r, 0.0).sum(axis=0)  # a lone contributor's existence
+    existence = np.where(contrib.sum(axis=0) == 1, own, total / (1.0 + total))
 
     fused = []
-    for label in sorted(holders_of):
-        holders = holders_of[label]
-        contributors = [(s, k) for s, k in holders if active[s][k]] or holders
-        comps = [rows[s][k] for s, k in contributors]
-        if len(comps) == 1:
-            if comps[0].existence >= floor:
-                fused.append(comps[0])
-            continue
-        total = sum(odds[s][k] for s, k in contributors)
-        existence = total / (1.0 + total)
-        if existence >= floor:
-            fused.append((label, existence, *fuse_spatial(comps, len(comps[0].weights))))
-    return LmbDensity.from_rows(fused, timestamps.pop(), "fused")
+    for i in np.flatnonzero(existence >= floor).tolist():
+        comps = [
+            Component(labels[i], r[m, i], d.states[row[m, i]], d.weights[row[m, i]])
+            for m, d in enumerate(densities) if contrib[m, i]
+        ]
+        spatial = fuse_spatial(comps, len(comps[0].weights)) if len(comps) > 1 else comps[0][2:]
+        fused.append((labels[i], existence[i], *spatial))
+    return LmbDensity.from_rows(fused, densities[0].timestamp, "fused")
 
 
 # ---------------------------------------------------------------------------
@@ -162,18 +167,6 @@ def fuse_lmb(locals_: Mapping[int, LmbDensity], active: Mapping, floor: float) -
 # ---------------------------------------------------------------------------
 
 
-def _label_positions(densities: Mapping[int, LmbDensity]) -> dict:
-    """Representative EAP position per label, from its most confident holder."""
-    best = {}
-    for s in sorted(densities):
-        d = densities[s]
-        for label, r, pos in zip(d.labels, d.existences.tolist(), d.mean_positions()):
-            cur = best.get(label)
-            if cur is None or r > cur[0]:
-                best[label] = (r, pos)
-    return {label: pos for label, (_r, pos) in best.items()}
-
-
 def associate_labels(
     locals_: Mapping[int, LmbDensity], merge_distance: float, current_step: int
 ) -> dict:
@@ -186,9 +179,14 @@ def associate_labels(
     label, the first in ranked_rows order is kept.  Returns every density
     with its rows in label order.  Deterministic.
     """
-    positions = _label_positions(locals_)
-    labels = sorted(positions)
-    xy = np.array([positions[l] for l in labels]).reshape(-1, 2)
+    densities = [locals_[s] for s in sorted(locals_)]
+    labels, rows = label_index(densities)
+    # each label's EAP position, from its most confident holder; ties go to the lowest sensor id
+    confidence, xy = np.full(len(labels), -np.inf), np.zeros((len(labels), 2))
+    for d, idx in zip(densities, rows):
+        better = d.existences > confidence[idx]
+        confidence[idx[better]] = d.existences[better]
+        xy[idx[better]] = d.mean_positions()[better]
     fresh = np.array([l.birth_time >= current_step - 1 for l in labels], dtype=bool)
     origin = np.array([l.origin_sensor for l in labels])
 

@@ -30,7 +30,7 @@ from .control import (
 )
 from .filtering import predict, update
 from .fusion import associate_labels, compute_active_set, fuse_lmb
-from .lmb import eap_states, empty_density, prune, resample_component
+from .lmb import eap_states, empty_density, label_index, prune, resample_component
 from .metrics import ospa, ospa2
 from .network import CommLog, build_topology
 from .scenarios import MonteCarloConfig, ScenarioConfig
@@ -150,12 +150,12 @@ def _fuse_and_estimate(scenario, members, posteriors, predicted, sensor_states):
     """Update-mode fusion and estimate extraction for one network component."""
     active = {}
     for s in members:
-        row = {label: k for k, label in enumerate(predicted[s].labels)}
-        # a label the sensor did not predict takes the NaN row: no estimate
-        means = np.vstack([predicted[s].mean_positions(), [np.nan, np.nan]])
-        pred = means[[row.get(label, -1) for label in posteriors[s].labels]]
+        labels, (pred_rows, post_rows) = label_index((predicted[s], posteriors[s]))
+        # a label the sensor did not predict keeps a NaN row: no estimate
+        means = np.full((len(labels), 2), np.nan)
+        means[pred_rows] = predicted[s].mean_positions()
         fov, updated = scenario.sensors[s].fov, posteriors[s].mean_positions()
-        active[s] = compute_active_set(sensor_states[s], fov, pred, updated.__getitem__)
+        active[s] = compute_active_set(sensor_states[s], fov, means[post_rows], updated.__getitem__)
     locals_ = {s: posteriors[s] for s in members}
     return eap_states(fuse_lmb(locals_, active, scenario.fusion.estimate_floor))
 

@@ -9,7 +9,8 @@ count J.  Every density the simulator builds lists its rows in label
 order: prediction, update, resampling and prune keep row order; births
 follow the predicted rows by ascending index and are labeled with the
 current step, so they sort after every older label; and fusion and label
-association emit rows in label order.  A sum over the contiguous last
+association emit rows in label order.  label_index is the one rule that
+matches rows of several densities by label.  A sum over the contiguous last
 axis, such as the row sums of a (K, J) array, gives the bits of the
 per-row sums.  A reduction over the middle J axis of (K, J, D), by einsum
 or (a * b).sum(axis=1), does not give the bits of each row's w @ values,
@@ -129,6 +130,15 @@ class LmbDensity:
     def mean_positions(self) -> np.ndarray:
         """(K, 2) weight-averaged particle position of each row."""
         return row_means(self.weights, self.states[:, :, :2])
+
+
+def label_index(densities) -> tuple:
+    """(labels, rows): the sorted union of the densities' labels and, per
+    density in the given order, the (K,) index of each row's label in it."""
+    densities = list(densities)
+    labels = sorted({label for d in densities for label in d.labels})
+    index = dict(zip(labels, range(len(labels))))
+    return labels, [np.array([index[l] for l in d.labels], dtype=np.intp) for d in densities]
 
 
 def empty_density(timestamp: int, role: str) -> LmbDensity:

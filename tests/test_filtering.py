@@ -1,4 +1,5 @@
 import dataclasses
+import heapq
 import itertools
 import math
 from typing import NamedTuple
@@ -16,6 +17,7 @@ from sentrack.filtering import (
     _ranked_marginals,
     _RowTerms,
     _single_row_marginals,
+    _solve_assignment,
     generate_pims,
     murty_assignments,
     predict,
@@ -521,6 +523,40 @@ class TestMurty:
         [(total, assign)] = murty_assignments(cost, 5)
         assert assign == (0, 1)
         assert total == pytest.approx(2.0)
+
+    @given(data=st.data(), n=st.integers(1, 4), extra=st.integers(0, 2), k=st.integers(1, 30))
+    @settings(max_examples=300, deadline=None)
+    def test_children_from_the_forced_prefix_change_nothing(self, data, n, extra, k):
+        # small integer costs tie often; +inf cells make children infeasible
+        cell = st.sampled_from([0.0, 1.0, 2.0, np.inf])
+        cost = np.array(data.draw(st.lists(st.lists(cell, min_size=n + extra, max_size=n + extra),
+                                           min_size=n, max_size=n)))
+        assert murty_assignments(cost, k) == murty_every_child(cost, k)
+
+
+def murty_every_child(cost, k):
+    """Reference: Murty partitioning that makes a child at every row of every
+    popped solution, the rows below the node's forced prefix included."""
+    best = _solve_assignment(cost)
+    if best is None:
+        return []
+    out = []
+    counter = itertools.count()
+    heap = [(best[0], next(counter), cost, best[1])]
+    while heap and len(out) < k:
+        total, _, sub, assign = heapq.heappop(heap)
+        out.append((total, assign))
+        for i in range(len(assign)):
+            child = sub.copy()
+            child[i, assign[i]] = np.inf
+            for r in range(i):
+                keep = assign[r]
+                child[r, :] = np.inf
+                child[r, keep] = sub[r, keep]
+            sol = _solve_assignment(child)
+            if sol is not None:
+                heapq.heappush(heap, (sol[0], next(counter), child, sol[1]))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from sentrack import fusion
 from sentrack.fusion import (
     associate_labels,
     compute_active_set,
+    existence_odds,
     fuse_lmb,
     fuse_spatial,
 )
@@ -378,11 +379,52 @@ class TestFuseLmb:
         for name in ("existences", "states", "weights"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
+    @given(local_densities(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_holder_lists_bit_for_bit(self, case, data):
+        locals_, active = case
+        locals_ = {s: locals_[s] for s in data.draw(st.permutations(sorted(locals_)))}
+        fused = fuse_lmb_by_holders(locals_, active, 0.0).existences.tolist()
+        # floors at, just above and just below a fused existence test the boundary
+        near = [x for r in fused for x in (r, np.nextafter(r, 0.0), np.nextafter(r, 1.0))]
+        exact = st.sampled_from([0.0, *near]).filter(lambda r: r < 1.0)
+        floor = data.draw(st.floats(0.0, 1.0, exclude_max=True) | exact)
+        got, want = fuse_lmb(locals_, active, floor), fuse_lmb_by_holders(locals_, active, floor)
+        assert got.labels == want.labels
+        for name in ("existences", "states", "weights"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
     def test_locals_of_different_particle_counts_rejected(self):
         locals_ = {1: density([cloud((0, 300), 0.5, n=50)]),
                    2: density([cloud((0, 300), 0.5, Label(0, 1, 0), n=40)])}
         with pytest.raises(ValueError, match="different particle counts"):
             fuse_lmb(locals_, masks(locals_), 0.0)
+
+
+def fuse_lmb_by_holders(locals_, active, floor):
+    """Reference: fuse_lmb label by label over each label's list of (sensor,
+    row) holders, with the contributors' odds summed in Python."""
+    rows = {s: d.components for s, d in locals_.items()}
+    odds = {s: existence_odds(d.existences).tolist() for s, d in locals_.items()}
+    holders_of = {}
+    for s in sorted(locals_):
+        for k, label in enumerate(locals_[s].labels):
+            holders_of.setdefault(label, []).append((s, k))
+    fused = []
+    for label in sorted(holders_of):
+        holders = holders_of[label]
+        contributors = [(s, k) for s, k in holders if active[s][k]] or holders
+        comps = [rows[s][k] for s, k in contributors]
+        if len(comps) == 1:
+            if comps[0].existence >= floor:
+                fused.append(comps[0])
+            continue
+        total = sum(odds[s][k] for s, k in contributors)
+        existence = total / (1.0 + total)
+        if existence >= floor:
+            fused.append((label, existence, *fuse_spatial(comps, len(comps[0].weights))))
+    timestamp = next(iter(locals_.values())).timestamp
+    return LmbDensity.from_rows(fused, timestamp, "fused")
 
 
 class TestAssociateLabels:

@@ -15,6 +15,7 @@ from sentrack.lmb import (
     eap_cardinality,
     eap_states,
     empty_density,
+    label_index,
     prune,
     resample_component,
 )
@@ -285,3 +286,24 @@ class TestConnectedGroups:
 
     def test_chain_joins_late_members(self):
         assert connected_groups(5, [(4, 1), (3, 4), (0, 2)]) == [[0, 2], [1, 3, 4]]
+
+
+small_labels = st.builds(Label, st.integers(0, 3), st.integers(0, 2), st.integers(0, 2))
+
+
+class TestLabelIndex:
+    @given(st.lists(st.sets(small_labels), max_size=4))
+    @settings(max_examples=200, deadline=None)
+    def test_rows_index_the_sorted_union(self, label_sets):
+        # every density lists its rows in label order
+        densities = [rows(*(comp(0.5, [0.0], label=l) for l in sorted(s))) for s in label_sets]
+        labels, idx = label_index(iter(densities))
+        assert labels == sorted(set().union(*label_sets))
+        assert len(idx) == len(densities)
+        for d, i in zip(densities, idx):
+            assert i.dtype == np.intp and i.shape == (len(d.labels),)
+            assert [labels[k] for k in i.tolist()] == list(d.labels)
+            assert np.all(np.diff(i) > 0)
+
+    def test_no_densities(self):
+        assert label_index([]) == ([], [])
