@@ -2,13 +2,19 @@
 
     python3 bench/run.py --workload all --seconds 1 --trace 0 | python3 .github/check_result_line.py
     python3 bench/run.py --workload s1-dcd --seconds 1 --trace 0 | python3 .github/check_result_line.py
+    python3 bench/run.py --workload all --seconds 1 --trace 1 | python3 .github/check_result_line.py
 
 bench/run.py exits 0 after a failed repeat; only its last line says so.
 That line must be strict JSON: json.dumps prints a non-finite metric as a
 bare NaN or Infinity, which json.loads would accept.  The line of
 `--workload all` must hold every workload of BENCHMARK.json; each workload's
 result must be correct, with 0 failed and every end-to-end metric of
-BENCHMARK.json.  Exits 1, naming what is wrong, otherwise 0.
+BENCHMARK.json.  With --trace 1 a result reports the per-layer metrics in
+their place: a line where any result holds a per-layer metric is traced,
+and each of its results must hold every per-layer metric of BENCHMARK.json.
+A traced repeat fails when its spans do not tile the traced region, so a
+traced line that is correct has passed the tracer's span checks.  Exits 1,
+naming what is wrong, otherwise 0.
 """
 
 import json
@@ -30,7 +36,9 @@ def problems(line: str) -> list:
         results = {n: got["workloads"][n] for n in names if n in got["workloads"]}
     else:
         found, results = [], {"the workload": got}
-    metrics = [m["name"] for m in BENCHMARK["end_to_end"]]
+    per_layer = [m["name"] for m in BENCHMARK["per_layer"]]
+    traced = any(m in result["metrics"] for result in results.values() for m in per_layer)
+    metrics = per_layer if traced else [m["name"] for m in BENCHMARK["end_to_end"]]
     for name, result in results.items():
         if not result["correct"]:
             found.append(f"{name}: not correct")

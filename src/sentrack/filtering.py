@@ -355,9 +355,6 @@ def _bayes_update(
     pd = detection_model(fov, dx, dy, bearings)
     passed = pd.max(axis=2, initial=0.0) <= 1e-12
     r = np.minimum(predicted.existences, EXISTENCE_CEIL)
-    miss_p = 1.0 - pd
-    miss_lik = row_means(predicted.weights, miss_p[..., None])[..., 0]
-    no_det = (1.0 - r) + r * miss_lik
 
     # gated pairs: an updated row and a measurement of the same pose within
     # the gate of its mean; a pair whose likelihood sum is 0 is dropped.  A
@@ -377,13 +374,20 @@ def _bayes_update(
         pair_dx, pair_dy = (d.reshape(n_poses * k, j).take(block, axis=0) for d in (dx, dy))
         pair_z = z.take(meas, axis=0)[:, None]
         logg = displacement_log_likelihoods(pair_dx, pair_dy, pair_z, cfg.meas_noise_std)
-        raw = predicted.weights.take(rows, axis=0) * pd.reshape(n_poses * k, j).take(block, axis=0)
-        raw *= np.exp(logg)
+        del pair_dx, pair_dy  # only their likelihoods are read from here on
+        raw = predicted.weights.take(rows, axis=0)
+        raw *= pd.reshape(n_poses * k, j).take(block, axis=0)
+        raw *= np.exp(logg, out=logg)
         g_sum = raw.sum(axis=1)
         hit = g_sum > 0.0
         if not hit.all():
             rows, block, meas, raw, g_sum = rows[hit], block[hit], meas[hit], raw[hit], g_sum[hit]
         det_w = r.take(rows) * g_sum / max(cfg.clutter_intensity, _MIN_CLUTTER)
+
+    # the pairs have read pd: its array now holds the miss probabilities
+    miss_p = np.subtract(1.0, pd, out=pd)
+    miss_lik = row_means(predicted.weights, miss_p[..., None])[..., 0]
+    no_det = (1.0 - r) + r * miss_lik
 
     # every updated row gets the miss-only update; rows with a gated pair
     # are then associated and scaled by their miss marginal.  A lone row,

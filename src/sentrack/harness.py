@@ -6,6 +6,17 @@ execution, detection simulation, measurement update, cross-sensor label
 association, posterior flooding, update-mode fusion, and estimate
 extraction with OSPA scoring.
 
+A step keeps each sensor's particle arrays only until the last stage that
+reads them, so a run's peak memory is that of one step:
+  * the previous posteriors go once predict has read them (a predicted
+    density shares its prior's weights, not its states);
+  * the PseudoCache, with every pseudo-posterior's association arrays,
+    goes once the commands and the post-action poses are read from it;
+  * each predicted density goes right after its own update, leaving a
+    PredictedMeans of its labels and mean positions, all that the
+    estimate reads of it;
+  * the posteriors stay until the next step's predict.
+
 Everything stochastic draws from one per-run generator in a fixed order
 (plus per-(step, node) derived streams for the restart initializations of
 the neighborhood-descent baseline), so a run is fully determined by its
@@ -18,6 +29,7 @@ import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -146,14 +158,23 @@ def _select_commands(method, scenario, cache, topology, step, seed, dcd_runs, co
     raise ValueError(f"unknown control method {method!r}")
 
 
+class PredictedMeans(NamedTuple):
+    """What the estimate reads of a predicted density once its update is
+    done: its labels and (K, 2) mean positions, without its particles."""
+
+    labels: tuple
+    means: np.ndarray
+
+
 def _fuse_and_estimate(scenario, members, posteriors, predicted, sensor_states):
-    """Update-mode fusion and estimate extraction for one network component."""
+    """Update-mode fusion and estimate extraction for one network component;
+    predicted maps each sensor to the PredictedMeans of its prediction."""
     active = {}
     for s in members:
         labels, (pred_rows, post_rows) = label_index((predicted[s], posteriors[s]))
         # a label the sensor did not predict keeps a NaN row: no estimate
         means = np.full((len(labels), 2), np.nan)
-        means[pred_rows] = predicted[s].mean_positions()
+        means[pred_rows] = predicted[s].means
         fov, updated = scenario.sensors[s].fov, posteriors[s].mean_positions()
         active[s] = compute_active_set(sensor_states[s], fov, means[post_rows], updated.__getitem__)
     locals_ = {s: posteriors[s] for s in members}
@@ -225,6 +246,7 @@ def run_single(
         predicted = {
             s: predict(posteriors[s], scenario.motion, rng) for s in range(n)
         }
+        del posteriors  # predict has read them: their particles go now
 
         t0 = time.perf_counter()
         cache = PseudoCache(
@@ -241,26 +263,25 @@ def run_single(
         control_seconds += time.perf_counter() - t0
 
         sensor_states = [cache.after[s][commands[s]] for s in range(n)]
+        del cache  # the pseudo-posteriors and their association arrays
         topology = build_topology({s: (st.x, st.y) for s, st in enumerate(sensor_states)},
                                   scenario.comm_range)
 
         measurements = _simulate_measurements(scenario, sensor_states, truth_positions, rng)
 
+        # each density lives in its dict slot, so a stage's input goes as
+        # soon as the next stage returns
+        posteriors = {}
         for s in range(n):
-            posterior = update(
-                predicted[s],
-                measurements[s],
-                sensor_states[s],
-                fovs[s],
-                filter_cfgs[s],
-                rng,
-                origin=s,
+            cfg = filter_cfgs[s]
+            posteriors[s] = update(
+                predicted[s], measurements[s], sensor_states[s], fovs[s], cfg, rng, origin=s
             )
+            # the estimate reads only the predicted labels and means
+            predicted[s] = PredictedMeans(predicted[s].labels, predicted[s].mean_positions())
             # rows the update passed through keep their particles
-            posterior = resample_component(posterior, filter_cfgs[s].particle_count, rng)
-            posteriors[s] = prune(
-                posterior, filter_cfgs[s].existence_floor, filter_cfgs[s].max_components
-            )
+            posteriors[s] = resample_component(posteriors[s], cfg.particle_count, rng)
+            posteriors[s] = prune(posteriors[s], cfg.existence_floor, cfg.max_components)
 
         posteriors = associate_labels(
             posteriors, scenario.fusion.merge_distance, current_step=step

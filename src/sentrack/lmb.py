@@ -128,13 +128,24 @@ class LmbDensity:
         return LmbDensity(labels, existences, states, weights, self.timestamp, self.role)
 
     def mean_positions(self) -> np.ndarray:
-        """(K, 2) weight-averaged particle position of each row."""
-        return row_means(self.weights, self.states[:, :, :2])
+        """(K, 2) weight-averaged particle position of each row.
+
+        Computed on the first call and kept, since the density never
+        changes: the update's gate and the estimate read one array.  The
+        array is read-only, as it is shared by every caller.
+        """
+        means = self.__dict__.get("_means")
+        if means is None:
+            means = row_means(self.weights, self.states[:, :, :2])
+            means.flags.writeable = False
+            object.__setattr__(self, "_means", means)
+        return means
 
 
 def label_index(densities) -> tuple:
     """(labels, rows): the sorted union of the densities' labels and, per
-    density in the given order, the (K,) index of each row's label in it."""
+    density in the given order, the (K,) index of each row's label in it.
+    Only labels are read, so anything holding them may stand for a density."""
     densities = list(densities)
     labels = sorted({label for d in densities for label in d.labels})
     index = dict(zip(labels, range(len(labels))))

@@ -139,27 +139,60 @@ def detection_probabilities(
     return detection_model(fov, positions[:, 0] - x, positions[:, 1] - y, bearing)
 
 
+def _sigmoid(x: np.ndarray, x_max: float, k: float, p_max: float) -> np.ndarray:
+    """p_max / (1 + exp(min(k * (x - x_max), 500))), computed in x's own
+    array one operation at a time in that order, so each element has the
+    bits of the expression."""
+    np.subtract(x, x_max, out=x)
+    np.multiply(k, x, out=x)
+    np.minimum(x, 500.0, out=x)
+    np.exp(x, out=x)
+    np.add(1.0, x, out=x)
+    return np.divide(p_max, x, out=x)
+
+
+def _abs_bearing_offsets(dx: np.ndarray, dy: np.ndarray, bearing) -> np.ndarray:
+    """|wrap_angle(bearing - atan2(dx, dy))|, where -pi and pi give the same
+    value, broadcast over the offsets and the bearing, in a fresh array.
+
+    The bearing must lie in [-pi, pi], as a SensorState's does, so that
+    x = bearing - atan2(dx, dy) + pi lies in [-pi, 3*pi].  Its wrap to
+    [0, 2*pi) is then a range reduction with the bits of x % (2*pi): x - 2*pi
+    where x >= 2*pi, exact by Sterbenz's lemma, and x + 2*pi where x < 0.
+    The two forms differ only in the sign of a zero x, which the - pi after
+    the wrap erases.
+    """
+    theta = np.arctan2(dx, dy)
+    shape = np.broadcast_shapes(theta.shape, np.shape(bearing))
+    theta = np.subtract(bearing, theta, out=theta if theta.shape == shape else None)
+    np.add(theta, math.pi, out=theta)
+    np.subtract(theta, TWO_PI, out=theta, where=theta >= TWO_PI)
+    np.add(theta, TWO_PI, out=theta, where=theta < 0.0)
+    np.subtract(theta, math.pi, out=theta)
+    return np.abs(theta, out=theta)
+
+
 def detection_model(fov: FovModel, dx: np.ndarray, dy: np.ndarray, bearing) -> np.ndarray:
     """The one detection model: sigmoid detection probability of targets at
     offsets dx = x - x_s and dy = y - y_s from a sensor of the given bearing,
-    all broadcast together.  Bearings are atan2(dx, dy) relative to the
-    sensor bearing.  Every step is elementwise, so an offset's probability
-    has the same bits in any array that holds it.
+    in [-pi, pi], all broadcast together.  Bearings are atan2(dx, dy)
+    relative to the sensor bearing.  Every step is elementwise, so an
+    offset's probability has the same bits in any array that holds it; a
+    NaN offset gives 0.  Each step after the range and the bearing offset
+    writes into the array it reads, so the model holds two arrays of the
+    result's size at once.
     """
     rho = np.hypot(dx, dy)
-    inside = rho <= fov.rho_max
-    p_rho = fov.p_d_max / (1.0 + np.exp(np.minimum(fov.k_rho * (rho - fov.rho_max), 500.0)))
+    outside = ~(rho <= fov.rho_max)
+    p = _sigmoid(rho, fov.rho_max, fov.k_rho, fov.p_d_max)
     if fov.omnidirectional:
-        p = p_rho * fov.p_d_max
+        np.multiply(p, fov.p_d_max, out=p)
     else:
-        # |wrap_angle(bearing offset)|, where -pi and pi give the same value
-        theta = np.abs((bearing - np.arctan2(dx, dy) + math.pi) % TWO_PI - math.pi)
-        inside = inside & (theta <= fov.theta_max)
-        p_theta = fov.p_d_max / (
-            1.0 + np.exp(np.minimum(fov.k_theta * (theta - fov.theta_max), 500.0))
-        )
-        p = p_rho * p_theta
-    return np.where(inside, p, 0.0)
+        theta = _abs_bearing_offsets(dx, dy, bearing)
+        outside = outside | ~(theta <= fov.theta_max)
+        p = np.multiply(p, _sigmoid(theta, fov.theta_max, fov.k_theta, fov.p_d_max), out=theta)
+    np.copyto(p, 0.0, where=outside)
+    return p
 
 
 def displacement_log_likelihoods(
@@ -167,11 +200,17 @@ def displacement_log_likelihoods(
 ) -> np.ndarray:
     """Log Gaussian likelihood of a displacement measurement for particles at
     offsets dx = x - x_s and dy = y - y_s from the sensor.  measurement is one
-    (2,) displacement or (..., 2), broadcast against the offsets."""
+    (2,) displacement or (..., 2), broadcast against the offsets.  The errors
+    are fresh arrays, and every step after them writes into the first, in
+    the order of -0.5 * (ex * ex + ey * ey) / var - log(2 pi var)."""
     z = np.asarray(measurement, dtype=float)
     ex, ey = dx - z[..., 0], dy - z[..., 1]
     var = noise_std**2
-    return -0.5 * (ex * ex + ey * ey) / var - math.log(TWO_PI * var)
+    np.multiply(ex, ex, out=ex)
+    np.add(ex, np.multiply(ey, ey, out=ey), out=ex)
+    np.multiply(-0.5, ex, out=ex)
+    np.divide(ex, var, out=ex)
+    return np.subtract(ex, math.log(TWO_PI * var), out=ex)
 
 
 def apply_action(sensor: SensorState, action: SensorAction) -> SensorState:

@@ -17,18 +17,21 @@ SPEC.loader.exec_module(check)
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 NAMES = [w["name"] for w in BENCHMARK["workloads"]]
 METRICS = {m["name"]: m["unit"] for m in BENCHMARK["end_to_end"]}
+PER_LAYER = {m["name"]: m["unit"] for m in BENCHMARK["per_layer"]}
 
 
-def workload_result():
+def workload_result(traced=False):
     """One workload's result as bench/run.py prints it: correct, none failed,
-    every end-to-end metric."""
-    metrics = {name: {"value": 1.5, "unit": unit} for name, unit in METRICS.items()}
+    every end-to-end metric, or with --trace 1 every per-layer metric."""
+    units = PER_LAYER if traced else METRICS
+    metrics = {name: {"value": 1.5, "unit": unit} for name, unit in units.items()}
     return {"correct": True, "attempted": 3, "failed": 0, "metrics": metrics}
 
 
-def all_line():
+def all_line(traced=False):
     """The last line of `bench/run.py --workload all`, complete."""
-    return {"environment": {"python": "3"}, "workloads": {n: workload_result() for n in NAMES}}
+    workloads = {n: workload_result(traced) for n in NAMES}
+    return {"environment": {"python": "3"}, "workloads": workloads}
 
 
 def test_complete_line_of_every_workload_passes():
@@ -37,6 +40,41 @@ def test_complete_line_of_every_workload_passes():
 
 def test_complete_line_of_one_workload_passes():
     assert check.problems(json.dumps(workload_result())) == []
+
+
+@pytest.mark.parametrize("line", [all_line(traced=True), workload_result(traced=True)],
+                         ids=["all", "one"])
+def test_complete_traced_line_passes_without_end_to_end_metrics(line):
+    assert check.problems(json.dumps(line)) == []
+
+
+def test_each_fault_in_a_traced_line_is_named():
+    first, second, third = NAMES[:3]
+    counts, ospa = "lmb.resample.calls", "metrics.ospa_m"
+    line = all_line(traced=True)
+    line["workloads"][first]["correct"] = False
+    line["workloads"][second]["failed"] = 1
+    del line["workloads"][second]["metrics"][counts]
+    # a traced result still holding an end-to-end metric is judged by the per-layer ones
+    line["workloads"][third]["metrics"] = {"steps_per_s": {"value": 1.5, "unit": "steps/s"}}
+    line["workloads"][third]["metrics"][ospa] = {"value": 1.5, "unit": "m"}
+    assert check.problems(json.dumps(line)) == [
+        f"{first}: not correct",
+        f"{second}: 1 failed",
+        f"{second}: no {counts}",
+        *[f"{third}: no {m}" for m in PER_LAYER if m != ospa],
+    ]
+
+
+def test_a_traced_line_with_no_per_layer_metric_is_judged_untraced():
+    # a failed traced repeat leaves no per-layer values: the line reads as
+    # untraced and is named for every missing end-to-end metric
+    line = all_line(traced=True)
+    for result in line["workloads"].values():
+        result.update(correct=False, failed=1, metrics={})
+    found = check.problems(json.dumps(line))
+    assert found[:3] == [f"{NAMES[0]}: not correct", f"{NAMES[0]}: 1 failed",
+                         f"{NAMES[0]}: no {next(iter(METRICS))}"]
 
 
 def test_each_fault_is_named():
@@ -78,6 +116,7 @@ def test_bare_non_finite_value_raises(token):
 @pytest.mark.parametrize("lines,code", [
     ([json.dumps(all_line())], 0),
     (["environment: {}", json.dumps(all_line())], 0),
+    (["environment: {}", json.dumps(all_line(traced=True))], 0),
     ([], 1),
     ([json.dumps(all_line() | {"workloads": {}})], 1),
 ])

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import json
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -265,6 +267,58 @@ def test_ospa2_of_shared_histories_equals_per_sensor_scoring(monkeypatch):
         components.append(len(step_calls))
     assert not calls
     assert min(components) >= 2 and max(components) > 2 and mixed > 0
+
+
+@pytest.mark.parametrize("scenario,method", [(1, "dcd"), (2, "fdcd"), (2, "isc")])
+def test_each_step_frees_its_particles_after_their_last_reader(monkeypatch, scenario, method):
+    # weakrefs taken inside the harness names, with the cycle collector off,
+    # so only what run_single still holds is alive: when step k+1's predict
+    # runs, step k's PseudoCache and the posteriors that step k's predict
+    # read are gone (those already when step k's cache is built), and when
+    # step k's associate_labels runs, none of step k's predicted densities
+    # is; each density's states array goes with it, so no stage's result
+    # that shares the array keeps it
+    read, predicted, caches, checked = {}, {}, {}, Counter()
+    original_predict, original_cache = harness.predict, harness.PseudoCache
+    original_associate = harness.associate_labels
+
+    def alive(refs):
+        return [ref for ref in refs if ref() is not None]
+
+    def predict(prior, *args):
+        step = prior.timestamp + 1
+        assert not alive(caches.get(step - 1, [])) and not alive(read.get(step - 1, []))
+        out = original_predict(prior, *args)
+        read.setdefault(step, []).extend([weakref.ref(prior), weakref.ref(prior.states)])
+        predicted.setdefault(step, []).extend([weakref.ref(out), weakref.ref(out.states)])
+        checked["predict"] += 1
+        return out
+
+    def cache(densities, *args):
+        [step] = {d.timestamp for d in densities.values()}
+        assert len(read[step]) == 2 * len(densities) and not alive(read[step])
+        out = original_cache(densities, *args)
+        caches.setdefault(step, []).append(weakref.ref(out))
+        return out
+
+    def associate_labels(posteriors, *args, current_step):
+        assert len(predicted[current_step]) == 2 * len(posteriors)
+        assert not alive(predicted[current_step])
+        checked["associate_labels"] += 1
+        return original_associate(posteriors, *args, current_step=current_step)
+
+    monkeypatch.setattr(harness, "predict", predict)
+    monkeypatch.setattr(harness, "PseudoCache", cache)
+    monkeypatch.setattr(harness, "associate_labels", associate_labels)
+    build = build_scenario_1 if scenario == 1 else build_scenario_2
+    steps, n = 6, len(build().sensors)
+    gc.disable()
+    try:
+        run_single(build(), method, seed=20260810, duration=steps)
+    finally:
+        gc.enable()
+    assert checked == {"predict": steps * n, "associate_labels": steps}
+    assert all(len(caches[step]) == 1 for step in range(1, steps + 1))
 
 
 def test_export_results_writes_the_pinned_csv_format(tmp_path):

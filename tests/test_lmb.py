@@ -18,6 +18,7 @@ from sentrack.lmb import (
     label_index,
     prune,
     resample_component,
+    row_means,
 )
 
 
@@ -118,6 +119,21 @@ class TestEapStates:
         assert [label for label, _ in picked] == [c.label for c in ranked[:n]]
         for (_, state), c in zip(picked, ranked):
             np.testing.assert_array_equal(state, c.weights @ c.states)
+
+
+    def test_mean_positions_computed_once_and_read_only(self):
+        # the update's gate and the estimate share one array, so no caller may write it
+        rng = np.random.default_rng(3)
+        d = random_density(rng, 7, 60, ties=False)
+        means = d.mean_positions()
+        assert d.mean_positions() is means and not means.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            means[0, 0] = 0.0
+        # a density built from this one computes its own means
+        moved = replace(d, states=d.states + 1.0)
+        want = row_means(d.weights, moved.states[:, :, :2])
+        np.testing.assert_array_equal(moved.mean_positions(), want)
+        assert prune(d, 0.0, 7).mean_positions() is not means
 
 
 class TestResample:

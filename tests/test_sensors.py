@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from sentrack import sensors
 from sentrack.scenarios import build_scenario_1
 from sentrack.sensors import (
     TWO_PI,
@@ -370,6 +372,105 @@ class TestPerAxisOracle:
         got = propagate_states(motion, states, rng)
         assert same_bits(got, old_propagate_states(motion, states, old_rng))
         assert rng.bit_generator.state == old_rng.bit_generator.state
+
+
+
+def remainder_abs_bearing_offsets(dx, dy, bearing) -> np.ndarray:
+    """Oracle: the bearing offset as the model took it before the range
+    reduction, wrapped by np.remainder."""
+    return np.abs((bearing - np.arctan2(dx, dy) + math.pi) % TWO_PI - math.pi)
+
+
+def remainder_detection_model(fov: FovModel, dx, dy, bearing) -> np.ndarray:
+    """Oracle: detection_model before its steps wrote into their inputs, with
+    a fresh array per step and the wrap by np.remainder."""
+    rho = np.hypot(dx, dy)
+    inside = rho <= fov.rho_max
+    p_rho = fov.p_d_max / (1.0 + np.exp(np.minimum(fov.k_rho * (rho - fov.rho_max), 500.0)))
+    if fov.omnidirectional:
+        p = p_rho * fov.p_d_max
+    else:
+        theta = remainder_abs_bearing_offsets(dx, dy, bearing)
+        inside = inside & (theta <= fov.theta_max)
+        p_theta = fov.p_d_max / (
+            1.0 + np.exp(np.minimum(fov.k_theta * (theta - fov.theta_max), 500.0))
+        )
+        p = p_rho * p_theta
+    return np.where(inside, p, 0.0)
+
+
+# offsets, with NaN (a NaN particle) and both zeros
+offsets = coords | st.sampled_from([math.nan, 0.0, -0.0])
+BEARING_FORMS = ("scalar", "(A, 1)", "(A, 1, 1)")
+
+
+@st.composite
+def model_inputs(draw):
+    """(fov, dx, dy, bearing) in one of the model's bearing forms: one bearing
+    with (N,) offsets, (A, 1) bearings with (N,) offsets, or (A, 1, 1)
+    bearings with (K, J) offsets.  The first offset lies exactly on the FoV's
+    range limit and, for a sector FoV, the last exactly on its bearing limit
+    as seen at the first bearing."""
+    form = draw(st.sampled_from(BEARING_FORMS))
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 6))) if form == "(A, 1, 1)" else (
+        draw(st.integers(1, 30)),)
+    dx, dy = (draw(arrays(np.float64, shape, elements=offsets)) for _ in range(2))
+    a = draw(st.integers(1, 4))
+    # bearings as a SensorState holds them, in (-pi, pi]
+    drawn = draw(st.lists(bearings, min_size=a, max_size=a))
+    wrapped = [SensorState(0.0, 0.0, b).bearing for b in drawn]
+    bearing = {"scalar": wrapped[0], "(A, 1)": np.array(wrapped)[:, None],
+               "(A, 1, 1)": np.array(wrapped)[:, None, None]}[form]
+    fov = draw(fovs)
+    rho = math.hypot(dx.flat[0], dy.flat[0])
+    if rho > 0.0:  # not NaN
+        fov = dataclasses.replace(fov, rho_max=rho)
+    theta = float(remainder_abs_bearing_offsets(dx.flat[-1], dy.flat[-1], wrapped[0]))
+    if not fov.omnidirectional and 0.0 < theta <= math.pi:
+        fov = dataclasses.replace(fov, theta_max=theta)
+    return fov, dx, dy, bearing
+
+
+class TestInPlaceModelOracle:
+    """The model computed step by step in its own arrays, with the wrap by
+    range reduction, gives the bits and shape of remainder_detection_model."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(inputs=model_inputs())
+    def test_model_has_the_bytes_of_the_remainder_form(self, inputs):
+        fov, dx, dy, bearing = inputs
+        before = dx.tobytes(), dy.tobytes(), np.asarray(bearing).tobytes()
+        got = detection_model(fov, dx, dy, bearing)
+        assert same_bits(got, remainder_detection_model(fov, dx, dy, bearing))
+        # the steps write only into arrays of their own
+        assert (dx.tobytes(), dy.tobytes(), np.asarray(bearing).tobytes()) == before
+
+    @settings(max_examples=300, deadline=None)
+    @given(inputs=model_inputs())
+    def test_bearing_offsets_have_the_bytes_of_the_remainder_form(self, inputs):
+        # the intermediate before - pi may differ in the sign of a zero; the
+        # offset after it may not
+        _fov, dx, dy, bearing = inputs
+        got = sensors._abs_bearing_offsets(dx, dy, bearing)
+        assert same_bits(got, remainder_abs_bearing_offsets(dx, dy, bearing))
+
+    @pytest.mark.parametrize("fov", [SCEN1_FOV, OMNI_FOV], ids=["sector", "omni"])
+    @pytest.mark.parametrize("form", BEARING_FORMS)
+    def test_nan_zero_and_limit_offsets_at_the_seam_bearings(self, fov, form):
+        r, edge = fov.rho_max, SCEN1_FOV.theta_max
+        nan = math.nan
+        dx = np.array([nan, 3.0, nan, 0.0, -0.0, 0.0, r, 0.0, -r, r * math.sin(edge), 1.0])
+        dy = np.array([1.0, nan, nan, 0.0, 0.0, -0.0, 0.0, -r, 0.0, r * math.cos(edge), 2.0])
+        seam = np.array([math.pi, math.nextafter(-math.pi, 0.0)])
+        if form == "(A, 1, 1)":
+            dx, dy, bearing = dx.reshape(1, -1), dy.reshape(1, -1), seam[:, None, None]
+        else:
+            bearing = seam[0] if form == "scalar" else seam[:, None]
+        got = detection_model(fov, dx, dy, bearing)
+        assert same_bits(got, remainder_detection_model(fov, dx, dy, bearing))
+        # a NaN offset is outside the FoV
+        undefined = np.isnan(dx) | np.isnan(dy)
+        assert not np.isnan(got).any() and (got[..., undefined] == 0.0).all()
 
 
 class TestMeasurementLikelihood:
