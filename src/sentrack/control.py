@@ -224,15 +224,14 @@ class PseudoCache:
     action up front; every post-action geometry of the step is read from
     it, and after[s][0], the stay action's, is sensor s's current pose.
     (labels, rows) is lmb.label_index of the pruned predicted densities.
-    Built up front, per sensor: its pruned predicted density, the predicted
-    existences, the EAP positions, which every action's ideal measurement
-    set starts from, and the predicted means.
+    Built up front, per sensor: its pruned predicted density and the
+    predicted existences.
 
     Built on first use:
       * per sensor, when any of its actions is first read: the
-        PseudoPosteriors of all its actions, from one pseudo_update call,
-        each holding its rows' existences (an empty predicted density has
-        one, with no rows, which all its actions share);
+        PseudoPosteriors of all its actions, from the ideal measurement
+        sets of its EAP positions and one pseudo_update call, each holding
+        its rows' existences (none for an empty predicted density);
       * per (sensor, action, row), at most once: the row's pseudo-posterior
         particle weights, built only when active or indisk_weight reads
         them: active for the rows the predicted estimates leave inactive,
@@ -269,11 +268,6 @@ class PseudoCache:
             s: prune(d, params.min_existence, len(d.labels)) for s, d in predicted.items()
         }
         self.predicted_existences = {s: existence_map(d) for s, d in self.predicted.items()}
-        self.eap_positions = {
-            s: np.array([state[:2] for _label, state in eap_states(d)]).reshape(-1, 2)
-            for s, d in self.predicted.items()
-        }
-        self.predicted_means = {s: d.mean_positions() for s, d in self.predicted.items()}
         self.labels, rows = label_index(self.predicted.values())
         self.rows = dict(zip(self.predicted, rows))
         self._pseudo = {}
@@ -285,12 +279,10 @@ class PseudoCache:
     def pseudo(self, s: int, a: int) -> PseudoPosterior:
         if (s, a) not in self._pseudo:
             predicted, after, fov = self.predicted[s], self.after[s], self.fovs[s]
-            # an empty predicted density has one pseudo-posterior, with no rows
-            states = after if predicted.labels else after[:1]
-            pims = generate_pims(self.eap_positions[s], states, fov)
-            pseudos = pseudo_update(predicted, pims, states, fov, self.filter_cfgs[s])
-            for b in range(len(after)):
-                self._pseudo[(s, b)] = pseudos[b if predicted.labels else 0]
+            eap = np.array([state[:2] for _label, state in eap_states(predicted)]).reshape(-1, 2)
+            pims = generate_pims(eap, after, fov)
+            pseudos = pseudo_update(predicted, pims, after, fov, self.filter_cfgs[s])
+            self._pseudo.update(((s, b), p) for b, p in enumerate(pseudos))
         return self._pseudo[(s, a)]
 
     def active(self, s: int, a: int) -> tuple:
@@ -299,7 +291,7 @@ class PseudoCache:
         key = (s, a)
         if key not in self._active:
             pseudo = self.pseudo(s, a)  # it keeps its predicted rows
-            means = self.predicted_means[s], pseudo.mean_positions
+            means = self.predicted[s].mean_positions(), pseudo.mean_positions
             mask = compute_active_set(self.after[s][a], self.fovs[s], *means)
             # the update caps existences at EXISTENCE_CEIL, so no odds are clamped
             self._active[key] = mask, np.where(mask, existence_odds(pseudo.existences), 0.0)

@@ -341,10 +341,10 @@ def _checked(d: dict, section: str, optional, required=()) -> dict:
     outside optional and required."""
     if not isinstance(d, dict):
         raise ValueError(f"scenario section {section!r} must be a mapping, not {type(d).__name__}")
-    unknown = sorted(set(d) - set(optional) - set(required))
+    # by repr, since keys of two YAML types (1 and "colour") do not compare
+    unknown = sorted(map(repr, set(d) - set(optional) - set(required)))
     if unknown:
-        keys = ", ".join(repr(k) for k in unknown)
-        raise ValueError(f"unknown key {keys} in scenario section {section!r}")
+        raise ValueError(f"unknown key {', '.join(unknown)} in scenario section {section!r}")
     for key in required:
         if key not in d:
             raise ValueError(f"missing key {key!r} in scenario section {section!r}")

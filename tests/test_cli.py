@@ -55,16 +55,18 @@ def test_steps_below_one_rejected_before_writing(tmp_path, steps):
 
 def test_unknown_scenario_key_rejected_before_writing(tmp_path):
     d = scenario_to_dict(build_scenario_1())
-    d["sensors"][0]["fov"]["colour"] = "red"
     path = tmp_path / "scenario.yaml"
-    path.write_text(yaml.safe_dump(d))
     out = tmp_path / "out"
     argv = ["simulate", "--scenario", str(path), "--method", "isc", "--runs", "1"]
-    with pytest.raises(SystemExit) as exc:
-        main(argv + ["--steps", "1", "--out", str(out)])
-    assert exc.value.code not in (0, None)
-    assert "colour" in str(exc.value.code) and "\n" not in str(exc.value.code)
-    assert not out.exists()
+    # the second file adds an integer key, which does not compare with "colour"
+    for extra in ({"colour": "red"}, {1: "one"}):
+        d["sensors"][0]["fov"].update(extra)
+        path.write_text(yaml.safe_dump(d, sort_keys=False))
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--steps", "1", "--out", str(out)])
+        assert exc.value.code not in (0, None)
+        assert "colour" in str(exc.value.code) and "\n" not in str(exc.value.code)
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("text", ["", "name: short\nduration: 5\n"])

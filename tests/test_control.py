@@ -603,14 +603,15 @@ class TestPseudoCache:
             base.fovs,
             TWO_SENSOR_ACTIONS,
         )
-        # the empty density is pseudo-updated once, at the current pose, and
-        # every action of sensor 0 on its first look-up, by one call
+        # each sensor's density, empty or not, is pseudo-updated at every
+        # action's pose on its first look-up, by one call
         pseudos = [cache.pseudo(1, a) for a in range(len(cache.after[1]))]
-        assert calls == [(0, 1)]
-        assert all(p is pseudos[0] for p in pseudos) and pseudos[0].labels == ()
+        assert calls == [(0, len(cache.after[1]))]
+        assert len({id(p) for p in pseudos}) == len(pseudos)
+        assert all(p.labels == () for p in pseudos)
         for a in range(len(cache.after[0])):
             cache.pseudo(0, a)
-        assert calls == [(0, 1), (2, 2)]
+        assert calls == [(0, len(cache.after[1])), (2, 2)]
 
 
 class TestFdcdPipeline:
@@ -746,7 +747,8 @@ class TestFusedEvaluation:
         cache = seeded_cache(seed)
         # every post-action position, and every row's mean so that disks cut clouds
         centers = {(state.x, state.y) for after in cache.after.values() for state in after}
-        centers |= {tuple(m) for means in cache.predicted_means.values() for m in means.tolist()}
+        means = (d.mean_positions() for d in cache.predicted.values())
+        centers |= {tuple(m) for rows in means for m in rows.tolist()}
         partial = 0
         for owner in cache.predicted:
             for center in sorted(centers):
@@ -880,7 +882,7 @@ class TestRowsBuiltOnDemand:
                 start = len(built)
                 cache.active(s, a)
                 fov, state = cache.fovs[s], cache.after[s][a]
-                pd = detection_probabilities(fov, state, cache.predicted_means[s])
+                pd = detection_probabilities(fov, state, cache.predicted[s].mean_positions())
                 assert [row for *_, row in built[start:]] == np.flatnonzero(
                     ~(pd > fov.p_d_threshold)
                 ).tolist()

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 from density_checks import validate
-from sentrack import fusion, harness
+from sentrack import control, fusion, harness
 from sentrack.fusion import existence_odds
 from sentrack.harness import METHODS, ControlContext, run_single
-from sentrack.lmb import LmbDensity, prune
+from sentrack.lmb import LmbDensity, eap_states, prune
 from sentrack.metrics import ospa2
 from sentrack.network import CommLogEntry, message_cost
 from sentrack.scenarios import build_scenario_1, build_scenario_2
@@ -64,6 +64,16 @@ def test_run_single_defaults_to_scenario_duration():
     scenario = dataclasses.replace(build_scenario_1(), duration=2)
     result = run_single(scenario, "fixed", seed=1)
     assert [rec.step for rec in result.steps] == [1, 2]
+
+
+@pytest.mark.parametrize("method, reads", [("fixed", False), ("isc", True)])
+def test_control_estimates_only_for_the_pseudo_posteriors_it_reads(monkeypatch, method, reads):
+    # the EAP estimates feed only the ideal measurement sets, and fixed
+    # builds no pseudo-posterior
+    calls = []
+    monkeypatch.setattr(control, "eap_states", lambda d: calls.append(d) or eap_states(d))
+    run_single(build_scenario_1(), method, seed=1, duration=3)
+    assert bool(calls) == reads
 
 
 @pytest.mark.parametrize("scenario", [1, 2])

@@ -147,6 +147,11 @@ class TestRejectedAtLoad:
             scenario_from_dict(d)
         assert "'bogus'" in str(err.value)
         assert repr(section) in str(err.value)
+        # an integer key next to a string one: the two do not compare
+        node[1] = 1
+        with pytest.raises(ValueError) as err:
+            scenario_from_dict(d)
+        assert str(err.value) == f"unknown key 'bogus', 1 in scenario section {section!r}"
 
     @pytest.mark.parametrize("key,value", [("period", 2.0), ("arena", {"x": [0, 1]})])
     def test_removed_top_level_keys_rejected(self, key, value):
