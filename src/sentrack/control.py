@@ -3,10 +3,10 @@
 The objective scores a hypothesized multi-sensor command by the
 existence-probability divergence from a fused pseudo-posterior to the
 local predicted density, minus a penalty for every predicted label that
-the command would drop, subject to two feasibility constraints: a void
-probability over a per-sensor exclusion disk and a minimum inter-sensor
-distance.  One rule, void_probability, computes the void probability for
-both the single-sensor and the fused evaluation from vectors over one
+the command would drop, subject to two feasibility constraints, each one
+rule for both the single-sensor and the fused evaluation: separation, the
+smallest inter-sensor distance, tested first, and void_probability, the
+void probability of a per-sensor exclusion disk, from vectors over one
 per-step label index (see PseudoCache).
 
 Three selectors are provided:
@@ -243,9 +243,7 @@ class PseudoCache:
       * per (sensor, center): which of its components have a particle in
         the disk, and which particles, read from predicted.states, since
         a pseudo-posterior shares its predicted density's particles and
-        pseudo_update never moves one;
-      * per center: whether its disk holds no predicted particle of any
-        sensor.
+        pseudo_update never moves one.
     """
 
     def __init__(
@@ -273,7 +271,6 @@ class PseudoCache:
         self._pseudo = {}
         self._active = {}
         self._disk = {}
-        self._empty = {}
         self._indisk = {}
 
     def pseudo(self, s: int, a: int) -> PseudoPosterior:
@@ -308,12 +305,6 @@ class PseudoCache:
             self._disk[key] = [(k, inside[k]) for k in ks]
         return self._disk[key]
 
-    def empty_disk(self, center: tuple) -> bool:
-        """Whether center's exclusion disk holds no predicted particle of any sensor."""
-        if center not in self._empty:
-            self._empty[center] = not any(self._hits(s, center) for s in self.predicted)
-        return self._empty[center]
-
     def indisk_weight(self, owner: int, action: int, center: tuple) -> np.ndarray | None:
         """Particle weight of each of the owner's pseudo components within
         the exclusion radius of center, an exact post-action position (x, y);
@@ -332,6 +323,13 @@ class PseudoCache:
         return self._indisk[key]
 
 
+def separation(moving, fixed=()) -> float:
+    """The eta rule: the smallest distance between two moving (x, y) positions
+    or between a moving and a fixed one; inf when there is no such pair."""
+    pairs = itertools.chain(itertools.combinations(moving, 2), itertools.product(moving, fixed))
+    return min(itertools.starmap(math.dist, pairs), default=math.inf)
+
+
 def void_probability(existences: np.ndarray, inside: np.ndarray) -> float:
     """Void probability of an exclusion disk, the psi rule: the product, in
     the given order, of (1 - r * w) over components, with r a component's
@@ -343,8 +341,6 @@ def void_probability(existences: np.ndarray, inside: np.ndarray) -> float:
 class FusedEvaluation:
     existences: dict  # label -> fused existence, in label order
     psi: float
-    eta: float
-    feasible: bool
 
 
 class ControlContext:
@@ -364,8 +360,13 @@ class ControlContext:
     def n_actions(self) -> dict:
         return {s: len(self.cache.after[s]) for s in self.participants}
 
+    def centers(self, command: tuple) -> list:
+        """The participants' post-action positions (x, y) under command."""
+        after = self.cache.after
+        return [(after[s][a].x, after[s][a].y) for s, a in zip(self.participants, command)]
+
     def fused(self, command: tuple) -> FusedEvaluation:
-        """Pseudo-mode fusion under command, and its feasibility.
+        """Pseudo-mode fusion under command, and its psi.
 
         A label fuses over the participants active for it: existence odds
         add, and each one's pseudo component enters psi with its share of
@@ -373,8 +374,7 @@ class ControlContext:
         """
         if command in self._fused:
             return self._fused[command]
-        cache, params = self.cache, self.params
-        n_labels = len(cache.labels)
+        cache, n_labels = self.cache, len(self.cache.labels)
         odds_sum, held, terms = np.zeros(n_labels), np.zeros(n_labels, dtype=bool), []
         for s, a in zip(self.participants, command):
             (mask, odds), rows = cache.active(s, a), cache.rows[s]
@@ -384,12 +384,10 @@ class ControlContext:
         used = np.flatnonzero(held)
         existences = odds_sum[used] / (1.0 + odds_sum[used])
 
-        centers = [(cache.after[s][a].x, cache.after[s][a].y) for s, a, _rows, _odds in terms]
-        pairs = itertools.combinations(centers, 2)
-        eta = min(itertools.starmap(math.dist, pairs), default=math.inf)
-        # the shortcut relies on psi being a maximum of products of factors 1 - r * w <= 1:
-        # a disk with no sensor's particle gives exactly 1.0.  Change it if psi's aggregation does.
-        if any(map(cache.empty_disk, centers)):
+        centers = self.centers(command)
+        # a disk with no participant's particle has void probability exactly 1.0, the most a
+        # product of factors 1 - r * w can be, so psi, the maximum, is 1.0: change this with psi
+        if not all(any(cache._hits(s, c) for s in self.participants) for c in centers):
             psi = 1.0
         else:
             total = np.where(odds_sum > 0.0, odds_sum, 1.0)
@@ -402,16 +400,17 @@ class ControlContext:
                     if weight is not None:
                         inside[rows] += share * weight
                 psi = max(psi, void_probability(existences, inside[used]))
-        feasible = eta > params.eta_threshold and psi > params.psi_threshold
-
         labels = [cache.labels[i] for i in used.tolist()]
-        out = FusedEvaluation(dict(zip(labels, existences.tolist())), psi, eta, feasible)
+        out = FusedEvaluation(dict(zip(labels, existences.tolist())), psi)
         self._fused[command] = out
         return out
 
     def evaluate(self, node: int, command: tuple) -> float:
+        """node's objective under command; -inf when eta fails, tested first, or psi does."""
+        if separation(self.centers(command)) <= self.params.eta_threshold:
+            return NEG_INF
         fe = self.fused(command)
-        if not fe.feasible:
+        if fe.psi <= self.params.psi_threshold:
             return NEG_INF
         return objective(fe.existences, self.cache.predicted_existences[node], self.params)
 
@@ -422,24 +421,24 @@ def isc_select(node: int, cache: PseudoCache, others=()) -> tuple:
     The descent's own-action search, _best_own_action, over the node's
     actions alone (cache.after[node]), scoring the local pseudo-posterior
     against the local prediction; it returns (action index, score).  An
-    action is feasible when the void probability of the node's own
-    exclusion disk, tested first, exceeds psi_threshold, and when the
-    post-action position is more than eta_threshold from the current
-    position, cache.after[t][0], of every sensor id t in others; an
-    infeasible action scores -inf.  The void probability runs over every
-    component of the node's pseudo-posterior, in component order.
+    action scores -inf when its position is within eta_threshold of the
+    current position, cache.after[t][0], of a sensor id t in others
+    (separation, tested first), or when the void probability of the node's
+    own exclusion disk, over every component of its pseudo-posterior in
+    component order, is at most psi_threshold.
     """
     params = cache.params
     predicted_exist = cache.predicted_existences[node]
-    other_states = [cache.after[t][0] for t in others]
+    fixed = [(cache.after[t][0].x, cache.after[t][0].y) for t in others]
 
     def score(_node, command):
         [a] = command
-        state = cache.after[node][a]
-        inside = cache.indisk_weight(node, a, (state.x, state.y))
+        center = (cache.after[node][a].x, cache.after[node][a].y)
+        if separation([center], fixed) <= params.eta_threshold:
+            return NEG_INF
+        inside = cache.indisk_weight(node, a, center)
         psi = 1.0 if inside is None else void_probability(cache.pseudo(node, a).existences, inside)
-        distances = (math.hypot(state.x - q.x, state.y - q.y) for q in other_states)
-        if psi <= params.psi_threshold or min(distances, default=math.inf) <= params.eta_threshold:
+        if psi <= params.psi_threshold:
             return NEG_INF
         return objective(existence_map(cache.pseudo(node, a)), predicted_exist, params)
 

@@ -22,6 +22,7 @@ from sentrack.control import (
     kld_existence,
     objective,
     run_flooded_descent,
+    separation,
     void_probability,
 )
 from sentrack.filtering import FilterConfig, pseudo_update
@@ -202,65 +203,136 @@ class TestConstraints:
         d = density([cloud((5000, 5000), 0.9)])
         states = {0: SensorState(0, 0, 0), 1: SensorState(100, 0, 0)}
         cache = stay_only_cache({0: d, 1: d}, states)
-        fe = ControlContext(cache, (0, 1)).fused((0, 0))
+        ctx = ControlContext(cache, (0, 1))
+        fe = ctx.fused((0, 0))
         assert fe.psi == 1.0
         # exclusion disks certainly empty: feasible
-        assert fe.psi > PARAMS.psi_threshold and fe.feasible
+        assert fe.psi > PARAMS.psi_threshold and ctx.evaluate(0, (0, 0)) > NEG_INF
 
     def test_sensor_on_cloud_contributes(self):
         d = density([cloud((0, 5), 0.9, LABEL_A, spread=0.5)])
         cache = stay_only_cache({0: d}, {0: SensorState(0, 0, 0)})
-        fe = ControlContext(cache, (0,)).fused((0,))
+        ctx = ControlContext(cache, (0,))
+        fe = ctx.fused((0,))
         # every particle lies in the exclusion disk
         assert fe.psi == pytest.approx(1.0 - fe.existences[LABEL_A], abs=1e-12)
         assert fe.psi < 0.1
-        assert not fe.feasible
+        assert ctx.evaluate(0, (0,)) == NEG_INF
 
     def test_close_sensors_infeasible_with_empty_disks(self):
         d = density([cloud((5000, 5000), 0.9)])
         states = {0: SensorState(0, 0, 0), 1: SensorState(30, 40, 0)}
-        fe = ControlContext(stay_only_cache({0: d, 1: d}, states), (0, 1)).fused((0, 0))
-        assert fe.psi == 1.0 and fe.eta == pytest.approx(50.0)
-        assert not fe.feasible
+        ctx = ControlContext(stay_only_cache({0: d, 1: d}, states), (0, 1))
+        assert ctx.fused((0, 0)).psi == 1.0
+        assert separation(ctx.centers((0, 0))) == pytest.approx(50.0)
+        assert ctx.evaluate(0, (0, 0)) == NEG_INF
 
     def test_empty_density_psi_one(self):
         cache = stay_only_cache({0: empty_density(1, "predicted")}, {0: SensorState(0, 0, 0)})
         assert ControlContext(cache, (0,)).fused((0,)).psi == 1.0
 
-    # eta, the smallest distance between two participants after the command
+    # eta, the smallest distance between two participants after the command,
+    # decided by separation before any fusion
     @staticmethod
-    def fused_eta(states):
+    def eta_context(states):
         d = density([cloud((5000, 5000), 0.9)])
-        cache = stay_only_cache({s: d for s in states}, states)
-        return ControlContext(cache, tuple(states)).fused((0,) * len(states))
+        return ControlContext(stay_only_cache({s: d for s in states}, states), tuple(states))
 
     def test_eta_three_four_five(self):
-        fe = self.fused_eta({0: SensorState(0, 0, 0), 1: SensorState(30, 40, 0)})
-        assert fe.eta == pytest.approx(50.0)
-        assert not fe.feasible  # strict inequality: infeasible
+        ctx = self.eta_context({0: SensorState(0, 0, 0), 1: SensorState(30, 40, 0)})
+        assert separation(ctx.centers((0, 0))) == pytest.approx(50.0)
+        assert ctx.evaluate(0, (0, 0)) == NEG_INF  # strict inequality: infeasible
 
     def test_eta_minimum_of_pairs(self):
         states = {0: SensorState(0, 0, 0), 1: SensorState(100, 0, 0), 2: SensorState(100, 60, 0)}
-        fe = self.fused_eta(states)
-        assert fe.eta == pytest.approx(60.0) and fe.feasible
+        ctx = self.eta_context(states)
+        assert separation(ctx.centers((0, 0, 0))) == pytest.approx(60.0)
+        assert ctx.evaluate(0, (0, 0, 0)) > NEG_INF
 
     def test_eta_identical_positions(self):
-        assert self.fused_eta({0: SensorState(5, 5, 0), 1: SensorState(5, 5, 0)}).eta == 0.0
+        ctx = self.eta_context({0: SensorState(5, 5, 0), 1: SensorState(5, 5, 0)})
+        assert separation(ctx.centers((0, 0))) == 0.0
 
     def test_eta_single_sensor_vacuous(self):
-        fe = self.fused_eta({0: SensorState(0, 0, 0)})
-        assert fe.eta == math.inf and fe.feasible
+        ctx = self.eta_context({0: SensorState(0, 0, 0)})
+        assert separation(ctx.centers((0,))) == math.inf and ctx.evaluate(0, (0,)) > NEG_INF
 
-    def test_eta_uses_post_action_positions(self):
-        # 100 m apart, each stepping 30 m toward the other: 40 m apart after
+    @staticmethod
+    def approaching_context():
+        """Sensors 100 m apart, each able to step 30 m toward the other."""
         d = density([cloud((5000, 5000), 0.9)])
         states = {0: SensorState(0, 0, 0), 1: SensorState(100, 0, 0)}
         actions = {0: [SensorAction(), SensorAction(dx=30.0)],
                    1: [SensorAction(), SensorAction(dx=-30.0)]}
         cache = pseudo_cache({0: d, 1: d}, states, {0: NARROW_FOV, 1: NARROW_FOV}, actions)
+        return ControlContext(cache, (0, 1))
+
+    def test_eta_uses_post_action_positions(self):
+        # 40 m apart when both step
+        ctx = self.approaching_context()
+        eta = {cmd: separation(ctx.centers(cmd)) for cmd in [(0, 0), (0, 1), (1, 1)]}
+        assert eta == {(0, 0): 100.0, (0, 1): 70.0, (1, 1): 40.0}
+        assert ctx.evaluate(0, (1, 1)) == NEG_INF
+
+    def test_eta_failure_skips_fusion_and_psi(self, monkeypatch):
+        ctx = self.approaching_context()
+        fused, calls, original = [], count_indisk_calls(monkeypatch, ctx.cache), ctx.fused
+        monkeypatch.setattr(ctx, "fused", lambda command: fused.append(command) or original(command))
+        assert ctx.evaluate(0, (1, 1)) == NEG_INF
+        assert fused == [] and calls == []
+
+
+coordinate = st.one_of(
+    st.floats(min_value=-1e4, max_value=1e4, allow_nan=False),
+    st.integers(min_value=-1000, max_value=1000).map(float),
+)
+# offsets exactly PARAMS.eta_threshold (50 m) long, in exact arithmetic and in floats
+THRESHOLD_OFFSETS = [(50.0, 0.0), (0.0, -50.0), (30.0, 40.0), (-40.0, 30.0), (-14.0, -48.0)]
+point = st.tuples(coordinate, coordinate)
+
+
+@st.composite
+def positions(draw):
+    """Up to 7 points, some placed at an exact threshold offset from an
+    integer point among them."""
+    points = draw(st.lists(point, max_size=5))
+    anchors = [p for p in points if p[0].is_integer() and p[1].is_integer()]
+    if anchors:
+        for dx, dy in draw(st.lists(st.sampled_from(THRESHOLD_OFFSETS), max_size=2)):
+            x, y = draw(st.sampled_from(anchors))
+            points.insert(draw(st.integers(0, len(points))), (x + dx, y + dy))
+    return points
+
+
+class TestSeparation:
+    # separation keeps the bits of the two eta forms it replaced: fused's
+    # math.dist over the pairs of post-action positions, and isc_select's
+    # math.hypot from the node's position to each fixed position
+
+    @given(positions())
+    @settings(max_examples=300, deadline=None)
+    def test_pairs_of_moving_positions_equal_the_dist_form(self, moving):
+        pairs = itertools.combinations(moving, 2)
+        assert separation(moving) == min(itertools.starmap(math.dist, pairs), default=math.inf)
+
+    @given(point, positions())
+    @settings(max_examples=300, deadline=None)
+    def test_one_moving_against_fixed_equals_the_hypot_form(self, p, fixed):
+        old = min((math.hypot(p[0] - q[0], p[1] - q[1]) for q in fixed), default=math.inf)
+        assert separation([p], fixed) == old
+
+    @given(st.integers(-1000, 1000), st.integers(-1000, 1000), st.sampled_from(THRESHOLD_OFFSETS))
+    @settings(max_examples=30, deadline=None)
+    def test_exactly_the_threshold_apart_is_infeasible_in_both_selectors(self, x, y, offset):
+        states = {0: SensorState(x, y, 0), 1: SensorState(x + offset[0], y + offset[1], 0)}
+        cache = stay_only_cache({s: empty_density(1, "predicted") for s in states}, states)
         ctx = ControlContext(cache, (0, 1))
-        assert ctx.fused((0, 0)).eta == 100.0 and ctx.fused((0, 1)).eta == 70.0
-        assert ctx.fused((1, 1)).eta == 40.0 and not ctx.fused((1, 1)).feasible
+        assert separation(ctx.centers((0, 0))) == PARAMS.eta_threshold
+        assert separation(ctx.centers((0, 0))[:1], ctx.centers((0, 0))[1:]) == PARAMS.eta_threshold
+        # the strict rule: a command exactly eta_threshold apart scores -inf
+        assert ctx.evaluate(0, (0, 0)) == NEG_INF
+        assert isc_select(0, cache, [1]) == (0, NEG_INF)
+        assert isc_select(0, cache) == (0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -962,9 +1034,17 @@ def count_indisk_calls(monkeypatch, cache):
     return calls
 
 
+def psi_shortcut(cache, participants, command):
+    """Whether fused sets psi to 1.0 without the loop: some participant's
+    post-action disk holds no particle of any participant."""
+    centers = [(cache.after[s][a].x, cache.after[s][a].y) for s, a in zip(participants, command)]
+    return not all(any(cache._hits(s, c) for s in participants) for c in centers)
+
+
 class TestFusedShortcuts:
     # fused reads memoized masked odds, and sets psi to 1.0 without the
-    # per-center loop when some center's disk holds no predicted particle
+    # per-center loop when some center's disk holds no participant's particle;
+    # evaluate decides eta before it fuses
     @pytest.mark.parametrize("seed", range(12))
     def test_bit_identical_to_oracle_for_every_participant_set(self, seed):
         cache, fresh = seeded_cache(seed), seeded_cache(seed)
@@ -974,18 +1054,21 @@ class TestFusedShortcuts:
                 ctx = ControlContext(cache, participants)
                 n = ctx.n_actions()
                 for cmd in itertools.product(*(range(n[s]) for s in participants)):
+                    existences, psi, _eta, feasible = fused_reference(fresh, participants, cmd)
+                    for s in participants:
+                        want = objective(existences, fresh.predicted_existences[s], fresh.params)
+                        assert ctx.evaluate(s, cmd) == (want if feasible else NEG_INF)
                     fe = ctx.fused(cmd)
-                    existences, psi, eta, feasible = fused_reference(fresh, participants, cmd)
                     assert list(fe.existences.items()) == list(existences.items())
-                    assert (fe.psi, fe.eta, fe.feasible) == (psi, eta, feasible)
+                    assert fe.psi == psi
 
     def test_seeded_caches_take_both_psi_paths(self):
         shortcut = loop = 0
         for seed in range(12):
             cache = seeded_cache(seed)
+            participants = tuple(sorted(cache.predicted))
             for cmd in all_commands(cache):
-                centers = [(cache.after[s][a].x, cache.after[s][a].y) for s, a in enumerate(cmd)]
-                empty = any(map(cache.empty_disk, centers))
+                empty = psi_shortcut(cache, participants, cmd)
                 shortcut, loop = shortcut + empty, loop + (not empty)
         assert shortcut > 20 and loop > 20
 
@@ -1004,10 +1087,10 @@ class TestFusedShortcuts:
         calls = count_indisk_calls(monkeypatch, ctx.cache)
         score = ctx.evaluate(0, (0, 0))
         fe = ctx.fused((0, 0))
-        assert fe.psi == 1.0 and fe.feasible and score > NEG_INF
+        assert fe.psi == 1.0 and score > NEG_INF
         assert calls == []
         occupied = ctx.cache.after[1 - empty][0]
-        assert not ctx.cache.empty_disk((occupied.x, occupied.y))
+        assert all(ctx.cache._hits(s, (occupied.x, occupied.y)) for s in (0, 1))
         reference = fused_reference(self.two_sensor_context([1 - empty]).cache, (0, 1), (0, 0))
         assert reference[1] == 1.0
 
@@ -1016,9 +1099,25 @@ class TestFusedShortcuts:
         calls = count_indisk_calls(monkeypatch, ctx.cache)
         fe = ctx.fused((0, 0))
         assert len(calls) == 4  # each participant at each center
-        assert fe.psi < 0.2 and not fe.feasible
+        assert fe.psi < 0.2 and ctx.evaluate(0, (0, 0)) == NEG_INF
         reference = fused_reference(self.two_sensor_context([0, 1]).cache, (0, 1), (0, 0))
-        assert (fe.psi, fe.eta, fe.feasible) == reference[1:]
+        assert fe.psi == reference[1] and not reference[3]
+
+    def test_non_participant_particles_keep_the_shortcut(self, monkeypatch):
+        # only sensor 1, which does not take part, holds a particle in
+        # sensor 0's disk
+        def context():
+            states = {0: SensorState(0, 0, 0), 1: SensorState(200, 0, 0)}
+            predicted = {0: density([cloud((0, 300), 0.9, LABEL_A, spread=1.0, seed=0)]),
+                         1: density([cloud((0, 5), 0.9, LABEL_B, spread=1.0, seed=1)])}
+            return ControlContext(stay_only_cache(predicted, states), (0,))
+
+        ctx = context()
+        assert ctx.cache._hits(1, (0.0, 0.0)) and not ctx.cache._hits(0, (0.0, 0.0))
+        calls = count_indisk_calls(monkeypatch, ctx.cache)
+        assert ctx.fused((0,)).psi == 1.0
+        assert calls == []
+        assert fused_reference(context().cache, (0,), (0,))[1] == 1.0
 
 
 class TestDcdSelect:
@@ -1136,18 +1235,21 @@ class TestInfeasibleBestCommand:
                              actions)
         return ControlContext(cache, (0,))
 
+    @staticmethod
+    def met(ctx, command):
+        params = ctx.params
+        return {"eta": separation(ctx.centers(command)) > params.eta_threshold,
+                "psi": ctx.fused(command).psi > params.psi_threshold}
+
     @pytest.mark.parametrize("broken", ["eta", "psi"])
     def test_descent_returns_a_feasible_command(self, broken):
         ctx = getattr(self, f"{broken}_breaking_context")()
-        params = ctx.params
         best = unconstrained_best(ctx, 0)
-        fe = ctx.fused(best)
-        met = {"eta": fe.eta > params.eta_threshold, "psi": fe.psi > params.psi_threshold}
+        met = self.met(ctx, best)
         assert not met[broken] and all(v for k, v in met.items() if k != broken)
 
         initial = dict(zip(ctx.participants, best))
         out = run_flooded_descent(ctx.participants, ctx.n_actions(), ctx.evaluate, initial)
-        chosen = ctx.fused(out.command)
         assert out.command != best
-        assert chosen.eta > params.eta_threshold and chosen.psi > params.psi_threshold
+        assert all(self.met(ctx, out.command).values())
         assert out.score > -math.inf

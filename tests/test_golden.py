@@ -23,7 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from sentrack import filtering, harness
+from sentrack import control, filtering, harness
 from sentrack.harness import run_single
 from sentrack.scenarios import build_scenario_1, build_scenario_2
 from sentrack.sensors import apply_action
@@ -92,12 +92,20 @@ def test_matches_golden_run(scenario, method):
 @pytest.mark.parametrize("scenario,method", LONG_CASES)
 def test_long_run_reaches_constraints_and_ranked_association(scenario, method, monkeypatch):
     counts = dict.fromkeys(("eta", "psi", "ranked", "isc_eta"), 0)
+    threshold = SCENARIOS[scenario]().objective.eta_threshold
+
+    separation = control.separation
+
+    def counted_separation(*positions):
+        # eta is decided here, before any fusion
+        eta = separation(*positions)
+        counts["eta"] += eta <= threshold
+        return eta
 
     fused = harness.ControlContext.fused
 
     def counted_fused(ctx, command):
         fe = fused(ctx, command)
-        counts["eta"] += fe.eta <= ctx.params.eta_threshold
         counts["psi"] += fe.psi <= ctx.params.psi_threshold
         return fe
 
@@ -122,6 +130,7 @@ def test_long_run_reaches_constraints_and_ranked_association(scenario, method, m
                 assert a != action or score == -math.inf
         return action, score
 
+    monkeypatch.setattr(control, "separation", counted_separation)
     monkeypatch.setattr(harness.ControlContext, "fused", counted_fused)
     monkeypatch.setattr(filtering, "_ranked_marginals", counted_ranked)
     if method == "isc":

@@ -1,17 +1,18 @@
 import dataclasses
 import gc
 import json
+import math
 import weakref
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from density_checks import validate
+from density_checks import DENSITY_STAGES, check_density_stages
 from sentrack import control, fusion, harness
 from sentrack.fusion import existence_odds
 from sentrack.harness import METHODS, ControlContext, run_single
-from sentrack.lmb import LmbDensity, eap_states, prune
+from sentrack.lmb import eap_states, prune
 from sentrack.metrics import ospa2
 from sentrack.network import CommLogEntry, message_cost
 from sentrack.scenarios import build_scenario_1, build_scenario_2
@@ -79,21 +80,28 @@ def test_control_estimates_only_for_the_pseudo_posteriors_it_reads(monkeypatch, 
 @pytest.mark.parametrize("scenario", [1, 2])
 @pytest.mark.parametrize("method", ["dcd", "fdcd"])
 def test_fused_evaluations_stay_in_range(monkeypatch, scenario, method):
-    # wrap ControlContext.fused where the harness looks it up, as the
-    # benchmark tracer does, and check every evaluation of a golden run
-    original = ControlContext.__dict__["fused"]
+    # wrap ControlContext.fused and evaluate where the harness looks them up,
+    # as the benchmark tracer does, and check every evaluation of a golden run
+    fused, evaluate = ControlContext.__dict__["fused"], ControlContext.__dict__["evaluate"]
     seen = []
 
-    def checked(ctx, command):
-        fe = original(ctx, command)
-        params = ctx.params
+    def checked_fused(ctx, command):
+        fe = fused(ctx, command)
         assert all(0.0 <= r <= 1.0 for r in fe.existences.values())
         assert 0.0 <= fe.psi <= 1.0
-        assert fe.feasible == (fe.psi > params.psi_threshold and fe.eta > params.eta_threshold)
-        seen.append(fe.feasible)
         return fe
 
-    monkeypatch.setattr(ControlContext, "fused", checked)
+    def checked_evaluate(ctx, node, command):
+        score = evaluate(ctx, node, command)
+        params = ctx.params
+        feasible = (control.separation(ctx.centers(command)) > params.eta_threshold
+                    and fused(ctx, command).psi > params.psi_threshold)
+        assert (score > -math.inf) == feasible
+        seen.append(feasible)
+        return score
+
+    monkeypatch.setattr(ControlContext, "fused", checked_fused)
+    monkeypatch.setattr(ControlContext, "evaluate", checked_evaluate)
     build = build_scenario_1 if scenario == 1 else build_scenario_2
     run_single(build(), method, seed=20260810, duration=8)
     assert seen and any(seen)
@@ -132,79 +140,14 @@ def test_fdcd_messages_follow_the_descent_turns(monkeypatch):
     assert at == len(control) and any(len(turns) > 1 for _, turns in blocks)
 
 
-def _equal_rows(a, rows_a, b, rows_b):
-    if not a.existences[rows_a].size:  # an empty density has no particle count to compare
-        return
-    np.testing.assert_array_equal(a.existences[rows_a], b.existences[rows_b])
-    np.testing.assert_array_equal(a.states[rows_a], b.states[rows_b])
-    np.testing.assert_array_equal(a.weights[rows_a], b.weights[rows_b])
-
-
 @pytest.mark.parametrize("scenario,method", [(n, m) for n in (1, 2) for m in METHODS])
 def test_every_density_stays_valid(monkeypatch, scenario, method):
-    # wrap the density stages where the harness looks them up, as the
-    # benchmark tracer does, and check every density of a golden run that
-    # goes in or comes out: each is valid and lists its labels in ascending
-    # order, which association's single path relies on to keep row order
-    seen = Counter()
-
-    def in_label_order(values, where):
-        """The densities among values and the values of dicts among them,
-        each checked to list its labels in ascending order."""
-        found = [d for v in values for d in (v.values() if isinstance(v, dict) else [v])
-                 if isinstance(d, LmbDensity)]
-        for density in found:
-            assert list(density.labels) == sorted(density.labels), where
-        seen[where] += len(found)
-        return found
-
-    def wrap(name, check):
-        original = harness.__dict__[name]
-
-        def checked(*args, **kwargs):
-            in_label_order([*args, *kwargs.values()], f"{name} in")
-            result = check(original, *args, **kwargs)
-            for density in in_label_order([result], f"{name} out"):
-                validate(density)
-            seen[name] += 1
-            return result
-
-        monkeypatch.setattr(harness, name, checked)
-
-    def plain(original, *args, **kwargs):
-        return original(*args, **kwargs)
-
-    def update(original, predicted, *args, **kwargs):
-        post = original(predicted, *args, **kwargs)
-        k = len(predicted.labels)
-        passed = post.passed_through
-        assert post.labels[:k] == predicted.labels and not passed[k:].any()
-        _equal_rows(post, np.flatnonzero(passed), predicted, np.flatnonzero(passed[:k]))
-        seen["passed rows"] += int(passed.sum())
-        return post
-
-    def resample(original, density, count, rng):
-        replay = np.random.default_rng()
-        replay.bit_generator.state = rng.bit_generator.state
-        out = original(density, count, rng)
-        passed = density.passed_through
-        assert out.labels == density.labels and out.passed_through is None
-        _equal_rows(out, passed, density, passed)
-        assert np.all(out.weights[~passed] == 1.0 / count)
-        # one offset per resampled row, none for a row passed through
-        replay.random(int(np.count_nonzero(~passed)))
-        assert replay.bit_generator.state == rng.bit_generator.state
-        return out
-
-    for name in ("predict", "prune", "associate_labels", "fuse_lmb"):
-        wrap(name, plain)
-    wrap("update", update)
-    wrap("resample_component", resample)
+    # every density of a golden run that goes in or comes out of a stage
+    seen = check_density_stages(monkeypatch)
     build = build_scenario_1 if scenario == 1 else build_scenario_2
     run_single(build(), method, seed=20260810, duration=8)
     assert seen["update"] == seen["resample_component"] > 0 and seen["passed rows"] > 0
-    stages = ("predict", "update", "resample_component", "prune", "associate_labels", "fuse_lmb")
-    assert all(seen[f"{name} in"] and seen[f"{name} out"] for name in stages)
+    assert all(seen[f"{name} in"] and seen[f"{name} out"] for name in DENSITY_STAGES)
 
 
 @pytest.mark.parametrize("scenario", [1, 2])
