@@ -7,16 +7,16 @@ and the pseudo-update used for control scoring.
 The update is the standard SMC-LMB component-wise Bayes update: particles
 are reweighted by detection probability and measurement likelihood, and
 association hypotheses are marginalized per cluster of components that
-share gated measurements.  The exact path enumerates the product of the
-rows' events (a miss or a gated measurement each) when its size is within
-exact_enum_limit, keeping the partial matchings; larger clusters fall back
-to the best-k ranked assignments, each solved by min_cost_assignment, the
-in-house port of scipy's rectangular assignment solver.  A lone row, whose
-gated measurements no other row holds, is a cluster of one; within the
-limit it takes the exact path's single-row case in closed form
-(_single_row_marginals), with the same bits.  The update itself never
-resamples: resampling and pruning are separate steps so that a
-no-information update is exactly the identity on the density.
+share gated measurements.  Every row with a gated pair is in one cluster,
+a row whose measurements no other row gates in a cluster of its own, and
+every cluster takes one rule: while the product of its rows' event counts
+(a miss or a gated measurement each) is within exact_enum_limit, a
+depth-first walk over that product sums the matchings exactly; larger
+clusters fall back to the best-k ranked assignments, each solved by
+min_cost_assignment, the in-house port of scipy's rectangular assignment
+solver.  The update itself never resamples: resampling and pruning are
+separate steps so that a no-information update is exactly the identity on
+the density.
 
 The core runs in two phases against a set of A sensor poses, each with
 its own measurements: update passes one pose, pseudo_update every action's
@@ -153,44 +153,64 @@ def generate_pims(positions: np.ndarray, poses: list, fov: FovModel) -> list:
 
 
 class _RowTerms(NamedTuple):
-    """Association weights of one row with a gated pair for one measurement scan."""
+    """One row with a gated pair and its association events for one scan, in
+    event order: the miss, then its gated measurements in ascending index.
+    The three lists are aligned, so an event is a position in them."""
 
     row: int
-    no_det_weight: float
-    det_weights: dict  # {meas_idx: r * G_z / clutter}
-    pairs: dict  # {meas_idx: index of the (row, meas_idx) pair in the gated arrays}
+    keys: list  # None, then the measurement indices
+    weights: list  # the miss weight, then r * G_z / clutter per measurement
+    pairs: list  # None, then each (row, measurement) pair's index in the gated arrays
 
 
 def _exact_marginals(cluster_terms: list) -> list:
-    """Exact association marginals over the product of the rows' events,
-    skipping every hypothesis that uses a measurement twice.
+    """Exact association marginals by a depth-first walk over the rows'
+    events that never takes a measurement already taken above.
 
-    Returns, per component, a dict {event: probability} where the event is
-    None for no-detection or a measurement index.
+    The walk visits the matchings in the lexicographic order of the product
+    of the rows' event lists, each weight the product of its events' scaled
+    weights from the first row on, so every sum adds the same products in
+    the same order as an enumeration of the whole product that skips the
+    hypotheses using a measurement twice.  Every event of a row first
+    appears in the matching where all other rows miss, so the marginals
+    come out in event order.  Returns, per row, a dict {event: probability},
+    event 0 being the miss; {0: 1.0}, a sure miss, when every matching
+    weighs 0.
     """
-    n = len(cluster_terms)
-    sums = [dict() for _ in range(n)]
+    scaled = []
+    for t in cluster_terms:
+        # scale each row's events so products stay near unity
+        s = max(t.weights)
+        scale = s if s > 0 else 1.0
+        scaled.append([w / scale for w in t.weights])
+    last = len(scaled) - 1
+    sums = [[0.0] * len(w) for w in scaled]
+    chosen = [0] * len(scaled)  # the event of each row on the walk's path
+    taken = set()  # the measurements taken above the walk's row; never None
     total = 0.0
 
-    # Scale each component's events so products stay near unity.
-    events = []
-    for t in cluster_terms:
-        ev = [(None, t.no_det_weight)] + sorted(t.det_weights.items())
-        s = max(w for _, w in ev)
-        scale = s if s > 0 else 1.0
-        events.append([(e, w / scale) for e, w in ev])
+    def walk(i, prefix):
+        nonlocal total
+        for e, (key, w) in enumerate(zip(cluster_terms[i].keys, scaled[i])):
+            if key in taken:
+                continue
+            weight = prefix * w
+            chosen[i] = e
+            if i == last:
+                total += weight
+                for row_sums, event in zip(sums, chosen):
+                    row_sums[event] += weight
+            elif e:
+                taken.add(key)
+                walk(i + 1, weight)
+                taken.discard(key)
+            else:
+                walk(i + 1, weight)
 
-    for hypothesis in itertools.product(*events):
-        detections = [e for e, _w in hypothesis if e is not None]
-        if len(set(detections)) < len(detections):
-            continue
-        weight = math.prod((w for _e, w in hypothesis), start=1.0)
-        total += weight
-        for idx, (ev, _w) in enumerate(hypothesis):
-            sums[idx][ev] = sums[idx].get(ev, 0.0) + weight
+    walk(0, 1.0)
     if total <= 0.0:
-        return [{None: 1.0} for _ in range(n)]
-    return [{e: v / total for e, v in s.items()} for s in sums]
+        return [{0: 1.0} for _ in scaled]
+    return [{e: v / total for e, v in enumerate(row_sums)} for row_sums in sums]
 
 
 def _solve_assignment(cost: np.ndarray):
@@ -244,18 +264,24 @@ def _ranked_marginals(cluster_terms: list, k: int) -> list:
     691 (-log of 1e-300), so murty_assignments returns at least one
     solution: a finite cell is -log of a float, at least about -710, so an
     assignment through an infeasible cell, filled with 1e12, costs more
-    than the all-miss one for any cluster of fewer than 7e8 rows.
+    than the all-miss one for any cluster of fewer than 7e8 rows.  Returns,
+    per row, a dict {event: probability} in the order the row's events
+    first appear among the assignments, which the weights phase keeps.
     """
     n = len(cluster_terms)
-    meas_ids = sorted({j for t in cluster_terms for j in t.det_weights})
+    meas_ids = sorted({j for t in cluster_terms for j in t.keys[1:]})
     col_of = {j: idx for idx, j in enumerate(meas_ids)}
     m = len(meas_ids)
     cost = np.full((n, m + n), np.inf)
+    event_of = []  # per row: {column: event}, its miss column m + i the miss
     for i, t in enumerate(cluster_terms):
-        cost[i, m + i] = -math.log(max(t.no_det_weight, 1e-300))
-        for j, w in t.det_weights.items():
-            if w > 0:
-                cost[i, col_of[j]] = -math.log(w)
+        cost[i, m + i] = -math.log(max(t.weights[0], 1e-300))
+        event_of.append({m + i: 0})
+        for e in range(1, len(t.keys)):
+            col = col_of[t.keys[e]]
+            event_of[i][col] = e
+            if t.weights[e] > 0:
+                cost[i, col] = -math.log(t.weights[e])
     solutions = murty_assignments(cost, k)
     best = solutions[0][0]
     sums = [dict() for _ in range(n)]
@@ -264,29 +290,9 @@ def _ranked_marginals(cluster_terms: list, k: int) -> list:
         w = math.exp(-(c - best))
         total += w
         for i, col in enumerate(assign):
-            ev = None if col >= m else meas_ids[col]
+            ev = event_of[i][col]
             sums[i][ev] = sums[i].get(ev, 0.0) + w
     return [{e: v / total for e, v in s.items()} for s in sums]
-
-
-def _single_row_marginals(weights: list) -> list:
-    """_exact_marginals of a cluster of one row, in closed form.
-
-    weights are the row's event weights, the miss first, then its gated
-    measurements in ascending index.  The product has one hypothesis per
-    event, so each marginal is the event's weight, scaled by the largest,
-    over the sequential sum of the scaled weights; [1.0], a sure miss, when
-    that sum is 0.  The values, in event order, have the exact path's bits.
-    """
-    s = max(weights)
-    scale = s if s > 0 else 1.0
-    scaled = [w / scale for w in weights]
-    total = 0.0
-    for w in scaled:
-        total += w
-    if total <= 0.0:
-        return [1.0]
-    return [w / total for w in scaled]
 
 
 class _Association(NamedTuple):
@@ -390,8 +396,10 @@ def _bayes_update(
     no_det = (1.0 - r) + r * miss_lik
 
     # every updated row gets the miss-only update; rows with a gated pair
-    # are then associated and scaled by their miss marginal.  A lone row,
-    # whose measurements no other row gates, is a cluster of its own.
+    # are then associated and scaled by their miss marginal.  Each cluster of
+    # rows that share a measurement takes the exact walk within the limit,
+    # the ranked assignments above it; a row whose measurements no other row
+    # gates is a cluster of its own.
     miss_r = np.zeros((n_poses, k))  # per row: existence after a miss
     np.divide(r * miss_lik, no_det, out=miss_r, where=~passed & (no_det > 0))
     existences = np.where(passed, predicted.existences, np.minimum(miss_r, EXISTENCE_CEIL))
@@ -401,35 +409,26 @@ def _bayes_update(
     for g, i in enumerate(block.tolist()):
         pairs.setdefault(i, []).append(g)
     meas_of, weight_of, no_det = meas.tolist(), det_w.tolist(), no_det.reshape(-1).tolist()
-    holders = dict.fromkeys(meas_of, 0)
-    for m in meas_of:
-        holders[m] += 1
-    terms = []
-    for i, row_pairs in pairs.items():
-        lone = all(holders[meas_of[g]] == 1 for g in row_pairs)
-        if lone and 1 + len(row_pairs) <= cfg.exact_enum_limit:
-            marg = _single_row_marginals([no_det[i]] + [weight_of[g] for g in row_pairs])
-            flat_miss_r[i] *= marg[0]
-            flat_existences[i] = min(flat_miss_r[i] + sum(marg[1:]), EXISTENCE_CEIL)
-            events[i] = [(g, p) for g, p in zip(row_pairs, marg[1:]) if p > 0.0]
-        else:
-            det_weights = {meas_of[g]: weight_of[g] for g in row_pairs}
-            terms.append(_RowTerms(i, no_det[i], det_weights, {meas_of[g]: g for g in row_pairs}))
+    terms = [
+        _RowTerms(i, [None] + [meas_of[g] for g in gs], [no_det[i]] + [weight_of[g] for g in gs],
+                  [None] + gs)
+        for i, gs in pairs.items()
+    ]
     first = {}  # measurement -> the first row term that holds it
-    shared = [(first.setdefault(m, i), i) for i, t in enumerate(terms) for m in t.det_weights]
+    shared = [(first.setdefault(m, i), i) for i, t in enumerate(terms) for m in t.keys[1:]]
     for cluster in connected_groups(len(terms), shared):
         cluster_terms = [terms[i] for i in cluster]
-        # the number of hypotheses the exact path enumerates
-        if math.prod(1 + len(t.det_weights) for t in cluster_terms) <= cfg.exact_enum_limit:
+        # the number of hypotheses the exact walk's product spans
+        if math.prod(len(t.keys) for t in cluster_terms) <= cfg.exact_enum_limit:
             marginals = _exact_marginals(cluster_terms)
         else:
             marginals = _ranked_marginals(cluster_terms, cfg.assoc_max_hypotheses)
+        # each row's detections, summed and kept in marginal order
         for t, marg in zip(cluster_terms, marginals):
             i = t.row
-            flat_miss_r[i] *= marg.get(None, 0.0)
-            new_r = flat_miss_r[i] + sum(p for ev, p in marg.items() if ev is not None)
-            flat_existences[i] = min(new_r, EXISTENCE_CEIL)
-            events[i] = [(t.pairs[e], p) for e, p in marg.items() if e is not None and p > 0.0]
+            flat_miss_r[i] *= marg.pop(0, 0.0)
+            flat_existences[i] = min(flat_miss_r[i] + sum(marg.values()), EXISTENCE_CEIL)
+            events[i] = [(t.pairs[e], p) for e, p in marg.items() if p > 0.0]
 
     divisor = np.where(miss_lik == 0.0, 1.0, miss_lik).reshape(-1)
     flat_miss_p = miss_p.reshape(n_poses * k, j)

@@ -16,7 +16,6 @@ from sentrack.filtering import (
     _exact_marginals,
     _ranked_marginals,
     _RowTerms,
-    _single_row_marginals,
     _solve_assignment,
     generate_pims,
     murty_assignments,
@@ -372,11 +371,6 @@ class TestAssociationMarginals:
         rec(0, frozenset(), 1.0, [])
         return [{e: v / total for e, v in s.items()} for s in sums]
 
-    class FakeTerms:
-        def __init__(self, no_det, det):
-            self.no_det_weight = no_det
-            self.det_weights = det
-
     def _random_terms(self, rng, n_comp, n_meas):
         terms = []
         for _ in range(n_comp):
@@ -385,7 +379,7 @@ class TestAssociationMarginals:
                 for j in range(n_meas)
                 if rng.random() < 0.7
             }
-            terms.append(self.FakeTerms(float(rng.uniform(0.05, 1.0)), det))
+            terms.append(OldRow(float(rng.uniform(0.05, 1.0)), det))
         return terms
 
     @pytest.mark.parametrize("trial", range(20))
@@ -396,7 +390,8 @@ class TestAssociationMarginals:
             [(None, t.no_det_weight)] + sorted(t.det_weights.items()) for t in terms
         ]
         expected = self.brute_force(events)
-        got = _exact_marginals(terms)
+        rows = new_form(terms)
+        got = by_measurement(rows, _exact_marginals(rows))
         for e, g in zip(expected, got):
             assert set(e) == set(g)
             for k in e:
@@ -406,49 +401,78 @@ class TestAssociationMarginals:
     def test_ranked_converges_to_exact(self, trial):
         rng = np.random.default_rng(100 + trial)
         terms = self._random_terms(rng, 3, 3)
-        exact = _exact_marginals(terms)
-        ranked = _ranked_marginals(terms, 10_000)  # enough to cover all matchings
+        rows = new_form(terms)
+        exact = by_measurement(rows, _exact_marginals(rows))
+        ranked = by_measurement(rows, _ranked_marginals(rows, 10_000))  # every matching
         for e, g in zip(exact, ranked):
             for k in e:
                 assert g.get(k, 0.0) == pytest.approx(e[k], abs=1e-9)
 
 
-def exact_marginals_reference(cluster_terms):
-    """The recursive matcher: a depth-first walk over each row's events
-    that never takes a measurement already used above it."""
+class OldRow(NamedTuple):
+    """A row's association weights in the form the product enumeration read."""
+
+    no_det_weight: float
+    det_weights: dict  # {meas_idx: weight}
+
+
+def new_form(old_rows):
+    """_RowTerms of rows in the old form, their events in event order; a
+    pair's id is its measurement."""
+    terms = []
+    for i, t in enumerate(old_rows):
+        keys = sorted(t.det_weights)
+        weights = [t.no_det_weight] + [t.det_weights[j] for j in keys]
+        terms.append(_RowTerms(i, [None] + keys, weights, [None] + keys))
+    return terms
+
+
+def by_measurement(terms, marginals):
+    """Marginals keyed by measurement, None for the miss, in their order."""
+    return [{t.keys[e]: p for e, p in marg.items()} for t, marg in zip(terms, marginals)]
+
+
+def exact_marginals_oracle(cluster_terms):
+    """_exact_marginals as it was before the depth-first walk: the whole
+    itertools.product of the rows' events, skipping every hypothesis that
+    uses a measurement twice.  Takes rows in the old form and returns, per
+    row, a dict {event: probability}, the event None or a measurement."""
     n = len(cluster_terms)
     sums = [dict() for _ in range(n)]
     total = 0.0
+
+    # Scale each component's events so products stay near unity.
     events = []
     for t in cluster_terms:
         ev = [(None, t.no_det_weight)] + sorted(t.det_weights.items())
         s = max(w for _, w in ev)
         scale = s if s > 0 else 1.0
         events.append([(e, w / scale) for e, w in ev])
-    used, chosen = set(), []
 
-    def recurse(i, weight):
-        nonlocal total
-        if i == n:
-            total += weight
-            for idx, ev in enumerate(chosen):
-                sums[idx][ev] = sums[idx].get(ev, 0.0) + weight
-            return
-        for ev, w in events[i]:
-            if ev is not None and ev in used:
-                continue
-            if ev is not None:
-                used.add(ev)
-            chosen.append(ev)
-            recurse(i + 1, weight * w)
-            chosen.pop()
-            if ev is not None:
-                used.discard(ev)
-
-    recurse(0, 1.0)
+    for hypothesis in itertools.product(*events):
+        detections = [e for e, _w in hypothesis if e is not None]
+        if len(set(detections)) < len(detections):
+            continue
+        weight = math.prod((w for _e, w in hypothesis), start=1.0)
+        total += weight
+        for idx, (ev, _w) in enumerate(hypothesis):
+            sums[idx][ev] = sums[idx].get(ev, 0.0) + weight
     if total <= 0.0:
         return [{None: 1.0} for _ in range(n)]
     return [{e: v / total for e, v in s.items()} for s in sums]
+
+
+def assert_same_as_the_oracle(old_rows):
+    """_exact_marginals has the oracle's bits, in the oracle's event order,
+    and every row's events come out in event order."""
+    terms = new_form(old_rows)
+    got = _exact_marginals(terms)
+    expected = exact_marginals_oracle(old_rows)
+    assert [list(g) for g in by_measurement(terms, got)] == [list(e) for e in expected]
+    for g, e in zip(got, expected):
+        assert np.array_equal(bits_of(list(g.values())), bits_of(list(e.values())))
+        assert list(g) == sorted(g)
+    return got
 
 
 weights_or_zero = st.one_of(st.just(0.0), st.floats(1e-300, 1e6), st.floats(0.0, 1.0))
@@ -460,23 +484,35 @@ def cluster_terms(draw):
     terms = []
     for _ in range(draw(st.integers(1, 5))):
         det = draw(st.dictionaries(st.integers(0, 4), weights_or_zero, max_size=5))
-        terms.append(TestAssociationMarginals.FakeTerms(draw(weights_or_zero), det))
+        terms.append(OldRow(draw(weights_or_zero), det))
     return terms
 
 
 class TestExactMarginalsOracle:
     @given(terms=cluster_terms())
     @settings(max_examples=500, deadline=None)
-    def test_same_bits_and_key_order_as_the_recursion(self, terms):
-        got = _exact_marginals(terms)
-        expected = exact_marginals_reference(terms)
-        assert [list(g.items()) for g in got] == [list(e.items()) for e in expected]
+    def test_same_bits_and_event_order_as_the_product_enumeration(self, terms):
+        assert_same_as_the_oracle(terms)
+
+    @given(miss=weights_or_zero, dets=st.lists(weights_or_zero, max_size=4),
+           keys=st.lists(st.integers(0, 9), min_size=4, max_size=4, unique=True))
+    @settings(max_examples=500, deadline=None)
+    def test_one_row_cluster(self, miss, dets, keys):
+        # a row with 0-4 gated measurements, zero weights included
+        got = assert_same_as_the_oracle([OldRow(miss, dict(zip(sorted(keys), dets)))])
+        assert len(got[0]) == (1 + len(dets) if any([miss] + dets) else 1)  # else a sure miss
 
     def test_measurement_used_twice_is_skipped(self):
-        fake = TestAssociationMarginals.FakeTerms
-        terms = [fake(1.0, {0: 1.0}), fake(1.0, {0: 1.0})]
+        terms = [OldRow(1.0, {0: 1.0}), OldRow(1.0, {0: 1.0})]
         # hypotheses (miss, miss), (miss, 0) and (0, miss); never (0, 0)
-        assert _exact_marginals(terms) == [{None: 2 / 3, 0: 1 / 3}, {None: 2 / 3, 0: 1 / 3}]
+        assert _exact_marginals(new_form(terms)) == [{0: 2 / 3, 1: 1 / 3}, {0: 2 / 3, 1: 1 / 3}]
+        assert_same_as_the_oracle(terms)
+
+    @pytest.mark.parametrize("n_rows", [1, 2])
+    def test_all_zero_weights_give_a_sure_miss(self, n_rows):
+        terms = [OldRow(0.0, {3: 0.0, 7: 0.0}) for _ in range(n_rows)]
+        assert _exact_marginals(new_form(terms)) == [{0: 1.0}] * n_rows
+        assert exact_marginals_oracle(terms) == [{None: 1.0}] * n_rows
 
 
 class TestMurty:
@@ -610,6 +646,16 @@ def posterior_row(existence, weights, pd, miss_lik, t, marginals):
     return new_r, w / total
 
 
+def cluster_marginals(cluster_terms, cfg):
+    """Marginals of a cluster of rows in the old form, keyed by measurement
+    and None for the miss: the product enumeration's within exact_enum_limit,
+    the ranked path's above it."""
+    if math.prod(1 + len(t.det_weights) for t in cluster_terms) <= cfg.exact_enum_limit:
+        return exact_marginals_oracle(cluster_terms)
+    terms = new_form(cluster_terms)
+    return by_measurement(terms, _ranked_marginals(terms, cfg.assoc_max_hypotheses))
+
+
 def reference_update(predicted, measurements, sensor, fov, cfg, role, rng=None, origin=None):
     """The update row by row: terms per (row, measurement), posterior per row."""
     measurements = [np.asarray(z, dtype=float) for z in measurements]
@@ -634,11 +680,7 @@ def reference_update(predicted, measurements, sensor, fov, cfg, role, rng=None, 
     shared = [(rows[0], i) for rows in holders.values() for i in rows]
     for cluster in connected_groups(len(terms), shared):
         cluster_terms = [terms[i] for i in cluster]
-        if math.prod(1 + len(t.det_weights) for t in cluster_terms) <= cfg.exact_enum_limit:
-            marginals = _exact_marginals(cluster_terms)
-        else:
-            marginals = _ranked_marginals(cluster_terms, cfg.assoc_max_hypotheses)
-        for t, marg in zip(cluster_terms, marginals):
+        for t, marg in zip(cluster_terms, cluster_marginals(cluster_terms, cfg)):
             i = t.row
             existences[i], weights[i] = posterior_row(
                 existences[i], weights[i], pd[i], miss_lik[i], t, marg
@@ -800,10 +842,8 @@ class TestBatchedUpdateOracle:
     def test_exact_marginals_only_for_clusters_with_a_gated_pair(self, monkeypatch):
         import sentrack.filtering as filtering
 
-        singles, clusters, ranked = [], [], []
-        single, exact = filtering._single_row_marginals, filtering._exact_marginals
-        monkeypatch.setattr(filtering, "_single_row_marginals",
-                            lambda weights: singles.append(len(weights)) or single(weights))
+        clusters, ranked = [], []
+        exact = filtering._exact_marginals
         monkeypatch.setattr(filtering, "_exact_marginals",
                             lambda terms: clusters.append([t.row for t in terms]) or exact(terms))
         monkeypatch.setattr(filtering, "_ranked_marginals", lambda *a: ranked.append(a))
@@ -818,10 +858,26 @@ class TestBatchedUpdateOracle:
         pred, meas = predicted_density(rows), [np.array([0.0, 302.0]), np.array([155.0, 303.0])]
         cfg = dataclasses.replace(CFG, particle_count=16)
         [got] = pseudo_update(pred, [meas], [SENSOR], FOV, cfg)
-        assert singles == [2]  # row 0's miss and its one measurement, in closed form
-        assert clusters == [[3, 4]] and not ranked
+        assert clusters == [[0], [3, 4]] and not ranked  # row 0 is a one-row cluster
         assert got.passed_through.tolist() == [False, False, True, False, False]
         assert got.existences[1] < pred.existences[1]  # the miss-only update
+        assert_same_rows(got, reference_update(pred, meas, SENSOR, FOV, cfg, "posterior"))
+
+    def test_one_row_cluster_over_the_limit_is_ranked(self, monkeypatch):
+        import sentrack.filtering as filtering
+
+        exact, ranked = [], []
+        original = filtering._ranked_marginals
+        monkeypatch.setattr(filtering, "_exact_marginals", lambda *a: exact.append(a))
+        monkeypatch.setattr(filtering, "_ranked_marginals",
+                            lambda terms, k: ranked.append([t.row for t in terms])
+                            or original(terms, k))
+        # one row gated to one measurement: two events, over a limit of one
+        pred = predicted_density([cloud((0, 300), 0.6, Label(0, 0, 0), n=16, spread=2.0)])
+        meas = [np.array([0.0, 302.0])]
+        cfg = dataclasses.replace(CFG, particle_count=16, exact_enum_limit=1)
+        [got] = pseudo_update(pred, [meas], [SENSOR], FOV, cfg)
+        assert ranked == [[0]] and not exact
         assert_same_rows(got, reference_update(pred, meas, SENSOR, FOV, cfg, "posterior"))
 
     def test_passed_row_keeps_uneven_weights(self):
@@ -854,6 +910,13 @@ class TestBatchedUpdateOracle:
 
 OMNI = FovModel(rho_max=500.0, theta_max=math.pi, p_d_max=0.99, k_rho=0.5, k_theta=20.0)
 SEAM_BEARINGS = (math.pi, math.nextafter(-math.pi, 0))
+
+
+class PairTerms(NamedTuple):
+    row: int
+    no_det_weight: float
+    det_weights: dict  # {meas_idx: r * G_z / clutter}
+    pairs: dict  # {meas_idx: index of the (row, meas_idx) pair in the gated arrays}
 
 
 def per_action_bayes_update(predicted, z, sensor, fov, cfg):
@@ -891,18 +954,14 @@ def per_action_bayes_update(predicted, z, sensor, fov, cfg):
     terms, no_det = {}, no_det.tolist()
     for g, (i, m, weight) in enumerate(zip(rows.tolist(), meas.tolist(), det_w.tolist())):
         if i not in terms:
-            terms[i] = _RowTerms(i, no_det[i], {}, {})
+            terms[i] = PairTerms(i, no_det[i], {}, {})
         terms[i].det_weights[m], terms[i].pairs[m] = weight, g
     terms = list(terms.values())
     first = {}
     shared = [(first.setdefault(m, i), i) for i, t in enumerate(terms) for m in t.det_weights]
     for cluster in connected_groups(len(terms), shared):
         cluster_terms = [terms[i] for i in cluster]
-        if math.prod(1 + len(t.det_weights) for t in cluster_terms) <= cfg.exact_enum_limit:
-            marginals = _exact_marginals(cluster_terms)
-        else:
-            marginals = _ranked_marginals(cluster_terms, cfg.assoc_max_hypotheses)
-        for t, marg in zip(cluster_terms, marginals):
+        for t, marg in zip(cluster_terms, cluster_marginals(cluster_terms, cfg)):
             i = t.row
             miss_r[i] *= marg.get(None, 0.0)
             new_r = miss_r[i] + sum(p for ev, p in marg.items() if ev is not None)
@@ -1016,22 +1075,6 @@ class TestBatchedPseudoUpdateOracle:
         assert [out.labels for out in got] == [(), ()]
         assert [out.row_weights([]) for out in got] == [[], []]
         assert [out.mean_positions([]).shape for out in got] == [(0, 2), (0, 2)]
-
-
-class TestSingleRowMarginals:
-    @given(miss=weights_or_zero, dets=st.lists(weights_or_zero, max_size=4),
-           keys=st.lists(st.integers(0, 9), min_size=4, max_size=4, unique=True))
-    @settings(max_examples=500, deadline=None)
-    def test_has_the_bits_of_the_exact_path(self, miss, dets, keys):
-        # a row with 0-4 gated measurements, zero weights included
-        det_weights = dict(zip(sorted(keys), dets))
-        [expected] = _exact_marginals([TestAssociationMarginals.FakeTerms(miss, det_weights)])
-        got = _single_row_marginals([miss] + dets)
-        assert len(got) == len(expected)
-        assert np.array_equal(bits_of(got), bits_of(list(expected.values())))
-
-    def test_all_zero_weights_give_a_sure_miss(self):
-        assert _single_row_marginals([0.0, 0.0, 0.0]) == [1.0]
 
 
 def bits_of(values):
