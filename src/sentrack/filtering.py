@@ -367,28 +367,25 @@ def _bayes_update(
     # pair's row in the (A * K) block of all poses' rows is `block`.
     z = np.concatenate(zs)
     pose_of = np.repeat(np.arange(n_poses), [len(zp) for zp in zs])
-    block = meas = np.empty(0, dtype=np.intp)
-    raw, g_sum, det_w = np.empty((0, j)), np.empty(0), np.empty(0)
-    if len(z):
-        means = predicted.mean_positions()
-        gx = z[:, 0] - (means[:, 0, None] - poses[pose_of, 0])
-        gy = z[:, 1] - (means[:, 1, None] - poses[pose_of, 1])
-        gated = ~(np.hypot(gx, gy) > cfg.association_gate) & ~passed.T[:, pose_of]
-        rows, meas = np.nonzero(gated)
-        block = pose_of.take(meas) * k + rows
-        # (G, J) likelihoods of each pair's particles, from their offsets
-        pair_dx, pair_dy = (d.reshape(n_poses * k, j).take(block, axis=0) for d in (dx, dy))
-        pair_z = z.take(meas, axis=0)[:, None]
-        logg = displacement_log_likelihoods(pair_dx, pair_dy, pair_z, cfg.meas_noise_std)
-        del pair_dx, pair_dy  # only their likelihoods are read from here on
-        raw = predicted.weights.take(rows, axis=0)
-        raw *= pd.reshape(n_poses * k, j).take(block, axis=0)
-        raw *= np.exp(logg, out=logg)
-        g_sum = raw.sum(axis=1)
-        hit = g_sum > 0.0
-        if not hit.all():
-            rows, block, meas, raw, g_sum = rows[hit], block[hit], meas[hit], raw[hit], g_sum[hit]
-        det_w = r.take(rows) * g_sum / max(cfg.clutter_intensity, _MIN_CLUTTER)
+    means = predicted.mean_positions()
+    gx = z[:, 0] - (means[:, 0, None] - poses[pose_of, 0])
+    gy = z[:, 1] - (means[:, 1, None] - poses[pose_of, 1])
+    gated = ~(np.hypot(gx, gy) > cfg.association_gate) & ~passed.T[:, pose_of]
+    rows, meas = np.nonzero(gated)
+    block = pose_of.take(meas) * k + rows
+    # (G, J) likelihoods of each pair's particles, from their offsets
+    pair_dx, pair_dy = (d.reshape(n_poses * k, j).take(block, axis=0) for d in (dx, dy))
+    pair_z = z.take(meas, axis=0)[:, None]
+    logg = displacement_log_likelihoods(pair_dx, pair_dy, pair_z, cfg.meas_noise_std)
+    del pair_dx, pair_dy  # only their likelihoods are read from here on
+    raw = predicted.weights.take(rows, axis=0)
+    raw *= pd.reshape(n_poses * k, j).take(block, axis=0)
+    raw *= np.exp(logg, out=logg)
+    g_sum = raw.sum(axis=1)
+    hit = g_sum > 0.0
+    if not hit.all():
+        rows, block, meas, raw, g_sum = rows[hit], block[hit], meas[hit], raw[hit], g_sum[hit]
+    det_w = r.take(rows) * g_sum / max(cfg.clutter_intensity, _MIN_CLUTTER)
 
     # the pairs have read pd: its array now holds the miss probabilities
     miss_p = np.subtract(1.0, pd, out=pd)

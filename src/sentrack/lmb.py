@@ -180,8 +180,6 @@ def eap_states(density: LmbDensity) -> list:
     weight-averaged particle state.
     """
     n = min(round_half_up(eap_cardinality(density)), len(density.labels))
-    if n <= 0:
-        return []
     rows = ranked_rows(density)[:n]
     means = row_means(density.weights[rows], density.states[rows])
     return [(density.labels[k], mean) for k, mean in zip(rows, means)]

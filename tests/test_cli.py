@@ -27,13 +27,15 @@ def test_repeat_invocations_write_identical_csvs(tmp_path, capsys):
 
 
 def test_csvs_identical_across_hash_seeds(tmp_path):
-    # set and dict iteration over labels must not leak into the results
+    # set and dict iteration over labels must not leak into the results, and
+    # neither may the number of threads OpenBLAS splits a matmul over
     src = str(Path(sentrack.__file__).resolve().parents[1])
     written = []
-    for hash_seed in ("0", "4242"):
+    for hash_seed, blas_threads in (("0", "1"), ("4242", "2")):
         out = tmp_path / hash_seed
         argv = ["simulate", "--scenario", "1", "--method", "fdcd", "--runs", "1", "--steps", "3"]
-        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src,
+               "OPENBLAS_NUM_THREADS": blas_threads}
         subprocess.run(
             [sys.executable, "-m", "sentrack", *argv, "--out", str(out)],
             env=env, check=True, capture_output=True, timeout=300,
