@@ -197,7 +197,7 @@ def run_flooded_descent(
     first = {s: {cmd0: 0} for s in ids}
     turns = []
 
-    bound = math.prod(max(n_actions[s], 1) for s in ids)
+    bound = math.prod(n_actions[s] for s in ids)
     for t in range(1, bound + 2):
         for s in ids:
             action, score = _best_own_action(s, pos[s], latest, n_actions[s], evaluate)

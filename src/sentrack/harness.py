@@ -155,8 +155,6 @@ def _select_commands(method, scenario, cache, topology, step, seed, dcd_runs, co
             iterations = max(iterations, outcome.iterations)
         return commands, iterations
 
-    raise ValueError(f"unknown control method {method!r}")
-
 
 class PredictedMeans(NamedTuple):
     """What the estimate reads of a predicted density once its update is

@@ -46,9 +46,7 @@ def build_topology(positions: Mapping[int, tuple], comm_range: float) -> Topolog
     adjacency = {s: set() for s in ids}
     for i, s in enumerate(ids):
         for t in ids[i + 1 :]:
-            dx = positions[s][0] - positions[t][0]
-            dy = positions[s][1] - positions[t][1]
-            if math.hypot(dx, dy) <= comm_range:
+            if math.dist(positions[s], positions[t]) <= comm_range:
                 adjacency[s].add(t)
                 adjacency[t].add(s)
     adjacency = {s: frozenset(n) for s, n in adjacency.items()}

@@ -560,6 +560,11 @@ class TestMurty:
         assert assign == (0, 1)
         assert total == pytest.approx(2.0)
 
+    @pytest.mark.parametrize("cost", [[[np.inf, np.inf]], [[1.0, np.inf], [2.0, np.inf]]])
+    def test_no_finite_assignment_gives_no_solution(self, cost):
+        # a row with no finite cell, or two rows that share their one finite column
+        assert murty_assignments(np.array(cost), 5) == []
+
     @given(data=st.data(), n=st.integers(1, 4), extra=st.integers(0, 2), k=st.integers(1, 30))
     @settings(max_examples=300, deadline=None)
     def test_children_from_the_forced_prefix_change_nothing(self, data, n, extra, k):

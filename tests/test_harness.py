@@ -18,6 +18,13 @@ from sentrack.network import CommLogEntry, message_cost
 from sentrack.scenarios import build_scenario_1, build_scenario_2
 
 
+def test_run_single_rejects_an_unknown_method(monkeypatch):
+    # rejected before step 1, so control never sees a method it cannot run
+    monkeypatch.setattr(harness, "predict", None)
+    with pytest.raises(ValueError, match=r"^method must be one of \('fixed', 'isc', 'dcd', 'fdcd'\)$"):
+        run_single(build_scenario_1(), "greedy", seed=1)
+
+
 @pytest.mark.parametrize("duration", [0, -1])
 def test_run_single_rejects_duration_below_one(duration):
     # 0 used to run the whole scenario and -1 no step at all (NaN means)
@@ -59,6 +66,28 @@ def test_sensor_with_empty_prediction_and_no_measurements_is_resampled():
     # 1; resampling its empty posterior used to fail to broadcast
     result = run_single(build_scenario_1(), "dcd", 222222, duration=1)
     assert [rec.step for rec in result.steps] == [1]
+
+
+def with_non_stay_actions_reversed(scenario):
+    sensors = tuple(dataclasses.replace(spec, actions=spec.actions[:1] + spec.actions[:0:-1])
+                    for spec in scenario.sensors)
+    return dataclasses.replace(scenario, sensors=sensors)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+@pytest.mark.parametrize("build", [build_scenario_1, build_scenario_2])
+def test_dcd_does_not_depend_on_action_order(build):
+    # the descent gives ties to the lowest action index and dcd draws its
+    # restarts as indices; the same actions in another order must give the
+    # same run, its commands read back as indices of the original order
+    scenario = build()
+    want = run_single(scenario, "dcd", seed=20260810, duration=2)
+    got = run_single(with_non_stay_actions_reversed(scenario), "dcd", seed=20260810, duration=2)
+    n = [len(spec.actions) for spec in scenario.sensors]
+    for rec in got.steps:
+        rec.commands = tuple(a and n[s] - a for s, a in enumerate(rec.commands))
+    assert got.steps == want.steps
+    assert got.mean_ospa2 == want.mean_ospa2
 
 
 def test_run_single_defaults_to_scenario_duration():

@@ -1,3 +1,5 @@
+import math
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -26,6 +28,15 @@ class TestBuildTopology:
     def test_out_of_range_disconnected(self):
         topo = build_topology({0: (0, 0), 1: (900, 0)}, 800.0)
         assert topo.adjacency[0] == frozenset()
+
+    @pytest.mark.parametrize("offset", [(30.0, 40.0), (-40.0, 30.0), (-30.0, -40.0)])
+    def test_exactly_comm_range_apart_connected(self, offset):
+        # a 3-4-5 offset whose distance is exactly 50 in floating point
+        positions = {0: (120.0, -35.0), 1: (120.0 + offset[0], -35.0 + offset[1])}
+        topo = build_topology(positions, 50.0)
+        assert topo.adjacency == {0: frozenset({1}), 1: frozenset({0})}
+        topo = build_topology(positions, math.nextafter(50.0, 0.0))
+        assert topo.adjacency == {0: frozenset(), 1: frozenset()}
 
     def test_single_sensor(self):
         topo = build_topology({0: (5, 5)}, 800.0)
